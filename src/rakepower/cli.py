@@ -4,9 +4,10 @@ Each subcommand evaluates one study end to end and writes a CSV: the
 target-SINR curve, the power-decay profile, the interference coefficient
 surfaces, outage probability against the frame count, per-user utilities
 against channel gain for one shared draw, the partial-combining penalty
-against the combining fraction, and the full numerical audit. Outputs
-start with a single '#' comment line recording the configuration, the
-seed, and the package version; everything after that line is
+against the combining fraction, and the full numerical audit. The CSV
+goes to --out, or to stdout without it; status lines go to stderr.
+Outputs start with a single '#' comment line recording the configuration,
+the seed, and the package version; everything after that line is
 deterministic for a fixed seed.
 
 Exit codes: 0 on success, 1 on usage or configuration errors, 2 when
@@ -19,6 +20,7 @@ import csv
 import dataclasses
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -240,40 +242,42 @@ def run_utility_vs_gain(config: ExperimentConfig):
     across fractions reflects combining alone. The nmse column reports,
     per fraction, the mean squared relative error of the full-combining
     prediction scaled down by the combining penalty against simulated
-    utilities over fresh trials (trial indices 1 onward).
+    utilities over fresh trials (trial indices 1 onward). Each trial is
+    drawn once and evaluated at every fraction.
     """
     betas = config.betas or _BETA_BANKS
     profile = ApdpProfile(config.paths, config.rho)
     spreading = config.spreading()
     params_full = config.lsa_params(1.0)
+    penalties = [10.0 ** (loss_db(config.lsa_params(beta)) / 10.0)
+                 for beta in betas]
 
     def bank_utilities(bank, beta):
         gains = link_gains(bank, RakeSelector(beta), spreading, config.sigma_sq)
         return gains, solve_equilibrium(gains, config.utility)
 
+    sq_errs = [[] for _ in betas]
+    for t in range(1, config.trials + 1):
+        topo = sample_topology(config.users, _D_MIN, _D_MAX,
+                               substream(config.seed, t))
+        bank = sample_channel_bank(profile, topo, config.seed, t)
+        h_total = np.array([ch.channel_gain for ch in bank])
+        pred_full = predict_utility(params_full, h_total)
+        for beta, penalty, errs in zip(betas, penalties, sq_errs):
+            _, outcome = bank_utilities(bank, beta)
+            pred = pred_full / penalty
+            errs.append(((pred - outcome.utilities) / outcome.utilities) ** 2)
+
     topo0 = sample_topology(config.users, _D_MIN, _D_MAX,
                             substream(config.seed, 0))
     bank0 = sample_channel_bank(profile, topo0, config.seed, 0)
-
     fields = ["beta", "user", "channel_gain", "power_w", "utility_sim",
               "utility_pred", "nmse"]
     rows = []
-    for beta in betas:
-        params_b = config.lsa_params(beta)
-        penalty = 10.0 ** (loss_db(params_b) / 10.0)
-        sq_errs = []
-        for t in range(1, config.trials + 1):
-            topo = sample_topology(config.users, _D_MIN, _D_MAX,
-                                   substream(config.seed, t))
-            bank = sample_channel_bank(profile, topo, config.seed, t)
-            _, outcome = bank_utilities(bank, beta)
-            h_total = np.array([ch.channel_gain for ch in bank])
-            pred = predict_utility(params_full, h_total) / penalty
-            sq_errs.append(((pred - outcome.utilities) / outcome.utilities) ** 2)
-        nmse = float(np.mean(sq_errs))
-
+    for beta, errs in zip(betas, sq_errs):
+        nmse = float(np.mean(errs))
         gains0, outcome0 = bank_utilities(bank0, beta)
-        pred0 = predict_utility(params_b, gains0.h_sp)
+        pred0 = predict_utility(config.lsa_params(beta), gains0.h_sp)
         for k in range(config.users):
             rows.append({"beta": beta, "user": k,
                          "channel_gain": bank0[k].channel_gain,
@@ -345,9 +349,10 @@ def _comment_line(config: ExperimentConfig) -> str:
     return "# " + " ".join(parts)
 
 
-def write_csv(path: str, config: ExperimentConfig, fields: Sequence[str],
+def write_csv(path: str | None, config: ExperimentConfig, fields: Sequence[str],
               rows: Sequence[dict]) -> None:
-    with open(path, "w", newline="") as fh:
+    """Write the comment line, header and rows to path, or to stdout without one."""
+    with open(path, "w", newline="") if path else nullcontext(sys.stdout) as fh:
         fh.write(_comment_line(config) + "\n")
         writer = csv.writer(fh)
         writer.writerow(fields)
@@ -355,10 +360,10 @@ def write_csv(path: str, config: ExperimentConfig, fields: Sequence[str],
             writer.writerow([_fmt(row[f]) for f in fields])
 
 
-def _emit(config: ExperimentConfig, default_name: str, fields, rows) -> str:
-    path = config.out or f"{default_name}.csv"
-    write_csv(path, config, fields, rows)
-    return path
+def _emit(config: ExperimentConfig, fields, rows) -> str:
+    """Write the CSV to --out, or to stdout without it; returns where it went."""
+    write_csv(config.out, config, fields, rows)
+    return config.out or "stdout"
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +381,8 @@ def _common_options(f):
                       help="combining fraction(s); repeatable"),
         click.option("--trials", type=int, default=None, help="Monte Carlo trials"),
         click.option("--seed", type=int, default=None, help="master seed"),
-        click.option("--out", type=str, default=None, help="output CSV path"),
+        click.option("--out", type=str, default=None,
+                      help="output CSV path (default: stdout)"),
         click.option("--config", "config_file", type=str, default=None,
                       help="flat key=value config file; flags override"),
     ]
@@ -398,24 +404,24 @@ def cli():
     """Power-control experiments for partial-combining impulse-radio uplinks."""
 
 
-def _simple_command(name: str, runner, default_name: str):
+def _simple_command(name: str, runner):
     @cli.command(name, help=runner.__doc__)
     @_common_options
     def _cmd(**flags):
         config, _ = _configure(flags)
         fields, rows = runner(config)
-        path = _emit(config, default_name, fields, rows)
-        click.echo(f"wrote {path} ({len(rows)} rows)")
+        where = _emit(config, fields, rows)
+        click.echo(f"wrote {where} ({len(rows)} rows)", err=True)
         return 0
     return _cmd
 
 
-_simple_command("gamma-curve", run_gamma_curve, "gamma_curve")
-_simple_command("apdp", run_apdp, "apdp")
-_simple_command("mu-nu", run_mu_nu_curves, "mu_nu")
-_simple_command("po-frames", run_po_vs_frames, "po_frames")
-_simple_command("utility-gain", run_utility_vs_gain, "utility_gain")
-_simple_command("loss-beta", run_loss_vs_beta, "loss_beta")
+_simple_command("gamma-curve", run_gamma_curve)
+_simple_command("apdp", run_apdp)
+_simple_command("mu-nu", run_mu_nu_curves)
+_simple_command("po-frames", run_po_vs_frames)
+_simple_command("utility-gain", run_utility_vs_gain)
+_simple_command("loss-beta", run_loss_vs_beta)
 
 
 @cli.command("validate", help=run_validate.__doc__)
@@ -423,14 +429,15 @@ _simple_command("loss-beta", run_loss_vs_beta, "loss_beta")
 def _cmd_validate(**flags):
     config, explicit = _configure(flags)
     fields, rows, ok = run_validate(config, explicit)
-    path = _emit(config, "validate", fields, rows)
+    where = _emit(config, fields, rows)
     for row in rows:
         verdict = "PASS" if row["passed"] else "FAIL"
         click.echo(f"{verdict} {row['name']}: value={_fmt(row['value'])} "
                    f"reference={_fmt(row['reference'])} "
-                   f"rel_err={_fmt(row['rel_err'])} tol={_fmt(row['tol'])}")
+                   f"rel_err={_fmt(row['rel_err'])} tol={_fmt(row['tol'])}",
+                   err=True)
     failed = sum(1 for row in rows if not row["passed"])
-    click.echo(f"wrote {path} ({len(rows)} rows, {failed} failures)")
+    click.echo(f"wrote {where} ({len(rows)} rows, {failed} failures)", err=True)
     return 0 if ok else 2
 
 

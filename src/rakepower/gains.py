@@ -8,10 +8,16 @@ signal (h_mai). All three are exact functions of the realized path gains,
 the set of combined fingers, and the processing gain; no Gaussian or
 large-system approximation is involved here.
 
-The lag structure of the leakage enters through two banded L x (L-1)
-matrices per vector x: column i of the matrix holds the last i entries of
-x shifted to the top. Products against those matrices are plain
-correlation lags, so the default evaluation path never materializes them.
+The leakage terms are cross-correlations between the combining weights
+and the path gains at lags 1..L-1; the cross gains add the zero lag. A
+bank of K users is one (K, L) array. Zero-padded to at least 2L - 1
+samples, its discrete Fourier transform turns every correlation into a
+product of spectra (Wiener-Khinchin), and by Parseval the sum of squared
+correlations over all lags is an inner product of power spectra, so all
+K^2 cross gains come from one matrix product. The lag structure can also
+be written as two banded L x (L-1) matrices per vector (column i holds
+the last i entries shifted to the top); the dense evaluation path
+materializes them as an independent check.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.fft
 
 from .channel import ChannelRealization
 
@@ -81,11 +88,14 @@ class SpreadingConfig:
 
 def rake_weights(alpha: ChannelRealization | np.ndarray,
                  selector: RakeSelector) -> np.ndarray:
-    """Combining weight vector: the path gains on the combined fingers, zero after."""
+    """Combining weights: the path gains on the combined fingers, zero after.
+
+    alpha is one user's channel or a (K, L) bank of path gains.
+    """
     a = alpha.gains if isinstance(alpha, ChannelRealization) else np.asarray(alpha, dtype=complex)
     c = np.zeros_like(a)
-    fingers = selector.finger_count(a.size)
-    c[:fingers] = a[:fingers]
+    fingers = selector.finger_count(a.shape[-1])
+    c[..., :fingers] = a[..., :fingers]
     return c
 
 
@@ -113,7 +123,7 @@ def interference_matrices(alpha: ChannelRealization | np.ndarray,
     Entry (l, i) of A is alpha_{L+l-i} when l <= i and zero otherwise
     (1-based); B has the same pattern built from c. Only the dense
     evaluation path and the tests use these; link_gains defaults to the
-    equivalent correlation form.
+    equivalent spectral form.
     """
     a = alpha.gains if isinstance(alpha, ChannelRealization) else np.asarray(alpha, dtype=complex)
     return _lag_matrix(a), _lag_matrix(np.asarray(c, dtype=complex))
@@ -128,19 +138,6 @@ def _lag_matrix(x: np.ndarray) -> np.ndarray:
     mask = l_idx <= i_idx
     src = np.clip(L + l_idx - i_idx - 1, 0, L - 1)
     return np.where(mask, x[src], 0.0 + 0.0j)
-
-
-def _corr_lags(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """r[d] = sum_m x[m] conj(y[m + d]) for d = 1..L-1.
-
-    Equals the lag-matrix product (A_y^H x) read in descending-i order;
-    norms are order-invariant so sums of |r|^2 need no reversal.
-    """
-    L = x.size
-    if L == 1:
-        return np.zeros(0, dtype=complex)
-    full = np.correlate(x, y, mode="full")
-    return full[L - 2::-1]
 
 
 @dataclass(frozen=True)
@@ -193,35 +190,47 @@ class LinkGains:
         return (self.h_mai / self.h_sp[None, :]).sum(axis=1)
 
 
-def link_gains(alphas: Sequence[ChannelRealization | np.ndarray],
+def _bank_array(alphas: Sequence[ChannelRealization | np.ndarray] | np.ndarray) -> np.ndarray:
+    """Stack a bank into one (K, L) complex array, one row per user."""
+    rows = [a.gains if isinstance(a, ChannelRealization) else np.asarray(a, dtype=complex)
+            for a in alphas]
+    if not rows:
+        raise ValueError("need at least one user")
+    L = rows[0].size
+    if any(r.ndim != 1 or r.size != L for r in rows):
+        raise ValueError("all users must share the same path count")
+    return np.stack(rows)
+
+
+def link_gains(alphas: Sequence[ChannelRealization | np.ndarray] | np.ndarray,
                selector: RakeSelector,
                spreading: SpreadingConfig,
                sigma_sq: float,
-               method: str = "banded") -> LinkGains:
+               method: str = "spectral") -> LinkGains:
     """Exact gain bank for K users sharing the channel.
 
-    method="banded" evaluates the lag sums as correlations; "dense"
-    materializes the lag matrices and multiplies them out. Both give the
-    same numbers to roundoff; dense exists as an independent check and is
-    quadratically more expensive.
+    alphas is a sequence of per-user channels or a (K, L) array of path
+    gains. method="spectral" evaluates the whole bank from the spectra of
+    the path gains and weights, zero-padded to at least 2L - 1 samples so
+    that no lag wraps around: the cross-gain numerator, the squared
+    weight/interferer cross-correlation summed over every lag, is by
+    Parseval an inner product of power spectra, so all K^2 numerators are
+    one matrix product, and the self-interference lags come from one
+    inverse transform of each user's cross-spectrum. method="dense"
+    materializes the lag matrices and multiplies them out: it is
+    quadratically more expensive and exists as an independent check. Both
+    agree to roundoff.
     """
-    if method not in ("banded", "dense"):
+    if method not in ("spectral", "dense"):
         raise ValueError(f"unknown method {method!r}")
-    gains = [a.gains if isinstance(a, ChannelRealization) else np.asarray(a, dtype=complex)
-             for a in alphas]
-    K = len(gains)
-    if K < 1:
-        raise ValueError("need at least one user")
-    L = gains[0].size
-    if any(g.size != L for g in gains):
-        raise ValueError("all users must share the same path count")
-
-    weights = [rake_weights(a, selector) for a in gains]
+    A = _bank_array(alphas)
+    K, L = A.shape
+    C = rake_weights(A, selector)
     N = spreading.processing_gain
     phi_sq = _phi_squared(spreading.chips_per_frame, L)
 
     h_sp = np.empty(K)
-    for k, (a, c) in enumerate(zip(gains, weights)):
+    for k, (a, c) in enumerate(zip(A, C)):
         hs = np.vdot(c, a)
         if abs(hs.imag) > 1e-12 * max(1.0, abs(hs.real)):
             raise ValueError("combining gain has a non-negligible imaginary part")
@@ -229,27 +238,30 @@ def link_gains(alphas: Sequence[ChannelRealization | np.ndarray],
             raise ValueError(f"user {k} has zero combining gain")
         h_sp[k] = hs.real
 
-    h_si = np.empty(K)
-    h_mai = np.zeros((K, K))
-    if method == "banded":
-        for k, (a, c) in enumerate(zip(gains, weights)):
-            v = _corr_lags(a, c) + _corr_lags(c, a)
-            h_si[k] = float(phi_sq[::-1] @ np.abs(v) ** 2) / (N * h_sp[k])
-            for j, aj in enumerate(gains):
-                if j == k:
-                    continue
-                t1 = _corr_lags(aj, c)
-                t2 = _corr_lags(c, aj)
-                cross = np.sum(np.abs(t1) ** 2) + np.sum(np.abs(t2) ** 2) \
-                    + abs(np.vdot(c, aj)) ** 2
-                h_mai[k, j] = cross / (N * h_sp[k])
+    if method == "spectral":
+        # any length >= 2L - 1 holds every lag without wrap-around; the
+        # next 2-3-5-smooth one transforms fastest
+        nfft = scipy.fft.next_fast_len(2 * L - 1)
+        fa = scipy.fft.fft(A, n=nfft, axis=1)
+        fc = scipy.fft.fft(C, n=nfft, axis=1)
+        # r[k, n] = sum_m a_k[m + n] conj(c_k[m]) at lags n = -(L-1)..L-1,
+        # negative lags stored from the end; the two leakage terms at lag
+        # d = 1..L-1 are r[-d] and conj(r[d])
+        r = scipy.fft.ifft(fa * fc.conj(), axis=1)
+        v = r[:, nfft - 1:nfft - L:-1] + r[:, 1:L].conj()
+        h_si = (np.abs(v) ** 2 @ phi_sq[::-1]) / (N * h_sp)
+        cross = (np.abs(fc) ** 2 @ (np.abs(fa) ** 2).T) / nfft
+        h_mai = cross / (N * h_sp[:, None])
+        np.fill_diagonal(h_mai, 0.0)
     else:
-        mats = [interference_matrices(a, c) for a, c in zip(gains, weights)]
-        for k, (a, c) in enumerate(zip(gains, weights)):
+        h_si = np.empty(K)
+        h_mai = np.zeros((K, K))
+        mats = [interference_matrices(a, c) for a, c in zip(A, C)]
+        for k, (a, c) in enumerate(zip(A, C)):
             A_k, B_k = mats[k]
             v = B_k.conj().T @ a + A_k.conj().T @ c
             h_si[k] = float(phi_sq @ np.abs(v) ** 2) / (N * h_sp[k])
-            for j, aj in enumerate(gains):
+            for j, aj in enumerate(A):
                 if j == k:
                     continue
                 A_j = mats[j][0]

@@ -32,8 +32,8 @@ import numpy as np
 
 from .channel import (ApdpProfile, NetworkTopology, sample_channel,
                       sample_channel_bank, substream)
-from .gains import (RakeSelector, SpreadingConfig, _corr_lags, _lag_matrix,
-                    _phi_squared, link_gains, phi_coefficient)
+from .gains import (RakeSelector, SpreadingConfig, _lag_matrix, _phi_squared,
+                    link_gains, phi_coefficient)
 from .game import UtilityParams, efficiency, gamma_star
 from .lsa import LsaParams, loss_db, mu, mu_flat, nu, nu_arake, nu_flat, predict_power
 
@@ -142,6 +142,19 @@ def finite_mu(path_count: int, rho: float, beta: float) -> float:
     num1, num2 = _cross_lag_masses(pm.tap_power, pm.finger_count)
     den = _captured_density(pm.tap_power, pm.finger_count)
     return (num1 + num2) / den ** 2
+
+
+def _corr_lags(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """r[d] = sum_m x[m] conj(y[m + d]) for d = 1..L-1.
+
+    Equals the lag-matrix product (A_y^H x) read in descending-i order;
+    norms are order-invariant so sums of |r|^2 need no reversal.
+    """
+    L = x.size
+    if L == 1:
+        return np.zeros(0, dtype=complex)
+    full = np.correlate(x, y, mode="full")
+    return full[L - 2::-1]
 
 
 def _self_lag_mass_direct(v: np.ndarray, mask: np.ndarray,

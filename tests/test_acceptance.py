@@ -206,6 +206,6 @@ def test_c8_runner_determinism(tmp_path):
     b_lines = paths[1].read_text().splitlines()
     assert a_lines[0].startswith("#") and b_lines[0].startswith("#")
     assert a_lines[1:] == b_lines[1:]
-    assert a_lines[1:] == [l for l in a_lines[1:]]  # no comment lines in data
+    assert not any(l.startswith("#") for l in a_lines[1:])  # no comment lines in data
     print("\nACCEPTANCE 8: PASS repeated runs with one seed emit byte-identical "
           "rows (comment line excluded)")

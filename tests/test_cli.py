@@ -116,6 +116,23 @@ def test_csv_byte_determinism(tmp_path):
     assert data_a == data_b
 
 
+def test_csv_goes_to_stdout_without_out(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["apdp", "--paths", "5"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0].startswith("# ")
+    rows = list(csv.DictReader(lines[1:]))
+    assert len(rows) == 5 and float(rows[0]["variance"]) == 1.0
+    assert "wrote stdout (5 rows)" in captured.err
+    assert list(tmp_path.iterdir()) == []
+    # with --out, stdout stays empty: status lines go to stderr
+    assert main(["apdp", "--paths", "5", "--out", str(tmp_path / "a.csv")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "wrote" in captured.err
+
+
 def test_seed_changes_data(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["utility-gain", "--users", "3", "--paths", "60", "--chips", "15",

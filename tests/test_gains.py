@@ -128,22 +128,51 @@ def test_link_gains_match_loop_reference():
     selector = RakeSelector(0.5)
     spreading = SpreadingConfig(frames=4, chips_per_frame=5)
     ref_sp, ref_si, ref_mai = _loop_gains(gains_list, selector, spreading, 1e-3)
-    for method in ("banded", "dense"):
+    for method in ("spectral", "dense"):
         out = link_gains(bank, selector, spreading, 1e-3, method=method)
-        assert np.allclose(out.h_sp, ref_sp, rtol=1e-12)
-        assert np.allclose(out.h_si, ref_si, rtol=1e-12)
-        assert np.allclose(out.h_mai, ref_mai, rtol=1e-12)
+        assert np.allclose(out.h_sp, ref_sp, rtol=1e-12, atol=0)
+        assert np.allclose(out.h_si, ref_si, rtol=1e-12, atol=0)
+        assert np.allclose(out.h_mai, ref_mai, rtol=1e-12, atol=0)
 
 
-def test_banded_equals_dense():
+def test_spectral_equals_dense():
     bank = _bank(4, 60, rho=10.0, seed=5)
     selector = RakeSelector(0.3)
     spreading = SpreadingConfig(frames=6, chips_per_frame=20)
-    banded = link_gains(bank, selector, spreading, 5e-16, method="banded")
+    spectral = link_gains(bank, selector, spreading, 5e-16, method="spectral")
     dense = link_gains(bank, selector, spreading, 5e-16, method="dense")
-    assert np.allclose(banded.h_sp, dense.h_sp, rtol=1e-12)
-    assert np.allclose(banded.h_si, dense.h_si, rtol=1e-12)
-    assert np.allclose(banded.h_mai, dense.h_mai, rtol=1e-12)
+    assert np.allclose(spectral.h_sp, dense.h_sp, rtol=1e-12, atol=0)
+    assert np.allclose(spectral.h_si, dense.h_si, rtol=1e-12, atol=0)
+    assert np.allclose(spectral.h_mai, dense.h_mai, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("K, L, beta, chips", [
+    (3, 2, 0.5, 1),      # shortest channel, one chip per frame
+    (3, 2, 1.0, 4),      # all-rake with chips per frame above L
+    (2, 9, 1.0, 3),      # odd L, all-rake
+    (4, 10, 0.3, 10),    # even L, chips per frame equal to L
+    (3, 17, 0.5, 40),    # odd L, chips per frame above L
+    (1, 12, 0.5, 5),     # one user: h_mai is a 1 x 1 zero
+])
+def test_spectral_edge_shapes(K, L, beta, chips):
+    bank = _bank(K, L, rho=5.0, seed=40 + L)
+    selector = RakeSelector(beta)
+    spreading = SpreadingConfig(frames=3, chips_per_frame=chips)
+    spectral = link_gains(bank, selector, spreading, 1e-3)
+    as_array = link_gains(np.array([ch.gains for ch in bank]), selector,
+                          spreading, 1e-3)
+    dense = link_gains(bank, selector, spreading, 1e-3, method="dense")
+    ref_sp, ref_si, ref_mai = _loop_gains([ch.gains for ch in bank], selector,
+                                          spreading, 1e-3)
+    assert np.array_equal(as_array.h_sp, spectral.h_sp)
+    assert np.array_equal(as_array.h_si, spectral.h_si)
+    assert np.array_equal(as_array.h_mai, spectral.h_mai)
+    assert spectral.h_mai.shape == (K, K)
+    assert np.all(np.diag(spectral.h_mai) == 0.0)
+    for ref in ((dense.h_sp, dense.h_si, dense.h_mai), (ref_sp, ref_si, ref_mai)):
+        assert np.allclose(spectral.h_sp, ref[0], rtol=1e-12, atol=0)
+        assert np.allclose(spectral.h_si, ref[1], rtol=1e-12, atol=0)
+        assert np.allclose(spectral.h_mai, ref[2], rtol=1e-12, atol=0)
 
 
 def test_arake_combining_gain_is_channel_energy():

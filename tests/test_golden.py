@@ -1,0 +1,62 @@
+"""Golden outputs: small studies against CSVs recorded from earlier code.
+
+The files under golden/ were written by the code that evaluated the link
+gains lag by lag with per-pair correlations. Any later evaluation route
+must reproduce them: floats to 1e-10 relative, and keys, outage counts,
+verdicts and notes exactly. The comment line is skipped because it
+records the package version.
+"""
+
+import csv
+import math
+from pathlib import Path
+
+import pytest
+
+from rakepower.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# file -> (CLI arguments, columns compared as floats)
+CASES = {
+    "utility_gain.csv": (
+        ["utility-gain", "--users", "4", "--paths", "80", "--chips", "20",
+         "--trials", "20", "--beta", "0.5", "--beta", "0.1", "--seed", "7"],
+        ("channel_gain", "power_w", "utility_sim", "utility_pred", "nmse")),
+    # outage_fraction is an outage count over the trial count: exact
+    "po_frames.csv": (
+        ["po-frames", "--users", "4", "--paths", "80", "--chips", "20",
+         "--trials", "10", "--seed", "7"],
+        ()),
+    "validate.csv": (["validate", "--paths", "1600"],
+                     ("value", "reference", "rel_err", "tol")),
+}
+RTOL = 1e-10
+# rel_err is itself a relative error, dimensionless and often at roundoff
+# level, so its own tolerance is absolute
+ATOL = {"rel_err": 1e-10}
+
+
+def _data(path):
+    lines = Path(path).read_text().splitlines()
+    assert lines[0].startswith("# ")
+    return list(csv.reader(lines[1:]))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_study_matches_golden(name, tmp_path):
+    args, float_cols = CASES[name]
+    out = tmp_path / name
+    assert main(args + ["--out", str(out)]) == 0
+    want, got = _data(GOLDEN / name), _data(out)
+    header = want[0]
+    assert got[0] == header
+    assert len(got) == len(want)
+    for want_row, got_row in zip(want[1:], got[1:]):
+        for col, w, g in zip(header, want_row, got_row):
+            if col not in float_cols:
+                assert g == w, (name, col, want_row)
+                continue
+            fw, fg = float(w), float(g)
+            assert (math.isnan(fw) and math.isnan(fg)) or math.isclose(
+                fg, fw, rel_tol=RTOL, abs_tol=ATOL.get(col, 0.0)), (name, col, w, g)
