@@ -4,7 +4,7 @@ The package has three layers:
 
 * simulation: frequency-selective channel draws (`channel`), exact
   finite-dimensional Rake gain computation (`gains`), and the
-  noncooperative power-control game solved by best-response iteration
+  noncooperative power-control game with its exact equilibrium solve
   (`game`);
 * prediction: large-system closed forms for the interference factors,
   equilibrium power/utility, the minimum-frames design rule and the

@@ -147,7 +147,8 @@ class LinkGains:
     h_sp[k] scales user k's own power in the SINR numerator, h_si[k] its
     self-interference, and h_mai[k, j] the interference user k receives
     from user j (diagonal identically zero). sigma_sq is the noise power
-    at the rake output.
+    at the rake output. A stack of banks carries leading axes: h_sp and
+    h_si of shape (..., K), h_mai of shape (..., K, K).
     """
 
     h_sp: np.ndarray
@@ -162,21 +163,20 @@ class LinkGains:
         object.__setattr__(self, "h_sp", h_sp)
         object.__setattr__(self, "h_si", h_si)
         object.__setattr__(self, "h_mai", h_mai)
-        K = h_sp.size
-        if h_si.shape != (K,) or h_mai.shape != (K, K):
+        if h_si.shape != h_sp.shape or h_mai.shape != h_sp.shape + h_sp.shape[-1:]:
             raise ValueError("inconsistent gain shapes")
         if np.any(h_sp <= 0):
             raise ValueError("h_sp must be positive")
         if np.any(h_si < 0) or np.any(h_mai < 0):
             raise ValueError("interference gains must be non-negative")
-        if np.any(np.diag(h_mai) != 0):
+        if np.any(np.diagonal(h_mai, axis1=-2, axis2=-1) != 0):
             raise ValueError("h_mai diagonal must be zero")
         if self.sigma_sq < 0:
             raise ValueError("sigma_sq must be non-negative")
 
     @property
     def user_count(self) -> int:
-        return self.h_sp.size
+        return self.h_sp.shape[-1]
 
     @property
     def si_ratio(self) -> np.ndarray:
@@ -187,7 +187,7 @@ class LinkGains:
     @property
     def mai_ratio_inv(self) -> np.ndarray:
         """Sum over j != k of h_mai[k, j] / h_sp[j]."""
-        return (self.h_mai / self.h_sp[None, :]).sum(axis=1)
+        return (self.h_mai / self.h_sp[..., None, :]).sum(axis=-1)
 
 
 def _bank_array(alphas: Sequence[ChannelRealization | np.ndarray] | np.ndarray) -> np.ndarray:

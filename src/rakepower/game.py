@@ -6,20 +6,21 @@ u_k = (D/M) R f(gamma_k) / p_k with packet success f(gamma) =
 output SINR to the target gamma* solving
 (M/2) gamma (1 - gamma / varsigma) = e^(gamma/2) - 1,
 where varsigma is the user's self-interference ratio h_sp / h_si. The
-simultaneous best-response iteration from zero power climbs monotonically
-to the unique fixed point whenever one exists inside the power limit.
+capped best-response map is a standard interference function (Yates), so
+its fixed point is unique; an active set over the power cap solves it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .gains import LinkGains, sinr
+from .gains import LinkGains
+
+# relative fixed-point residual a solve must certify (roundoff is ~1e-15)
+_RESIDUAL_BOUND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -53,54 +54,63 @@ def efficiency(gamma, packet_bits: int = 100):
     return float(out) if np.isscalar(gamma) or g.ndim == 0 else out
 
 
-@lru_cache(maxsize=None)
-def _gamma_star_cached(varsigma: float, packet_bits: int) -> float:
-    M = packet_bits
-
-    def g(x: float) -> float:
-        return 0.5 * M * x * (1.0 - x / varsigma) - math.expm1(x / 2.0)
-
-    lo = 1e-9
-    hi = 4.0 * M if math.isinf(varsigma) else min(varsigma * (1.0 - 1e-12), 4.0 * M)
-    if hi <= lo or g(lo) <= 0 or g(hi) >= 0:
-        raise ValueError(f"no SINR target exists for varsigma={varsigma}, M={M}")
-    return float(brentq(g, lo, hi, xtol=1e-13))
+def _targets(varsigma, packet_bits: int) -> np.ndarray:
+    """gamma* for an array of varsigma: Newton on the concave
+    g(x) = (M/2) x (1 - x/varsigma) - (e^(x/2) - 1), g(0) = 0 < g'(0) for
+    M >= 2, falls monotonically onto the root from min(4 ln M, varsigma),
+    which lies right of it; it ends once no entry falls any further.
+    """
+    vs = np.asarray(varsigma, dtype=float)
+    M = int(packet_bits)
+    if not np.all(vs > 0):
+        raise ValueError("varsigma must be positive")
+    if M < 2:
+        raise ValueError(f"no SINR target exists for M={M}")
+    inv = 1.0 / vs
+    x = np.minimum(4.0 * math.log(M), vs)
+    while True:
+        g = 0.5 * M * x * (1.0 - x * inv) - np.expm1(x / 2.0)
+        dg = 0.5 * M * (1.0 - 2.0 * x * inv) - 0.5 * np.exp(x / 2.0)
+        x_next = x - g / dg
+        if not np.any(x_next < x):
+            return x
+        x = np.minimum(x, x_next)
 
 
 def gamma_star(varsigma: float, packet_bits: int = 100) -> float:
-    """Best-response SINR target for self-interference ratio varsigma.
+    """Best-response SINR target for self-interference ratio varsigma; inf
+    gives the interference-free one (about 12.9492 for 100-bit packets)."""
+    return float(_targets(float(varsigma), packet_bits))
 
-    varsigma = inf recovers the interference-free target (about 12.9492
-    for 100-bit packets); finite varsigma pulls the target below it.
-    """
-    v = float(varsigma)
-    if not v > 0:
-        raise ValueError("varsigma must be positive")
-    return _gamma_star_cached(v, int(packet_bits))
+
+def _sinrs(gains: LinkGains, powers: np.ndarray) -> np.ndarray:
+    """Output SINR of every user, for one bank or a stack of banks."""
+    mai = (gains.h_mai @ powers[..., None])[..., 0]
+    return gains.h_sp * powers / (gains.h_si * powers + mai + gains.sigma_sq)
 
 
 def utilities(gains: LinkGains, powers: np.ndarray,
               params: UtilityParams) -> np.ndarray:
     """Per-user utility at a power vector; zero utility at zero power."""
     p = np.asarray(powers, dtype=float)
-    out = np.zeros(gains.user_count)
-    for k in range(gains.user_count):
-        if p[k] > 0:
-            out[k] = params.throughput_scale \
-                * efficiency(sinr(gains, p, k), params.packet_bits) / p[k]
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = params.throughput_scale * efficiency(_sinrs(gains, p), params.packet_bits) / p
+    return np.where(p > 0, u, 0.0)
+
+
+def _target_load(gains: LinkGains, packet_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """gamma*_k and gamma*_k (1/varsigma_k + zeta_k), the budget share it uses."""
+    gam = _targets(gains.si_ratio, packet_bits)
+    return gam, gam * (gains.h_si / gains.h_sp + gains.mai_ratio_inv)
 
 
 def best_response(gains: LinkGains, powers: np.ndarray, k: int,
                   params: UtilityParams) -> float:
     """Utility-maximizing power for user k against fixed other-user powers."""
-    p = np.asarray(powers, dtype=float)
-    varsigma = float(gains.si_ratio[k])
-    gam = gamma_star(varsigma, params.packet_bits)
-    interference = float(gains.h_mai[k] @ p) + gains.sigma_sq
-    slack = 1.0 - (0.0 if math.isinf(varsigma) else gam / varsigma)
-    unclamped = gam * interference / (gains.h_sp[k] * slack)
-    return min(unclamped, params.max_power)
+    gam = gamma_star(float(gains.si_ratio[k]), params.packet_bits)
+    interference = float(gains.h_mai[k] @ np.asarray(powers, dtype=float)) + gains.sigma_sq
+    return min(gam * interference / (gains.h_sp[k] - gam * gains.h_si[k]),
+               params.max_power)
 
 
 def feasibility(gains: LinkGains, packet_bits: int = 100) -> np.ndarray:
@@ -109,14 +119,7 @@ def feasibility(gains: LinkGains, packet_bits: int = 100) -> np.ndarray:
     User k is feasible when gamma*(varsigma_k) (1/varsigma_k + zeta_k) < 1,
     zeta_k being the sum over j != k of h_mai[k, j] / h_sp[j].
     """
-    varsigma = gains.si_ratio
-    zeta = gains.mai_ratio_inv
-    margins = np.array([
-        gamma_star(float(varsigma[k]), packet_bits)
-        * ((0.0 if math.isinf(varsigma[k]) else 1.0 / varsigma[k]) + zeta[k])
-        for k in range(gains.user_count)
-    ])
-    return margins < 1.0
+    return _target_load(gains, packet_bits)[1] < 1.0
 
 
 def closed_form_equilibrium_power(gains: LinkGains,
@@ -124,27 +127,27 @@ def closed_form_equilibrium_power(gains: LinkGains,
     """Unclamped equilibrium powers from the gain ratios alone.
 
     p_k = sigma^2 gamma*_k / (h_sp[k] (1 - gamma*_k (1/varsigma_k + zeta_k))).
-    Exact whenever every user's interference profile is built from the same
-    gain bank (in particular for a common channel realization); with fully
-    heterogeneous banks it is the leading-order reduction of the fixed
-    point rather than the fixed point itself.
+    Exact when every user's interference profile comes from the same gain
+    bank (a common channel realization); otherwise the leading-order
+    reduction of the fixed point.
     """
-    varsigma = gains.si_ratio
-    zeta = gains.mai_ratio_inv
-    p = np.empty(gains.user_count)
-    for k in range(gains.user_count):
-        gam = gamma_star(float(varsigma[k]), params.packet_bits)
-        inv_vs = 0.0 if math.isinf(varsigma[k]) else 1.0 / varsigma[k]
-        denom = gains.h_sp[k] * (1.0 - gam * (inv_vs + zeta[k]))
-        if denom <= 0:
-            raise ValueError(f"user {k} is infeasible: no positive equilibrium power")
-        p[k] = gains.sigma_sq * gam / denom
-    return p
+    gam, load = _target_load(gains, params.packet_bits)
+    denom = gains.h_sp * (1.0 - load)
+    if np.any(denom <= 0):
+        raise ValueError(f"users {np.argwhere(denom <= 0).tolist()} are infeasible: "
+                         "no positive equilibrium power")
+    return gains.sigma_sq * gam / denom
 
 
 @dataclass(frozen=True)
 class EquilibriumOutcome:
-    """Fixed point of the simultaneous best-response iteration."""
+    """Fixed point of the capped best-response map.
+
+    Per-user arrays have the shape of gains.h_sp, (..., K) for a stack.
+    iterations counts the linear-solve rounds (at most K); converged
+    certifies the fixed point: one more best response moves no power by
+    more than 1e-12 of itself. Both cover the whole stack.
+    """
 
     powers: np.ndarray
     sinrs: np.ndarray
@@ -158,38 +161,35 @@ class EquilibriumOutcome:
         return bool(np.any(self.clamped))
 
 
-def solve_equilibrium(gains: LinkGains, params: UtilityParams,
-                      tol: float = 1e-10, max_iter: int = 10000) -> EquilibriumOutcome:
-    """Iterate simultaneous best responses from zero power until stationary.
+def solve_equilibrium(gains: LinkGains, params: UtilityParams) -> EquilibriumOutcome:
+    """Exact equilibrium for one bank or a stack of banks on leading axes.
 
-    Powers are non-decreasing along the iteration, so non-convergence within
-    max_iter means the unclamped fixed point is out of reach; the outcome is
-    returned with converged=False rather than raising.
+    Users start at max_power; each round releases every capped user whose
+    best response is below the cap and solves (I - free N) p =
+    where(free, s sigma^2, max_power), N = s[:, None] h_mai, s_k =
+    gamma*_k / (h_sp[k] (1 - gamma*_k / varsigma_k)). Powers stay at or
+    above the fixed point and only fall, so released users are free there
+    and I - N_FF is a nonsingular M-matrix: at most K rounds.
     """
-    K = gains.user_count
-    gam = np.array([gamma_star(float(v), params.packet_bits) for v in gains.si_ratio])
-    slack = 1.0 - np.where(np.isinf(gains.si_ratio), 0.0, gam / gains.si_ratio)
-    gain_scale = gam / (gains.h_sp * slack)
+    p_max = params.max_power
+    gam = _targets(gains.si_ratio, params.packet_bits)
+    s = gam / (gains.h_sp - gam * gains.h_si)
+    N = s[..., None] * gains.h_mai
+    floor = s * gains.sigma_sq
 
-    p = np.zeros(K)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        p_new = np.minimum(gain_scale * (gains.h_mai @ p + gains.sigma_sq),
-                           params.max_power)
-        delta = np.abs(p_new - p)
-        scale = np.maximum(np.abs(p_new), np.finfo(float).tiny)
-        p = p_new
-        if np.all(delta <= tol * scale):
-            converged = True
-            break
+    def respond(p):
+        return (N @ p[..., None])[..., 0] + floor
 
-    sinrs = np.array([sinr(gains, p, k) if p[k] > 0 else 0.0 for k in range(K)])
+    p, free, rounds = np.full(s.shape, p_max), np.zeros(s.shape, dtype=bool), 0
+    while (release := ~free & (respond(p) < p_max)).any():
+        rounds += 1
+        banks = release.any(axis=-1)
+        free |= release
+        f = free[banks]
+        p[banks] = np.linalg.solve(np.eye(s.shape[-1]) - f[..., None] * N[banks],
+                                   np.where(f, floor[banks], p_max)[..., None])[..., 0]
+
+    residual = np.abs(np.minimum(respond(p), p_max) - p)
     return EquilibriumOutcome(
-        powers=p,
-        sinrs=sinrs,
-        utilities=utilities(gains, p, params),
-        converged=converged,
-        iterations=iterations,
-        clamped=p >= params.max_power,
-    )
+        powers=p, sinrs=_sinrs(gains, p), utilities=utilities(gains, p, params),
+        converged=bool(np.all(residual <= _RESIDUAL_BOUND * p)), iterations=rounds, clamped=~free)

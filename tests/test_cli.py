@@ -1,6 +1,7 @@
 """Experiment driver: exit codes, CSV contract, config handling."""
 
 import csv
+import dataclasses
 import math
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import rakepower.cli as cli
 from rakepower import LsaParams, gamma_star, mu, nu
 from rakepower.cli import (ExperimentConfig, build_config, load_config_file,
                            main, run_gamma_curve, run_utility_vs_gain)
@@ -83,6 +85,16 @@ def test_po_frames_outage_monotone(tmp_path):
         # common randomness across frame counts makes this exactly monotone
         assert all(a >= b for a, b in zip(fractions, fractions[1:]))
         assert len({r["min_frames"] for r in block}) == 1
+
+
+def test_po_frames_raises_on_failed_certificate(monkeypatch):
+    # an uncertified equilibrium is an error, never an outage count
+    solve = cli.solve_equilibrium
+    monkeypatch.setattr(cli, "solve_equilibrium", lambda gains, params:
+                        dataclasses.replace(solve(gains, params), converged=False))
+    config = ExperimentConfig(users=3, paths=60, chips=15, trials=2, betas=(0.1,))
+    with pytest.raises(RuntimeError, match="certificate"):
+        cli.run_po_vs_frames(config)
 
 
 def test_utility_gain_prediction_column(tmp_path):

@@ -119,7 +119,7 @@ def test_hand_worked_two_user_bank():
                                           SpreadingConfig(5, 2), 1e-3)
     assert out.h_sp == pytest.approx(ref_sp, rel=1e-13)
     assert out.h_si == pytest.approx(ref_si, rel=1e-13)
-    assert np.allclose(out.h_mai, ref_mai, rtol=1e-13)
+    assert np.allclose(out.h_mai, ref_mai, rtol=1e-13, atol=0)
 
 
 def test_link_gains_match_loop_reference():
@@ -206,8 +206,8 @@ def test_user_permutation_consistency():
     out = link_gains(bank, selector, spreading, 1e-9)
     perm = [2, 0, 3, 1]
     out_p = link_gains([bank[i] for i in perm], selector, spreading, 1e-9)
-    assert np.allclose(out_p.h_sp, out.h_sp[perm], rtol=1e-14)
-    assert np.allclose(out_p.h_si, out.h_si[perm], rtol=1e-14)
+    assert np.allclose(out_p.h_sp, out.h_sp[perm], rtol=1e-14, atol=0)
+    assert np.allclose(out_p.h_si, out.h_si[perm], rtol=1e-14, atol=0)
     for a, ka in enumerate(perm):
         for b, kb in enumerate(perm):
             assert out_p.h_mai[a, b] == pytest.approx(out.h_mai[ka, kb], rel=1e-14, abs=0)
@@ -219,9 +219,9 @@ def test_gain_scaling_in_processing_gain():
     selector = RakeSelector(0.5)
     g1 = link_gains(bank, selector, SpreadingConfig(1, 8), 0.0)
     g4 = link_gains(bank, selector, SpreadingConfig(4, 8), 0.0)
-    assert np.allclose(g4.h_sp, g1.h_sp, rtol=1e-14)
-    assert np.allclose(g4.h_si, g1.h_si / 4.0, rtol=1e-14)
-    assert np.allclose(g4.h_mai, g1.h_mai / 4.0, rtol=1e-14)
+    assert np.allclose(g4.h_sp, g1.h_sp, rtol=1e-14, atol=0)
+    assert np.allclose(g4.h_si, g1.h_si / 4.0, rtol=1e-14, atol=0)
+    assert np.allclose(g4.h_mai, g1.h_mai / 4.0, rtol=1e-14, atol=0)
 
 
 def test_sinr_power_monotonicity():
@@ -280,3 +280,28 @@ def test_validation_errors():
         RakeSelector(0.0)
     with pytest.raises(ValueError):
         RakeSelector(1.5)
+
+
+def test_link_gains_stack_keeps_checks():
+    # a (F, K) / (F, K, K) stack of banks: per-slice ratios, same guards
+    bank = _bank(3, 24, seed=13)
+    base = link_gains(bank, RakeSelector(0.5), SpreadingConfig(1, 8), 1e-9)
+    scale = np.array([1.0, 2.0, 4.0, 8.0])
+    stack = LinkGains(np.broadcast_to(base.h_sp, (4, 3)), base.h_si / scale[:, None],
+                      base.h_mai / scale[:, None, None], 1e-9)
+    assert stack.user_count == 3
+    for f, nf in enumerate(scale):
+        one = LinkGains(base.h_sp, base.h_si / nf, base.h_mai / nf, 1e-9)
+        np.testing.assert_array_equal(stack.si_ratio[f], one.si_ratio)
+        np.testing.assert_allclose(stack.mai_ratio_inv[f], one.mai_ratio_inv,
+                                   rtol=1e-15, atol=0)
+    h_sp, h_si, h_mai = stack.h_sp, stack.h_si, stack.h_mai
+    bad_diag = h_mai.copy()
+    bad_diag[2, 1, 1] = 1e-6
+    negative = h_si.copy()
+    negative[3, 0] = -1e-9
+    for args in ((h_sp, h_si[:, :2], h_mai), (h_sp, h_si, h_mai[:3]),
+                 (h_sp, h_si, bad_diag), (h_sp, negative, h_mai),
+                 (-h_sp, h_si, h_mai)):
+        with pytest.raises(ValueError):
+            LinkGains(*args, sigma_sq=1e-9)

@@ -1,4 +1,8 @@
-"""Power-control game: target solver, best responses, equilibrium."""
+"""Power-control game: target solver, best responses, equilibrium.
+
+The exact solver is checked against the simultaneous best-response
+(Jacobi) iteration from zero power, run to a 1e-15 step, as an oracle.
+"""
 
 import math
 
@@ -9,8 +13,10 @@ from scipy.optimize import minimize_scalar
 from rakepower import (ApdpProfile, LinkGains, NetworkTopology, RakeSelector,
                        SpreadingConfig, UtilityParams, best_response,
                        closed_form_equilibrium_power, efficiency, feasibility,
-                       gamma_star, link_gains, sample_channel_bank, sinr,
-                       solve_equilibrium, substream, utilities)
+                       gamma_star, link_gains, sample_channel_bank,
+                       sample_topology, sinr, solve_equilibrium, substream,
+                       utilities)
+from rakepower.game import _targets
 
 GAMMA_INF = 12.949200759178689  # solves (M/2) g = e^(g/2) - 1 at M = 100
 
@@ -27,6 +33,52 @@ def _bisect_target(varsigma, M=100):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _jacobi(gains, params, tol=1e-15, max_iter=10**6):
+    """Simultaneous best responses from zero power until a step is below tol.
+
+    The capped map is monotone and zero lies below its fixed point, so the
+    iterates never fall; that is asserted on every step. Returns the powers,
+    the users at the cap, and whether the step criterion was met.
+    """
+    gam = np.array([gamma_star(float(v), params.packet_bits) for v in gains.si_ratio])
+    scale = gam / (gains.h_sp * (1.0 - gam / gains.si_ratio))
+    p = np.zeros(gains.user_count)
+    converged = False
+    for _ in range(max_iter):
+        p_next = np.minimum(scale * (gains.h_mai @ p + gains.sigma_sq), params.max_power)
+        assert np.all(p_next >= p - 1e-30)
+        converged = bool(np.all(np.abs(p_next - p) <= tol * p_next))
+        p = p_next
+        if converged:
+            break
+    return p, p >= params.max_power, converged
+
+
+def _frame_stack(users, paths, chips, rho_db, trial, seed, beta=0.1, frames_max=25):
+    """One trial's bank at frames 1..frames_max, stacked the way po-frames does."""
+    topo = sample_topology(users, 3.0, 20.0, substream(seed, trial))
+    bank = sample_channel_bank(ApdpProfile(paths, 10.0 ** (rho_db / 10.0)), topo,
+                               seed, trial)
+    base = link_gains(bank, RakeSelector(beta), SpreadingConfig(1, chips), 5e-16)
+    nf = np.arange(1, frames_max + 1)
+    return LinkGains(np.broadcast_to(base.h_sp, (frames_max, users)),
+                     base.h_si / nf[:, None], base.h_mai / nf[:, None, None], 5e-16)
+
+
+def _slice(stack, f):
+    return LinkGains(stack.h_sp[f], stack.h_si[f], stack.h_mai[f], stack.sigma_sq)
+
+
+def _assert_matches_jacobi(gains, params=UtilityParams()):
+    out = solve_equilibrium(gains, params)
+    p, clamped, converged = _jacobi(gains, params)
+    assert converged and out.converged
+    assert out.iterations <= gains.user_count
+    np.testing.assert_array_equal(out.clamped, clamped)
+    np.testing.assert_allclose(out.powers, p, rtol=1e-12, atol=0)
+    return out
 
 
 def _gains(K=3, L=40, rho=10.0, beta=0.5, frames=20, chips=25, seed=55,
@@ -83,9 +135,26 @@ def test_gamma_star_rejects_bad_input():
         gamma_star(0.0)
     with pytest.raises(ValueError):
         gamma_star(-2.0)
+    with pytest.raises(ValueError):
+        gamma_star(math.nan)
+    with pytest.raises(ValueError):
+        gamma_star(5.0, packet_bits=1)
+    with pytest.raises(ValueError):
+        _targets(np.array([5.0, 0.0, math.inf]), 100)
 
 
-def test_gamma_star_cache_keys_on_packet_bits():
+def test_array_targets_against_bisection():
+    vs = np.append(np.logspace(-0.3, 12.0, 61), math.inf)
+    for M in (2, 20, 100, 1000):
+        got = _targets(vs, M)
+        want = np.array([_bisect_target(v, M) for v in vs])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert np.all(got < vs)
+    # the scalar wrapper is the same computation
+    assert gamma_star(330.04) == _targets(np.array([330.04]), 100)[0]
+
+
+def test_gamma_star_depends_on_packet_bits():
     g100 = gamma_star(50.0, packet_bits=100)
     g20 = gamma_star(50.0, packet_bits=20)
     assert g20 < g100
@@ -147,31 +216,28 @@ def test_equilibrium_against_scan_oracle():
     out = solve_equilibrium(gains, params)
     assert out.converged and not out.any_clamped
 
-    p = np.array([1e-10, 1e-10])
-    for _ in range(400):
+    # scan over log-power: bounded Brent works in absolute units of its
+    # variable, which near a 1e-14 W bound is too coarse for 1e-14 W powers
+    logp = np.log(np.array([1e-10, 1e-10]))
+    for _ in range(60):
         for k in range(2):
             res = minimize_scalar(
-                lambda x, k=k: -utilities(gains, np.where(np.arange(2) == k, x, p),
-                                          params)[k],
-                bounds=(1e-14, params.max_power), method="bounded",
-                options={"xatol": 1e-18})
-            p[k] = res.x
-    assert np.allclose(out.powers, p, rtol=1e-6)
+                lambda x, k=k: -utilities(
+                    gains, np.where(np.arange(2) == k, np.exp(x), np.exp(logp)),
+                    params)[k],
+                bounds=(math.log(1e-14), math.log(params.max_power)),
+                method="bounded", options={"xatol": 1e-10})
+            logp[k] = res.x
+    assert np.allclose(out.powers, np.exp(logp), rtol=1e-6, atol=0)
 
 
 def test_equilibrium_iteration_monotone_from_zero():
     gains = _gains(K=4, L=50, seed=14)
     params = UtilityParams()
-    # replicate the synchronous iteration and watch monotonicity
-    gam = np.array([gamma_star(float(v)) for v in gains.si_ratio])
-    scale = gam / (gains.h_sp * (1.0 - gam / gains.si_ratio))
-    p = np.zeros(4)
-    for _ in range(200):
-        p_next = np.minimum(scale * (gains.h_mai @ p + gains.sigma_sq), params.max_power)
-        assert np.all(p_next >= p - 1e-30)
-        p = p_next
+    # 200 synchronous iterations, each asserted not to lower any power
+    p, _, _ = _jacobi(gains, params, tol=0.0, max_iter=200)
     out = solve_equilibrium(gains, params)
-    assert np.allclose(out.powers, p, rtol=1e-8)
+    assert np.allclose(out.powers, p, rtol=1e-8, atol=0)
 
 
 def test_equilibrium_fixed_point_reapplication():
@@ -200,7 +266,7 @@ def test_closed_form_exact_for_shared_realization():
     out = solve_equilibrium(gains, params)
     closed = closed_form_equilibrium_power(gains, params)
     assert out.converged and not out.any_clamped
-    assert np.allclose(out.powers, closed, rtol=1e-10)
+    assert np.allclose(out.powers, closed, rtol=1e-10, atol=0)
 
 
 def test_closed_form_gap_for_heterogeneous_bank():
@@ -240,3 +306,80 @@ def test_utilities_zero_power():
     u = utilities(gains, np.array([0.0, 1e-9]), UtilityParams())
     assert u[0] == 0.0
     assert u[1] > 0.0
+
+
+def test_solver_matches_jacobi_on_feasible_banks():
+    for kwargs in ({"K": 1}, {"K": 3}, {"K": 5, "L": 80, "seed": 8},
+                   {"K": 6, "L": 60, "seed": 2},
+                   {"K": 8, "L": 200, "beta": 0.3, "chips": 50, "seed": 303}):
+        out = _assert_matches_jacobi(_gains(**kwargs))
+        assert not out.any_clamped
+
+
+def test_solver_matches_jacobi_on_partly_clamped_frame_stacks():
+    # the po-frames reference configuration (K=8, L=200, N_c=50, beta=0.1):
+    # at few frames users sit at the cap, near the threshold Jacobi crawls
+    seen_clamped = seen_free = 0
+    for rho_db in (0.0, 10.0, 20.0):
+        for trial in (0, 1):
+            stack = _frame_stack(8, 200, 50, rho_db, trial, seed=12345)
+            for f in range(25):
+                out = _assert_matches_jacobi(_slice(stack, f))
+                seen_clamped += out.any_clamped
+                seen_free += not out.any_clamped
+    assert seen_clamped > 20 and seen_free > 20
+
+
+def test_solver_matches_jacobi_on_infeasible_bank():
+    prof = ApdpProfile(8, 10.0)
+    topo = NetworkTopology(distances=np.full(6, 10.0))
+    bank = sample_channel_bank(prof, topo, 5, 0)
+    gains = link_gains(bank, RakeSelector(1.0), SpreadingConfig(1, 1), 5e-16)
+    out = _assert_matches_jacobi(gains)
+    assert out.any_clamped
+
+
+def test_slow_jacobi_instance_is_served():
+    # golden po-frames case, 0 dB, trial 3, 21 frames: Jacobi's 1e-10 step
+    # is not reached in 10000 iterations, yet the fixed point is far below
+    # the cap
+    gains = _slice(_frame_stack(4, 80, 20, 0.0, 3, seed=7), 20)
+    params = UtilityParams()
+    _, _, converged = _jacobi(gains, params, tol=1e-10, max_iter=10000)
+    assert not converged
+    out = _assert_matches_jacobi(gains, params)
+    assert not out.any_clamped
+    assert np.max(out.powers) < 1e-3 * params.max_power
+
+
+def test_stacked_solve_equals_per_bank_solves():
+    params = UtilityParams()
+    stack = _frame_stack(8, 200, 50, 0.0, 1, seed=12345)
+    out = solve_equilibrium(stack, params)
+    assert out.powers.shape == out.sinrs.shape == out.clamped.shape == (25, 8)
+    assert out.converged
+    assert 0 < out.iterations <= 8
+    rounds = []
+    for f in range(25):
+        one = solve_equilibrium(_slice(stack, f), params)
+        np.testing.assert_allclose(out.powers[f], one.powers, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(out.utilities[f], one.utilities, rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(out.clamped[f], one.clamped)
+        rounds.append(one.iterations)
+    assert out.iterations == max(rounds)
+    assert out.any_clamped and not out.clamped.all()
+
+
+def test_vector_helpers_on_stacks():
+    stack = _frame_stack(4, 80, 20, 10.0, 0, seed=7)
+    feasible = feasibility(stack)
+    p = np.full((25, 4), 1e-9)
+    u = utilities(stack, p, UtilityParams())
+    for f in (0, 12, 24):
+        one = _slice(stack, f)
+        np.testing.assert_array_equal(feasible[f], feasibility(one))
+        np.testing.assert_allclose(u[f], utilities(one, p[f], UtilityParams()),
+                                   rtol=1e-14, atol=0)
+        assert u[f][0] == pytest.approx(UtilityParams().throughput_scale
+                                        * efficiency(sinr(one, p[f], 0)) / 1e-9,
+                                        rel=1e-14)

@@ -1,10 +1,16 @@
 """Golden outputs: small studies against CSVs recorded from earlier code.
 
 The files under golden/ were written by the code that evaluated the link
-gains lag by lag with per-pair correlations. Any later evaluation route
-must reproduce them: floats to 1e-10 relative, and keys, outage counts,
-verdicts and notes exactly. The comment line is skipped because it
-records the package version.
+gains lag by lag with per-pair correlations and found equilibria by
+Jacobi iteration. Two parts were re-recorded from the exact active-set
+equilibrium solve, each traced to Jacobi's stopping rule: the power_w,
+utility_sim and nmse columns of utility_gain.csv (Jacobi stopped 1.4e-10
+from the fixed point; run to a 1e-15 step it agrees with the new values
+to 1e-14), and the 0 dB, 21-frame outage in po_frames.csv (one trial hit
+the 10000-iteration cap unconverged although its fixed point sits at
+0.08% of the power cap). Any later route must reproduce them: floats to
+1e-10 relative, and keys, outage counts, verdicts and notes exactly. The
+comment line is skipped because it records the package version.
 """
 
 import csv
