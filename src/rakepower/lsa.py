@@ -20,6 +20,7 @@ branches that agree at the region boundaries.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -237,9 +238,12 @@ class LsaParams:
     def nu(self) -> float:
         return nu(self.rho, self.beta, self.load)
 
-    @property
+    @functools.cached_property
     def target_sinr(self) -> float:
-        """Equilibrium SINR target at this finite processing gain."""
+        """Equilibrium SINR target at this finite processing gain.
+
+        Cached per instance: the fields are frozen, so the target never changes.
+        """
         return gamma_star(self.gain / self.nu, self.utility.packet_bits)
 
 

@@ -29,15 +29,21 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+import scipy.fft
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import (ApdpProfile, NetworkTopology, sample_channel,
                       sample_channel_bank, substream)
 from .gains import (RakeSelector, SpreadingConfig, _lag_matrix, _phi_squared,
                     link_gains, phi_coefficient)
 from .game import UtilityParams, efficiency, gamma_star
-from .lsa import LsaParams, loss_db, mu, mu_flat, nu, nu_arake, nu_flat, predict_power
+from .lsa import (_FLAT_RHO_TOL, LsaParams, loss_db, mu, mu_flat, nu, nu_arake,
+                  nu_flat, predict_power)
 
 _DEFAULT_SIGMA_SQ = 5e-16
+# lags per vectorised block of the elementwise checks: the (block, L)
+# temporaries stay at a few MB for L in the thousands
+_LAG_BLOCK = 16
 
 
 # ---------------------------------------------------------------------------
@@ -144,65 +150,61 @@ def finite_mu(path_count: int, rho: float, beta: float) -> float:
     return (num1 + num2) / den ** 2
 
 
-def _corr_lags(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """r[d] = sum_m x[m] conj(y[m + d]) for d = 1..L-1.
-
-    Equals the lag-matrix product (A_y^H x) read in descending-i order;
-    norms are order-invariant so sums of |r|^2 need no reversal.
-    """
-    L = x.size
-    if L == 1:
-        return np.zeros(0, dtype=complex)
-    full = np.correlate(x, y, mode="full")
-    return full[L - 2::-1]
-
-
 def _self_lag_mass_direct(v: np.ndarray, mask: np.ndarray,
                           phi_sq: np.ndarray) -> float:
     """(1/L^2) sum over lags of phi^2 times the squared overlap weights.
 
     The overlap weight expands into three lag correlations (combined-by-
-    full, full-by-combined, combined-by-combined), which keeps the outer
-    evaluation a single pass over lags.
+    full, full-by-combined, combined-by-combined); their sum is one
+    inverse FFT of the combined cross spectrum, zero-padded to at least
+    2L - 1 points so that no positive lag wraps.
     """
     L = v.size
-    vm = v * mask
-    r1 = _corr_lags(vm, v).real
-    r2 = _corr_lags(v, vm).real
-    r3 = _corr_lags(vm, vm).real
-    return float(phi_sq[::-1] @ (r1 + r2 + 2.0 * r3)) / L ** 2
+    n = scipy.fft.next_fast_len(2 * L - 1, real=True)
+    V = scipy.fft.rfft(v, n)
+    VM = scipy.fft.rfft(v * mask, n)
+    r = scipy.fft.irfft(np.conj(VM) * V + np.conj(V) * VM + 2.0 * (VM.real ** 2 + VM.imag ** 2), n)
+    # r[d] = sum_m (cross weights) v[m] v[m + d]; phi_sq is indexed by i = L - d
+    return float(phi_sq[::-1] @ r[1:L]) / L ** 2
 
 
 def _self_lag_mass_table(v: np.ndarray, fingers: int,
                          phi_sq: np.ndarray) -> float:
-    """Same sum evaluated block-by-block from the overlap-count tables."""
+    """Same sum evaluated block-by-block from the overlap-count tables.
+
+    Lag i pairs tap m with n = m + L - i (0-based). A block is a range of
+    lags over which one overlap count covers a run of m; its run in
+    1-based m is [1, i], [1, P], [1, b] (both taps combined, weight 4)
+    or [b + 1, P] / [b + 1, i] (one tap combined), b = P - L + i, given
+    here as m < m_end and n_lo <= n < n_hi. All lags of a block are
+    summed directly by one correlation over a zero-padded partner run.
+    """
     L = v.size
     P = fingers
 
-    def seg(i: int, a: int, b: int, weight: float) -> float:
-        if b < a:
+    def block(i_lo: int, i_hi: int, weight: float, m_end: int, n_lo: int,
+              n_hi: int) -> float:
+        if i_hi < i_lo:
             return 0.0
-        d = L - i
-        return weight * float(v[a - 1:b] @ v[a - 1 + d:b + d])
+        lo = L - i_hi  # partner of m = 0 at the first lag, i = i_hi
+        window = np.zeros(i_hi - i_lo + m_end)
+        s, e = max(n_lo, lo), min(n_hi, lo + window.size)
+        window[s - lo:e - lo] = v[s:e]
+        dots = np.correlate(window, v[:m_end], "valid")  # i = i_hi down to i_lo
+        return weight * float(phi_sq[i_lo - 1:i_hi] @ dots[::-1])
 
-    total = 0.0
     if 2 * P <= L:
-        for i in range(1, P + 1):
-            total += phi_sq[i - 1] * seg(i, 1, i, 1.0)
-        for i in range(P + 1, L - P + 1):
-            total += phi_sq[i - 1] * seg(i, 1, P, 1.0)
-        for i in range(L - P + 1, L):
-            b = P - L + i
-            total += phi_sq[i - 1] * (seg(i, 1, b, 4.0) + seg(i, b + 1, P, 1.0))
+        total = (block(1, P, 1.0, P, 0, L)
+                 + block(P + 1, L - P, 1.0, P, 0, L)
+                 + block(L - P + 1, L - 1, 4.0, P - 1, 0, P)
+                 + block(L - P + 1, L - 1, 1.0, P, P, L))
     else:
-        for i in range(1, L - P + 1):
-            total += phi_sq[i - 1] * seg(i, 1, i, 1.0)
-        for i in range(L - P + 1, min(P, L - 1) + 1):
-            b = P - L + i
-            total += phi_sq[i - 1] * (seg(i, 1, b, 4.0) + seg(i, b + 1, i, 1.0))
-        for i in range(P + 1, L):
-            b = P - L + i
-            total += phi_sq[i - 1] * (seg(i, 1, b, 4.0) + seg(i, b + 1, P, 1.0))
+        i_mid = min(P, L - 1)
+        total = (block(1, L - P, 1.0, L - P, 0, L)
+                 + block(L - P + 1, i_mid, 4.0, P - 1, 0, P)
+                 + block(L - P + 1, i_mid, 1.0, P, P, L)
+                 + block(P + 1, L - 1, 4.0, P - 1, 0, P)
+                 + block(P + 1, L - 1, 1.0, P, P, L))
     return total / L ** 2
 
 
@@ -210,8 +212,8 @@ def finite_nu(path_count: int, chips_per_frame: int, rho: float, beta: float,
               method: str = "checked") -> float:
     """Finite-L counterpart of the self-interference coefficient nu.
 
-    method="direct" sums over lags with the overlap weights evaluated
-    from the finger masks; "table" uses the case-table decomposition of
+    method="direct" sums over lags, with the overlap weights from the
+    finger masks, by FFT; "table" uses the case-table decomposition of
     the overlap counts; "checked" (default) runs both and raises if they
     disagree beyond 1e-12 relative.
     """
@@ -268,14 +270,14 @@ def flat_nu_exact(path_count: int, finger_count: int,
     L, P, Nc = path_count, finger_count, chips_per_frame
     if not 1 <= P <= L:
         raise ValueError("finger_count must be in 1..path_count")
-    total = Fraction(0)
-    for i in range(1, L):
-        both = max(0, P - L + i)
-        single = max(0, min(i, P) - both)
-        counts = 4 * both + single
-        total += Fraction(min(L - i, Nc), Nc) * counts
-    den = Fraction(P, L)
-    return total / (L * L) / (den * den)
+    if 4 * L ** 3 >= 2 ** 63:  # the integer total is below 4 L^3
+        raise ValueError("path_count too large for an exact int64 count")
+    i = np.arange(1, L, dtype=np.int64)
+    both = np.maximum(0, P - L + i)
+    single = np.maximum(0, np.minimum(i, P) - both)
+    total = int(np.minimum(L - i, Nc) @ (4 * both + single))
+    # (total / Nc) / L^2 over the squared captured density (P / L)^2
+    return Fraction(total, Nc * P * P)
 
 
 def _arake_mu_identity(path_count: int, rho: float) -> float:
@@ -400,11 +402,8 @@ def mc_interference_ratios(path_count: int, users: int, chips_per_frame: int,
 # ---------------------------------------------------------------------------
 # closed forms for the printed intermediates (unit user variance)
 
-_FLAT_TOL = 1e-6
-
-
 def _is_flat(rho: float) -> bool:
-    return abs(rho - 1.0) < _FLAT_TOL
+    return abs(rho - 1.0) < _FLAT_RHO_TOL
 
 
 def _captured_density_closed(rho: float, beta: float) -> float:
@@ -561,65 +560,67 @@ def _gram_diag_deviation(pm: ProfileMatrices, combined: bool) -> float:
 
 
 def _theta_factorization_deviation(pm: ProfileMatrices) -> float:
-    """Sup deviation of the overlap weights from their power-law form."""
+    """Sup deviation of the overlap weights from their power-law form.
+
+    Lag i pairs tap l with m = L + l - i (l = 1..i); each lag is scaled by
+    its largest factorized weight. The lags of a block are the rows of
+    strided views; a row runs past l = i into zero padding (m > L).
+    """
     L, P = pm.path_count, pm.finger_count
-    v, mask, rho = pm.tap_power, pm.finger_mask, pm.decay_ratio
+    v, rho = pm.tap_power, pm.decay_ratio
+    x = np.arange(L + _LAG_BLOCK)
+    v_pad = np.concatenate([v, np.zeros(_LAG_BLOCK)])
+    mask = np.concatenate([pm.finger_mask, np.zeros(_LAG_BLOCK)]).astype(np.int8)
+    step, inside = (x < P).astype(np.int8), (x < L).astype(np.int8)
+    # power law of the pair (l, i): pw[k] at k = L + 2l - i - 2
+    pw = rho ** (-(np.arange(2 * L + 2 * _LAG_BLOCK)) / (L - 1))
     dev = 0.0
-    for i in range(1, L):
-        l = np.arange(1, i + 1)
-        m = L + l - i
-        direct = v[l - 1] * v[m - 1] * (mask[l - 1] + mask[m - 1]) ** 2
-        u1 = (l <= P).astype(float)
-        u2 = (l <= P - L + i).astype(float)
-        fact = rho ** (-(L + 2 * l - i - 2) / (L - 1)) * (u1 + u2 + 2.0 * u1 * u2)
-        scale = max(float(fact.max()), 1e-300)
-        dev = max(dev, float(np.max(np.abs(direct - fact))) / scale)
+    for i_lo in range(1, L, _LAG_BLOCK):
+        n = min(i_lo + _LAG_BLOCK, L) - 1  # widest row of the block
+        rows = slice(L - n, L - i_lo + 1)  # row r holds lag i = L - r
+        direct = v[:n] * sliding_window_view(v_pad, n)[rows]
+        direct *= ((mask[:n] + sliding_window_view(mask, n)[rows]) ** 2).astype(float)
+        u1 = step[:n] * sliding_window_view(inside, n)[rows]  # l <= P, m <= L
+        u2 = sliding_window_view(step, n)[rows]  # l <= P - L + i
+        fact = (u1 + u2 + 2 * u1 * u2).astype(float)
+        fact *= sliding_window_view(pw, 2 * n - 1)[rows, ::2]
+        scale = np.maximum(fact.max(axis=1), 1e-300)
+        direct -= fact
+        dev = max(dev, float(np.max(np.abs(direct, out=direct).max(axis=1) / scale)))
     return dev
 
 
 def _overlap_table_deviation(path_count: int, finger_count: int) -> int:
-    """Largest mismatch between tabulated and step-defined overlap counts."""
+    """Largest mismatch between tabulated and step-defined overlap counts.
+
+    The table gives lag i a count of 4 over l <= n4 and of 1 over
+    n4 < l <= n1, case by case; the step definition is u1 + u2 + 2 u1 u2
+    with u1 = [l <= P] and u2 = [l <= P - L + i]. Both are compared over
+    l = 1..i, a block of lags at a time as rows of strided views.
+    """
     L, P = path_count, finger_count
+    x = np.arange(L + _LAG_BLOCK, dtype=np.int32)
+    step, inside = (x < P).astype(np.int8), (x < L).astype(np.int8)
+    i = L - x[1:L]  # lag of row r = 1..L-1
+    b = P - L + i
+    if 2 * P <= L:
+        cases = (i <= P, i <= L - P)
+        n4, n1 = np.select(cases, (0, 0), b), np.select(cases, (i, P), P)
+    else:
+        cases = (i <= L - P, i <= P)
+        n4, n1 = np.select(cases, (0, b), b), np.select(cases, (i, i), P)
     worst = 0
-    for i in range(1, L):
-        l = np.arange(1, i + 1)
-        u1 = (l <= P).astype(np.int64)
-        u2 = (l <= P - L + i).astype(np.int64)
+    for i_lo in range(1, L, _LAG_BLOCK):
+        n = min(i_lo + _LAG_BLOCK, L) - 1
+        rows = slice(L - n, L - i_lo + 1)
+        u1, u2 = step[:n], sliding_window_view(step, n)[rows]
         direct = u1 + u2 + 2 * u1 * u2
-        table = np.zeros(i, dtype=np.int64)
-        if 2 * P <= L:
-            if i <= P:
-                table[:i] = 1
-            elif i <= L - P:
-                table[:P] = 1
-            else:
-                b = P - L + i
-                table[:b] = 4
-                table[b:P] = 1
-        else:
-            if i <= L - P:
-                table[:i] = 1
-            elif i <= P:
-                b = P - L + i
-                table[:b] = 4
-                table[b:i] = 1
-            else:
-                b = P - L + i
-                table[:b] = 4
-                table[b:P] = 1
-        worst = max(worst, int(np.max(np.abs(direct - table))))
+        l0, t4 = x[:n], n4[L - n - 1:L - i_lo, None]  # l0 = l - 1
+        t1 = n1[L - n - 1:L - i_lo, None]
+        table = np.int8(4) * (l0 < t4) + ((t4 <= l0) & (l0 < t1))
+        mismatch = np.abs(direct - table) * sliding_window_view(inside, n)[rows]
+        worst = max(worst, int(mismatch.max()))
     return worst
-
-
-def _region_of(beta: float, load: float) -> int:
-    lo, hi = min(beta, 1.0 - beta), max(beta, 1.0 - beta)
-    if load < lo:
-        return 1
-    if load <= hi:
-        return 2 if beta <= 0.5 else 3
-    if load <= 1.0:
-        return 4
-    return 5
 
 
 # canonical (beta, load) points, one per self-interference region
@@ -816,22 +817,21 @@ def oracle_audit(path_count: int = 4000, rho: float = 10.0, beta: float = 0.1,
                      note=f"rho={rho}, beta={beta}, load={load}"))
 
     fingers = RakeSelector(beta).finger_count(L)
-    rows.append(_row("cross_coefficient_flat", "limit",
-                     finite_mu(L, 1.0, beta), mu_flat(beta), 1e-2))
+    mu_flat_fin = finite_mu(L, 1.0, beta)
+    mu_full_fin = finite_mu(L, rho, 1.0)
+    nu_flat_fin = finite_nu(L, chips, 1.0, beta)
+    rows.append(_row("cross_coefficient_flat", "limit", mu_flat_fin, mu_flat(beta), 1e-2))
     rows.append(_row("cross_coefficient_flat_exact", "identity",
-                     finite_mu(L, 1.0, beta),
-                     float(flat_mu_exact(L, fingers)), 1e-10,
+                     mu_flat_fin, float(flat_mu_exact(L, fingers)), 1e-10,
                      note="flat finite sum equals (L - 1) / fingers exactly"))
-    rows.append(_row("cross_coefficient_full", "limit",
-                     finite_mu(L, rho, 1.0), 1.0, 1e-2))
+    rows.append(_row("cross_coefficient_full", "limit", mu_full_fin, 1.0, 1e-2))
     rows.append(_row("cross_coefficient_full_exact", "identity",
-                     finite_mu(L, rho, 1.0), _arake_mu_identity(L, rho), 1e-10,
+                     mu_full_fin, _arake_mu_identity(L, rho), 1e-10,
                      note="full combining reduces to the moment identity 1 - S2/S1^2"))
     rows.append(_row("self_coefficient_flat", "limit",
-                     finite_nu(L, chips, 1.0, beta), nu_flat(beta, load), 1e-2))
+                     nu_flat_fin, nu_flat(beta, load), 1e-2))
     rows.append(_row("self_coefficient_flat_exact", "identity",
-                     finite_nu(L, chips, 1.0, beta),
-                     float(flat_nu_exact(L, fingers, chips)), 1e-10,
+                     nu_flat_fin, float(flat_nu_exact(L, fingers, chips)), 1e-10,
                      note="flat finite sum is rational; reference evaluated exactly"))
     rows.append(_row("self_coefficient_full", "limit",
                      finite_nu(L, chips, rho, 1.0), nu_arake(rho, load), 1e-2))

@@ -10,6 +10,8 @@ from rakepower import (appendix_intermediates, convergence_table, finite_mu,
                        mc_interference_ratios, mu, nu, nu_arake, nu_flat,
                        oracle_audit, profile_matrices)
 from rakepower.gains import _lag_matrix
+from rakepower.oracle import (_overlap_table_deviation, _self_lag_mass_direct,
+                              _self_lag_mass_table, _theta_factorization_deviation)
 
 
 # -- deterministic finite sums -----------------------------------------------
@@ -98,6 +100,156 @@ def test_profile_matrices_invariants():
     assert pm.theta(40, 45) == 0.0
     assert pm.lag_pattern_full() == pytest.approx(
         _lag_matrix(pm.tap_std.astype(complex)).real / np.sqrt(50.0))
+
+
+# -- evaluation routes against per-lag loop references -----------------------
+# The loops below are the lag-by-lag forms the vectorised routes replaced.
+
+def _profile(L, P, Nc, rho):
+    v = rho ** (-(np.arange(L)) / (L - 1))
+    mask = (np.arange(L) < P).astype(float)
+    phi_sq = np.minimum(L - np.arange(1, L), Nc) / Nc  # indexed by i = L - d
+    return v, mask, phi_sq
+
+
+def _pair_sum(v, mask, phi_sq):
+    L = v.size
+    total = 0.0
+    for l in range(L):
+        for m in range(l + 1, L):
+            total += (phi_sq[L - (m - l) - 1] * v[l] * v[m]
+                      * (mask[l] + mask[m]) ** 2 / L ** 2)
+    return total
+
+
+def _seg_table(v, P, phi_sq):
+    L = v.size
+
+    def seg(i, a, b, weight):
+        if b < a:
+            return 0.0
+        d = L - i
+        return weight * float(v[a - 1:b] @ v[a - 1 + d:b + d])
+
+    total = 0.0
+    if 2 * P <= L:
+        for i in range(1, P + 1):
+            total += phi_sq[i - 1] * seg(i, 1, i, 1.0)
+        for i in range(P + 1, L - P + 1):
+            total += phi_sq[i - 1] * seg(i, 1, P, 1.0)
+        for i in range(L - P + 1, L):
+            b = P - L + i
+            total += phi_sq[i - 1] * (seg(i, 1, b, 4.0) + seg(i, b + 1, P, 1.0))
+    else:
+        for i in range(1, L - P + 1):
+            total += phi_sq[i - 1] * seg(i, 1, i, 1.0)
+        for i in range(L - P + 1, min(P, L - 1) + 1):
+            b = P - L + i
+            total += phi_sq[i - 1] * (seg(i, 1, b, 4.0) + seg(i, b + 1, i, 1.0))
+        for i in range(P + 1, L):
+            b = P - L + i
+            total += phi_sq[i - 1] * (seg(i, 1, b, 4.0) + seg(i, b + 1, P, 1.0))
+    return total / L ** 2
+
+
+def _theta_loop(pm):
+    L, P = pm.path_count, pm.finger_count
+    v, mask, rho = pm.tap_power, pm.finger_mask, pm.decay_ratio
+    dev = 0.0
+    for i in range(1, L):
+        l = np.arange(1, i + 1)
+        m = L + l - i
+        direct = v[l - 1] * v[m - 1] * (mask[l - 1] + mask[m - 1]) ** 2
+        u1 = (l <= P).astype(float)
+        u2 = (l <= P - L + i).astype(float)
+        fact = rho ** (-(L + 2 * l - i - 2) / (L - 1)) * (u1 + u2 + 2.0 * u1 * u2)
+        scale = max(float(fact.max()), 1e-300)
+        dev = max(dev, float(np.max(np.abs(direct - fact))) / scale)
+    return dev
+
+
+def _overlap_loop(L, P):
+    worst = 0
+    for i in range(1, L):
+        l = np.arange(1, i + 1)
+        u1 = (l <= P).astype(np.int64)
+        u2 = (l <= P - L + i).astype(np.int64)
+        direct = u1 + u2 + 2 * u1 * u2
+        table = np.zeros(i, dtype=np.int64)
+        if 2 * P <= L:
+            if i <= P:
+                table[:i] = 1
+            elif i <= L - P:
+                table[:P] = 1
+            else:
+                b = P - L + i
+                table[:b] = 4
+                table[b:P] = 1
+        else:
+            if i <= L - P:
+                table[:i] = 1
+            elif i <= P:
+                b = P - L + i
+                table[:b] = 4
+                table[b:i] = 1
+            else:
+                b = P - L + i
+                table[:b] = 4
+                table[b:P] = 1
+        worst = max(worst, int(np.max(np.abs(direct - table))))
+    return worst
+
+
+def _flat_nu_loop(L, P, Nc):
+    total = Fraction(0)
+    for i in range(1, L):
+        both = max(0, P - L + i)
+        single = max(0, min(i, P) - both)
+        total += Fraction(min(L - i, Nc), Nc) * (4 * both + single)
+    den = Fraction(P, L)
+    return total / (L * L) / (den * den)
+
+
+def test_direct_route_matches_pair_double_sum():
+    for L in (2, 3, 5, 40, 41):
+        for P in sorted({1, max(1, L // 2), L}):
+            for Nc in (1, L, 2 * L):
+                for rho in (1.0, 10.0):
+                    v, mask, phi_sq = _profile(L, P, Nc, rho)
+                    assert _self_lag_mass_direct(v, mask, phi_sq) == pytest.approx(
+                        _pair_sum(v, mask, phi_sq), rel=1e-13, abs=0), (L, P, Nc, rho)
+
+
+def test_table_route_matches_segment_loop():
+    # every P from 1 to L crosses both case branches (2P <= L and 2P > L)
+    for L in (2, 3, 5, 40, 41, 200):
+        for P in sorted({1, 2, L // 2, L // 2 + 1, L - 1, L} & set(range(1, L + 1))):
+            for Nc in sorted({1, max(1, L // 3), L, 2 * L}):
+                for rho in (1.0, 10.0, 1000.0):
+                    v, _, phi_sq = _profile(L, P, Nc, rho)
+                    assert _self_lag_mass_table(v, P, phi_sq) == pytest.approx(
+                        _seg_table(v, P, phi_sq), rel=1e-13, abs=0), (L, P, Nc, rho)
+
+
+def test_elementwise_checks_match_lag_loops():
+    for L in (2, 3, 40, 41, 401):
+        for beta in (0.01, 0.3, 0.5, 0.7, 1.0):
+            for rho in (1.0, 10.0):
+                pm = profile_matrices(L, max(1, L // 4), rho, beta)
+                assert _theta_factorization_deviation(pm) == _theta_loop(pm)
+        for P in sorted({1, 2, L // 3, L // 2, L // 2 + 1, 2 * L // 3, L - 1, L}
+                        & set(range(1, L + 1))):
+            assert _overlap_table_deviation(L, P) == _overlap_loop(L, P) == 0
+
+
+def test_flat_nu_exact_matches_fraction_loop():
+    for L, P, Nc in ((2, 1, 1), (2, 2, 5), (3, 2, 1), (41, 13, 7), (41, 41, 41),
+                     (41, 20, 100), (200, 200, 50), (8000, 800, 2000),
+                     (8000, 8000, 2000), (8000, 5600, 20000)):
+        assert flat_nu_exact(L, P, Nc) == _flat_nu_loop(L, P, Nc)
+    # past L = 1.3e6 the int64 count could wrap: refused, not rounded
+    with pytest.raises(ValueError):
+        flat_nu_exact(1_400_000, 1, 1)
 
 
 # -- Monte Carlo cross-checks ------------------------------------------------
