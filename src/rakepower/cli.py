@@ -42,6 +42,9 @@ _LOAD_GRID = (0.25, 1.0, 4.0)
 _BETA_BANKS = (1.0, 0.5, 0.3, 0.1)
 _LOSS_RHO_DB = (0.0, 10.0)
 _LOSS_CHIPS = (50, 200)
+# trials per (T, K, L) block in the simulating studies: peak RSS grows by
+# about 0.27 MB per trial held, and large stacks are memory-bound
+_TRIAL_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -197,14 +200,40 @@ def run_mu_nu_curves(config: ExperimentConfig):
     return fields, rows
 
 
+def _or_nan(closed_form, params: LsaParams, *args):
+    """A closed form's value, or nan where its operating point is infeasible."""
+    try:
+        return closed_form(params, *args)
+    except ValueError:
+        return math.nan
+
+
+def _trial_blocks(config: ExperimentConfig, profile: ApdpProfile, first: int,
+                  stop: int):
+    """Trials first..stop-1 in blocks of up to _TRIAL_BLOCK: yields each
+    block's trial range and its path gains as one (T, K, L) array.
+
+    Each trial is drawn on its own substreams (topology keyed by trial,
+    channels by trial and user), so the draws do not depend on how the
+    trials are blocked.
+    """
+    for start in range(first, stop, _TRIAL_BLOCK):
+        trials = range(start, min(start + _TRIAL_BLOCK, stop))
+        yield trials, np.array([[ch.gains for ch in sample_channel_bank(
+            profile, sample_topology(config.users, _D_MIN, _D_MAX,
+                                     substream(config.seed, t)), config.seed, t)]
+            for t in trials])
+
+
 def run_po_vs_frames(config: ExperimentConfig):
     """Outage probability against the frame count, per decay ratio.
 
     A trial is in outage when any user's equilibrium power sits at the
     cap. Channels and distances are redrawn every trial from substreams
     independent of the frame count, so the per-trial outage indicator is
-    non-increasing in the frame count. Each trial's bank is solved for
-    every frame count at once, as one stack with h_si and h_mai scaled by
+    non-increasing in the frame count. Trials go in blocks of a few: one
+    unit-spreading link_gains call per block, then one solve of the
+    (trials, frame counts, users) stack with h_si and h_mai scaled by
     1/frames; a solve that fails its fixed-point certificate raises
     instead of counting as outage.
     """
@@ -220,20 +249,18 @@ def run_po_vs_frames(config: ExperimentConfig):
         profile = ApdpProfile(config.paths, rho)
         analytic = min_frames(config.lsa_params(beta, rho=rho))
         outages = np.zeros(frames_max, dtype=np.int64)
-        for t in range(config.trials):
-            topo = sample_topology(config.users, _D_MIN, _D_MAX,
-                                   substream(config.seed, t))
-            bank = sample_channel_bank(profile, topo, config.seed, t)
-            base = link_gains(bank, selector, spreading_unit, config.sigma_sq)
-            stack = LinkGains(np.broadcast_to(base.h_sp, (frames_max, config.users)),
-                              base.h_si / frame_counts[:, None],
-                              base.h_mai / frame_counts[:, None, None],
+        for trials, block in _trial_blocks(config, profile, 0, config.trials):
+            base = link_gains(block, selector, spreading_unit, config.sigma_sq)
+            stack = LinkGains(np.broadcast_to(base.h_sp[:, None],
+                                              (len(trials), frames_max, config.users)),
+                              base.h_si[:, None] / frame_counts[:, None],
+                              base.h_mai[:, None] / frame_counts[:, None, None],
                               config.sigma_sq)
             outcome = solve_equilibrium(stack, config.utility)
             if not outcome.converged:
-                raise RuntimeError(f"equilibrium at {rho_db} dB, trial {t} "
-                                   "failed its fixed-point certificate")
-            outages += outcome.clamped.any(axis=-1)
+                raise RuntimeError(f"equilibrium at {rho_db} dB, trials {trials.start}.."
+                                   f"{trials.stop - 1} failed its fixed-point certificate")
+            outages += outcome.clamped.any(axis=-1).sum(axis=0)
         for nf in range(1, frames_max + 1):
             rows.append({"rho_db": rho_db, "frames": nf,
                          "outage_fraction": outages[nf - 1] / config.trials,
@@ -249,48 +276,74 @@ def run_utility_vs_gain(config: ExperimentConfig):
     across fractions reflects combining alone. The nmse column reports,
     per fraction, the mean squared relative error of the full-combining
     prediction scaled down by the combining penalty against simulated
-    utilities over fresh trials (trial indices 1 onward). Each trial is
-    drawn once and evaluated at every fraction.
+    utilities over fresh trials (trial indices 1 onward). Trials go in
+    blocks of a few: each block is drawn once, gets one link_gains call
+    per fraction and one solve of the (fractions, trials, users) stack.
+    A trial with a clamped user at a fraction is left out of that
+    fraction's nmse (its utility measures the power cap, not the
+    prediction); the count left out goes to stderr. A fraction with
+    every trial left out, or with an infeasible large-system operating
+    point, gets a nan nmse and a stderr line saying why. A solve that
+    fails its fixed-point certificate raises.
     """
     betas = config.betas or _BETA_BANKS
+    selectors = [RakeSelector(beta) for beta in betas]
     profile = ApdpProfile(config.paths, config.rho)
     spreading = config.spreading()
     params_full = config.lsa_params(1.0)
-    penalties = [10.0 ** (loss_db(config.lsa_params(beta)) / 10.0)
-                 for beta in betas]
+    penalties = 10.0 ** (np.array([_or_nan(loss_db, config.lsa_params(beta))
+                                   for beta in betas]) / 10.0)
 
-    def bank_utilities(bank, beta):
-        gains = link_gains(bank, RakeSelector(beta), spreading, config.sigma_sq)
-        return gains, solve_equilibrium(gains, config.utility)
+    def solve_block(block, trials):
+        banks = [link_gains(block, sel, spreading, config.sigma_sq) for sel in selectors]
+        stack = LinkGains(np.stack([g.h_sp for g in banks]),
+                          np.stack([g.h_si for g in banks]),
+                          np.stack([g.h_mai for g in banks]), config.sigma_sq)
+        outcome = solve_equilibrium(stack, config.utility)
+        if not outcome.converged:
+            raise RuntimeError(f"equilibrium for trials {trials.start}..{trials.stop - 1} "
+                               "failed its fixed-point certificate")
+        return stack, outcome
 
-    sq_errs = [[] for _ in betas]
-    for t in range(1, config.trials + 1):
-        topo = sample_topology(config.users, _D_MIN, _D_MAX,
-                               substream(config.seed, t))
-        bank = sample_channel_bank(profile, topo, config.seed, t)
-        h_total = np.array([ch.channel_gain for ch in bank])
-        pred_full = predict_utility(params_full, h_total)
-        for beta, penalty, errs in zip(betas, penalties, sq_errs):
-            _, outcome = bank_utilities(bank, beta)
-            pred = pred_full / penalty
-            errs.append(((pred - outcome.utilities) / outcome.utilities) ** 2)
+    sq_err_sums = np.zeros(len(betas))
+    kept = np.zeros(len(betas), dtype=np.int64)
+    for trials, block in _trial_blocks(config, profile, 1, config.trials + 1):
+        pred_full = _or_nan(predict_utility, params_full,
+                            np.sum(np.abs(block) ** 2, axis=-1))
+        _, outcome = solve_block(block, trials)
+        u = outcome.utilities
+        sq_err = ((pred_full / penalties[:, None, None] - u) / u) ** 2
+        keep = ~outcome.clamped.any(axis=-1)
+        sq_err_sums += np.where(keep[..., None], sq_err, 0.0).sum(axis=(1, 2))
+        kept += keep.sum(axis=1)
+    excluded = config.trials - kept
+    with np.errstate(invalid="ignore"):
+        nmses = sq_err_sums / (kept * config.users)
+    click.echo("trials left out of nmse (a clamped user): "
+               + ", ".join(f"beta={_fmt(b)}: {n}" for b, n in zip(betas, excluded)),
+               err=True)
+    for beta, penalty, n in zip(betas, penalties, excluded):
+        if math.isnan(penalty):
+            click.echo(f"nmse at beta={_fmt(beta)} is nan: the operating point is "
+                       "infeasible, so there is no combining penalty", err=True)
+        if n == config.trials:
+            click.echo(f"nmse at beta={_fmt(beta)} is nan: every one of the "
+                       f"{n} trials has a clamped user", err=True)
 
-    topo0 = sample_topology(config.users, _D_MIN, _D_MAX,
-                            substream(config.seed, 0))
-    bank0 = sample_channel_bank(profile, topo0, config.seed, 0)
+    [(trials0, block0)] = _trial_blocks(config, profile, 0, 1)
+    stack0, outcome0 = solve_block(block0, trials0)
+    channel_gain = np.sum(np.abs(block0[0]) ** 2, axis=-1)
     fields = ["beta", "user", "channel_gain", "power_w", "utility_sim",
               "utility_pred", "nmse"]
     rows = []
-    for beta, errs in zip(betas, sq_errs):
-        nmse = float(np.mean(errs))
-        gains0, outcome0 = bank_utilities(bank0, beta)
-        pred0 = predict_utility(config.lsa_params(beta), gains0.h_sp)
+    for b, (beta, nmse) in enumerate(zip(betas, nmses)):
+        pred0 = np.broadcast_to(_or_nan(predict_utility, config.lsa_params(beta),
+                                        stack0.h_sp[b, 0]), config.users)
         for k in range(config.users):
-            rows.append({"beta": beta, "user": k,
-                         "channel_gain": bank0[k].channel_gain,
-                         "power_w": outcome0.powers[k],
-                         "utility_sim": outcome0.utilities[k],
-                         "utility_pred": pred0[k], "nmse": nmse})
+            rows.append({"beta": beta, "user": k, "channel_gain": channel_gain[k],
+                         "power_w": outcome0.powers[b, 0, k],
+                         "utility_sim": outcome0.utilities[b, 0, k],
+                         "utility_pred": pred0[k], "nmse": float(nmse)})
     return fields, rows
 
 
@@ -308,21 +361,30 @@ def run_loss_vs_beta(config: ExperimentConfig):
         rho = 10.0 ** (rho_db / 10.0)
         for chips in _LOSS_CHIPS:
             for beta in betas:
-                try:
-                    value = loss_db(config.lsa_params(beta, rho=rho, chips=chips))
-                except ValueError:
-                    value = math.nan
                 rows.append({"rho_db": rho_db, "chips": chips, "beta": beta,
-                             "loss_db": value})
+                             "loss_db": _or_nan(loss_db, config.lsa_params(
+                                 beta, rho=rho, chips=chips))})
     return fields, rows
 
 
 def run_validate(config: ExperimentConfig, explicit: frozenset = frozenset()):
-    """Full numerical audit; returns the rows plus an overall verdict."""
+    """Full numerical audit; returns the rows plus an overall verdict.
+
+    The audit checks the closed forms at one operating point, so an
+    infeasible one (the interference mass exceeds the processing gain)
+    is a usage error.
+    """
     paths = config.paths if "paths" in explicit else 4000
     chips = config.chips if "chips" in explicit else round(0.25 * paths)
     beta = config.betas[0] if config.betas else 0.1
     trials = config.trials if "trials" in explicit else 500
+    point = dataclasses.replace(config, paths=paths, chips=chips)
+    if math.isnan(_or_nan(loss_db, point.lsa_params(beta), False)):
+        raise click.ClickException(
+            f"infeasible operating point paths={paths} chips={chips} "
+            f"users={config.users} frames={config.frames} "
+            f"rho_db={_fmt(config.rho_db)} beta={_fmt(beta)}: the interference "
+            "mass exceeds the processing gain, so there is nothing to audit")
     audit = oracle_audit(paths, config.rho, beta, chips / paths,
                          users=config.users, frames=config.frames,
                          sigma_sq=config.sigma_sq, mc_trials=trials,

@@ -191,7 +191,12 @@ class LinkGains:
 
 
 def _bank_array(alphas: Sequence[ChannelRealization | np.ndarray] | np.ndarray) -> np.ndarray:
-    """Stack a bank into one (K, L) complex array, one row per user."""
+    """The bank as one complex array: an ndarray of shape (..., K, L) as
+    given, or a sequence of per-user channels stacked to (K, L)."""
+    if isinstance(alphas, np.ndarray):
+        if alphas.ndim < 2 or 0 in alphas.shape[-2:]:
+            raise ValueError("need a (..., K, L) bank with at least one user and path")
+        return alphas.astype(complex, copy=False)
     rows = [a.gains if isinstance(a, ChannelRealization) else np.asarray(a, dtype=complex)
             for a in alphas]
     if not rows:
@@ -209,50 +214,53 @@ def link_gains(alphas: Sequence[ChannelRealization | np.ndarray] | np.ndarray,
                method: str = "spectral") -> LinkGains:
     """Exact gain bank for K users sharing the channel.
 
-    alphas is a sequence of per-user channels or a (K, L) array of path
-    gains. method="spectral" evaluates the whole bank from the spectra of
-    the path gains and weights, zero-padded to at least 2L - 1 samples so
-    that no lag wraps around: the cross-gain numerator, the squared
-    weight/interferer cross-correlation summed over every lag, is by
-    Parseval an inner product of power spectra, so all K^2 numerators are
-    one matrix product, and the self-interference lags come from one
-    inverse transform of each user's cross-spectrum. method="dense"
-    materializes the lag matrices and multiplies them out: it is
+    alphas is a sequence of per-user channels, a (K, L) array of path
+    gains, or a (..., K, L) stack of banks (say a block of trials), which
+    gives a LinkGains with the same leading axes. method="spectral"
+    evaluates every bank from the spectra of the path gains and weights,
+    zero-padded to at least 2L - 1 samples so that no lag wraps around:
+    the cross-gain numerator, the squared weight/interferer
+    cross-correlation summed over every lag, is by Parseval an inner
+    product of power spectra, so all K^2 numerators are one matrix
+    product, and the self-interference lags come from one inverse
+    transform of each user's cross-spectrum. method="dense" materializes
+    the lag matrices and multiplies them out for one (K, L) bank: it is
     quadratically more expensive and exists as an independent check. Both
     agree to roundoff.
     """
     if method not in ("spectral", "dense"):
         raise ValueError(f"unknown method {method!r}")
     A = _bank_array(alphas)
-    K, L = A.shape
+    if method == "dense" and A.ndim != 2:
+        raise ValueError("method='dense' takes one (K, L) bank, not a stack")
+    K, L = A.shape[-2:]
     C = rake_weights(A, selector)
     N = spreading.processing_gain
     phi_sq = _phi_squared(spreading.chips_per_frame, L)
 
-    h_sp = np.empty(K)
-    for k, (a, c) in enumerate(zip(A, C)):
-        hs = np.vdot(c, a)
-        if abs(hs.imag) > 1e-12 * max(1.0, abs(hs.real)):
-            raise ValueError("combining gain has a non-negligible imaginary part")
-        if hs.real <= 0:
-            raise ValueError(f"user {k} has zero combining gain")
-        h_sp[k] = hs.real
+    hs = np.einsum("...l,...l->...", C.conj(), A)
+    if np.any(np.abs(hs.imag) > 1e-12 * np.maximum(1.0, np.abs(hs.real))):
+        raise ValueError("combining gain has a non-negligible imaginary part")
+    h_sp = hs.real
+    if np.any(h_sp <= 0):
+        raise ValueError(f"zero combining gain at (..., user) {np.argwhere(h_sp <= 0).tolist()}")
 
     if method == "spectral":
         # any length >= 2L - 1 holds every lag without wrap-around; the
         # next 2-3-5-smooth one transforms fastest
         nfft = scipy.fft.next_fast_len(2 * L - 1)
-        fa = scipy.fft.fft(A, n=nfft, axis=1)
-        fc = scipy.fft.fft(C, n=nfft, axis=1)
+        fa = scipy.fft.fft(A, n=nfft, axis=-1)
+        fc = scipy.fft.fft(C, n=nfft, axis=-1)
         # r[k, n] = sum_m a_k[m + n] conj(c_k[m]) at lags n = -(L-1)..L-1,
         # negative lags stored from the end; the two leakage terms at lag
         # d = 1..L-1 are r[-d] and conj(r[d])
-        r = scipy.fft.ifft(fa * fc.conj(), axis=1)
-        v = r[:, nfft - 1:nfft - L:-1] + r[:, 1:L].conj()
+        r = scipy.fft.ifft(fa * fc.conj(), axis=-1)
+        v = r[..., nfft - 1:nfft - L:-1] + r[..., 1:L].conj()
         h_si = (np.abs(v) ** 2 @ phi_sq[::-1]) / (N * h_sp)
-        cross = (np.abs(fc) ** 2 @ (np.abs(fa) ** 2).T) / nfft
-        h_mai = cross / (N * h_sp[:, None])
-        np.fill_diagonal(h_mai, 0.0)
+        cross = (np.abs(fc) ** 2 @ np.swapaxes(np.abs(fa) ** 2, -1, -2)) / nfft
+        h_mai = cross / (N * h_sp[..., None])
+        users = np.arange(K)
+        h_mai[..., users, users] = 0.0
     else:
         h_si = np.empty(K)
         h_mai = np.zeros((K, K))

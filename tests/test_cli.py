@@ -10,9 +10,13 @@ import numpy as np
 import pytest
 
 import rakepower.cli as cli
-from rakepower import LsaParams, gamma_star, mu, nu
+from rakepower import (ApdpProfile, LsaParams, RakeSelector, SpreadingConfig,
+                       gamma_star, link_gains, loss_db, mu, nu, predict_utility,
+                       sample_channel_bank, sample_topology, solve_equilibrium,
+                       substream)
 from rakepower.cli import (ExperimentConfig, build_config, load_config_file,
-                           main, run_gamma_curve, run_utility_vs_gain)
+                           main, run_gamma_curve, run_po_vs_frames,
+                           run_utility_vs_gain)
 
 
 def _read_csv(path):
@@ -227,3 +231,116 @@ def test_module_entrypoint_help():
     assert proc.returncode == 0
     assert "validate" in proc.stdout
     assert "po-frames" in proc.stdout
+
+
+def _draw(config, profile, t):
+    topo = sample_topology(config.users, 3.0, 20.0, substream(config.seed, t))
+    return sample_channel_bank(profile, topo, config.seed, t)
+
+
+def _utility_gain_reference(config):
+    """Per-trial loop: one bank, one link_gains call and one solve at a time."""
+    profile = ApdpProfile(config.paths, config.rho)
+    spreading = config.spreading()
+    rows = []
+    for beta in config.betas:
+        penalty = 10.0 ** (loss_db(config.lsa_params(beta)) / 10.0)
+        errs = []
+        for t in range(1, config.trials + 1):
+            bank = _draw(config, profile, t)
+            out = solve_equilibrium(link_gains(bank, RakeSelector(beta), spreading,
+                                               config.sigma_sq), config.utility)
+            assert out.converged
+            if out.any_clamped:
+                continue
+            pred = predict_utility(config.lsa_params(1.0),
+                                   np.array([ch.channel_gain for ch in bank])) / penalty
+            errs.extend(((pred - out.utilities) / out.utilities) ** 2)
+        nmse = float(np.mean(errs)) if errs else math.nan
+        bank0 = _draw(config, profile, 0)
+        gains0 = link_gains(bank0, RakeSelector(beta), spreading, config.sigma_sq)
+        out0 = solve_equilibrium(gains0, config.utility)
+        pred0 = predict_utility(config.lsa_params(beta), gains0.h_sp)
+        rows += [[beta, k, bank0[k].channel_gain, out0.powers[k], out0.utilities[k],
+                  pred0[k], nmse] for k in range(config.users)]
+    return rows
+
+
+def _po_frames_reference(config):
+    """Per-trial, per-frame-count loop at the full processing gain."""
+    beta = config.betas[0]
+    rows = []
+    for rho_db in (0.0, 10.0, 20.0):
+        profile = ApdpProfile(config.paths, 10.0 ** (rho_db / 10.0))
+        outages = np.zeros(25)
+        for t in range(config.trials):
+            bank = _draw(config, profile, t)
+            for nf in range(1, 26):
+                gains = link_gains(bank, RakeSelector(beta), SpreadingConfig(nf, config.chips),
+                                   config.sigma_sq)
+                outages[nf - 1] += solve_equilibrium(gains, config.utility).any_clamped
+        rows += [[rho_db, nf, outages[nf - 1] / config.trials] for nf in range(1, 26)]
+    return rows
+
+
+@pytest.mark.parametrize("trials", [1, 3, 4, 5, 9])
+def test_trial_blocks_match_per_trial_loops(trials):
+    # block edges fall at different trials for each count; K=17 at beta 0.1
+    # clamps some trials (seed 12 clamps trials 1 and 2), which the nmse skips
+    config = ExperimentConfig(users=17, trials=trials, seed=12, betas=(0.5, 0.1))
+    # the blocks hold every trial once, in order, with its per-trial draw
+    # (equilibrium utilities barely see the distances, so check the draws)
+    profile = ApdpProfile(config.paths, config.rho)
+    drawn = [(t, bank) for ts, block in cli._trial_blocks(config, profile, 1, trials + 1)
+             for t, bank in zip(ts, block)]
+    assert [t for t, _ in drawn] == list(range(1, trials + 1))
+    for t, bank in drawn:
+        np.testing.assert_array_equal(bank, [ch.gains for ch in _draw(config, profile, t)])
+    fields, rows = run_utility_vs_gain(config)
+    got = [[r[f] for f in fields] for r in rows]
+    np.testing.assert_allclose(np.array(got, dtype=float),
+                               np.array(_utility_gain_reference(config)),
+                               rtol=1e-12, atol=0, equal_nan=True)
+    assert math.isnan(got[-1][-1]) == (trials == 1)
+    config = ExperimentConfig(users=4, paths=40, chips=10, trials=trials, seed=12,
+                              betas=(0.3,))
+    fields, rows = run_po_vs_frames(config)
+    got = [[r[f] for f in ("rho_db", "frames", "outage_fraction")] for r in rows]
+    np.testing.assert_allclose(got, _po_frames_reference(config), rtol=1e-12, atol=0)
+
+
+def test_utility_gain_nmse_skips_clamped_trials(tmp_path, capsys):
+    # 32 users at beta 0.1 clamp every trial, and the large-system
+    # operating point is infeasible too; beta 0.5 clamps none
+    out = tmp_path / "ug.csv"
+    assert main(["utility-gain", "--users", "32", "--beta", "0.1", "--beta", "0.5",
+                 "--trials", "4", "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "beta=0.1: 4, beta=0.5: 0" in err
+    assert "nmse at beta=0.1 is nan: every one of the 4 trials has a clamped user" in err
+    assert "nmse at beta=0.1 is nan: the operating point is infeasible" in err
+    assert "beta=0.5 is nan" not in err
+    _, rows = _read_csv(out)
+    assert len(rows) == 64
+    for r in rows:
+        assert math.isnan(float(r["nmse"])) == (r["beta"] == "0.1")
+        assert not math.isinf(float(r["nmse"]))
+    assert any(float(r["power_w"]) == 1e-6 for r in rows if r["beta"] == "0.1")
+
+
+def test_utility_gain_raises_on_failed_certificate(monkeypatch):
+    solve = cli.solve_equilibrium
+    monkeypatch.setattr(cli, "solve_equilibrium", lambda gains, params:
+                        dataclasses.replace(solve(gains, params), converged=False))
+    config = ExperimentConfig(users=3, paths=60, chips=15, trials=2, betas=(0.5,))
+    with pytest.raises(RuntimeError, match="certificate"):
+        cli.run_utility_vs_gain(config)
+
+
+def test_validate_rejects_infeasible_operating_point(tmp_path, capsys):
+    out = tmp_path / "v.csv"
+    assert main(["validate", "--paths", "41", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "infeasible operating point paths=41 chips=10 users=8" in err
+    assert "Traceback" not in err
+    assert not out.exists()

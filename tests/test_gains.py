@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import rakepower.gains as gains_module
 from rakepower import (ApdpProfile, LinkGains, NetworkTopology, RakeSelector,
                        SpreadingConfig, interference_matrices, link_gains,
                        phi_coefficient, rake_weights, sample_channel_bank,
@@ -236,17 +237,20 @@ def test_sinr_power_monotonicity():
     assert sinr(out, p_up, 2) < base[2]
 
 
-def _si_ratio_violations(path_count, chips, trials, seed):
+def _si_ratio_violations(path_count, chips, trials, seed, block=50):
+    # each trial keeps its own substreams; the one-user banks go to
+    # link_gains as (block, 1, L) stacks
     spreading = SpreadingConfig(frames=1, chips_per_frame=chips)
     selector = RakeSelector(0.3)
     prof = ApdpProfile(path_count, 10.0)
     bad = []
-    for t in range(trials):
-        topo = NetworkTopology(distances=substream(seed, t).uniform(3.0, 20.0, 1))
-        bank = sample_channel_bank(prof, topo, seed, t)
-        g = link_gains(bank, selector, spreading, 0.0)
-        if g.si_ratio[0] < 1.0:
-            bad.append(t)
+    for start in range(0, trials, block):
+        ts = range(start, min(start + block, trials))
+        stack = np.array([[sample_channel_bank(
+            prof, NetworkTopology(distances=substream(seed, t).uniform(3.0, 20.0, 1)),
+            seed, t)[0].gains] for t in ts])
+        g = link_gains(stack, selector, spreading, 0.0)
+        bad += [ts[i] for i in np.flatnonzero(g.si_ratio[:, 0] < 1.0)]
     return bad
 
 
@@ -305,3 +309,54 @@ def test_link_gains_stack_keeps_checks():
                  (-h_sp, h_si, h_mai)):
         with pytest.raises(ValueError):
             LinkGains(*args, sigma_sq=1e-9)
+
+
+def _block(T, K, L, seed=61):
+    return np.array([[ch.gains for ch in _bank(K, L, seed=seed, trial=t)]
+                     for t in range(T)])
+
+
+@pytest.mark.parametrize("K", [1, 8])
+@pytest.mark.parametrize("L", [2, 41, 200])
+@pytest.mark.parametrize("beta", [0.1, 1.0])
+def test_trial_block_equals_per_bank_calls(K, L, beta):
+    block = _block(5, K, L)
+    selector = RakeSelector(beta)
+    spreading = SpreadingConfig(frames=4, chips_per_frame=10)
+    out = link_gains(block, selector, spreading, 1e-9)
+    assert out.h_sp.shape == (5, K) and out.h_mai.shape == (5, K, K)
+    nested = link_gains(block[:4].reshape(2, 2, K, L), selector, spreading, 1e-9)
+    assert nested.h_mai.shape == (2, 2, K, K)
+    for t, bank in enumerate(block):
+        one = link_gains(list(bank), selector, spreading, 1e-9)
+        np.testing.assert_allclose(out.h_sp[t], one.h_sp, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(out.h_si[t], one.h_si, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(out.h_mai[t], one.h_mai, rtol=1e-13, atol=0)
+        assert np.all(np.diag(out.h_mai[t]) == 0.0)
+        if t < 4:
+            np.testing.assert_array_equal(nested.h_mai[t // 2, t % 2], out.h_mai[t])
+
+
+def test_trial_block_guards_fire_on_one_bad_bank(monkeypatch):
+    block = _block(4, 3, 16)
+    selector, spreading = RakeSelector(0.5), SpreadingConfig(2, 8)
+    silent = block.copy()
+    silent[2, 1, :8] = 0.0            # user 1 of trial 2 has nothing on its fingers
+    with pytest.raises(ValueError, match=r"\[\[2, 1\]\]"):
+        link_gains(silent, selector, spreading, 1e-9)
+    with pytest.raises(ValueError, match="sigma_sq"):
+        link_gains(block, selector, spreading, -1e-9)
+    with pytest.raises(ValueError, match="dense"):
+        link_gains(block, selector, spreading, 1e-9, method="dense")
+    with pytest.raises(ValueError):
+        link_gains(block[:, :0], selector, spreading, 1e-9)
+    with pytest.raises(ValueError, match="path count"):
+        link_gains([block[0, 0], block[0, 1, :8]], selector, spreading, 1e-9)
+    # weights rotated off the path gains in trial 1 only: the combining
+    # gain picks up an imaginary part there
+    mrc = gains_module.rake_weights
+    phase = np.array([1.0, 1j, 1.0, 1.0])[:, None, None]
+    monkeypatch.setattr(gains_module, "rake_weights",
+                        lambda alpha, sel: mrc(alpha, sel) * phase)
+    with pytest.raises(ValueError, match="imaginary"):
+        link_gains(block, selector, spreading, 1e-9)
