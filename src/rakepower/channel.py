@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, SeedSequence, default_rng
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ class ChannelRealization:
         return float(np.sum(np.abs(self.gains) ** 2))
 
 
-def substream(master_seed: int, *key: int) -> np.random.Generator:
+def substream(master_seed: int, *key: int) -> Generator:
     """Independent generator for one coordinate of an experiment.
 
     Streams are derived from the master seed by keying the seed sequence
@@ -109,11 +110,11 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
     (trial, user) for channel draws), so results never depend on the order
     in which trials or users are generated.
     """
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
+    return default_rng(SeedSequence(master_seed, spawn_key=key))
 
 
 def sample_topology(K: int, d_min: float, d_max: float,
-                    rng: np.random.Generator) -> NetworkTopology:
+                    rng: Generator) -> NetworkTopology:
     """Draw K user distances i.i.d. uniform on [d_min, d_max]."""
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -123,7 +124,7 @@ def sample_topology(K: int, d_min: float, d_max: float,
 
 
 def sample_channel(profile: ApdpProfile, topology: NetworkTopology, k: int,
-                   rng: np.random.Generator) -> ChannelRealization:
+                   rng: Generator) -> ChannelRealization:
     """Draw user k's path gains: circular complex Gaussian taps.
 
     Tap l has E|gain_l|^2 equal to the profile's tap variance, i.e. each

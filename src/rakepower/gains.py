@@ -10,8 +10,9 @@ large-system approximation is involved here.
 
 The leakage terms are cross-correlations between the combining weights
 and the path gains at lags 1..L-1; the cross gains add the zero lag. A
-bank of K users is one (K, L) array. Zero-padded to at least 2L - 1
-samples, its discrete Fourier transform turns every correlation into a
+bank of K users is one (K, L) array. Zero-padded to the smallest
+2-3-5-smooth length of at least 2L - 1 samples (400 at L = 200, 4000 at
+L = 2000), its discrete Fourier transform turns every correlation into a
 product of spectra (Wiener-Khinchin), and by Parseval the sum of squared
 correlations over all lags is an inner product of power spectra, so all
 K^2 cross gains come from one matrix product. The lag structure can also
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.fft
+from numpy.fft import fft, ifft
 
 from .channel import ChannelRealization
 
@@ -190,6 +191,23 @@ class LinkGains:
         return (self.h_mai / self.h_sp[..., None, :]).sum(axis=-1)
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2-3-5-smooth integer >= n, a transform length the FFT
+    factors into its fastest radices."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest p35 * 2^j >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _bank_array(alphas: Sequence[ChannelRealization | np.ndarray] | np.ndarray) -> np.ndarray:
     """The bank as one complex array: an ndarray of shape (..., K, L) as
     given, or a sequence of per-user channels stacked to (K, L)."""
@@ -218,7 +236,8 @@ def link_gains(alphas: Sequence[ChannelRealization | np.ndarray] | np.ndarray,
     gains, or a (..., K, L) stack of banks (say a block of trials), which
     gives a LinkGains with the same leading axes. method="spectral"
     evaluates every bank from the spectra of the path gains and weights,
-    zero-padded to at least 2L - 1 samples so that no lag wraps around:
+    zero-padded with numpy.fft to the smallest 2-3-5-smooth length of at
+    least 2L - 1 samples so that no lag wraps around:
     the cross-gain numerator, the squared weight/interferer
     cross-correlation summed over every lag, is by Parseval an inner
     product of power spectra, so all K^2 numerators are one matrix
@@ -248,13 +267,13 @@ def link_gains(alphas: Sequence[ChannelRealization | np.ndarray] | np.ndarray,
     if method == "spectral":
         # any length >= 2L - 1 holds every lag without wrap-around; the
         # next 2-3-5-smooth one transforms fastest
-        nfft = scipy.fft.next_fast_len(2 * L - 1)
-        fa = scipy.fft.fft(A, n=nfft, axis=-1)
-        fc = scipy.fft.fft(C, n=nfft, axis=-1)
+        nfft = _fast_len(2 * L - 1)
+        fa = fft(A, n=nfft, axis=-1)
+        fc = fft(C, n=nfft, axis=-1)
         # r[k, n] = sum_m a_k[m + n] conj(c_k[m]) at lags n = -(L-1)..L-1,
         # negative lags stored from the end; the two leakage terms at lag
         # d = 1..L-1 are r[-d] and conj(r[d])
-        r = scipy.fft.ifft(fa * fc.conj(), axis=-1)
+        r = ifft(fa * fc.conj(), axis=-1)
         v = r[..., nfft - 1:nfft - L:-1] + r[..., 1:L].conj()
         h_si = (np.abs(v) ** 2 @ phi_sq[::-1]) / (N * h_sp)
         cross = (np.abs(fc) ** 2 @ np.swapaxes(np.abs(fa) ** 2, -1, -2)) / nfft

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .game import UtilityParams, efficiency, gamma_star
 from .gains import SpreadingConfig
@@ -299,12 +298,15 @@ def lsa_prediction(params: LsaParams, h_sp) -> LsaPrediction:
     )
 
 
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
 def ber_estimate(gamma) -> float | np.ndarray:
     """Gaussian-tail bit error estimate Q(sqrt(gamma))."""
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0):
         raise ValueError("gamma must be non-negative")
-    out = 0.5 * erfc(np.sqrt(g / 2.0))
+    out = 0.5 * _erfc(np.sqrt(g / 2.0))
     return float(out) if out.ndim == 0 else out
 
 

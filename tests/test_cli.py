@@ -3,8 +3,10 @@
 import csv
 import dataclasses
 import math
+import platform
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -231,6 +233,44 @@ def test_module_entrypoint_help():
     assert proc.returncode == 0
     assert "validate" in proc.stdout
     assert "po-frames" in proc.stdout
+
+
+def test_cli_import_loads_no_scipy_and_the_numpy_submodules():
+    # numpy loads numpy.random and numpy.fft lazily: importing them with the
+    # package keeps their cost in start-up rather than in the first study
+    code = ("import sys, rakepower.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "print('numpy.random' in sys.modules, 'numpy.fft' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "True True"]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="checks glibc malloc's mmap and trim thresholds")
+def test_trial_block_temporaries_reuse_their_pages():
+    # the package raises glibc's thresholds on import (rakepower/__init__.py);
+    # without that, each call below faults in about 70 fresh pages
+    code = textwrap.dedent("""
+        import resource
+        import numpy as np
+        from rakepower import (ApdpProfile, NetworkTopology, RakeSelector,
+                               SpreadingConfig, link_gains, sample_channel_bank)
+        topo = NetworkTopology(distances=np.linspace(3.0, 20.0, 8))
+        block = np.stack([[c.gains for c in sample_channel_bank(
+            ApdpProfile(200, 10.0), topo, 1, t)] for t in range(4)])
+        args = (block, RakeSelector(0.3), SpreadingConfig(20, 50), 5e-16)
+        link_gains(*args)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(50):
+            link_gains(*args)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 500
 
 
 def _draw(config, profile, t):

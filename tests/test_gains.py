@@ -136,6 +136,40 @@ def test_link_gains_match_loop_reference():
         assert np.allclose(out.h_mai, ref_mai, rtol=1e-12, atol=0)
 
 
+def test_fast_len_is_the_next_2_3_5_smooth_integer():
+    # brute force: walk down from 20000 (= 2^5 5^4, itself smooth), keeping
+    # the nearest smooth integer at or above n
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    nearest = 20000
+    for n in range(20000, 0, -1):
+        if smooth(n):
+            nearest = n
+        assert gains_module._fast_len(n) == nearest, n
+    with pytest.raises(ValueError):
+        gains_module._fast_len(0)
+
+
+@pytest.mark.parametrize("L, nfft", [(80, 160), (200, 400), (2000, 4000)])
+def test_link_gains_transform_length(monkeypatch, L, nfft):
+    # the golden and benchmark path counts keep the lengths they had under
+    # scipy.fft.next_fast_len
+    lengths = []
+    fft = gains_module.fft
+
+    def spy(x, n, axis):
+        lengths.append(n)
+        return fft(x, n=n, axis=axis)
+
+    monkeypatch.setattr(gains_module, "fft", spy)
+    link_gains(_bank(2, L), RakeSelector(0.3), SpreadingConfig(20, 50), 5e-16)
+    assert lengths == [nfft, nfft]
+
+
 def test_spectral_equals_dense():
     bank = _bank(4, 60, rho=10.0, seed=5)
     selector = RakeSelector(0.3)
