@@ -24,20 +24,16 @@ from .channel import (
     sample_channel_bank,
     sample_topology,
     substream,
-    tap_variance,
 )
 from .gains import (
     LinkGains,
     RakeSelector,
     SpreadingConfig,
-    interference_matrices,
     link_gains,
-    phi_coefficient,
     rake_weights,
     sinr,
 )
 from .game import (
-    EquilibriumOutcome,
     UtilityParams,
     best_response,
     closed_form_equilibrium_power,
@@ -49,16 +45,13 @@ from .game import (
 )
 from .lsa import (
     LsaParams,
-    LsaPrediction,
     ber_estimate,
     invert_loss,
     loss_db,
     lsa_prediction,
     min_frames,
     mu,
-    mu_arake,
     mu_flat,
-    mu_flat_arake,
     nu,
     nu_arake,
     nu_flat,
@@ -67,21 +60,13 @@ from .lsa import (
     predict_utility,
 )
 from .oracle import (
-    AuditRow,
-    ConvergenceRow,
-    InterferencePaths,
-    McEstimate,
-    ProfileMatrices,
     appendix_intermediates,
     convergence_table,
-    finite_mai_inv,
     finite_mu,
     finite_nu,
-    finite_si_inv,
     flat_mu_exact,
     flat_nu_exact,
     mc_gain_ratio,
-    mc_interference_ratios,
     oracle_audit,
     profile_matrices,
 )
@@ -101,20 +86,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApdpProfile",
-    "AuditRow",
     "ChannelRealization",
-    "EquilibriumOutcome",
     "LinkGains",
     "LsaParams",
-    "LsaPrediction",
     "NetworkTopology",
-    "ProfileMatrices",
     "RakeSelector",
     "SpreadingConfig",
     "UtilityParams",
-    "ConvergenceRow",
-    "InterferencePaths",
-    "McEstimate",
     "appendix_intermediates",
     "ber_estimate",
     "best_response",
@@ -122,31 +100,24 @@ __all__ = [
     "convergence_table",
     "efficiency",
     "feasibility",
-    "finite_mai_inv",
     "finite_mu",
     "finite_nu",
-    "finite_si_inv",
     "flat_mu_exact",
     "flat_nu_exact",
     "gamma_star",
-    "interference_matrices",
     "invert_loss",
     "link_gains",
     "loss_db",
     "lsa_prediction",
     "mc_gain_ratio",
-    "mc_interference_ratios",
     "min_frames",
     "mu",
-    "mu_arake",
     "mu_flat",
-    "mu_flat_arake",
     "nu",
     "nu_arake",
     "nu_flat",
     "nu_flat_arake",
     "oracle_audit",
-    "phi_coefficient",
     "predict_power",
     "predict_utility",
     "profile_matrices",
@@ -157,6 +128,5 @@ __all__ = [
     "sinr",
     "solve_equilibrium",
     "substream",
-    "tap_variance",
     "utilities",
 ]

@@ -60,7 +60,7 @@ class ApdpProfile:
     def __post_init__(self):
         if self.path_count < 1:
             raise ValueError("path_count must be >= 1")
-        if self.decay_ratio < 1:
+        if not self.decay_ratio >= 1:
             raise ValueError("decay_ratio must be >= 1")
 
     def tap_variances(self, user_variance: float) -> np.ndarray:
@@ -70,16 +70,6 @@ class ApdpProfile:
             return np.array([user_variance], dtype=float)
         exponents = -(np.arange(L, dtype=float)) / (L - 1)
         return user_variance * self.decay_ratio ** exponents
-
-
-def tap_variance(profile: ApdpProfile, user_variance: float, l: int) -> float:
-    """Variance of tap l (1-based) under the decaying profile."""
-    if not 1 <= l <= profile.path_count:
-        raise IndexError(f"tap index {l} outside 1..{profile.path_count}")
-    if profile.path_count == 1:
-        return float(user_variance)
-    exponent = -(l - 1) / (profile.path_count - 1)
-    return float(user_variance * profile.decay_ratio ** exponent)
 
 
 @dataclass(frozen=True)

@@ -74,8 +74,12 @@ class ExperimentConfig:
             raise ValueError("frames must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.rho_db < 0:
-            raise ValueError("rho_db must be >= 0 (non-increasing profile)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not (math.isfinite(self.rho_db) and self.rho_db >= 0):
+            raise ValueError("rho_db must be finite and >= 0 (non-increasing profile)")
+        if not (math.isfinite(self.sigma_sq) and self.sigma_sq > 0):
+            raise ValueError("sigma_sq must be finite and positive")
         for b in self.betas:
             if not 0 < b <= 1:
                 raise ValueError("beta values must lie in (0, 1]")
@@ -378,6 +382,9 @@ def run_validate(config: ExperimentConfig, explicit: frozenset = frozenset()):
     chips = config.chips if "chips" in explicit else round(0.25 * paths)
     beta = config.betas[0] if config.betas else 0.1
     trials = config.trials if "trials" in explicit else 500
+    if trials < 2:
+        raise click.ClickException(
+            f"validate needs at least 2 Monte Carlo trials for a standard error, got {trials}")
     point = dataclasses.replace(config, paths=paths, chips=chips)
     if math.isnan(_or_nan(loss_db, point.lsa_params(beta), False)):
         raise click.ClickException(

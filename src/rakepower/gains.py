@@ -100,37 +100,24 @@ def rake_weights(alpha: ChannelRealization | np.ndarray,
     return c
 
 
-def phi_coefficient(l: int, chips_per_frame: int, path_count: int) -> float:
-    """Chip-collision weight on lag l, sqrt(min(L - l, N_c) / N_c).
+def _phi_squared(chips_per_frame: int, path_count: int) -> np.ndarray:
+    """Squared chip-collision weights min(L - l, N_c) / N_c, l = 1..L-1.
 
     Lags longer than a frame can only collide with min(L - l, N_c) chip
     positions, which discounts the corresponding leakage term.
     """
-    if not 1 <= l <= path_count - 1:
-        raise IndexError(f"lag {l} outside 1..{path_count - 1}")
-    return math.sqrt(min(path_count - l, chips_per_frame) / chips_per_frame)
-
-
-def _phi_squared(chips_per_frame: int, path_count: int) -> np.ndarray:
-    """phi_l^2 for l = 1..L-1 as a vector."""
     lags = np.arange(1, path_count)
     return np.minimum(path_count - lags, chips_per_frame) / chips_per_frame
 
 
-def interference_matrices(alpha: ChannelRealization | np.ndarray,
-                          c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Banded lag matrices (A, B) built from the path gains and the weights.
-
-    Entry (l, i) of A is alpha_{L+l-i} when l <= i and zero otherwise
-    (1-based); B has the same pattern built from c. Only the dense
-    evaluation path and the tests use these; link_gains defaults to the
-    equivalent spectral form.
-    """
-    a = alpha.gains if isinstance(alpha, ChannelRealization) else np.asarray(alpha, dtype=complex)
-    return _lag_matrix(a), _lag_matrix(np.asarray(c, dtype=complex))
-
-
 def _lag_matrix(x: np.ndarray) -> np.ndarray:
+    """Banded L x (L-1) lag matrix of a complex vector.
+
+    Entry (l, i) is x_{L+l-i} when l <= i and zero otherwise (1-based):
+    column i holds the last i entries of x, shifted to the top. Only the
+    dense evaluation path and the oracle use these; link_gains defaults
+    to the equivalent spectral form.
+    """
     L = x.size
     if L == 1:
         return np.zeros((1, 0), dtype=complex)
@@ -283,7 +270,7 @@ def link_gains(alphas: Sequence[ChannelRealization | np.ndarray] | np.ndarray,
     else:
         h_si = np.empty(K)
         h_mai = np.zeros((K, K))
-        mats = [interference_matrices(a, c) for a, c in zip(A, C)]
+        mats = [(_lag_matrix(a), _lag_matrix(c)) for a, c in zip(A, C)]
         for k, (a, c) in enumerate(zip(A, C)):
             A_k, B_k = mats[k]
             v = B_k.conj().T @ a + A_k.conj().T @ c

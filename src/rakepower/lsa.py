@@ -36,6 +36,11 @@ _FLAT_RHO_TOL = 1e-6
 _ARAKE_BETA_TOL = 1e-9
 
 
+def _is_flat(rho: float) -> bool:
+    """Whether rho is close enough to 1 for the flat-profile limit forms."""
+    return abs(rho - 1.0) < _FLAT_RHO_TOL
+
+
 def _check_rho(rho: float):
     if not rho >= 1:
         raise ValueError("decay ratio must be >= 1")
@@ -57,16 +62,6 @@ def mu_flat(beta: float) -> float:
     return 1.0 / beta
 
 
-def mu_arake(rho: float) -> float:
-    """Cross-gain coefficient under full combining: exactly 1."""
-    _check_rho(rho)
-    return 1.0
-
-
-def mu_flat_arake() -> float:
-    return 1.0
-
-
 def mu(rho: float, beta: float) -> float:
     """Limiting ratio of total channel energy to combined energy, times beta recip.
 
@@ -77,8 +72,8 @@ def mu(rho: float, beta: float) -> float:
     _check_rho(rho)
     _check_beta(beta)
     if 1.0 - beta < _ARAKE_BETA_TOL:
-        return mu_arake(rho)
-    if abs(rho - 1.0) < _FLAT_RHO_TOL:
+        return 1.0
+    if _is_flat(rho):
         return mu_flat(beta)
     lr = math.log(rho)
     return (rho - 1.0) * rho ** (beta - 1.0) / math.expm1(beta * lr)
@@ -107,7 +102,7 @@ def nu_arake(rho: float, load: float) -> float:
     """Self-interference coefficient under full combining."""
     _check_rho(rho)
     _check_load(load)
-    if abs(rho - 1.0) < _FLAT_RHO_TOL:
+    if _is_flat(rho):
         return nu_flat_arake(load)
     r, lam = rho, load
     lr = math.log(r)
@@ -152,7 +147,7 @@ def nu(rho: float, beta: float, load: float) -> float:
     _check_load(load)
     if 1.0 - beta < _ARAKE_BETA_TOL:
         return nu_arake(rho, load)
-    if abs(rho - 1.0) < _FLAT_RHO_TOL:
+    if _is_flat(rho):
         return nu_flat(beta, load)
     return _nu_branch(rho, beta, load, _region(beta, load))
 

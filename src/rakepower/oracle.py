@@ -15,10 +15,12 @@ finite-L sum against the closed form it converges to (tolerance around
 1%% at L = 4000); "identity" rows compare two evaluation routes of the
 same finite quantity (tolerance 1e-12, or 1e-10 when one side is an
 exact rational); "mc" rows compare a Monte Carlo average against the
-prediction (tolerance a few standard errors). A handful of identity
-rows quantify near-miss transcription variants of the closed forms -
-a sign or base swapped - to document that the implemented variant is
-the one the finite sums support.
+prediction (tolerance a few standard errors). The closed forms of the
+intermediate quantities (energy densities and cross lag masses) live
+here, and identity rows reduce them to lsa's mu; the self-interference
+mass is lsa's nu times the squared captured density. Each limit row thus
+sets a finite sum against the one definition of its closed form, never
+against a retyped copy of it.
 """
 
 from __future__ import annotations
@@ -32,12 +34,10 @@ import numpy as np
 from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import (ApdpProfile, NetworkTopology, sample_channel,
-                      sample_channel_bank, substream)
-from .gains import (RakeSelector, SpreadingConfig, _fast_len, _lag_matrix,
-                    _phi_squared, link_gains, phi_coefficient)
-from .game import UtilityParams, efficiency, gamma_star
-from .lsa import (_FLAT_RHO_TOL, LsaParams, loss_db, mu, mu_flat, nu, nu_arake,
+from .channel import ApdpProfile, NetworkTopology, sample_channel, substream
+from .gains import RakeSelector, _fast_len, _lag_matrix, _phi_squared
+from .game import efficiency
+from .lsa import (LsaParams, _is_flat, loss_db, mu, mu_flat, nu, nu_arake,
                   nu_flat, predict_power)
 
 _DEFAULT_SIGMA_SQ = 5e-16
@@ -72,14 +72,6 @@ class ProfileMatrices:
     finger_mask: np.ndarray
     phi_sq: np.ndarray
 
-    def theta(self, l: int, m: int) -> float:
-        """Pairwise overlap weight s_l s_m (mask_l + mask_m), 1-based."""
-        L = self.path_count
-        if not (1 <= l <= L and 1 <= m <= L):
-            raise IndexError("tap indices outside 1..L")
-        return float(self.tap_std[l - 1] * self.tap_std[m - 1]
-                     * (self.finger_mask[l - 1] + self.finger_mask[m - 1]))
-
     def lag_pattern_full(self) -> np.ndarray:
         """L x (L-1) banded pattern of tap_std / sqrt(L)."""
         return _lag_matrix(self.tap_std.astype(complex)).real / math.sqrt(self.path_count)
@@ -95,11 +87,9 @@ def profile_matrices(path_count: int, chips_per_frame: int, rho: float,
         raise ValueError("path_count must be >= 2")
     if chips_per_frame < 1:
         raise ValueError("chips_per_frame must be >= 1")
-    if not rho >= 1:
-        raise ValueError("decay ratio must be >= 1")
     L = path_count
     fingers = RakeSelector(beta).finger_count(L)
-    v = rho ** (-(np.arange(L, dtype=float)) / (L - 1))
+    v = ApdpProfile(L, rho).tap_variances(1.0)
     mask = np.zeros(L)
     mask[:fingers] = 1.0
     s = np.sqrt(v)
@@ -252,24 +242,6 @@ def finite_nu(path_count: int, chips_per_frame: int, rho: float, beta: float,
     return mass / den ** 2
 
 
-def finite_mai_inv(path_count: int, users: int, gain: int, rho: float,
-                   beta: float) -> float:
-    """Finite-L cross-interference ratio: (K - 1) mu-hat / N."""
-    if users < 1:
-        raise ValueError("users must be >= 1")
-    if gain < 1:
-        raise ValueError("gain must be >= 1")
-    return (users - 1) * finite_mu(path_count, rho, beta) / gain
-
-
-def finite_si_inv(path_count: int, gain: int, chips_per_frame: int,
-                  rho: float, beta: float) -> float:
-    """Finite-L self-interference ratio: nu-hat / N."""
-    if gain < 1:
-        raise ValueError("gain must be >= 1")
-    return finite_nu(path_count, chips_per_frame, rho, beta) / gain
-
-
 def flat_mu_exact(path_count: int, finger_count: int) -> Fraction:
     """Exact rational value of the flat-profile finite mu: (L - 1) / L_P."""
     if not 1 <= finger_count <= path_count:
@@ -300,7 +272,7 @@ def flat_nu_exact(path_count: int, finger_count: int,
 
 def _arake_mu_identity(path_count: int, rho: float) -> float:
     """Full-combining finite mu by the moment identity 1 - S2 / S1^2."""
-    v = rho ** (-(np.arange(path_count, dtype=float)) / (path_count - 1))
+    v = ApdpProfile(path_count, rho).tap_variances(1.0)
     s1 = float(v.sum())
     s2 = float((v * v).sum())
     return 1.0 - s2 / s1 ** 2
@@ -341,88 +313,8 @@ def mc_gain_ratio(path_count: int, rho: float, beta: float,
                       se=float(ratios.std(ddof=1) / math.sqrt(trials)))
 
 
-@dataclass(frozen=True)
-class InterferencePaths:
-    """Two-path comparison of the interference ratios at one size.
-
-    The plain fields average the per-realization ratios as the gain
-    computation reports them; they carry a small-sample bias from the
-    random denominators, of order the inverse finger count. The
-    ratio-of-means fields estimate the same ratio of ensemble averages
-    the deterministic finite sums evaluate, with delta-method standard
-    errors, so finite and Monte Carlo paths can be compared at a few
-    standard errors without that bias.
-    """
-
-    mai_inv_mc: McEstimate
-    si_inv_mc: McEstimate
-    mai_inv_rm: McEstimate
-    si_inv_rm: McEstimate
-    mai_inv_finite: float
-    si_inv_finite: float
-
-
-def _ratio_of_means(num: np.ndarray, den: np.ndarray, scale: float) -> McEstimate:
-    """Estimate scale * E[num] / E[den]^2 with a delta-method SE."""
-    T = num.size
-    a, b = float(num.mean()), float(den.mean())
-    cov = np.cov(num, den, ddof=1) / T
-    grad = np.array([scale / b ** 2, -2.0 * scale * a / b ** 3])
-    return McEstimate(mean=scale * a / b ** 2,
-                      se=float(math.sqrt(grad @ cov @ grad)))
-
-
-def mc_interference_ratios(path_count: int, users: int, chips_per_frame: int,
-                           frames: int, rho: float, beta: float,
-                           trials: int = 200,
-                           master_seed: int = 2024) -> InterferencePaths:
-    """Monte Carlo cross- and self-interference ratios vs finite sums.
-
-    Per trial, draws a bank of channels, computes the exact link gains,
-    and accumulates the summed cross ratio and self-interference ratio,
-    both as plain per-realization averages and in ratio-of-means form;
-    the deterministic finite sums at the same size ride along for
-    comparison.
-    """
-    if trials < 2:
-        raise ValueError("trials must be >= 2")
-    profile = ApdpProfile(path_count=path_count, decay_ratio=rho)
-    topo = _unit_topology(users)
-    selector = RakeSelector(beta)
-    spreading = SpreadingConfig(frames=frames, chips_per_frame=chips_per_frame)
-    N = spreading.processing_gain
-    zeta = np.empty(trials)
-    varsigma_inv = np.empty(trials)
-    mai_num = np.empty(trials)
-    si_num = np.empty(trials)
-    hsp_mean = np.empty(trials)
-    for t in range(trials):
-        bank = sample_channel_bank(profile, topo, master_seed, t)
-        gains = link_gains(bank, selector, spreading, sigma_sq=1.0)
-        zeta[t] = gains.mai_ratio_inv.mean()
-        varsigma_inv[t] = (gains.h_si / gains.h_sp).mean()
-        cross = gains.h_mai * gains.h_sp[:, None]
-        mai_num[t] = cross.sum() / (users * max(users - 1, 1))
-        si_num[t] = (gains.h_si * gains.h_sp).mean()
-        hsp_mean[t] = gains.h_sp.mean()
-    return InterferencePaths(
-        mai_inv_mc=McEstimate(float(zeta.mean()),
-                              float(zeta.std(ddof=1) / math.sqrt(trials))),
-        si_inv_mc=McEstimate(float(varsigma_inv.mean()),
-                             float(varsigma_inv.std(ddof=1) / math.sqrt(trials))),
-        mai_inv_rm=_ratio_of_means(mai_num, hsp_mean, float(users - 1)),
-        si_inv_rm=_ratio_of_means(si_num, hsp_mean, 1.0),
-        mai_inv_finite=finite_mai_inv(path_count, users, N, rho, beta),
-        si_inv_finite=finite_si_inv(path_count, N, chips_per_frame, rho, beta),
-    )
-
-
 # ---------------------------------------------------------------------------
 # closed forms for the printed intermediates (unit user variance)
-
-def _is_flat(rho: float) -> bool:
-    return abs(rho - 1.0) < _FLAT_RHO_TOL
-
 
 def _captured_density_closed(rho: float, beta: float) -> float:
     if _is_flat(rho):
@@ -451,77 +343,6 @@ def _cross_mass_full_closed(rho: float, beta: float) -> float:
     lr = math.log(rho)
     return rho ** (-1.0 - 2.0 * beta) * (rho ** beta - 1.0) \
         * (rho - 2.0 * rho ** beta + rho ** (beta + 1.0)) / (2.0 * lr * lr)
-
-
-def _self_mass_closed(rho: float, beta: float, load: float) -> float:
-    """Closed form of the (1/L^2)-normalized self-interference mass.
-
-    Equals the limiting nu times the squared captured-energy density;
-    evaluated here from the per-region expressions rather than through
-    nu, so the audit compares two independent derivations.
-    """
-    if _is_flat(rho):
-        return nu(1.0, beta, load) * beta * beta
-    r, b, lam = rho, beta, load
-    lr = math.log(r)
-    lo, hi = min(b, 1.0 - b), max(b, 1.0 - b)
-    if lam < lo:
-        num = r * (r ** lam - 1.0) * (4.0 * r ** (2.0 * b) + 3.0 * r ** lam - 1.0) \
-            - 2.0 * r ** (b + lam) * (r ** b + 3.0 * r - 1.0) * lam * lr
-        den = 2.0 * r ** (lam + 2.0 * b + 1.0) * lam * lr ** 3
-    elif lam <= hi and b <= 0.5:
-        num = r * (r ** (2.0 * b) - 1.0) * (4.0 * r ** lam - 1.0) \
-            - 2.0 * r ** (b + lam) * (3.0 * r * b - lam + r ** b * lam) * lr
-        den = 2.0 * r ** (lam + 2.0 * b + 1.0) * lam * lr ** 3
-    elif lam <= hi:
-        num = -4.0 * r ** (2.0 + 2.0 * b) - 4.0 * r ** (2.0 + lam) \
-            + r ** (2.0 * (b + lam)) + 4.0 * r ** (2.0 + 2.0 * b + lam) \
-            + 3.0 * r ** (2.0 + 2.0 * lam) \
-            - 2.0 * r ** (lam + b + 1.0) * (r ** b * lam + 3.0 * r * lam + b - 1.0) * lr
-        den = 2.0 * r ** (2.0 + 2.0 * b + lam) * lam * lr ** 3
-    elif lam <= 1.0:
-        num = -(r ** (2.0 + 2.0 * b)) - 4.0 * r ** (2.0 + lam) \
-            + r ** (2.0 * (b + lam)) + 4.0 * r ** (2.0 + 2.0 * b + lam) \
-            - 2.0 * r ** (lam + b + 1.0) * (r ** b * lam + 3.0 * r * b + b - 1.0) * lr
-        den = 2.0 * r ** (2.0 + 2.0 * b + lam) * lam * lr ** 3
-    else:
-        num = 2.0 * r * (r ** (2.0 * b) - 1.0) \
-            - (r ** b + b + 3.0 * r * b - 1.0) * r ** b * lr
-        den = r ** (2.0 * b + 1.0) * lam * lr ** 3
-    return num / den
-
-
-def _self_mass_variant(rho: float, beta: float, load: float,
-                       region: int) -> float | None:
-    """Near-miss transcription variants of the region closed forms.
-
-    Region 1: the leading factor (rho^load - 1) swapped for
-    (rho^beta - 1). Region 3: the base of the log-coefficient power
-    swapped from rho to the load. Region 4: the log-term bracket with
-    3*rho*load in place of 3*rho*beta, i.e. the region-3 bracket reused
-    where the kink has moved into the first averaging segment. Returns
-    None where no plausible variant applies or the profile is flat.
-    """
-    if _is_flat(rho):
-        return None
-    r, b, lam = rho, beta, load
-    lr = math.log(r)
-    if region == 1:
-        num = r * (r ** b - 1.0) * (4.0 * r ** (2.0 * b) + 3.0 * r ** lam - 1.0) \
-            - 2.0 * r ** (b + lam) * (r ** b + 3.0 * r - 1.0) * lam * lr
-        return num / (2.0 * r ** (lam + 2.0 * b + 1.0) * lam * lr ** 3)
-    if region == 3:
-        num = -4.0 * r ** (2.0 + 2.0 * b) - 4.0 * r ** (2.0 + lam) \
-            + r ** (2.0 * (b + lam)) + 4.0 * r ** (2.0 + 2.0 * b + lam) \
-            + 3.0 * r ** (2.0 + 2.0 * lam) \
-            - 2.0 * lam ** (lam + b + 1.0) * (r ** b * lam + 3.0 * r * lam + b - 1.0) * lr
-        return num / (2.0 * r ** (2.0 + 2.0 * b + lam) * lam * lr ** 3)
-    if region == 4:
-        num = -(r ** (2.0 + 2.0 * b)) - 4.0 * r ** (2.0 + lam) \
-            + r ** (2.0 * (b + lam)) + 4.0 * r ** (2.0 + 2.0 * b + lam) \
-            - 2.0 * r ** (lam + b + 1.0) * (r ** b * lam + 3.0 * r * lam + b - 1.0) * lr
-        return num / (2.0 * r ** (2.0 + 2.0 * b + lam) * lam * lr ** 3)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -733,8 +554,7 @@ def appendix_intermediates(path_count: int, rho: float, beta: float,
                 cases[i - 1] = (L - i) / nc
             else:
                 cases[i - 1] = 1.0
-        direct = np.array([phi_coefficient(i, nc, L) ** 2 for i in range(1, L)])
-        phi_dev = max(phi_dev, float(np.max(np.abs(cases - direct))))
+        phi_dev = max(phi_dev, float(np.max(np.abs(cases - _phi_squared(nc, L)))))
     rows.append(_dev_row("collision_weight_cases", "identity", phi_dev, 1e-12,
                          note="piecewise collision weights vs direct min form, "
                               "checked for chips below and above the path count"))
@@ -744,22 +564,11 @@ def appendix_intermediates(path_count: int, rho: float, beta: float,
         chips_r = round(lam_r * L)
         pm_r = profile_matrices(L, chips_r, rho, b_r)
         mass = _self_lag_mass_direct(pm_r.tap_power, pm_r.finger_mask, pm_r.phi_sq)
-        closed = _self_mass_closed(rho, b_r, lam_r)
-        note = f"beta={b_r}, load={lam_r}"
-        variant = _self_mass_variant(rho, b_r, lam_r, region)
-        if variant is not None:
-            off = abs(variant - closed) / abs(closed)
-            if region == 1:
-                note += (f"; variant with (rho^beta - 1) leading factor is off "
-                         f"by {off:.1%} and does not match the finite sum")
-            elif region == 3:
-                note += (f"; variant with load-based power in the log term is "
-                         f"off by {off:.1%} and does not match the finite sum")
-            else:
-                note += (f"; variant reusing the 3*rho*load bracket term is "
-                         f"off by {off:.1%} and does not match the finite sum")
+        # the (1/L^2)-normalized mass tends to nu times the squared
+        # captured-energy density
+        closed = nu(rho, b_r, lam_r) * _captured_density_closed(rho, b_r) ** 2
         rows.append(_row(f"self_lag_mass_region{region}", "limit",
-                         mass, closed, 1e-2, note=note))
+                         mass, closed, 1e-2, note=f"beta={b_r}, load={lam_r}"))
 
     # -- loss chain ---------------------------------------------------------
     total_f = float(v.sum()) / L

@@ -6,7 +6,7 @@ from scipy import stats
 
 from rakepower import (ApdpProfile, ChannelRealization, NetworkTopology,
                        sample_channel, sample_channel_bank, sample_topology,
-                       substream, tap_variance)
+                       substream)
 
 
 def test_apdp_log_linear_decay():
@@ -26,23 +26,13 @@ def test_apdp_flat_profile():
 
 def test_apdp_single_path():
     assert ApdpProfile(1, 1.0).tap_variances(2.0) == pytest.approx([2.0])
-    assert tap_variance(ApdpProfile(1), 2.0, 1) == 2.0
-
-
-def test_tap_variance_matches_vector():
-    prof = ApdpProfile(17, 31.0)
-    var = prof.tap_variances(0.3)
-    for l in range(1, 18):
-        assert tap_variance(prof, 0.3, l) == pytest.approx(var[l - 1], rel=1e-15)
-    with pytest.raises(IndexError):
-        tap_variance(prof, 0.3, 18)
-    with pytest.raises(IndexError):
-        tap_variance(prof, 0.3, 0)
 
 
 def test_apdp_rejects_increasing_profile():
     with pytest.raises(ValueError):
         ApdpProfile(10, 0.5)
+    with pytest.raises(ValueError):
+        ApdpProfile(10, float("nan"))
 
 
 def test_topology_pathloss_law():

@@ -384,3 +384,28 @@ def test_validate_rejects_infeasible_operating_point(tmp_path, capsys):
     assert "infeasible operating point paths=41 chips=10 users=8" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, cfg", [
+    (["utility-gain", "--trials", "2", "--seed", "-1"], None),
+    (["validate", "--paths", "400", "--seed", "-5"], None),
+    (["utility-gain", "--trials", "2", "--rho-db", "nan"], None),
+    (["utility-gain", "--trials", "2"], "sigma_sq = -1\n"),
+    (["utility-gain", "--trials", "2"], "sigma_sq = nan\n"),
+    (["validate", "--paths", "400"], "sigma_sq = nan\n"),
+    (["validate", "--paths", "400", "--trials", "1"], None),
+], ids=["utility-gain-negative-seed", "validate-negative-seed",
+        "utility-gain-nan-rho-db", "config-negative-sigma-sq",
+        "utility-gain-config-nan-sigma-sq", "validate-config-nan-sigma-sq",
+        "validate-one-trial"])
+def test_bad_input_is_a_usage_error(tmp_path, capsys, args, cfg):
+    # rejected before any study runs: exit 1, one Error: line, no CSV
+    out = tmp_path / "x.csv"
+    if cfg is not None:
+        (tmp_path / "run.cfg").write_text(cfg)
+        args = args + ["--config", str(tmp_path / "run.cfg")]
+    assert main(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert any(line.startswith("Error: ") for line in err.splitlines())
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -1,15 +1,13 @@
 """Rake gain coefficients: exact finite-size identities and estimates."""
 
-import math
-
 import numpy as np
 import pytest
 
 import rakepower.gains as gains_module
 from rakepower import (ApdpProfile, LinkGains, NetworkTopology, RakeSelector,
-                       SpreadingConfig, interference_matrices, link_gains,
-                       phi_coefficient, rake_weights, sample_channel_bank,
-                       sinr, substream)
+                       SpreadingConfig, link_gains, rake_weights,
+                       sample_channel_bank, sinr, substream)
+from rakepower.gains import _lag_matrix, _phi_squared
 
 
 def _bank(K, L, rho=10.0, seed=101, trial=0, distances=None):
@@ -43,20 +41,20 @@ def test_rake_weights_mask():
     assert np.array_equal(c_all, a)
 
 
-def test_phi_coefficient_values():
+def test_phi_squared_values():
     # below a frame's length the weight is 1; near the end it tapers
-    assert phi_coefficient(1, 50, 200) == 1.0
-    assert phi_coefficient(150, 50, 200) == 1.0
-    assert phi_coefficient(160, 50, 200) == pytest.approx(math.sqrt(40.0 / 50.0))
-    assert phi_coefficient(190, 50, 200) == pytest.approx(math.sqrt(10.0 / 50.0))
-    assert phi_coefficient(199, 50, 200) == pytest.approx(math.sqrt(1.0 / 50.0))
-    with pytest.raises(IndexError):
-        phi_coefficient(200, 50, 200)
+    phi_sq = _phi_squared(50, 200)  # entry l - 1 holds lag l
+    assert phi_sq.shape == (199,)
+    assert phi_sq[0] == 1.0
+    assert phi_sq[149] == 1.0
+    assert phi_sq[159] == 40.0 / 50.0
+    assert phi_sq[189] == 10.0 / 50.0
+    assert phi_sq[198] == 1.0 / 50.0
 
 
 def test_lag_matrix_structure():
     a = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
-    A, _ = interference_matrices(a, a)
+    A = _lag_matrix(a)
     # column i holds the last i entries of a, top-aligned (1-based law:
     # A[l, i] = a[L + l - i] for l <= i)
     expected = np.array([

@@ -8,7 +8,13 @@ utility_sim and nmse columns of utility_gain.csv (Jacobi stopped 1.4e-10
 from the fixed point; run to a 1e-15 step it agrees with the new values
 to 1e-14), and the 0 dB, 21-frame outage in po_frames.csv (one trial hit
 the 10000-iteration cap unconverged although its fixed point sits at
-0.08% of the power cap). mu_nu.csv and loss_beta.csv (the default
+0.08% of the power cap). Five cells of validate.csv were re-recorded when
+the oracle dropped its copies of the closed forms: the value and rel_err
+of collision_weight_cases (1.1102230246251565e-16 to 0.0, since the
+direct min form is no longer squared through a square root), and the
+note of self_lag_mass_region1, self_lag_mass_region3 and
+self_lag_mass_region4, which lost a clause quoting a near-miss
+transcription variant. mu_nu.csv and loss_beta.csv (the default
 coefficient and penalty grids) were recorded before the oracle's lag sums
 moved to FFT and block correlations. Any later route must reproduce them:
 floats to 1e-10 relative; keys, outage counts, verdicts and notes exactly;

@@ -7,9 +7,8 @@ import pytest
 
 from rakepower import (LsaParams, UtilityParams, ber_estimate, efficiency,
                        gamma_star, invert_loss, loss_db, lsa_prediction,
-                       min_frames, mu, mu_arake, mu_flat, mu_flat_arake, nu,
-                       nu_arake, nu_flat, nu_flat_arake, predict_power,
-                       predict_utility)
+                       min_frames, mu, mu_flat, nu, nu_arake, nu_flat,
+                       nu_flat_arake, predict_power, predict_utility)
 from rakepower.lsa import _nu_branch, _region
 
 GAMMA_INF = 12.949200759178689
@@ -33,8 +32,8 @@ def test_mu_anchor_values():
 
 def test_mu_limits_and_continuity():
     assert mu_flat(0.25) == 4.0
-    assert mu_flat_arake() == 1.0
-    assert mu_arake(17.0) == 1.0
+    assert mu(1.0, 1.0) == 1.0
+    assert mu(17.0, 1.0) == 1.0
     assert mu(1.0, 0.25) == 4.0
     assert mu(123.0, 1.0) == 1.0
     # dispatch seams

@@ -1,0 +1,39 @@
+"""The package root: the README example, the star import, and the names
+the benchmark's output checks import."""
+
+import importlib.util
+import re
+import sys
+from pathlib import Path
+
+import rakepower
+from rakepower.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    [block] = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()
+
+
+def test_star_import_resolves_every_exported_name():
+    namespace = {}
+    exec("from rakepower import *", namespace)
+    assert len(set(rakepower.__all__)) == len(rakepower.__all__)
+    assert set(rakepower.__all__) <= set(namespace)
+
+
+def test_benchmark_output_checks_pass(tmp_path, monkeypatch):
+    # loaded by path and read-only: no bytecode is written next to it
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_checks", ROOT / "perfbench" / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    for study in ("utility-gain", "po-frames"):
+        out = tmp_path / f"{study}.csv"
+        assert main([study, "--trials", "2", "--seed", "5", "--out", str(out)]) == 0
+        assert checks.check_output(study, 5, 2, out) == []
