@@ -18,10 +18,9 @@ import numpy as _np
 
 from .channel import (
     ApdpProfile,
-    ChannelRealization,
     NetworkTopology,
-    sample_channel,
     sample_channel_bank,
+    sample_normals,
     sample_topology,
     substream,
 )
@@ -86,7 +85,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApdpProfile",
-    "ChannelRealization",
     "LinkGains",
     "LsaParams",
     "NetworkTopology",
@@ -122,8 +120,8 @@ __all__ = [
     "predict_utility",
     "profile_matrices",
     "rake_weights",
-    "sample_channel",
     "sample_channel_bank",
+    "sample_normals",
     "sample_topology",
     "sinr",
     "solve_equilibrium",

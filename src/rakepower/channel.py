@@ -6,11 +6,17 @@ variances follow an exponentially decaying average power delay profile
 (aPDP): the first-to-last tap variance ratio is the decay ratio rho, and
 rho = 1 is the flat profile. The per-user variance scale comes from a
 power-law pathloss on the user's distance to the access point.
+
+A bank of K users is a (K, L) array of path gains, and a block of T
+trials a (T, K, L) array. sample_normals draws a block's complex normals
+once, one substream per (trial, user); ApdpProfile.path_gains scales
+them to a decay ratio, so every ratio reuses the same draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.random import Generator, SeedSequence, default_rng
@@ -63,33 +69,20 @@ class ApdpProfile:
         if not self.decay_ratio >= 1:
             raise ValueError("decay_ratio must be >= 1")
 
-    def tap_variances(self, user_variance: float) -> np.ndarray:
-        """Vector of per-tap variances for one user."""
-        L = self.path_count
-        if L == 1:
-            return np.array([user_variance], dtype=float)
-        exponents = -(np.arange(L, dtype=float)) / (L - 1)
-        return user_variance * self.decay_ratio ** exponents
+    def tap_variances(self, user_variance) -> np.ndarray:
+        """Per-tap variances, (..., L) for user variances of shape (...)."""
+        exponents = -np.arange(self.path_count, dtype=float) / max(self.path_count - 1, 1)
+        return np.multiply.outer(user_variance, self.decay_ratio ** exponents)
 
+    def path_gains(self, user_variances, normals: np.ndarray) -> np.ndarray:
+        """Circular complex Gaussian path gains from sample_normals draws.
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One user's complex path-gain vector."""
-
-    gains: np.ndarray
-
-    def __post_init__(self):
-        g = np.atleast_1d(np.asarray(self.gains, dtype=complex))
-        object.__setattr__(self, "gains", g)
-
-    @property
-    def path_count(self) -> int:
-        return self.gains.size
-
-    @property
-    def channel_gain(self) -> float:
-        """Squared Euclidean norm of the path gains."""
-        return float(np.sum(np.abs(self.gains) ** 2))
+        normals has shape (..., L), its leading axes those of
+        user_variances. Tap l of a user with total variance v has
+        E|gain_l|^2 equal to tap_variances(v)[l]: each real component
+        carries half of it.
+        """
+        return np.sqrt(self.tap_variances(user_variances) / 2.0) * normals
 
 
 def substream(master_seed: int, *key: int) -> Generator:
@@ -113,26 +106,29 @@ def sample_topology(K: int, d_min: float, d_max: float,
     return NetworkTopology(distances=rng.uniform(d_min, d_max, size=K))
 
 
-def sample_channel(profile: ApdpProfile, topology: NetworkTopology, k: int,
-                   rng: Generator) -> ChannelRealization:
-    """Draw user k's path gains: circular complex Gaussian taps.
+def sample_normals(master_seed: int, trials: Sequence[int], K: int,
+                   L: int) -> np.ndarray:
+    """Complex normals of users 0..K-1 in the given trials, (T, K, L), with
+    standard normal real and imaginary parts.
 
-    Tap l has E|gain_l|^2 equal to the profile's tap variance, i.e. each
-    real component carries half the variance.
+    User k of trial t takes standard_normal(2L) from substream(master_seed,
+    t, k): the first L are the real parts and the last L the imaginary
+    parts, the same numbers as two standard_normal(L) calls. Only the
+    per-tap scale depends on the profile (ApdpProfile.path_gains), so one
+    draw serves every decay ratio.
     """
-    if not 0 <= k < topology.user_count:
-        raise IndexError(f"user index {k} outside 0..{topology.user_count - 1}")
-    var = profile.tap_variances(topology.user_variances[k])
-    scale = np.sqrt(var / 2.0)
-    L = profile.path_count
-    g = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-    return ChannelRealization(gains=scale * g)
+    z = np.empty((len(trials), K, 2 * L))
+    for i, t in enumerate(trials):
+        for k in range(K):
+            substream(master_seed, t, k).standard_normal(out=z[i, k])
+    normals = np.empty((len(trials), K, L), dtype=complex)
+    normals.real, normals.imag = z[..., :L], z[..., L:]
+    return normals
 
 
 def sample_channel_bank(profile: ApdpProfile, topology: NetworkTopology,
-                        master_seed: int, trial: int) -> list[ChannelRealization]:
-    """Draw every user's channel for one trial from per-(trial, user) substreams."""
-    return [
-        sample_channel(profile, topology, k, substream(master_seed, trial, k))
-        for k in range(topology.user_count)
-    ]
+                        master_seed: int, trial: int) -> np.ndarray:
+    """One trial's (K, L) path gains from per-(trial, user) substreams."""
+    normals = sample_normals(master_seed, (trial,), topology.user_count,
+                             profile.path_count)[0]
+    return profile.path_gains(topology.user_variances, normals)

@@ -29,8 +29,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .channel import (ApdpProfile, sample_channel_bank, sample_topology,
-                      substream)
+from .channel import ApdpProfile, sample_normals, sample_topology, substream
 from .gains import LinkGains, RakeSelector, SpreadingConfig, link_gains
 from .game import UtilityParams, gamma_star, solve_equilibrium
 from .lsa import LsaParams, loss_db, min_frames, mu, nu, predict_utility
@@ -212,21 +211,28 @@ def _or_nan(closed_form, params: LsaParams, *args):
         return math.nan
 
 
-def _trial_blocks(config: ExperimentConfig, profile: ApdpProfile, first: int,
-                  stop: int):
+def _trial_blocks(config: ExperimentConfig, first: int, stop: int):
     """Trials first..stop-1 in blocks of up to _TRIAL_BLOCK: yields each
-    block's trial range and its path gains as one (T, K, L) array.
+    block's trial range, its (T, K) user variances and its (T, K, L)
+    complex normals, which ApdpProfile.path_gains scales to any decay ratio.
 
-    Each trial is drawn on its own substreams (topology keyed by trial,
-    channels by trial and user), so the draws do not depend on how the
+    Each trial is drawn on its own substreams (distances keyed by trial,
+    normals by trial and user), so the draws do not depend on how the
     trials are blocked.
     """
     for start in range(first, stop, _TRIAL_BLOCK):
         trials = range(start, min(start + _TRIAL_BLOCK, stop))
-        yield trials, np.array([[ch.gains for ch in sample_channel_bank(
-            profile, sample_topology(config.users, _D_MIN, _D_MAX,
-                                     substream(config.seed, t)), config.seed, t)]
-            for t in trials])
+        variances = np.array([sample_topology(config.users, _D_MIN, _D_MAX,
+                                              substream(config.seed, t)).user_variances
+                              for t in trials])
+        yield trials, variances, sample_normals(config.seed, trials, config.users,
+                                                config.paths)
+
+
+def _stacked(banks: Sequence[LinkGains]) -> LinkGains:
+    """Gain banks of one shape stacked on a new leading axis."""
+    return LinkGains(np.stack([g.h_sp for g in banks]), np.stack([g.h_si for g in banks]),
+                     np.stack([g.h_mai for g in banks]), banks[0].sigma_sq)
 
 
 def run_po_vs_frames(config: ExperimentConfig):
@@ -235,40 +241,42 @@ def run_po_vs_frames(config: ExperimentConfig):
     A trial is in outage when any user's equilibrium power sits at the
     cap. Channels and distances are redrawn every trial from substreams
     independent of the frame count, so the per-trial outage indicator is
-    non-increasing in the frame count. Trials go in blocks of a few: one
-    unit-spreading link_gains call per block, then one solve of the
-    (trials, frame counts, users) stack with h_si and h_mai scaled by
-    1/frames; a solve that fails its fixed-point certificate raises
-    instead of counting as outage.
+    non-increasing in the frame count. Trials go in blocks of a few, each
+    drawn once and rescaled to every decay ratio: one unit-spreading
+    link_gains call per ratio, then one solve of the (ratios, trials,
+    frame counts, users) stack with h_si and h_mai scaled by 1/frames; a
+    solve that fails its fixed-point certificate raises instead of
+    counting as outage.
     """
     beta = config.betas[0] if config.betas else 0.1
     frames_max = max(25, config.frames)
     selector = RakeSelector(beta)
     spreading_unit = SpreadingConfig(frames=1, chips_per_frame=config.chips)
     frame_counts = np.arange(1, frames_max + 1)
+    rhos = [10.0 ** (rho_db / 10.0) for rho_db in _RHO_DB_GRID]
+    profiles = [ApdpProfile(config.paths, rho) for rho in rhos]
+    outages = np.zeros((len(rhos), frames_max), dtype=np.int64)
+    for trials, variances, normals in _trial_blocks(config, 0, config.trials):
+        base = _stacked([link_gains(p.path_gains(variances, normals), selector,
+                                    spreading_unit, config.sigma_sq) for p in profiles])
+        stack = LinkGains(np.broadcast_to(base.h_sp[..., None, :],
+                                          base.h_sp.shape[:-1] + (frames_max, config.users)),
+                          base.h_si[..., None, :] / frame_counts[:, None],
+                          base.h_mai[..., None, :, :] / frame_counts[:, None, None],
+                          config.sigma_sq)
+        outcome = solve_equilibrium(stack, config.utility)
+        if not outcome.converged:
+            raise RuntimeError(
+                f"equilibrium at {', '.join(map(_fmt, _RHO_DB_GRID))} dB, trials "
+                f"{trials.start}..{trials.stop - 1} failed its fixed-point certificate")
+        outages += outcome.clamped.any(axis=-1).sum(axis=1)
     fields = ["rho_db", "frames", "outage_fraction", "min_frames"]
     rows = []
-    for rho_db in _RHO_DB_GRID:
-        rho = 10.0 ** (rho_db / 10.0)
-        profile = ApdpProfile(config.paths, rho)
+    for rho_db, rho, counts in zip(_RHO_DB_GRID, rhos, outages):
         analytic = min_frames(config.lsa_params(beta, rho=rho))
-        outages = np.zeros(frames_max, dtype=np.int64)
-        for trials, block in _trial_blocks(config, profile, 0, config.trials):
-            base = link_gains(block, selector, spreading_unit, config.sigma_sq)
-            stack = LinkGains(np.broadcast_to(base.h_sp[:, None],
-                                              (len(trials), frames_max, config.users)),
-                              base.h_si[:, None] / frame_counts[:, None],
-                              base.h_mai[:, None] / frame_counts[:, None, None],
-                              config.sigma_sq)
-            outcome = solve_equilibrium(stack, config.utility)
-            if not outcome.converged:
-                raise RuntimeError(f"equilibrium at {rho_db} dB, trials {trials.start}.."
-                                   f"{trials.stop - 1} failed its fixed-point certificate")
-            outages += outcome.clamped.any(axis=-1).sum(axis=0)
-        for nf in range(1, frames_max + 1):
-            rows.append({"rho_db": rho_db, "frames": nf,
-                         "outage_fraction": outages[nf - 1] / config.trials,
-                         "min_frames": analytic})
+        rows += [{"rho_db": rho_db, "frames": nf, "min_frames": analytic,
+                  "outage_fraction": counts[nf - 1] / config.trials}
+                 for nf in range(1, frames_max + 1)]
     return fields, rows
 
 
@@ -299,10 +307,8 @@ def run_utility_vs_gain(config: ExperimentConfig):
                                    for beta in betas]) / 10.0)
 
     def solve_block(block, trials):
-        banks = [link_gains(block, sel, spreading, config.sigma_sq) for sel in selectors]
-        stack = LinkGains(np.stack([g.h_sp for g in banks]),
-                          np.stack([g.h_si for g in banks]),
-                          np.stack([g.h_mai for g in banks]), config.sigma_sq)
+        stack = _stacked([link_gains(block, sel, spreading, config.sigma_sq)
+                          for sel in selectors])
         outcome = solve_equilibrium(stack, config.utility)
         if not outcome.converged:
             raise RuntimeError(f"equilibrium for trials {trials.start}..{trials.stop - 1} "
@@ -311,7 +317,8 @@ def run_utility_vs_gain(config: ExperimentConfig):
 
     sq_err_sums = np.zeros(len(betas))
     kept = np.zeros(len(betas), dtype=np.int64)
-    for trials, block in _trial_blocks(config, profile, 1, config.trials + 1):
+    for trials, variances, normals in _trial_blocks(config, 1, config.trials + 1):
+        block = profile.path_gains(variances, normals)
         pred_full = _or_nan(predict_utility, params_full,
                             np.sum(np.abs(block) ** 2, axis=-1))
         _, outcome = solve_block(block, trials)
@@ -334,7 +341,8 @@ def run_utility_vs_gain(config: ExperimentConfig):
             click.echo(f"nmse at beta={_fmt(beta)} is nan: every one of the "
                        f"{n} trials has a clamped user", err=True)
 
-    [(trials0, block0)] = _trial_blocks(config, profile, 0, 1)
+    [(trials0, variances0, normals0)] = _trial_blocks(config, 0, 1)
+    block0 = profile.path_gains(variances0, normals0)
     stack0, outcome0 = solve_block(block0, trials0)
     channel_gain = np.sum(np.abs(block0[0]) ** 2, axis=-1)
     fields = ["beta", "user", "channel_gain", "power_w", "utility_sim",
@@ -371,6 +379,17 @@ def run_loss_vs_beta(config: ExperimentConfig):
     return fields, rows
 
 
+def _audit_config(config: ExperimentConfig, explicit: frozenset) -> ExperimentConfig:
+    """The configuration validate audits: 4000 paths, a quarter as many
+    chips, 500 trials and beta 0.1 where not set explicitly."""
+    paths = config.paths if "paths" in explicit else 4000
+    return dataclasses.replace(
+        config, paths=paths,
+        chips=config.chips if "chips" in explicit else round(0.25 * paths),
+        trials=config.trials if "trials" in explicit else 500,
+        betas=config.betas[:1] or (0.1,))
+
+
 def run_validate(config: ExperimentConfig, explicit: frozenset = frozenset()):
     """Full numerical audit; returns the rows plus an overall verdict.
 
@@ -378,14 +397,14 @@ def run_validate(config: ExperimentConfig, explicit: frozenset = frozenset()):
     infeasible one (the interference mass exceeds the processing gain)
     is a usage error.
     """
-    paths = config.paths if "paths" in explicit else 4000
-    chips = config.chips if "chips" in explicit else round(0.25 * paths)
-    beta = config.betas[0] if config.betas else 0.1
-    trials = config.trials if "trials" in explicit else 500
+    try:
+        point = _audit_config(config, explicit)
+    except ValueError as exc:
+        raise click.ClickException(f"bad audit configuration: {exc}") from exc
+    paths, chips, trials, (beta,) = point.paths, point.chips, point.trials, point.betas
     if trials < 2:
         raise click.ClickException(
             f"validate needs at least 2 Monte Carlo trials for a standard error, got {trials}")
-    point = dataclasses.replace(config, paths=paths, chips=chips)
     if math.isnan(_or_nan(loss_db, point.lsa_params(beta), False)):
         raise click.ClickException(
             f"infeasible operating point paths={paths} chips={chips} "
@@ -505,7 +524,7 @@ _simple_command("loss-beta", run_loss_vs_beta)
 def _cmd_validate(**flags):
     config, explicit = _configure(flags)
     fields, rows, ok = run_validate(config, explicit)
-    where = _emit(config, fields, rows)
+    where = _emit(_audit_config(config, explicit), fields, rows)
     for row in rows:
         verdict = "PASS" if row["passed"] else "FAIL"
         click.echo(f"{verdict} {row['name']}: value={_fmt(row['value'])} "

@@ -25,12 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from numpy.fft import fft, ifft
-
-from .channel import ChannelRealization
 
 
 @dataclass(frozen=True)
@@ -87,13 +84,12 @@ class SpreadingConfig:
         return self.chips_per_frame / path_count
 
 
-def rake_weights(alpha: ChannelRealization | np.ndarray,
-                 selector: RakeSelector) -> np.ndarray:
+def rake_weights(alpha: np.ndarray, selector: RakeSelector) -> np.ndarray:
     """Combining weights: the path gains on the combined fingers, zero after.
 
-    alpha is one user's channel or a (K, L) bank of path gains.
+    alpha is one user's (L,) path gains or a (..., K, L) bank.
     """
-    a = alpha.gains if isinstance(alpha, ChannelRealization) else np.asarray(alpha, dtype=complex)
+    a = np.asarray(alpha, dtype=complex)
     c = np.zeros_like(a)
     fingers = selector.finger_count(a.shape[-1])
     c[..., :fingers] = a[..., :fingers]
@@ -195,37 +191,19 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _bank_array(alphas: Sequence[ChannelRealization | np.ndarray] | np.ndarray) -> np.ndarray:
-    """The bank as one complex array: an ndarray of shape (..., K, L) as
-    given, or a sequence of per-user channels stacked to (K, L)."""
-    if isinstance(alphas, np.ndarray):
-        if alphas.ndim < 2 or 0 in alphas.shape[-2:]:
-            raise ValueError("need a (..., K, L) bank with at least one user and path")
-        return alphas.astype(complex, copy=False)
-    rows = [a.gains if isinstance(a, ChannelRealization) else np.asarray(a, dtype=complex)
-            for a in alphas]
-    if not rows:
-        raise ValueError("need at least one user")
-    L = rows[0].size
-    if any(r.ndim != 1 or r.size != L for r in rows):
-        raise ValueError("all users must share the same path count")
-    return np.stack(rows)
-
-
-def link_gains(alphas: Sequence[ChannelRealization | np.ndarray] | np.ndarray,
+def link_gains(alphas: np.ndarray,
                selector: RakeSelector,
                spreading: SpreadingConfig,
                sigma_sq: float,
                method: str = "spectral") -> LinkGains:
     """Exact gain bank for K users sharing the channel.
 
-    alphas is a sequence of per-user channels, a (K, L) array of path
-    gains, or a (..., K, L) stack of banks (say a block of trials), which
-    gives a LinkGains with the same leading axes. method="spectral"
-    evaluates every bank from the spectra of the path gains and weights,
-    zero-padded with numpy.fft to the smallest 2-3-5-smooth length of at
-    least 2L - 1 samples so that no lag wraps around:
-    the cross-gain numerator, the squared weight/interferer
+    alphas is a (K, L) array of path gains or a (..., K, L) stack of
+    banks (say a block of trials), which gives a LinkGains with the same
+    leading axes. method="spectral" evaluates every bank from the spectra
+    of the path gains and weights, zero-padded with numpy.fft to the
+    smallest 2-3-5-smooth length of at least 2L - 1 samples so that no lag
+    wraps around: the cross-gain numerator, the squared weight/interferer
     cross-correlation summed over every lag, is by Parseval an inner
     product of power spectra, so all K^2 numerators are one matrix
     product, and the self-interference lags come from one inverse
@@ -236,7 +214,9 @@ def link_gains(alphas: Sequence[ChannelRealization | np.ndarray] | np.ndarray,
     """
     if method not in ("spectral", "dense"):
         raise ValueError(f"unknown method {method!r}")
-    A = _bank_array(alphas)
+    A = np.asarray(alphas, dtype=complex)
+    if A.ndim < 2 or 0 in A.shape[-2:]:
+        raise ValueError("need a (..., K, L) bank with at least one user and path")
     if method == "dense" and A.ndim != 2:
         raise ValueError("method='dense' takes one (K, L) bank, not a stack")
     K, L = A.shape[-2:]

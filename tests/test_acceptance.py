@@ -119,7 +119,7 @@ def test_c6_closed_form_equilibrium_on_seeded_instances():
         rng = substream(4242, seed)
         topo = NetworkTopology(distances=np.full(K, float(rng.uniform(3.0, 20.0))))
         bank = sample_channel_bank(ApdpProfile(200, rho), topo, 4242, seed)
-        bank = [bank[0]] * K
+        bank = np.repeat(bank[:1], K, axis=0)
         gains = link_gains(bank, RakeSelector(beta), SpreadingConfig(20, 50), 5e-16)
         if not np.all(feasibility(gains)):
             continue

@@ -11,6 +11,7 @@ import textwrap
 import numpy as np
 import pytest
 
+import rakepower.channel as channel
 import rakepower.cli as cli
 from rakepower import (ApdpProfile, LsaParams, RakeSelector, SpreadingConfig,
                        gamma_star, link_gains, loss_db, mu, nu, predict_utility,
@@ -103,6 +104,22 @@ def test_po_frames_raises_on_failed_certificate(monkeypatch):
         cli.run_po_vs_frames(config)
 
 
+@pytest.mark.parametrize("rho_db_grid", [(10.0,), (0.0, 10.0, 20.0)])
+def test_po_frames_draws_each_trial_once(monkeypatch, rho_db_grid):
+    # one distance stream and one stream per user for each trial, however
+    # many decay ratios reuse the draw
+    calls = []
+    draw = cli.substream
+    monkeypatch.setattr(cli, "_RHO_DB_GRID", rho_db_grid)
+    for module in (cli, channel):
+        monkeypatch.setattr(module, "substream",
+                            lambda *key: calls.append(key) or draw(*key))
+    config = ExperimentConfig(users=3, paths=40, chips=10, trials=5, betas=(0.3,))
+    _, rows = run_po_vs_frames(config)
+    assert len(calls) == config.trials * (config.users + 1)
+    assert len(rows) == 25 * len(rho_db_grid)
+
+
 def test_utility_gain_prediction_column(tmp_path):
     out = tmp_path / "ug.csv"
     assert main(["utility-gain", "--users", "4", "--paths", "80", "--chips", "20",
@@ -175,6 +192,15 @@ def test_validate_exit_codes(tmp_path):
     assert code == 2
     _, rows = _read_csv(bad)
     assert any(r["passed"] == "False" for r in rows)
+
+
+def test_validate_comment_line_records_the_audited_config(tmp_path):
+    # the audit's own chips, trials and beta stand in for the unset ones
+    out = tmp_path / "v.csv"
+    assert main(["validate", "--paths", "1600", "--out", str(out)]) == 0
+    comment, _ = _read_csv(out)
+    assert " paths=1600 chips=400 " in comment
+    assert " betas=0.1 trials=500 " in comment
 
 
 def test_usage_errors_exit_one(tmp_path):
@@ -258,8 +284,8 @@ def test_trial_block_temporaries_reuse_their_pages():
         from rakepower import (ApdpProfile, NetworkTopology, RakeSelector,
                                SpreadingConfig, link_gains, sample_channel_bank)
         topo = NetworkTopology(distances=np.linspace(3.0, 20.0, 8))
-        block = np.stack([[c.gains for c in sample_channel_bank(
-            ApdpProfile(200, 10.0), topo, 1, t)] for t in range(4)])
+        block = np.stack([sample_channel_bank(ApdpProfile(200, 10.0), topo, 1, t)
+                          for t in range(4)])
         args = (block, RakeSelector(0.3), SpreadingConfig(20, 50), 5e-16)
         link_gains(*args)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -294,14 +320,15 @@ def _utility_gain_reference(config):
             if out.any_clamped:
                 continue
             pred = predict_utility(config.lsa_params(1.0),
-                                   np.array([ch.channel_gain for ch in bank])) / penalty
+                                   np.sum(np.abs(bank) ** 2, axis=-1)) / penalty
             errs.extend(((pred - out.utilities) / out.utilities) ** 2)
         nmse = float(np.mean(errs)) if errs else math.nan
         bank0 = _draw(config, profile, 0)
         gains0 = link_gains(bank0, RakeSelector(beta), spreading, config.sigma_sq)
         out0 = solve_equilibrium(gains0, config.utility)
         pred0 = predict_utility(config.lsa_params(beta), gains0.h_sp)
-        rows += [[beta, k, bank0[k].channel_gain, out0.powers[k], out0.utilities[k],
+        energy0 = np.sum(np.abs(bank0) ** 2, axis=-1)
+        rows += [[beta, k, energy0[k], out0.powers[k], out0.utilities[k],
                   pred0[k], nmse] for k in range(config.users)]
     return rows
 
@@ -331,11 +358,11 @@ def test_trial_blocks_match_per_trial_loops(trials):
     # the blocks hold every trial once, in order, with its per-trial draw
     # (equilibrium utilities barely see the distances, so check the draws)
     profile = ApdpProfile(config.paths, config.rho)
-    drawn = [(t, bank) for ts, block in cli._trial_blocks(config, profile, 1, trials + 1)
-             for t, bank in zip(ts, block)]
+    drawn = [(t, bank) for ts, variances, normals in cli._trial_blocks(config, 1, trials + 1)
+             for t, bank in zip(ts, profile.path_gains(variances, normals))]
     assert [t for t, _ in drawn] == list(range(1, trials + 1))
     for t, bank in drawn:
-        np.testing.assert_array_equal(bank, [ch.gains for ch in _draw(config, profile, t)])
+        np.testing.assert_array_equal(bank, _draw(config, profile, t))
     fields, rows = run_utility_vs_gain(config)
     got = [[r[f] for f in fields] for r in rows]
     np.testing.assert_allclose(np.array(got, dtype=float),
@@ -394,10 +421,11 @@ def test_validate_rejects_infeasible_operating_point(tmp_path, capsys):
     (["utility-gain", "--trials", "2"], "sigma_sq = nan\n"),
     (["validate", "--paths", "400"], "sigma_sq = nan\n"),
     (["validate", "--paths", "400", "--trials", "1"], None),
+    (["validate", "--paths", "2"], None),
 ], ids=["utility-gain-negative-seed", "validate-negative-seed",
         "utility-gain-nan-rho-db", "config-negative-sigma-sq",
         "utility-gain-config-nan-sigma-sq", "validate-config-nan-sigma-sq",
-        "validate-one-trial"])
+        "validate-one-trial", "validate-no-chips-at-two-paths"])
 def test_bad_input_is_a_usage_error(tmp_path, capsys, args, cfg):
     # rejected before any study runs: exit 1, one Error: line, no CSV
     out = tmp_path / "x.csv"

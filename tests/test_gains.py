@@ -123,10 +123,9 @@ def test_hand_worked_two_user_bank():
 
 def test_link_gains_match_loop_reference():
     bank = _bank(3, 12, rho=7.0, seed=31)
-    gains_list = [ch.gains for ch in bank]
     selector = RakeSelector(0.5)
     spreading = SpreadingConfig(frames=4, chips_per_frame=5)
-    ref_sp, ref_si, ref_mai = _loop_gains(gains_list, selector, spreading, 1e-3)
+    ref_sp, ref_si, ref_mai = _loop_gains(list(bank), selector, spreading, 1e-3)
     for method in ("spectral", "dense"):
         out = link_gains(bank, selector, spreading, 1e-3, method=method)
         assert np.allclose(out.h_sp, ref_sp, rtol=1e-12, atol=0)
@@ -192,14 +191,12 @@ def test_spectral_edge_shapes(K, L, beta, chips):
     selector = RakeSelector(beta)
     spreading = SpreadingConfig(frames=3, chips_per_frame=chips)
     spectral = link_gains(bank, selector, spreading, 1e-3)
-    as_array = link_gains(np.array([ch.gains for ch in bank]), selector,
-                          spreading, 1e-3)
+    as_list = link_gains(list(bank), selector, spreading, 1e-3)
     dense = link_gains(bank, selector, spreading, 1e-3, method="dense")
-    ref_sp, ref_si, ref_mai = _loop_gains([ch.gains for ch in bank], selector,
-                                          spreading, 1e-3)
-    assert np.array_equal(as_array.h_sp, spectral.h_sp)
-    assert np.array_equal(as_array.h_si, spectral.h_si)
-    assert np.array_equal(as_array.h_mai, spectral.h_mai)
+    ref_sp, ref_si, ref_mai = _loop_gains(list(bank), selector, spreading, 1e-3)
+    assert np.array_equal(as_list.h_sp, spectral.h_sp)
+    assert np.array_equal(as_list.h_si, spectral.h_si)
+    assert np.array_equal(as_list.h_mai, spectral.h_mai)
     assert spectral.h_mai.shape == (K, K)
     assert np.all(np.diag(spectral.h_mai) == 0.0)
     for ref in ((dense.h_sp, dense.h_si, dense.h_mai), (ref_sp, ref_si, ref_mai)):
@@ -212,14 +209,14 @@ def test_arake_combining_gain_is_channel_energy():
     bank = _bank(2, 40, seed=9)
     out = link_gains(bank, RakeSelector(1.0), SpreadingConfig(10, 25), 0.0)
     for k, ch in enumerate(bank):
-        assert out.h_sp[k] == pytest.approx(ch.channel_gain, rel=1e-12)
+        assert out.h_sp[k] == pytest.approx(np.sum(np.abs(ch) ** 2), rel=1e-12)
 
 
 def test_prake_combining_gain_is_captured_energy():
     bank = _bank(2, 40, seed=9)
     out = link_gains(bank, RakeSelector(0.25), SpreadingConfig(10, 25), 0.0)
     for k, ch in enumerate(bank):
-        captured = float(np.sum(np.abs(ch.gains[:10]) ** 2))
+        captured = float(np.sum(np.abs(ch[:10]) ** 2))
         assert out.h_sp[k] == pytest.approx(captured, rel=1e-12)
 
 
@@ -278,9 +275,9 @@ def _si_ratio_violations(path_count, chips, trials, seed, block=50):
     bad = []
     for start in range(0, trials, block):
         ts = range(start, min(start + block, trials))
-        stack = np.array([[sample_channel_bank(
+        stack = np.array([sample_channel_bank(
             prof, NetworkTopology(distances=substream(seed, t).uniform(3.0, 20.0, 1)),
-            seed, t)[0].gains] for t in ts])
+            seed, t) for t in ts])
         g = link_gains(stack, selector, spreading, 0.0)
         bad += [ts[i] for i in np.flatnonzero(g.si_ratio[:, 0] < 1.0)]
     return bad
@@ -307,7 +304,7 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         link_gains([], RakeSelector(0.5), SpreadingConfig(2, 8), 1e-9)
     with pytest.raises(ValueError):
-        link_gains([bank[0].gains, bank[1].gains[:8]], RakeSelector(0.5),
+        link_gains([bank[0], bank[1][:8]], RakeSelector(0.5),
                    SpreadingConfig(2, 8), 1e-9)
     with pytest.raises(ValueError):
         LinkGains(h_sp=np.array([1.0]), h_si=np.array([0.1]),
@@ -344,8 +341,7 @@ def test_link_gains_stack_keeps_checks():
 
 
 def _block(T, K, L, seed=61):
-    return np.array([[ch.gains for ch in _bank(K, L, seed=seed, trial=t)]
-                     for t in range(T)])
+    return np.array([_bank(K, L, seed=seed, trial=t) for t in range(T)])
 
 
 @pytest.mark.parametrize("K", [1, 8])
@@ -382,7 +378,8 @@ def test_trial_block_guards_fire_on_one_bad_bank(monkeypatch):
         link_gains(block, selector, spreading, 1e-9, method="dense")
     with pytest.raises(ValueError):
         link_gains(block[:, :0], selector, spreading, 1e-9)
-    with pytest.raises(ValueError, match="path count"):
+    # a ragged bank is no (K, L) array
+    with pytest.raises(ValueError, match="sequence"):
         link_gains([block[0, 0], block[0, 1, :8]], selector, spreading, 1e-9)
     # weights rotated off the path gains in trial 1 only: the combining
     # gain picks up an imaginary part there

@@ -89,7 +89,7 @@ def _gains(K=3, L=40, rho=10.0, beta=0.5, frames=20, chips=25, seed=55,
     topo = NetworkTopology(distances=np.asarray(distances, dtype=float))
     bank = sample_channel_bank(prof, topo, seed, 0)
     if shared:
-        bank = [bank[0]] * K
+        bank = np.repeat(bank[:1], K, axis=0)
     return link_gains(bank, RakeSelector(beta), SpreadingConfig(frames, chips),
                       sigma_sq)
 

@@ -9,6 +9,7 @@ from rakepower import (appendix_intermediates, convergence_table, finite_mu,
                        finite_nu, flat_mu_exact, flat_nu_exact, mc_gain_ratio,
                        mu, nu, nu_arake, nu_flat, oracle_audit,
                        profile_matrices)
+import rakepower.oracle as oracle
 from rakepower.gains import _lag_matrix
 from rakepower.oracle import (_overlap_table_deviation, _self_lag_mass_direct,
                               _self_lag_mass_table, _theta_factorization_deviation)
@@ -264,6 +265,19 @@ def test_mc_gain_ratio_matches_finite_sum():
     assert 0.0 < est.se < 0.05
     again = mc_gain_ratio(400, 10.0, 0.1, trials=500, master_seed=2024)
     assert again.mean == est.mean and again.se == est.se
+
+
+def test_mc_gain_ratio_draws_bounded_blocks(monkeypatch):
+    # memory stays bounded in the trial count: every trial once, in order,
+    # a block of at most _MC_BLOCK_TAPS taps at a time
+    blocks = []
+    draw = oracle.sample_normals
+    monkeypatch.setattr(oracle, "sample_normals",
+                        lambda seed, ts, K, L: blocks.append(ts) or draw(seed, ts, K, L))
+    mc_gain_ratio(4000, 10.0, 0.3, trials=9)
+    assert [t for ts in blocks for t in ts] == list(range(9))
+    assert len(blocks) > 1
+    assert max(len(ts) for ts in blocks) * 4000 <= oracle._MC_BLOCK_TAPS
 
 
 def test_convergence_table_mu_nu():
