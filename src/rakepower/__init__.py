@@ -60,14 +60,12 @@ from .lsa import (
 )
 from .oracle import (
     appendix_intermediates,
-    convergence_table,
     finite_mu,
     finite_nu,
     flat_mu_exact,
     flat_nu_exact,
     mc_gain_ratio,
     oracle_audit,
-    profile_matrices,
 )
 
 # glibc's malloc serves blocks of 128 KiB and more by mmap and unmaps them
@@ -95,7 +93,6 @@ __all__ = [
     "ber_estimate",
     "best_response",
     "closed_form_equilibrium_power",
-    "convergence_table",
     "efficiency",
     "feasibility",
     "finite_mu",
@@ -118,7 +115,6 @@ __all__ = [
     "oracle_audit",
     "predict_power",
     "predict_utility",
-    "profile_matrices",
     "rake_weights",
     "sample_channel_bank",
     "sample_normals",

@@ -229,6 +229,14 @@ def _trial_blocks(config: ExperimentConfig, first: int, stop: int):
                                                 config.paths)
 
 
+def _one_beta(config: ExperimentConfig, study: str) -> float:
+    """The single combining fraction a study runs at: 0.1 unless set."""
+    if len(config.betas) > 1:
+        raise click.ClickException(f"{study} runs at one --beta, got "
+                                   + ", ".join(map(_fmt, config.betas)))
+    return config.betas[0] if config.betas else 0.1
+
+
 def _stacked(banks: Sequence[LinkGains]) -> LinkGains:
     """Gain banks of one shape stacked on a new leading axis."""
     return LinkGains(np.stack([g.h_sp for g in banks]), np.stack([g.h_si for g in banks]),
@@ -246,9 +254,9 @@ def run_po_vs_frames(config: ExperimentConfig):
     link_gains call per ratio, then one solve of the (ratios, trials,
     frame counts, users) stack with h_si and h_mai scaled by 1/frames; a
     solve that fails its fixed-point certificate raises instead of
-    counting as outage.
+    counting as outage. It runs at one combining fraction.
     """
-    beta = config.betas[0] if config.betas else 0.1
+    beta = _one_beta(config, "po-frames")
     frames_max = max(25, config.frames)
     selector = RakeSelector(beta)
     spreading_unit = SpreadingConfig(frames=1, chips_per_frame=config.chips)
@@ -381,13 +389,14 @@ def run_loss_vs_beta(config: ExperimentConfig):
 
 def _audit_config(config: ExperimentConfig, explicit: frozenset) -> ExperimentConfig:
     """The configuration validate audits: 4000 paths, a quarter as many
-    chips, 500 trials and beta 0.1 where not set explicitly."""
+    chips, 500 trials and beta 0.1 where not set explicitly; one beta
+    at most."""
     paths = config.paths if "paths" in explicit else 4000
     return dataclasses.replace(
         config, paths=paths,
         chips=config.chips if "chips" in explicit else round(0.25 * paths),
         trials=config.trials if "trials" in explicit else 500,
-        betas=config.betas[:1] or (0.1,))
+        betas=(_one_beta(config, "validate"),))
 
 
 def run_validate(config: ExperimentConfig, explicit: frozenset = frozenset()):

@@ -40,13 +40,10 @@ class RakeSelector:
     """
 
     finger_fraction: float
-    combining: str = "mrc"
 
     def __post_init__(self):
         if not 0 < self.finger_fraction <= 1:
             raise ValueError("finger_fraction must be in (0, 1]")
-        if self.combining != "mrc":
-            raise ValueError("only maximal-ratio combining is implemented")
 
     def finger_count(self, path_count: int) -> int:
         """Number of combined fingers for a channel with path_count paths.

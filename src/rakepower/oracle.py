@@ -4,11 +4,13 @@ The closed forms in the lsa module are limits of deterministic profile
 sums: replace every random path energy by its variance, evaluate the
 same traces and double sums at finite L, and the values must approach
 the closed forms as L grows. This module evaluates those sums exactly
-as written (no continuum shortcut), decomposes the self-interference
-double sum through the overlap-count case tables as an independent
-evaluation order, estimates the same ratios by Monte Carlo over random
-channels, and assembles everything into an audit report with one row
-per intermediate quantity.
+as written (no continuum shortcut) on the tap-variance vector of a
+unit-energy user, its finger count and the collision weights, evaluates
+the self-interference double sum both directly and through the
+overlap-count case tables (two independent orders that must agree),
+estimates the same ratios by Monte Carlo over random channels, and
+assembles everything into an audit report with one row per intermediate
+quantity.
 
 Three kinds of rows appear in the report: "limit" rows compare a
 finite-L sum against the closed form it converges to (tolerance around
@@ -28,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -47,67 +48,21 @@ _DIRECT_LAG_MAX_L = 32
 # lags per vectorised block of the elementwise checks: the (block, L)
 # temporaries stay at a few MB for L in the thousands
 _LAG_BLOCK = 16
-
-
-# ---------------------------------------------------------------------------
-# profile scaffolding
-
-@dataclass(frozen=True)
-class ProfileMatrices:
-    """Deterministic profile quantities entering the limiting traces.
-
-    tap_power holds the per-tap variances for a unit-energy user,
-    tap_std their square roots, combined_std the finger-masked copy
-    (equal on combined fingers, zero above). The banded lag patterns are
-    exposed as methods because they are quadratic in size.
-    """
-
-    path_count: int
-    finger_count: int
-    chips_per_frame: int
-    decay_ratio: float
-    tap_power: np.ndarray
-    tap_std: np.ndarray
-    combined_std: np.ndarray
-    finger_mask: np.ndarray
-    phi_sq: np.ndarray
-
-    def lag_pattern_full(self) -> np.ndarray:
-        """L x (L-1) banded pattern of tap_std / sqrt(L)."""
-        return _lag_matrix(self.tap_std.astype(complex)).real / math.sqrt(self.path_count)
-
-    def lag_pattern_combined(self) -> np.ndarray:
-        """Finger-masked counterpart of lag_pattern_full."""
-        return _lag_matrix(self.combined_std.astype(complex)).real / math.sqrt(self.path_count)
-
-
-def profile_matrices(path_count: int, chips_per_frame: int, rho: float,
-                     beta: float) -> ProfileMatrices:
-    if path_count < 2:
-        raise ValueError("path_count must be >= 2")
-    if chips_per_frame < 1:
-        raise ValueError("chips_per_frame must be >= 1")
-    L = path_count
-    fingers = RakeSelector(beta).finger_count(L)
-    v = ApdpProfile(L, rho).tap_variances(1.0)
-    mask = np.zeros(L)
-    mask[:fingers] = 1.0
-    s = np.sqrt(v)
-    return ProfileMatrices(
-        path_count=L,
-        finger_count=fingers,
-        chips_per_frame=chips_per_frame,
-        decay_ratio=rho,
-        tap_power=v,
-        tap_std=s,
-        combined_std=s * mask,
-        finger_mask=mask,
-        phi_sq=_phi_squared(chips_per_frame, L),
-    )
+# path counts of the lag-pattern Gram checks and of the Monte Carlo row
+_GRAM_PATH_COUNT = 400
+_MC_PATH_COUNT = 400
 
 
 # ---------------------------------------------------------------------------
 # finite coefficient oracles
+
+def _profile(path_count: int, rho: float, beta: float) -> tuple[np.ndarray, int]:
+    """Tap variances of a unit-energy user and the combined finger count."""
+    if path_count < 2:
+        raise ValueError("path_count must be >= 2")
+    return (ApdpProfile(path_count, rho).tap_variances(1.0),
+            RakeSelector(beta).finger_count(path_count))
+
 
 def _captured_density(v: np.ndarray, fingers: int) -> float:
     """(1/L) sum of tap powers over the combined fingers."""
@@ -137,30 +92,30 @@ def finite_mu(path_count: int, rho: float, beta: float) -> float:
     density on the deterministic profile; converges to mu(rho, beta) as
     the path count grows.
     """
-    pm = profile_matrices(path_count, 1, rho, beta)
-    num1, num2 = _cross_lag_masses(pm.tap_power, pm.finger_count)
-    den = _captured_density(pm.tap_power, pm.finger_count)
-    return (num1 + num2) / den ** 2
+    v, fingers = _profile(path_count, rho, beta)
+    num1, num2 = _cross_lag_masses(v, fingers)
+    return (num1 + num2) / _captured_density(v, fingers) ** 2
 
 
-def _self_lag_mass_direct(v: np.ndarray, mask: np.ndarray,
+def _self_lag_mass_direct(v: np.ndarray, fingers: int,
                           phi_sq: np.ndarray) -> float:
     """(1/L^2) sum over lags of phi^2 times the squared overlap weights.
 
     The overlap weight expands into three lag correlations (combined-by-
     full, full-by-combined, combined-by-combined); their sum at lag d is
     r[d] = sum_m vm[m] u[m + d] + u[m] vm[m + d], with vm the combined
-    taps and u = v + vm. Up to _DIRECT_LAG_MAX_L paths that is one direct
-    correlation. Above, it is one inverse FFT of the combined cross
-    spectrum, zero-padded to the smallest 2-3-5-smooth length of at least
-    2L - 1 points so that no positive lag wraps. The FFT's absolute error
-    is about eps * v[0]^2 and the mass falls like v[0]^2 rho^(-1/(L-1)),
-    so its relative error grows like eps * rho^(1/(L-1)): at L = 2 and
-    rho = 1e4 it breaks the 1e-12 agreement finite_nu checks, while past
-    32 paths it stays below 1e-13 for any decay ratio up to 1e10.
+    taps (v on the first fingers, zero above) and u = v + vm. Up to
+    _DIRECT_LAG_MAX_L paths that is one direct correlation. Above, it is
+    one inverse FFT of the combined cross spectrum, zero-padded to the
+    smallest 2-3-5-smooth length of at least 2L - 1 points so that no
+    positive lag wraps. The FFT's absolute error is about eps * v[0]^2
+    and the mass falls like v[0]^2 rho^(-1/(L-1)), so its relative error
+    grows like eps * rho^(1/(L-1)): at L = 2 and rho = 1e4 it breaks the
+    1e-12 agreement finite_nu checks, while past 32 paths it stays below
+    1e-13 for any decay ratio up to 1e10.
     """
     L = v.size
-    vm = v * mask
+    vm = np.where(np.arange(L) < fingers, v, 0.0)
     if L <= _DIRECT_LAG_MAX_L:
         # full[L - 1 + d] = sum_m u[m + d] vm[m], so full[L - 1 - d] is
         # the mirrored term
@@ -215,31 +170,25 @@ def _self_lag_mass_table(v: np.ndarray, fingers: int,
     return total / L ** 2
 
 
-def finite_nu(path_count: int, chips_per_frame: int, rho: float, beta: float,
-              method: str = "checked") -> float:
+def finite_nu(path_count: int, chips_per_frame: int, rho: float,
+              beta: float) -> float:
     """Finite-L counterpart of the self-interference coefficient nu.
 
-    method="direct" sums over lags, with the overlap weights from the
-    finger masks, by FFT (by one direct correlation up to
-    _DIRECT_LAG_MAX_L paths); "table" uses the case-table decomposition of
-    the overlap counts; "checked" (default) runs both and raises if they
-    disagree beyond 1e-12 relative.
+    The lag sum with the overlap weights of the combined fingers is
+    evaluated twice: by FFT (by one direct correlation up to
+    _DIRECT_LAG_MAX_L paths) and by the case-table decomposition of the
+    overlap counts. Raises if the two disagree beyond 1e-12 relative.
     """
-    pm = profile_matrices(path_count, chips_per_frame, rho, beta)
-    den = _captured_density(pm.tap_power, pm.finger_count)
-    if method == "direct":
-        mass = _self_lag_mass_direct(pm.tap_power, pm.finger_mask, pm.phi_sq)
-    elif method == "table":
-        mass = _self_lag_mass_table(pm.tap_power, pm.finger_count, pm.phi_sq)
-    elif method == "checked":
-        mass = _self_lag_mass_direct(pm.tap_power, pm.finger_mask, pm.phi_sq)
-        other = _self_lag_mass_table(pm.tap_power, pm.finger_count, pm.phi_sq)
-        if abs(mass - other) > 1e-12 * max(abs(mass), abs(other)):
-            raise ValueError(
-                f"self-interference evaluation orders disagree: {mass} vs {other}")
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return mass / den ** 2
+    v, fingers = _profile(path_count, rho, beta)
+    if chips_per_frame < 1:
+        raise ValueError("chips_per_frame must be >= 1")
+    phi_sq = _phi_squared(chips_per_frame, path_count)
+    mass = _self_lag_mass_direct(v, fingers, phi_sq)
+    other = _self_lag_mass_table(v, fingers, phi_sq)
+    if abs(mass - other) > 1e-12 * max(abs(mass), abs(other)):
+        raise ValueError(
+            f"self-interference evaluation orders disagree: {mass} vs {other}")
+    return mass / _captured_density(v, fingers) ** 2
 
 
 def flat_mu_exact(path_count: int, finger_count: int) -> Fraction:
@@ -382,37 +331,32 @@ def _row(name: str, kind: str, value: float, reference: float, tol: float,
                     tol=tol, passed=bool(rel <= tol), note=note)
 
 
-def _dev_row(name: str, kind: str, deviation: float, tol: float,
-             note: str = "") -> AuditRow:
-    return AuditRow(name=name, kind=kind, value=float(deviation),
-                    reference=0.0, rel_err=float(deviation), tol=tol,
-                    passed=bool(deviation <= tol), note=note)
+def _gram_diag_deviation(v: np.ndarray, fingers: int, combined: bool) -> float:
+    """Sup deviation between a lag-pattern Gram diagonal and suffix sums.
 
-
-def _gram_diag_deviation(pm: ProfileMatrices, combined: bool) -> float:
-    """Sup deviation between a lag-pattern Gram diagonal and suffix sums."""
-    L = pm.path_count
-    M = pm.lag_pattern_combined() if combined else pm.lag_pattern_full()
+    The lag pattern is the banded lag matrix of the tap amplitudes over
+    sqrt(L), zeroed past the last finger when combined.
+    """
+    L = v.size
+    source = np.where(np.arange(L) < fingers, v, 0.0) if combined else v
+    M = _lag_matrix(np.sqrt(source).astype(complex)).real / math.sqrt(L)
     diag = np.sum(M * M, axis=1)
-    source = pm.tap_power * (pm.finger_mask if combined else 1.0)
     cs = np.cumsum(source)
     ref = (cs[-1] - cs) / L
     scale = float(ref.max())
     return float(np.max(np.abs(diag - ref))) / scale
 
 
-def _theta_factorization_deviation(pm: ProfileMatrices) -> float:
+def _theta_factorization_deviation(v: np.ndarray, fingers: int, rho: float) -> float:
     """Sup deviation of the overlap weights from their power-law form.
 
     Lag i pairs tap l with m = L + l - i (l = 1..i); each lag is scaled by
     its largest factorized weight. The lags of a block are the rows of
     strided views; a row runs past l = i into zero padding (m > L).
     """
-    L, P = pm.path_count, pm.finger_count
-    v, rho = pm.tap_power, pm.decay_ratio
+    L, P = v.size, fingers
     x = np.arange(L + _LAG_BLOCK)
     v_pad = np.concatenate([v, np.zeros(_LAG_BLOCK)])
-    mask = np.concatenate([pm.finger_mask, np.zeros(_LAG_BLOCK)]).astype(np.int8)
     step, inside = (x < P).astype(np.int8), (x < L).astype(np.int8)
     # power law of the pair (l, i): pw[k] at k = L + 2l - i - 2
     pw = rho ** (-(np.arange(2 * L + 2 * _LAG_BLOCK)) / (L - 1))
@@ -421,7 +365,7 @@ def _theta_factorization_deviation(pm: ProfileMatrices) -> float:
         n = min(i_lo + _LAG_BLOCK, L) - 1  # widest row of the block
         rows = slice(L - n, L - i_lo + 1)  # row r holds lag i = L - r
         direct = v[:n] * sliding_window_view(v_pad, n)[rows]
-        direct *= ((mask[:n] + sliding_window_view(mask, n)[rows]) ** 2).astype(float)
+        direct *= ((step[:n] + sliding_window_view(step, n)[rows]) ** 2).astype(float)
         u1 = step[:n] * sliding_window_view(inside, n)[rows]  # l <= P, m <= L
         u2 = sliding_window_view(step, n)[rows]  # l <= P - L + i
         fact = (u1 + u2 + 2 * u1 * u2).astype(float)
@@ -472,9 +416,7 @@ _REGION_POINTS = {1: (0.3, 0.2), 2: (0.3, 0.5), 3: (0.7, 0.5),
 
 def appendix_intermediates(path_count: int, rho: float, beta: float,
                            load: float, *, users: int = 8, frames: int = 20,
-                           sigma_sq: float = _DEFAULT_SIGMA_SQ,
-                           gram_path_count: int = 400,
-                           mc_path_count: int = 400, mc_trials: int = 500,
+                           sigma_sq: float = _DEFAULT_SIGMA_SQ, mc_trials: int = 500,
                            master_seed: int = 20240) -> list[AuditRow]:
     """Audit every intermediate quantity in the coefficient derivations.
 
@@ -492,8 +434,8 @@ def appendix_intermediates(path_count: int, rho: float, beta: float,
     if chips < 1 or abs(chips - load * path_count) > 1e-9:
         raise ValueError("load times path_count must be a positive integer")
     L = path_count
-    pm = profile_matrices(L, chips, rho, beta)
-    v, fingers = pm.tap_power, pm.finger_count
+    v, fingers = _profile(L, rho, beta)
+    phi_sq = _phi_squared(chips, L)
     rows: list[AuditRow] = []
 
     # -- cross-gain chain -------------------------------------------------
@@ -506,14 +448,14 @@ def appendix_intermediates(path_count: int, rho: float, beta: float,
                      _captured_density(w * v, fingers), w * den_f, 1e-12,
                      note="interfering-user copy: linear in the user variance"))
 
-    pm_g = profile_matrices(gram_path_count, max(1, round(load * gram_path_count)),
-                            rho, beta)
-    rows.append(_dev_row("lag_gram_diagonal_full", "identity",
-                         _gram_diag_deviation(pm_g, combined=False), 1e-12,
-                         note=f"row energies equal per-path suffix sums; L={gram_path_count}"))
-    rows.append(_dev_row("lag_gram_diagonal_combined", "identity",
-                         _gram_diag_deviation(pm_g, combined=True), 1e-12,
-                         note=f"finger-masked rows vanish past the last finger; L={gram_path_count}"))
+    v_g, fingers_g = _profile(_GRAM_PATH_COUNT, rho, beta)
+    rows.append(_row("lag_gram_diagonal_full", "identity",
+                     _gram_diag_deviation(v_g, fingers_g, combined=False), 0.0, 1e-12,
+                     note=f"row energies equal per-path suffix sums; L={_GRAM_PATH_COUNT}"))
+    rows.append(_row("lag_gram_diagonal_combined", "identity",
+                     _gram_diag_deviation(v_g, fingers_g, combined=True), 0.0, 1e-12,
+                     note="finger-masked rows vanish past the last finger; "
+                          f"L={_GRAM_PATH_COUNT}"))
 
     num1_f, num2_f = _cross_lag_masses(v, fingers)
     num1_c = _cross_mass_combined_closed(rho, beta)
@@ -528,23 +470,20 @@ def appendix_intermediates(path_count: int, rho: float, beta: float,
     rows.append(_row("captured_energy_density_squared", "limit",
                      den_f * den_f, den_c * den_c, 1e-2))
 
-    rows.append(_dev_row("self_lag_weight_factorization", "identity",
-                         _theta_factorization_deviation(pm), 1e-12,
-                         note="overlap weights factor into power law times overlap count"))
+    rows.append(_row("self_lag_weight_factorization", "identity",
+                     _theta_factorization_deviation(v, fingers, rho), 0.0, 1e-12,
+                     note="overlap weights factor into power law times overlap count"))
 
     for label, b_tab in (("low_fraction", 0.3), ("high_fraction", 0.7)):
         fingers_tab = RakeSelector(b_tab).finger_count(L)
         dev = _overlap_table_deviation(L, fingers_tab)
-        rows.append(_dev_row(f"overlap_count_table_{label}", "identity",
-                             float(dev), 0.0,
-                             note=f"beta={b_tab}; tabulated counts match the step "
-                                  "definition with inner bound l <= i (a variant "
-                                  "bound l <= 1 breaks all single-overlap blocks)"))
-        pm_tab = profile_matrices(L, chips, rho, b_tab)
-        direct = _self_lag_mass_direct(pm_tab.tap_power, pm_tab.finger_mask,
-                                       pm_tab.phi_sq)
-        table = _self_lag_mass_table(pm_tab.tap_power, pm_tab.finger_count,
-                                     pm_tab.phi_sq)
+        rows.append(_row(f"overlap_count_table_{label}", "identity",
+                         float(dev), 0.0, 0.0,
+                         note=f"beta={b_tab}; tabulated counts match the step "
+                              "definition with inner bound l <= i (a variant "
+                              "bound l <= 1 breaks all single-overlap blocks)"))
+        direct = _self_lag_mass_direct(v, fingers_tab, phi_sq)
+        table = _self_lag_mass_table(v, fingers_tab, phi_sq)
         rows.append(_row(f"self_lag_sum_decomposition_{label}", "identity",
                          table, direct, 1e-12,
                          note=f"beta={b_tab}; block decomposition vs single pass"))
@@ -558,15 +497,17 @@ def appendix_intermediates(path_count: int, rho: float, beta: float,
             else:
                 cases[i - 1] = 1.0
         phi_dev = max(phi_dev, float(np.max(np.abs(cases - _phi_squared(nc, L)))))
-    rows.append(_dev_row("collision_weight_cases", "identity", phi_dev, 1e-12,
-                         note="piecewise collision weights vs direct min form, "
-                              "checked for chips below and above the path count"))
+    rows.append(_row("collision_weight_cases", "identity", phi_dev, 0.0, 1e-12,
+                     note="piecewise collision weights vs direct min form, "
+                          "checked for chips below and above the path count"))
 
     for region in range(1, 6):
         b_r, lam_r = _REGION_POINTS[region]
         chips_r = round(lam_r * L)
-        pm_r = profile_matrices(L, chips_r, rho, b_r)
-        mass = _self_lag_mass_direct(pm_r.tap_power, pm_r.finger_mask, pm_r.phi_sq)
+        if chips_r < 1:
+            raise ValueError("chips_per_frame must be >= 1")
+        mass = _self_lag_mass_direct(v, RakeSelector(b_r).finger_count(L),
+                                     _phi_squared(chips_r, L))
         # the (1/L^2)-normalized mass tends to nu times the squared
         # captured-energy density
         closed = nu(rho, b_r, lam_r) * _captured_density_closed(rho, b_r) ** 2
@@ -585,10 +526,10 @@ def appendix_intermediates(path_count: int, rho: float, beta: float,
                      total_c / den_c, mu(rho, beta), 1e-12,
                      note="ratio of the density limits reduces to mu"))
 
-    est = mc_gain_ratio(mc_path_count, rho, beta, trials=mc_trials,
+    est = mc_gain_ratio(_MC_PATH_COUNT, rho, beta, trials=mc_trials,
                         master_seed=master_seed)
     rows.append(_row("energy_ratio_mc", "mc", est.mean, mu(rho, beta), 5e-2,
-                     note=f"{mc_trials} trials at L={mc_path_count}, se={est.se:.2e}"))
+                     note=f"{mc_trials} trials at L={_MC_PATH_COUNT}, se={est.se:.2e}"))
 
     N = frames * chips
     params_a = LsaParams(rho=rho, beta=1.0, load=load, gain=N, users=users,
@@ -673,60 +614,3 @@ def oracle_audit(path_count: int = 4000, rho: float = 10.0, beta: float = 0.1,
     rows.extend(appendix_intermediates(L, rho, beta, load, **kwargs))
     return rows
 
-
-# ---------------------------------------------------------------------------
-# convergence scans
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    quantity: str
-    path_count: int
-    value: float
-    reference: float
-    rel_err: float
-
-
-def convergence_table(quantity: str, path_counts: Sequence[int], rho: float,
-                      beta: float, load: float = 0.25, trials: int = 300,
-                      master_seed: int = 777) -> list[ConvergenceRow]:
-    """Finite-size scan of one coefficient against its reference.
-
-    Quantities: "mu" and "nu" (deterministic sums; the reference is the
-    closed-form limit, or the exact finite value in the flat and
-    full-combining subcases, where the error sits at roundoff for every
-    size), and "gain_ratio_mc" (Monte Carlo energy ratio vs mu). The
-    relative error column shrinks with the path count, up to sampling
-    noise on the Monte Carlo rows.
-    """
-    counts = list(path_counts)
-    if counts != sorted(counts) or len(set(counts)) != len(counts):
-        raise ValueError("path_counts must be strictly increasing")
-    rows = []
-    for L in counts:
-        if quantity == "mu":
-            value = finite_mu(L, rho, beta)
-            fingers = RakeSelector(beta).finger_count(L)
-            if _is_flat(rho):
-                ref = float(flat_mu_exact(L, fingers))
-            elif beta == 1.0:
-                ref = _arake_mu_identity(L, rho)
-            else:
-                ref = mu(rho, beta)
-        elif quantity == "nu":
-            chips = max(1, round(load * L))
-            value = finite_nu(L, chips, rho, beta)
-            fingers = RakeSelector(beta).finger_count(L)
-            if _is_flat(rho):
-                ref = float(flat_nu_exact(L, fingers, chips))
-            else:
-                ref = nu(rho, beta, load)
-        elif quantity == "gain_ratio_mc":
-            value = mc_gain_ratio(L, rho, beta, trials=trials,
-                                  master_seed=master_seed).mean
-            ref = mu(rho, beta)
-        else:
-            raise ValueError(f"unknown quantity {quantity!r}")
-        rows.append(ConvergenceRow(quantity=quantity, path_count=L,
-                                   value=float(value), reference=float(ref),
-                                   rel_err=abs(value - ref) / abs(ref)))
-    return rows

@@ -422,10 +422,14 @@ def test_validate_rejects_infeasible_operating_point(tmp_path, capsys):
     (["validate", "--paths", "400"], "sigma_sq = nan\n"),
     (["validate", "--paths", "400", "--trials", "1"], None),
     (["validate", "--paths", "2"], None),
+    (["po-frames", "--users", "4", "--paths", "40", "--chips", "10", "--trials", "3",
+      "--beta", "0.3", "--beta", "0.9"], None),
+    (["validate", "--paths", "400", "--beta", "0.3", "--beta", "0.9"], None),
 ], ids=["utility-gain-negative-seed", "validate-negative-seed",
         "utility-gain-nan-rho-db", "config-negative-sigma-sq",
         "utility-gain-config-nan-sigma-sq", "validate-config-nan-sigma-sq",
-        "validate-one-trial", "validate-no-chips-at-two-paths"])
+        "validate-one-trial", "validate-no-chips-at-two-paths",
+        "po-frames-two-betas", "validate-two-betas"])
 def test_bad_input_is_a_usage_error(tmp_path, capsys, args, cfg):
     # rejected before any study runs: exit 1, one Error: line, no CSV
     out = tmp_path / "x.csv"

@@ -16,7 +16,12 @@ note of self_lag_mass_region1, self_lag_mass_region3 and
 self_lag_mass_region4, which lost a clause quoting a near-miss
 transcription variant. mu_nu.csv and loss_beta.csv (the default
 coefficient and penalty grids) were recorded before the oracle's lag sums
-moved to FFT and block correlations. Any later route must reproduce them:
+moved to FFT and block correlations. validate_flat.csv (rho 0 dB) and
+validate_full.csv (beta 1) were recorded from the oracle that still
+packaged its profile arrays in a dataclass and chose its self-lag route
+by a method argument; they cover the flat-profile branches of the
+density and lag-mass closed forms and the factorization check at rho 1.
+Any later route must reproduce them:
 floats to 1e-10 relative; keys, outage counts, verdicts and notes exactly;
 and the elementwise deviation rows of validate.csv bit for bit. The
 comment line is skipped because it records the package version.
@@ -45,6 +50,10 @@ CASES = {
         ()),
     "validate.csv": (["validate", "--paths", "1600"],
                      ("value", "reference", "rel_err", "tol")),
+    "validate_flat.csv": (["validate", "--paths", "1600", "--rho-db", "0"],
+                          ("value", "reference", "rel_err", "tol")),
+    "validate_full.csv": (["validate", "--paths", "1600", "--beta", "1.0"],
+                          ("value", "reference", "rel_err", "tol")),
     "mu_nu.csv": (["mu-nu"], ("mu", "nu")),
     # loss_db is nan where the interference budget closes
     "loss_beta.csv": (["loss-beta"], ("loss_db",)),

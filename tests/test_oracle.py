@@ -5,14 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rakepower import (appendix_intermediates, convergence_table, finite_mu,
-                       finite_nu, flat_mu_exact, flat_nu_exact, mc_gain_ratio,
-                       mu, nu, nu_arake, nu_flat, oracle_audit,
-                       profile_matrices)
+from rakepower import (appendix_intermediates, finite_mu, finite_nu,
+                       flat_mu_exact, flat_nu_exact, mc_gain_ratio, mu, nu,
+                       nu_arake, nu_flat, oracle_audit)
 import rakepower.oracle as oracle
-from rakepower.gains import _lag_matrix
-from rakepower.oracle import (_overlap_table_deviation, _self_lag_mass_direct,
-                              _self_lag_mass_table, _theta_factorization_deviation)
+from rakepower.gains import _phi_squared
+from rakepower.oracle import (_captured_density, _overlap_table_deviation,
+                              _profile, _self_lag_mass_direct, _self_lag_mass_table,
+                              _theta_factorization_deviation)
 
 
 # -- deterministic finite sums -----------------------------------------------
@@ -23,7 +23,7 @@ def test_finite_mu_anchor_and_convergence():
 
 
 def test_finite_nu_dual_paths_agree():
-    # "checked" evaluates the lag sum directly and through the overlap-count
+    # finite_nu evaluates the lag sum directly and through the overlap-count
     # block tables and refuses to answer if they split
     cases = [
         (40, 10, 10.0, 0.3), (40, 10, 10.0, 0.7), (40, 40, 2.0, 0.5),
@@ -31,15 +31,16 @@ def test_finite_nu_dual_paths_agree():
         (3, 2, 1.0, 1.0), (50, 7, 1.0, 0.06),
     ]
     # an FFT lag sum errs by about eps * v[0]^2, which at two paths and
-    # rho = 1e4 already breaks the 1e-12 agreement "checked" demands
+    # rho = 1e4 already breaks the 1e-12 agreement finite_nu demands
     cases += [(L, 50, rho, beta) for L in (2, 3) for rho in (1e4, 1e6)
               for beta in (0.1, 0.5, 1.0)]
     for L, Nc, rho, beta in cases:
-        checked = finite_nu(L, Nc, rho, beta, method="checked")
-        direct = finite_nu(L, Nc, rho, beta, method="direct")
-        table = finite_nu(L, Nc, rho, beta, method="table")
-        assert checked == pytest.approx(direct, rel=1e-13)
-        assert direct == pytest.approx(table, rel=1e-12)
+        v, P = _profile(L, rho, beta)
+        phi_sq = _phi_squared(Nc, L)
+        direct = _self_lag_mass_direct(v, P, phi_sq)
+        assert finite_nu(L, Nc, rho, beta) == pytest.approx(
+            direct / _captured_density(v, P) ** 2, rel=1e-13)
+        assert direct == pytest.approx(_self_lag_mass_table(v, P, phi_sq), rel=1e-12)
 
 
 def test_finite_nu_tracks_each_branch():
@@ -62,7 +63,9 @@ def test_flat_exact_rationals():
 
 
 def test_flat_finite_sums_hit_exact_rationals():
-    for L, P, Nc in ((60, 18, 15), (60, 60, 30), (33, 11, 40)):
+    # a quarter as many chips as paths at beta = 0.3 on the last three
+    for L, P, Nc in ((60, 18, 15), (60, 60, 30), (33, 11, 40), (50, 15, 12),
+                     (100, 30, 25), (200, 60, 50)):
         exact = float(flat_nu_exact(L, P, Nc))
         beta = P / L
         assert finite_nu(L, Nc, 1.0, beta) == pytest.approx(exact, rel=1e-12)
@@ -88,25 +91,17 @@ def test_arake_moment_identity():
     assert finite_mu(L, rho, 1.0) == pytest.approx(1.0 - s2 / s1 ** 2, rel=1e-13)
 
 
-def test_profile_matrices_invariants():
-    pm = profile_matrices(50, 12, 10.0, 0.3)
-    assert pm.finger_count == 15
-    assert pm.tap_power[0] == 1.0
-    assert pm.tap_power[-1] == pytest.approx(0.1, rel=1e-12)
-    assert np.allclose(pm.tap_std ** 2, pm.tap_power, rtol=1e-14)
-    assert pm.finger_mask.sum() == 15
-    assert np.array_equal(pm.combined_std, pm.tap_std * pm.finger_mask)
-    # phi^2 per column: min(L - i, Nc) / Nc
-    lags = np.arange(1, 50)
-    assert np.allclose(pm.phi_sq, np.minimum(50 - lags, 12) / 12.0)
-    assert pm.lag_pattern_full() == pytest.approx(
-        _lag_matrix(pm.tap_std.astype(complex)).real / np.sqrt(50.0))
+def test_profile_invariants():
+    v, fingers = _profile(50, 10.0, 0.3)
+    assert fingers == 15
+    assert v[0] == 1.0
+    assert v[-1] == pytest.approx(0.1, rel=1e-12)
 
 
 # -- evaluation routes against per-lag loop references -----------------------
 # The loops below are the lag-by-lag forms the vectorised routes replaced.
 
-def _profile(L, P, Nc, rho):
+def _taps(L, P, Nc, rho):
     v = rho ** (-(np.arange(L)) / (L - 1))
     mask = (np.arange(L) < P).astype(float)
     phi_sq = np.minimum(L - np.arange(1, L), Nc) / Nc  # indexed by i = L - d
@@ -153,9 +148,9 @@ def _seg_table(v, P, phi_sq):
     return total / L ** 2
 
 
-def _theta_loop(pm):
-    L, P = pm.path_count, pm.finger_count
-    v, mask, rho = pm.tap_power, pm.finger_mask, pm.decay_ratio
+def _theta_loop(v, P, rho):
+    L = v.size
+    mask = (np.arange(L) < P).astype(float)
     dev = 0.0
     for i in range(1, L):
         l = np.arange(1, i + 1)
@@ -218,8 +213,8 @@ def test_direct_route_matches_pair_double_sum():
         for P in sorted({1, max(1, L // 2), L}):
             for Nc in (1, L, 2 * L):
                 for rho in (1.0, 10.0, 1e10):
-                    v, mask, phi_sq = _profile(L, P, Nc, rho)
-                    assert _self_lag_mass_direct(v, mask, phi_sq) == pytest.approx(
+                    v, mask, phi_sq = _taps(L, P, Nc, rho)
+                    assert _self_lag_mass_direct(v, P, phi_sq) == pytest.approx(
                         _pair_sum(v, mask, phi_sq), rel=1e-13, abs=0), (L, P, Nc, rho)
 
 
@@ -229,7 +224,7 @@ def test_table_route_matches_segment_loop():
         for P in sorted({1, 2, L // 2, L // 2 + 1, L - 1, L} & set(range(1, L + 1))):
             for Nc in sorted({1, max(1, L // 3), L, 2 * L}):
                 for rho in (1.0, 10.0, 1000.0):
-                    v, _, phi_sq = _profile(L, P, Nc, rho)
+                    v, _, phi_sq = _taps(L, P, Nc, rho)
                     assert _self_lag_mass_table(v, P, phi_sq) == pytest.approx(
                         _seg_table(v, P, phi_sq), rel=1e-13, abs=0), (L, P, Nc, rho)
 
@@ -238,8 +233,8 @@ def test_elementwise_checks_match_lag_loops():
     for L in (2, 3, 40, 41, 401):
         for beta in (0.01, 0.3, 0.5, 0.7, 1.0):
             for rho in (1.0, 10.0):
-                pm = profile_matrices(L, max(1, L // 4), rho, beta)
-                assert _theta_factorization_deviation(pm) == _theta_loop(pm)
+                v, P = _profile(L, rho, beta)
+                assert _theta_factorization_deviation(v, P, rho) == _theta_loop(v, P, rho)
         for P in sorted({1, 2, L // 3, L // 2, L // 2 + 1, 2 * L // 3, L - 1, L}
                         & set(range(1, L + 1))):
             assert _overlap_table_deviation(L, P) == _overlap_loop(L, P) == 0
@@ -280,35 +275,21 @@ def test_mc_gain_ratio_draws_bounded_blocks(monkeypatch):
     assert max(len(ts) for ts in blocks) * 4000 <= oracle._MC_BLOCK_TAPS
 
 
-def test_convergence_table_mu_nu():
-    rows = convergence_table("mu", (500, 1000, 2000, 4000), 10.0, 0.1)
-    errs = [r.rel_err for r in rows]
-    assert errs == sorted(errs, reverse=True)
-    assert errs[-1] < 1e-3
-    rows = convergence_table("nu", (500, 1000, 2000, 4000), 10.0, 0.3, load=0.85)
-    errs = [r.rel_err for r in rows]
-    assert errs == sorted(errs, reverse=True)
-    assert errs[-1] < 1e-3
+def test_finite_mu_nu_errors_shrink_with_path_count():
+    sizes = (500, 1000, 2000, 4000)
+    mu_ref, nu_ref = mu(10.0, 0.1), nu(10.0, 0.3, 0.85)
+    for errs in ([abs(finite_mu(L, 10.0, 0.1) - mu_ref) / mu_ref for L in sizes],
+                 [abs(finite_nu(L, round(0.85 * L), 10.0, 0.3) - nu_ref) / nu_ref
+                  for L in sizes]):
+        assert errs == sorted(errs, reverse=True)
+        assert errs[-1] < 1e-3
 
 
-def test_convergence_table_exact_subcases():
-    # flat and full-combining references are exact at every size
-    for rows in (convergence_table("mu", (50, 100, 200), 1.0, 0.3),
-                 convergence_table("nu", (50, 100, 200), 1.0, 0.3)):
-        assert all(r.rel_err < 1e-12 for r in rows)
-
-
-def test_convergence_table_mc():
-    rows = convergence_table("gain_ratio_mc", (100, 400, 1600), 10.0, 0.1,
-                             trials=300)
-    assert rows[-1].rel_err < rows[0].rel_err
-
-
-def test_convergence_table_rejects_unsorted():
-    with pytest.raises(ValueError):
-        convergence_table("mu", (400, 200), 10.0, 0.1)
-    with pytest.raises(ValueError):
-        convergence_table("typo", (200, 400), 10.0, 0.1)
+def test_mc_gain_ratio_error_shrinks_with_path_count():
+    ref = mu(10.0, 0.1)
+    errs = [abs(mc_gain_ratio(L, 10.0, 0.1, trials=300, master_seed=777).mean - ref) / ref
+            for L in (100, 1600)]
+    assert errs[-1] < errs[0]
 
 
 # -- audit report ------------------------------------------------------------
