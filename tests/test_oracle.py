@@ -63,9 +63,7 @@ def test_flat_exact_rationals():
 
 
 def test_flat_finite_sums_hit_exact_rationals():
-    # a quarter as many chips as paths at beta = 0.3 on the last three
-    for L, P, Nc in ((60, 18, 15), (60, 60, 30), (33, 11, 40), (50, 15, 12),
-                     (100, 30, 25), (200, 60, 50)):
+    for L, P, Nc in ((60, 18, 15), (60, 60, 30), (33, 11, 40)):
         exact = float(flat_nu_exact(L, P, Nc))
         beta = P / L
         assert finite_nu(L, Nc, 1.0, beta) == pytest.approx(exact, rel=1e-12)
@@ -273,6 +271,16 @@ def test_mc_gain_ratio_draws_bounded_blocks(monkeypatch):
     assert [t for ts in blocks for t in ts] == list(range(9))
     assert len(blocks) > 1
     assert max(len(ts) for ts in blocks) * 4000 <= oracle._MC_BLOCK_TAPS
+
+
+def test_convergence_table_exact_subcases():
+    # flat sums at beta = 0.3 with a quarter as many chips as paths are
+    # exact at every size, not only in the limit
+    for L, P, Nc in ((50, 15, 12), (100, 30, 25), (200, 60, 50)):
+        assert finite_mu(L, 1.0, 0.3) == pytest.approx(
+            float(flat_mu_exact(L, P)), rel=1e-12)
+        assert finite_nu(L, Nc, 1.0, 0.3) == pytest.approx(
+            float(flat_nu_exact(L, P, Nc)), rel=1e-12)
 
 
 def test_finite_mu_nu_errors_shrink_with_path_count():
