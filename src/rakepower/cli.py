@@ -8,10 +8,11 @@ against the combining fraction, and the full numerical audit. The CSV
 goes to --out, or to stdout without it; status lines go to stderr.
 Outputs start with a single '#' comment line recording the configuration,
 the seed, and the package version; everything after that line is
-deterministic for a fixed seed.
+deterministic for a fixed seed. Each subcommand takes --out, --config
+and only the flags and config-file keys its runner reads.
 
-Exit codes: 0 on success, 1 on usage or configuration errors, 2 when
-the validation audit finds a failing row.
+Exit codes: 0 on success, 1 on usage or configuration errors (an unread
+flag or config key among them), 2 when the validation audit fails a row.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ _LOAD_GRID = (0.25, 1.0, 4.0)
 _BETA_BANKS = (1.0, 0.5, 0.3, 0.1)
 _LOSS_RHO_DB = (0.0, 10.0)
 _LOSS_CHIPS = (50, 200)
+_UTILITY = UtilityParams()
 # trials per (T, K, L) block in the simulating studies: peak RSS grows by
 # about 0.27 MB per trial held, and large stacks are memory-bound
 _TRIAL_BLOCK = 4
@@ -60,7 +62,6 @@ class ExperimentConfig:
     seed: int = 12345
     out: str | None = None
     sigma_sq: float = 5e-16
-    utility: UtilityParams = UtilityParams()
 
     def __post_init__(self):
         if self.users < 1:
@@ -87,10 +88,6 @@ class ExperimentConfig:
     def rho(self) -> float:
         return 10.0 ** (self.rho_db / 10.0)
 
-    @property
-    def load(self) -> float:
-        return self.chips / self.paths
-
     def spreading(self, frames: int | None = None) -> SpreadingConfig:
         return SpreadingConfig(frames=self.frames if frames is None else frames,
                                chips_per_frame=self.chips)
@@ -101,7 +98,7 @@ class ExperimentConfig:
         return LsaParams(rho=self.rho if rho is None else rho, beta=beta,
                          load=chips / self.paths, gain=self.frames * chips,
                          users=self.users, sigma_sq=self.sigma_sq,
-                         utility=self.utility, chips_per_frame=chips)
+                         chips_per_frame=chips)
 
 
 _INT_KEYS = ("users", "paths", "chips", "frames", "trials", "seed")
@@ -175,7 +172,7 @@ def run_gamma_curve(config: ExperimentConfig):
     rows = []
     for vs in np.logspace(0.0, 12.0, 121):
         rows.append({"varsigma": vs,
-                     "target_sinr": gamma_star(vs, config.utility.packet_bits)})
+                     "target_sinr": gamma_star(vs, _UTILITY.packet_bits)})
     return fields, rows
 
 
@@ -253,8 +250,8 @@ def run_po_vs_frames(config: ExperimentConfig):
     drawn once and rescaled to every decay ratio: one unit-spreading
     link_gains call per ratio, then one solve of the (ratios, trials,
     frame counts, users) stack with h_si and h_mai scaled by 1/frames; a
-    solve that fails its fixed-point certificate raises instead of
-    counting as outage. It runs at one combining fraction.
+    solve that fails its fixed-point certificate raises instead of counting
+    as outage. It runs at one combining fraction and at 0, 10 and 20 dB.
     """
     beta = _one_beta(config, "po-frames")
     frames_max = max(25, config.frames)
@@ -272,7 +269,7 @@ def run_po_vs_frames(config: ExperimentConfig):
                           base.h_si[..., None, :] / frame_counts[:, None],
                           base.h_mai[..., None, :, :] / frame_counts[:, None, None],
                           config.sigma_sq)
-        outcome = solve_equilibrium(stack, config.utility)
+        outcome = solve_equilibrium(stack, _UTILITY)
         if not outcome.converged:
             raise RuntimeError(
                 f"equilibrium at {', '.join(map(_fmt, _RHO_DB_GRID))} dB, trials "
@@ -317,7 +314,7 @@ def run_utility_vs_gain(config: ExperimentConfig):
     def solve_block(block, trials):
         stack = _stacked([link_gains(block, sel, spreading, config.sigma_sq)
                           for sel in selectors])
-        outcome = solve_equilibrium(stack, config.utility)
+        outcome = solve_equilibrium(stack, _UTILITY)
         if not outcome.converged:
             raise RuntimeError(f"equilibrium for trials {trials.start}..{trials.stop - 1} "
                                "failed its fixed-point certificate")
@@ -370,9 +367,9 @@ def run_utility_vs_gain(config: ExperimentConfig):
 def run_loss_vs_beta(config: ExperimentConfig):
     """Combining penalty against the combining fraction.
 
-    Sweeps the fraction for each decay-ratio / chip-count pair; operating
-    points whose interference budget closes (no feasible target) yield
-    nan rather than a row omission, keeping the grid rectangular.
+    Sweeps the fraction at 0 and 10 dB and at 50 and 200 chips per frame;
+    operating points whose interference budget closes (no feasible target)
+    yield nan rather than a row omission, keeping the grid rectangular.
     """
     betas = config.betas or tuple(_default_beta_grid())
     fields = ["rho_db", "chips", "beta", "loss_db"]
@@ -473,34 +470,48 @@ def _emit(config: ExperimentConfig, fields, rows) -> str:
 # ---------------------------------------------------------------------------
 # click wiring
 
-def _common_options(f):
-    options = [
-        click.option("--users", type=int, default=None, help="number of uplink users"),
-        click.option("--paths", type=int, default=None, help="resolvable paths per channel"),
-        click.option("--chips", type=int, default=None, help="chips per frame"),
-        click.option("--frames", type=int, default=None, help="frames per symbol"),
-        click.option("--rho-db", "rho_db", type=float, default=None,
-                      help="power-decay ratio in dB"),
-        click.option("--beta", "betas", type=float, multiple=True,
-                      help="combining fraction(s); repeatable"),
-        click.option("--trials", type=int, default=None, help="Monte Carlo trials"),
-        click.option("--seed", type=int, default=None, help="master seed"),
-        click.option("--out", type=str, default=None,
-                      help="output CSV path (default: stdout)"),
-        click.option("--config", "config_file", type=str, default=None,
-                      help="flat key=value config file; flags override"),
-    ]
-    for opt in reversed(options):
-        f = opt(f)
-    return f
+# the study options by config field; sigma_sq is a config-file key only
+_OPTIONS = {
+    "users": click.option("--users", type=int, help="number of uplink users"),
+    "paths": click.option("--paths", type=int, help="resolvable paths per channel"),
+    "chips": click.option("--chips", type=int, help="chips per frame"),
+    "frames": click.option("--frames", type=int, help="frames per symbol"),
+    "rho_db": click.option("--rho-db", "rho_db", type=float,
+                           help="power-decay ratio in dB"),
+    "betas": click.option("--beta", "betas", type=float, multiple=True,
+                          help="combining fraction(s); repeatable"),
+    "trials": click.option("--trials", type=int, help="Monte Carlo trials"),
+    "seed": click.option("--seed", type=int, help="master seed"),
+}
+_EVERY_FIELD = (*_OPTIONS, "sigma_sq")
 
 
-def _configure(flags) -> tuple[ExperimentConfig, frozenset]:
+def _options(reads: Sequence[str]):
+    """The flags of the fields a command reads, then --out and --config."""
+    options = [_OPTIONS[field] for field in reads if field in _OPTIONS] + [
+        click.option("--out", type=str, help="output CSV path (default: stdout)"),
+        click.option("--config", "config_file", type=str,
+                     help="flat key=value config file; flags override")]
+
+    def decorate(f):
+        for opt in reversed(options):
+            f = opt(f)
+        return f
+    return decorate
+
+
+def _configure(name: str, reads: Sequence[str], flags) -> tuple[ExperimentConfig, frozenset]:
+    """The command's config; a config-file key it does not read is an error."""
     config_file = flags.pop("config_file", None)
     try:
-        return build_config(config_file, **flags)
+        config, explicit = build_config(config_file, **flags)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
+    unread = sorted(explicit - {*reads, "out"})
+    if unread:
+        raise click.ClickException(f"{config_file}: {name} does not read "
+                                   + ", ".join(unread))
+    return config, explicit
 
 
 @click.group()
@@ -508,30 +519,30 @@ def cli():
     """Power-control experiments for partial-combining impulse-radio uplinks."""
 
 
-def _simple_command(name: str, runner):
+def _simple_command(name: str, runner, reads: Sequence[str]):
     @cli.command(name, help=runner.__doc__)
-    @_common_options
+    @_options(reads)
     def _cmd(**flags):
-        config, _ = _configure(flags)
+        config, _ = _configure(name, reads, flags)
         fields, rows = runner(config)
         where = _emit(config, fields, rows)
         click.echo(f"wrote {where} ({len(rows)} rows)", err=True)
         return 0
-    return _cmd
 
 
-_simple_command("gamma-curve", run_gamma_curve)
-_simple_command("apdp", run_apdp)
-_simple_command("mu-nu", run_mu_nu_curves)
-_simple_command("po-frames", run_po_vs_frames)
-_simple_command("utility-gain", run_utility_vs_gain)
-_simple_command("loss-beta", run_loss_vs_beta)
+_simple_command("gamma-curve", run_gamma_curve, ())
+_simple_command("apdp", run_apdp, ("paths", "rho_db"))
+_simple_command("mu-nu", run_mu_nu_curves, ("betas",))
+_simple_command("po-frames", run_po_vs_frames,
+                ("users", "paths", "chips", "frames", "betas", "trials", "seed", "sigma_sq"))
+_simple_command("utility-gain", run_utility_vs_gain, _EVERY_FIELD)
+_simple_command("loss-beta", run_loss_vs_beta, ("users", "paths", "frames", "betas"))
 
 
 @cli.command("validate", help=run_validate.__doc__)
-@_common_options
+@_options(_EVERY_FIELD)
 def _cmd_validate(**flags):
-    config, explicit = _configure(flags)
+    config, explicit = _configure("validate", _EVERY_FIELD, flags)
     fields, rows, ok = run_validate(config, explicit)
     where = _emit(_audit_config(config, explicit), fields, rows)
     for row in rows:

@@ -341,24 +341,21 @@ def loss_db(params: LsaParams, asymptotic_target: bool = True) -> float:
     otherwise each receiver uses its own finite-gain target. Full
     combining gives exactly 0 dB either way.
     """
-    m = params.mu
-    nv = params.nu
-    nv_a = nu_arake(params.rho, params.load)
+    full = dataclasses.replace(params, beta=1.0)
     M = params.utility.packet_bits
     if asymptotic_target:
         g_p = g_a = gamma_star(math.inf, M)
         eff_ratio = 1.0
         sinr_ratio = 1.0
     else:
-        g_p = gamma_star(params.gain / nv, M)
-        g_a = gamma_star(params.gain / nv_a, M)
+        g_p, g_a = params.target_sinr, full.target_sinr
         eff_ratio = efficiency(g_a, M) / efficiency(g_p, M)
         sinr_ratio = g_p / g_a
-    budget_a = params.gain - g_a * ((params.users - 1) + nv_a)
-    budget_p = params.gain - g_p * ((params.users - 1) * m + nv)
+    budget_a = _interference_budget(full, g_a)
+    budget_p = _interference_budget(params, g_p)
     if budget_a <= 0 or budget_p <= 0:
         raise ValueError("infeasible operating point: interference mass exceeds gain")
-    ratio = m * eff_ratio * sinr_ratio * budget_a / budget_p
+    ratio = params.mu * eff_ratio * sinr_ratio * budget_a / budget_p
     return 10.0 * math.log10(ratio)
 
 

@@ -12,17 +12,19 @@ estimates the same ratios by Monte Carlo over random channels, and
 assembles everything into an audit report with one row per intermediate
 quantity.
 
-Three kinds of rows appear in the report: "limit" rows compare a
-finite-L sum against the closed form it converges to (tolerance around
-1%% at L = 4000); "identity" rows compare two evaluation routes of the
-same finite quantity (tolerance 1e-12, or 1e-10 when one side is an
-exact rational); "mc" rows compare a Monte Carlo average against the
-prediction (tolerance a few standard errors). The closed forms of the
-intermediate quantities (energy densities and cross lag masses) live
-here, and identity rows reduce them to lsa's mu; the self-interference
-mass is lsa's nu times the squared captured density. Each limit row thus
-sets a finite sum against the one definition of its closed form, never
-against a retyped copy of it.
+Three kinds of rows appear in the report: "limit" rows compare a finite-L
+sum against the closed form it converges to (tolerance around 1% at
+L = 4000; flat-profile lag masses carry a 1/(beta L) finite-size error, so
+with fewer than about 100 combined fingers a limit row can fail on correct
+code: cross_lag_mass_combined is 1.25% off at 80 fingers); "identity" rows
+compare two evaluation routes of the same finite quantity (tolerance
+1e-12, or 1e-10 when one side is an exact rational); "mc" rows compare a
+Monte Carlo average against the prediction (tolerance a few standard
+errors). The closed forms of the intermediate quantities (energy densities
+and cross lag masses) live here, and identity rows reduce them to lsa's
+mu; the self-interference mass is lsa's nu times the squared captured
+density. Each limit row thus sets a finite sum against the one definition
+of its closed form, never against a retyped copy of it.
 """
 
 from __future__ import annotations

@@ -14,9 +14,9 @@ import pytest
 import rakepower.channel as channel
 import rakepower.cli as cli
 from rakepower import (ApdpProfile, LsaParams, RakeSelector, SpreadingConfig,
-                       gamma_star, link_gains, loss_db, mu, nu, predict_utility,
-                       sample_channel_bank, sample_topology, solve_equilibrium,
-                       substream)
+                       UtilityParams, gamma_star, link_gains, loss_db, mu, nu,
+                       predict_utility, sample_channel_bank, sample_topology,
+                       solve_equilibrium, substream)
 from rakepower.cli import (ExperimentConfig, build_config, load_config_file,
                            main, run_gamma_curve, run_po_vs_frames,
                            run_utility_vs_gain)
@@ -205,7 +205,7 @@ def test_validate_comment_line_records_the_audited_config(tmp_path):
 
 def test_usage_errors_exit_one(tmp_path):
     assert main(["no-such-command"]) == 1
-    assert main(["gamma-curve", "--paths", "not-a-number"]) == 1
+    assert main(["apdp", "--paths", "not-a-number"]) == 1
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus_key = 3\n")
     assert main(["mu-nu", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
@@ -315,7 +315,7 @@ def _utility_gain_reference(config):
         for t in range(1, config.trials + 1):
             bank = _draw(config, profile, t)
             out = solve_equilibrium(link_gains(bank, RakeSelector(beta), spreading,
-                                               config.sigma_sq), config.utility)
+                                               config.sigma_sq), UtilityParams())
             assert out.converged
             if out.any_clamped:
                 continue
@@ -325,7 +325,7 @@ def _utility_gain_reference(config):
         nmse = float(np.mean(errs)) if errs else math.nan
         bank0 = _draw(config, profile, 0)
         gains0 = link_gains(bank0, RakeSelector(beta), spreading, config.sigma_sq)
-        out0 = solve_equilibrium(gains0, config.utility)
+        out0 = solve_equilibrium(gains0, UtilityParams())
         pred0 = predict_utility(config.lsa_params(beta), gains0.h_sp)
         energy0 = np.sum(np.abs(bank0) ** 2, axis=-1)
         rows += [[beta, k, energy0[k], out0.powers[k], out0.utilities[k],
@@ -345,7 +345,7 @@ def _po_frames_reference(config):
             for nf in range(1, 26):
                 gains = link_gains(bank, RakeSelector(beta), SpreadingConfig(nf, config.chips),
                                    config.sigma_sq)
-                outages[nf - 1] += solve_equilibrium(gains, config.utility).any_clamped
+                outages[nf - 1] += solve_equilibrium(gains, UtilityParams()).any_clamped
         rows += [[rho_db, nf, outages[nf - 1] / config.trials] for nf in range(1, 26)]
     return rows
 
@@ -413,6 +413,27 @@ def test_validate_rejects_infeasible_operating_point(tmp_path, capsys):
     assert not out.exists()
 
 
+# the flags each command's runner reads; every command also takes --out and
+# --config, and sigma_sq is a config-file key only
+_READS = {
+    "gamma-curve": (),
+    "apdp": ("--paths", "--rho-db"),
+    "mu-nu": ("--beta",),
+    "loss-beta": ("--users", "--paths", "--frames", "--beta"),
+    "po-frames": ("--users", "--paths", "--chips", "--frames", "--beta", "--trials",
+                  "--seed"),
+    "utility-gain": ("--users", "--paths", "--chips", "--frames", "--rho-db", "--beta",
+                     "--trials", "--seed"),
+    "validate": ("--users", "--paths", "--chips", "--frames", "--rho-db", "--beta",
+                 "--trials", "--seed"),
+}
+# a value off each flag's default, small enough to run every study quickly
+_NON_DEFAULT = {"--users": "4", "--paths": "100", "--chips": "20", "--frames": "10",
+                "--rho-db": "3", "--beta": "0.4", "--trials": "2", "--seed": "3"}
+_UNREAD_FLAGS = [(name, flag) for name, reads in _READS.items() for flag in _NON_DEFAULT
+                 if flag not in reads]
+
+
 @pytest.mark.parametrize("args, cfg", [
     (["utility-gain", "--trials", "2", "--seed", "-1"], None),
     (["validate", "--paths", "400", "--seed", "-5"], None),
@@ -425,11 +446,17 @@ def test_validate_rejects_infeasible_operating_point(tmp_path, capsys):
     (["po-frames", "--users", "4", "--paths", "40", "--chips", "10", "--trials", "3",
       "--beta", "0.3", "--beta", "0.9"], None),
     (["validate", "--paths", "400", "--beta", "0.3", "--beta", "0.9"], None),
+    (["po-frames", "--trials", "2"], "rho-db = 3\n"),
+    (["loss-beta"], "sigma_sq = 1e-15\n"),
+    (["gamma-curve"], "seed = 3\n"),
+    *[([name, flag, _NON_DEFAULT[flag]], None) for name, flag in _UNREAD_FLAGS],
 ], ids=["utility-gain-negative-seed", "validate-negative-seed",
         "utility-gain-nan-rho-db", "config-negative-sigma-sq",
         "utility-gain-config-nan-sigma-sq", "validate-config-nan-sigma-sq",
         "validate-one-trial", "validate-no-chips-at-two-paths",
-        "po-frames-two-betas", "validate-two-betas"])
+        "po-frames-two-betas", "validate-two-betas", "po-frames-config-rho-db",
+        "loss-beta-config-sigma-sq", "gamma-curve-config-seed",
+        *[f"{name}-unread-{flag[2:]}" for name, flag in _UNREAD_FLAGS]])
 def test_bad_input_is_a_usage_error(tmp_path, capsys, args, cfg):
     # rejected before any study runs: exit 1, one Error: line, no CSV
     out = tmp_path / "x.csv"
@@ -441,3 +468,25 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, args, cfg):
     assert any(line.startswith("Error: ") for line in err.splitlines())
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_each_command_takes_the_flags_it_reads():
+    for name, reads in _READS.items():
+        opts = {p.opts[0] for p in cli.cli.commands[name].params}
+        assert opts == {*reads, "--out", "--config"}, name
+
+
+@pytest.mark.parametrize("name", ["apdp", "mu-nu", "loss-beta"])
+def test_every_flag_of_a_closed_form_study_changes_its_rows(tmp_path, name):
+    # read from click, so a flag added without effect fails here
+    def data_rows(*args):
+        out = tmp_path / "x.csv"
+        assert main([name, *args, "--out", str(out)]) == 0
+        return out.read_text().splitlines()[1:]
+
+    flags = [p.opts[0] for p in cli.cli.commands[name].params
+             if p.name not in ("out", "config_file")]
+    assert flags
+    default = data_rows()
+    for flag in flags:
+        assert data_rows(flag, _NON_DEFAULT[flag]) != default, flag
