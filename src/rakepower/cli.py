@@ -440,30 +440,33 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _comment_line(config: ExperimentConfig) -> str:
-    parts = [f"users={config.users}", f"paths={config.paths}",
-             f"chips={config.chips}", f"frames={config.frames}",
-             f"rho_db={_fmt(config.rho_db)}",
-             "betas=" + (",".join(_fmt(b) for b in config.betas) or "default"),
-             f"trials={config.trials}", f"seed={config.seed}",
-             f"version={__version__}"]
-    return "# " + " ".join(parts)
+def _comment_line(config: ExperimentConfig, reads: Sequence[str]) -> str:
+    """The package version and the config fields the command reads."""
+    values = {"rho_db": _fmt(config.rho_db), "sigma_sq": _fmt(config.sigma_sq),
+              "betas": ",".join(_fmt(b) for b in config.betas) or "default"}
+    parts = [f"{field}={values.get(field, getattr(config, field))}"
+             for field in _EVERY_FIELD if field in reads]
+    return "# " + " ".join([*parts, f"version={__version__}"])
 
 
 def write_csv(path: str | None, config: ExperimentConfig, fields: Sequence[str],
-              rows: Sequence[dict]) -> None:
-    """Write the comment line, header and rows to path, or to stdout without one."""
+              rows: Sequence[dict], reads: Sequence[str] | None = None) -> None:
+    """Write the comment line, header and rows to path, or to stdout without one.
+
+    The comment line records the config fields in reads, every study
+    field when not given.
+    """
     with open(path, "w", newline="") if path else nullcontext(sys.stdout) as fh:
-        fh.write(_comment_line(config) + "\n")
+        fh.write(_comment_line(config, _EVERY_FIELD if reads is None else reads) + "\n")
         writer = csv.writer(fh)
         writer.writerow(fields)
         for row in rows:
             writer.writerow([_fmt(row[f]) for f in fields])
 
 
-def _emit(config: ExperimentConfig, fields, rows) -> str:
+def _emit(config: ExperimentConfig, reads: Sequence[str], fields, rows) -> str:
     """Write the CSV to --out, or to stdout without it; returns where it went."""
-    write_csv(config.out, config, fields, rows)
+    write_csv(config.out, config, fields, rows, reads=reads)
     return config.out or "stdout"
 
 
@@ -525,7 +528,7 @@ def _simple_command(name: str, runner, reads: Sequence[str]):
     def _cmd(**flags):
         config, _ = _configure(name, reads, flags)
         fields, rows = runner(config)
-        where = _emit(config, fields, rows)
+        where = _emit(config, reads, fields, rows)
         click.echo(f"wrote {where} ({len(rows)} rows)", err=True)
         return 0
 
@@ -544,7 +547,7 @@ _simple_command("loss-beta", run_loss_vs_beta, ("users", "paths", "frames", "bet
 def _cmd_validate(**flags):
     config, explicit = _configure("validate", _EVERY_FIELD, flags)
     fields, rows, ok = run_validate(config, explicit)
-    where = _emit(_audit_config(config, explicit), fields, rows)
+    where = _emit(_audit_config(config, explicit), _EVERY_FIELD, fields, rows)
     for row in rows:
         verdict = "PASS" if row["passed"] else "FAIL"
         click.echo(f"{verdict} {row['name']}: value={_fmt(row['value'])} "

@@ -6,8 +6,9 @@ same traces and double sums at finite L, and the values must approach
 the closed forms as L grows. This module evaluates those sums exactly
 as written (no continuum shortcut) on the tap-variance vector of a
 unit-energy user, its finger count and the collision weights, evaluates
-the self-interference double sum both directly and through the
-overlap-count case tables (two independent orders that must agree),
+the self-interference double sum both in one pass and through the
+overlap-count case tables (two independent orders that must agree; above
+32 paths each takes its correlations by FFT, up to 32 directly),
 estimates the same ratios by Monte Carlo over random channels, and
 assembles everything into an audit report with one row per intermediate
 quantity.
@@ -19,12 +20,17 @@ with fewer than about 100 combined fingers a limit row can fail on correct
 code: cross_lag_mass_combined is 1.25% off at 80 fingers); "identity" rows
 compare two evaluation routes of the same finite quantity (tolerance
 1e-12, or 1e-10 when one side is an exact rational); "mc" rows compare a
-Monte Carlo average against the prediction (tolerance a few standard
-errors). The closed forms of the intermediate quantities (energy densities
-and cross lag masses) live here, and identity rows reduce them to lsa's
-mu; the self-interference mass is lsa's nu times the squared captured
-density. Each limit row thus sets a finite sum against the one definition
-of its closed form, never against a retyped copy of it.
+Monte Carlo average against the prediction at a fixed 5% relative
+tolerance. At L = 400 and 500 trials (seed 12345) that is 8.4 standard
+errors at beta = 0.1 and 21 at beta = 0.3, and the average sits 4 to 6
+standard errors above finite_mu, a bias of the per-realization ratio at
+finitely many fingers. The closed forms of the intermediate quantities
+(energy densities and cross lag masses) live here, and identity rows
+reduce them to lsa's mu; the self-interference mass is lsa's nu times
+the squared captured density. Each limit row thus sets a finite sum
+against the one definition of its closed form, never against a retyped
+copy of it. The elementwise rows check every (lag, tap) pair, a block of
+lags at a time, from strided views built once per array.
 """
 
 from __future__ import annotations
@@ -141,7 +147,12 @@ def _self_lag_mass_table(v: np.ndarray, fingers: int,
     1-based m is [1, i], [1, P], [1, b] (both taps combined, weight 4)
     or [b + 1, P] / [b + 1, i] (one tap combined), b = P - L + i, given
     here as m < m_end and n_lo <= n < n_hi. All lags of a block are
-    summed directly by one correlation over a zero-padded partner run.
+    summed by one correlation over a zero-padded partner run: directly up
+    to _DIRECT_LAG_MAX_L paths, above that by one inverse FFT of the
+    cross spectrum at the smallest 2-3-5-smooth length that holds the
+    run, for the error bound given in _self_lag_mass_direct. The two
+    routes share no intermediate: this one sums per block and per case,
+    the other once over all lags with the weights inside the spectrum.
     """
     L = v.size
     P = fingers
@@ -154,7 +165,14 @@ def _self_lag_mass_table(v: np.ndarray, fingers: int,
         window = np.zeros(i_hi - i_lo + m_end)
         s, e = max(n_lo, lo), min(n_hi, lo + window.size)
         window[s - lo:e - lo] = v[s:e]
-        dots = np.correlate(window, v[:m_end], "valid")  # i = i_hi down to i_lo
+        if L <= _DIRECT_LAG_MAX_L:
+            dots = np.correlate(window, v[:m_end], "valid")  # i = i_hi down to i_lo
+        else:
+            # dots[k] = sum_j window[k + j] v[j]; k + j < window.size, so
+            # no term wraps at any length of at least window.size
+            nfft = _fast_len(window.size)
+            dots = irfft(rfft(window, nfft) * np.conj(rfft(v[:m_end], nfft)),
+                         nfft)[:i_hi - i_lo + 1]
         return weight * float(phi_sq[i_lo - 1:i_hi] @ dots[::-1])
 
     if 2 * P <= L:
@@ -177,9 +195,10 @@ def finite_nu(path_count: int, chips_per_frame: int, rho: float,
     """Finite-L counterpart of the self-interference coefficient nu.
 
     The lag sum with the overlap weights of the combined fingers is
-    evaluated twice: by FFT (by one direct correlation up to
-    _DIRECT_LAG_MAX_L paths) and by the case-table decomposition of the
-    overlap counts. Raises if the two disagree beyond 1e-12 relative.
+    evaluated twice: in one pass over all lags, and by the case-table
+    decomposition of the overlap counts into blocks of lags. Each route
+    takes its correlations directly up to _DIRECT_LAG_MAX_L paths and by
+    FFT above. Raises if the two disagree beyond 1e-12 relative.
     """
     v, fingers = _profile(path_count, rho, beta)
     if chips_per_frame < 1:
@@ -353,25 +372,29 @@ def _theta_factorization_deviation(v: np.ndarray, fingers: int, rho: float) -> f
     """Sup deviation of the overlap weights from their power-law form.
 
     Lag i pairs tap l with m = L + l - i (l = 1..i); each lag is scaled by
-    its largest factorized weight. The lags of a block are the rows of
-    strided views; a row runs past l = i into zero padding (m > L).
+    its largest factorized weight. Each array is viewed once as rows of
+    L - 1 strided windows (row r holds lag i = L - r), and a block of lags
+    takes its first n columns; a row runs past l = i into zero padding
+    (m > L).
     """
     L, P = v.size, fingers
-    x = np.arange(L + _LAG_BLOCK)
-    v_pad = np.concatenate([v, np.zeros(_LAG_BLOCK)])
+    x = np.arange(2 * L)
     step, inside = (x < P).astype(np.int8), (x < L).astype(np.int8)
+    v_rows = sliding_window_view(np.concatenate([v, np.zeros(L)]), L - 1)
+    step_rows = sliding_window_view(step, L - 1)
+    inside_rows = sliding_window_view(inside, L - 1)
     # power law of the pair (l, i): pw[k] at k = L + 2l - i - 2
-    pw = rho ** (-(np.arange(2 * L + 2 * _LAG_BLOCK)) / (L - 1))
+    pw_rows = sliding_window_view(rho ** (-(np.arange(3 * L)) / (L - 1)), 2 * L - 3)
     dev = 0.0
     for i_lo in range(1, L, _LAG_BLOCK):
         n = min(i_lo + _LAG_BLOCK, L) - 1  # widest row of the block
-        rows = slice(L - n, L - i_lo + 1)  # row r holds lag i = L - r
-        direct = v[:n] * sliding_window_view(v_pad, n)[rows]
-        direct *= ((step[:n] + sliding_window_view(step, n)[rows]) ** 2).astype(float)
-        u1 = step[:n] * sliding_window_view(inside, n)[rows]  # l <= P, m <= L
-        u2 = sliding_window_view(step, n)[rows]  # l <= P - L + i
+        rows = slice(L - n, L - i_lo + 1)
+        direct = v[:n] * v_rows[rows, :n]
+        direct *= ((step[:n] + step_rows[rows, :n]) ** 2).astype(float)
+        u1 = step[:n] * inside_rows[rows, :n]  # l <= P, m <= L
+        u2 = step_rows[rows, :n]  # l <= P - L + i
         fact = (u1 + u2 + 2 * u1 * u2).astype(float)
-        fact *= sliding_window_view(pw, 2 * n - 1)[rows, ::2]
+        fact *= pw_rows[rows, :2 * n - 1:2]
         scale = np.maximum(fact.max(axis=1), 1e-300)
         direct -= fact
         dev = max(dev, float(np.max(np.abs(direct, out=direct).max(axis=1) / scale)))
@@ -384,11 +407,14 @@ def _overlap_table_deviation(path_count: int, finger_count: int) -> int:
     The table gives lag i a count of 4 over l <= n4 and of 1 over
     n4 < l <= n1, case by case; the step definition is u1 + u2 + 2 u1 u2
     with u1 = [l <= P] and u2 = [l <= P - L + i]. Both are compared over
-    l = 1..i, a block of lags at a time as rows of strided views.
+    l = 1..i, a block of lags at a time as the first columns of rows of
+    strided views built once.
     """
     L, P = path_count, finger_count
-    x = np.arange(L + _LAG_BLOCK, dtype=np.int32)
+    x = np.arange(2 * L, dtype=np.int32)
     step, inside = (x < P).astype(np.int8), (x < L).astype(np.int8)
+    step_rows = sliding_window_view(step, L - 1)
+    inside_rows = sliding_window_view(inside, L - 1)
     i = L - x[1:L]  # lag of row r = 1..L-1
     b = P - L + i
     if 2 * P <= L:
@@ -401,12 +427,12 @@ def _overlap_table_deviation(path_count: int, finger_count: int) -> int:
     for i_lo in range(1, L, _LAG_BLOCK):
         n = min(i_lo + _LAG_BLOCK, L) - 1
         rows = slice(L - n, L - i_lo + 1)
-        u1, u2 = step[:n], sliding_window_view(step, n)[rows]
+        u1, u2 = step[:n], step_rows[rows, :n]
         direct = u1 + u2 + 2 * u1 * u2
         l0, t4 = x[:n], n4[L - n - 1:L - i_lo, None]  # l0 = l - 1
         t1 = n1[L - n - 1:L - i_lo, None]
         table = np.int8(4) * (l0 < t4) + ((t4 <= l0) & (l0 < t1))
-        mismatch = np.abs(direct - table) * sliding_window_view(inside, n)[rows]
+        mismatch = np.abs(direct - table) * inside_rows[rows, :n]
         worst = max(worst, int(mismatch.max()))
     return worst
 
@@ -491,13 +517,10 @@ def appendix_intermediates(path_count: int, rho: float, beta: float,
                          note=f"beta={b_tab}; block decomposition vs single pass"))
 
     phi_dev = 0.0
+    lags = np.arange(1, L)
     for nc in (chips, 2 * L):
-        cases = np.empty(L - 1)
-        for i in range(1, L):
-            if (nc <= L and i >= L - nc + 1) or nc >= L:
-                cases[i - 1] = (L - i) / nc
-            else:
-                cases[i - 1] = 1.0
+        cases = np.where((nc <= L) & (lags >= L - nc + 1) | (nc >= L),
+                         (L - lags) / nc, 1.0)
         phi_dev = max(phi_dev, float(np.max(np.abs(cases - _phi_squared(nc, L)))))
     rows.append(_row("collision_weight_cases", "identity", phi_dev, 0.0, 1e-12,
                      note="piecewise collision weights vs direct min form, "

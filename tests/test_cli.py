@@ -14,8 +14,8 @@ import pytest
 import rakepower.channel as channel
 import rakepower.cli as cli
 from rakepower import (ApdpProfile, LsaParams, RakeSelector, SpreadingConfig,
-                       UtilityParams, gamma_star, link_gains, loss_db, mu, nu,
-                       predict_utility, sample_channel_bank, sample_topology,
+                       UtilityParams, __version__, gamma_star, link_gains, loss_db,
+                       mu, nu, predict_utility, sample_channel_bank, sample_topology,
                        solve_equilibrium, substream)
 from rakepower.cli import (ExperimentConfig, build_config, load_config_file,
                            main, run_gamma_curve, run_po_vs_frames,
@@ -33,7 +33,7 @@ def test_gamma_curve_csv(tmp_path):
     out = tmp_path / "gamma.csv"
     assert main(["gamma-curve", "--out", str(out)]) == 0
     comment, rows = _read_csv(out)
-    assert "seed=12345" in comment and "version=" in comment
+    assert "version=" in comment
     assert len(rows) == 121
     targets = [float(r["target_sinr"]) for r in rows]
     ratios = [float(r["varsigma"]) for r in rows]
@@ -203,6 +203,25 @@ def test_validate_comment_line_records_the_audited_config(tmp_path):
     assert " betas=0.1 trials=500 " in comment
 
 
+def test_comment_line_records_the_fields_the_command_reads(tmp_path):
+    # gamma-curve reads no config field; utility-gain reads all, sigma_sq too
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sigma_sq = 1e-13\n")
+    comments = {}
+    for key, args in (("gamma", ["gamma-curve"]),
+                      ("default", ["utility-gain", "--trials", "2"]),
+                      ("sigma", ["utility-gain", "--trials", "2", "--config", str(cfg)])):
+        out = tmp_path / f"{key}.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        comments[key], _ = _read_csv(out)
+    assert comments["gamma"] == f"# version={__version__}"
+    assert comments["default"] == (
+        "# users=8 paths=200 chips=50 frames=20 rho_db=10.0 betas=default trials=2 "
+        f"seed=12345 sigma_sq=5e-16 version={__version__}")
+    assert comments["sigma"] == comments["default"].replace("sigma_sq=5e-16",
+                                                            "sigma_sq=1e-13")
+
+
 def test_usage_errors_exit_one(tmp_path):
     assert main(["no-such-command"]) == 1
     assert main(["apdp", "--paths", "not-a-number"]) == 1
@@ -281,7 +300,7 @@ def test_trial_block_temporaries_reuse_their_pages():
     code = textwrap.dedent("""
         import resource
         import numpy as np
-        from rakepower import (ApdpProfile, NetworkTopology, RakeSelector,
+        from rakepower import (__version__, ApdpProfile, NetworkTopology, RakeSelector,
                                SpreadingConfig, link_gains, sample_channel_bank)
         topo = NetworkTopology(distances=np.linspace(3.0, 20.0, 8))
         block = np.stack([sample_channel_bank(ApdpProfile(200, 10.0), topo, 1, t)

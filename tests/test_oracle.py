@@ -227,10 +227,24 @@ def test_table_route_matches_segment_loop():
                         _seg_table(v, P, phi_sq), rel=1e-13, abs=0), (L, P, Nc, rho)
 
 
+def test_fft_table_route_matches_direct_route():
+    # above 32 paths both routes go by FFT; finite_nu needs them within 1e-12
+    for L in (33, 4000, 8000):
+        for rho in (1.0, 10.0, 1e6, 1e10):
+            for beta in (0.1, 0.5, 0.51, 1.0):
+                for load in (0.01, 2.0):
+                    v, P = _profile(L, rho, beta)
+                    phi_sq = _phi_squared(max(1, round(load * L)), L)
+                    assert _self_lag_mass_table(v, P, phi_sq) == pytest.approx(
+                        _self_lag_mass_direct(v, P, phi_sq), rel=1e-12, abs=0), \
+                        (L, rho, beta, load)
+
+
 def test_elementwise_checks_match_lag_loops():
-    for L in (2, 3, 40, 41, 401):
+    # 999 lags at L = 1000 leave the last block of lags partial
+    for L in (2, 3, 40, 41, 401, 1000):
         for beta in (0.01, 0.3, 0.5, 0.7, 1.0):
-            for rho in (1.0, 10.0):
+            for rho in (1.0, 10.0, 1e4):
                 v, P = _profile(L, rho, beta)
                 assert _theta_factorization_deviation(v, P, rho) == _theta_loop(v, P, rho)
         for P in sorted({1, 2, L // 3, L // 2, L // 2 + 1, 2 * L // 3, L - 1, L}
