@@ -44,10 +44,7 @@ from .game import (
 )
 from .lsa import (
     LsaParams,
-    ber_estimate,
-    invert_loss,
     loss_db,
-    lsa_prediction,
     min_frames,
     mu,
     mu_flat,
@@ -90,7 +87,6 @@ __all__ = [
     "SpreadingConfig",
     "UtilityParams",
     "appendix_intermediates",
-    "ber_estimate",
     "best_response",
     "closed_form_equilibrium_power",
     "efficiency",
@@ -100,10 +96,8 @@ __all__ = [
     "flat_mu_exact",
     "flat_nu_exact",
     "gamma_star",
-    "invert_loss",
     "link_gains",
     "loss_db",
-    "lsa_prediction",
     "mc_gain_ratio",
     "min_frames",
     "mu",

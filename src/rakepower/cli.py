@@ -32,8 +32,8 @@ import numpy as np
 from . import __version__
 from .channel import ApdpProfile, sample_normals, sample_topology, substream
 from .gains import LinkGains, RakeSelector, SpreadingConfig, link_gains
-from .game import UtilityParams, gamma_star, solve_equilibrium
-from .lsa import LsaParams, loss_db, min_frames, mu, nu, predict_utility
+from .game import gamma_star, solve_equilibrium
+from .lsa import _UTILITY, LsaParams, loss_db, min_frames, mu, nu, predict_utility
 from .oracle import oracle_audit
 
 _D_MIN, _D_MAX = 3.0, 20.0
@@ -42,7 +42,6 @@ _LOAD_GRID = (0.25, 1.0, 4.0)
 _BETA_BANKS = (1.0, 0.5, 0.3, 0.1)
 _LOSS_RHO_DB = (0.0, 10.0)
 _LOSS_CHIPS = (50, 200)
-_UTILITY = UtilityParams()
 # trials per (T, K, L) block in the simulating studies: peak RSS grows by
 # about 0.27 MB per trial held, and large stacks are memory-bound
 _TRIAL_BLOCK = 4
@@ -88,9 +87,8 @@ class ExperimentConfig:
     def rho(self) -> float:
         return 10.0 ** (self.rho_db / 10.0)
 
-    def spreading(self, frames: int | None = None) -> SpreadingConfig:
-        return SpreadingConfig(frames=self.frames if frames is None else frames,
-                               chips_per_frame=self.chips)
+    def spreading(self) -> SpreadingConfig:
+        return SpreadingConfig(frames=self.frames, chips_per_frame=self.chips)
 
     def lsa_params(self, beta: float, rho: float | None = None,
                    chips: int | None = None) -> LsaParams:

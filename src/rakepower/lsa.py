@@ -23,7 +23,6 @@ import dataclasses
 import functools
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,11 +33,18 @@ logger = logging.getLogger(__name__)
 
 _FLAT_RHO_TOL = 1e-6
 _ARAKE_BETA_TOL = 1e-9
+# the utility of every prediction, and of every study's equilibrium solve
+_UTILITY = UtilityParams()
 
 
 def _is_flat(rho: float) -> bool:
     """Whether rho is close enough to 1 for the flat-profile limit forms."""
     return abs(rho - 1.0) < _FLAT_RHO_TOL
+
+
+def _is_full(beta: float) -> bool:
+    """Whether beta is close enough to 1 for the full-combining limit forms."""
+    return 1.0 - beta < _ARAKE_BETA_TOL
 
 
 def _check_rho(rho: float):
@@ -71,7 +77,7 @@ def mu(rho: float, beta: float) -> float:
     """
     _check_rho(rho)
     _check_beta(beta)
-    if 1.0 - beta < _ARAKE_BETA_TOL:
+    if _is_full(beta):
         return 1.0
     if _is_flat(rho):
         return mu_flat(beta)
@@ -117,7 +123,7 @@ def nu_flat(beta: float, load: float) -> float:
     """Self-interference coefficient for a flat profile."""
     _check_beta(beta)
     _check_load(load)
-    if 1.0 - beta < _ARAKE_BETA_TOL:
+    if _is_full(beta):
         return nu_flat_arake(load)
     b, lam = beta, load
     region = _region(b, lam)
@@ -145,7 +151,7 @@ def nu(rho: float, beta: float, load: float) -> float:
     _check_rho(rho)
     _check_beta(beta)
     _check_load(load)
-    if 1.0 - beta < _ARAKE_BETA_TOL:
+    if _is_full(beta):
         return nu_arake(rho, load)
     if _is_flat(rho):
         return nu_flat(beta, load)
@@ -186,7 +192,7 @@ def _nu_branch(rho: float, beta: float, load: float, region: int) -> float:
     return num / den
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class LsaParams:
     """Operating point for the large-system predictions.
 
@@ -201,7 +207,6 @@ class LsaParams:
     gain: int
     users: int
     sigma_sq: float
-    utility: UtilityParams = UtilityParams()
     chips_per_frame: int | None = None
 
     def __post_init__(self):
@@ -217,12 +222,11 @@ class LsaParams:
 
     @classmethod
     def from_spreading(cls, spreading: SpreadingConfig, path_count: int,
-                       rho: float, beta: float, users: int, sigma_sq: float,
-                       utility: UtilityParams = UtilityParams()) -> "LsaParams":
+                       rho: float, beta: float, users: int,
+                       sigma_sq: float) -> "LsaParams":
         return cls(rho=rho, beta=beta, load=spreading.load_factor(path_count),
                    gain=spreading.processing_gain, users=users,
-                   sigma_sq=sigma_sq, utility=utility,
-                   chips_per_frame=spreading.chips_per_frame)
+                   sigma_sq=sigma_sq, chips_per_frame=spreading.chips_per_frame)
 
     @property
     def mu(self) -> float:
@@ -238,22 +242,22 @@ class LsaParams:
 
         Cached per instance: the fields are frozen, so the target never changes.
         """
-        return gamma_star(self.gain / self.nu, self.utility.packet_bits)
+        return gamma_star(self.gain / self.nu, _UTILITY.packet_bits)
 
 
 def _interference_budget(params: LsaParams, gam: float) -> float:
-    """N minus the SINR-weighted interference mass; must stay positive."""
-    return params.gain - gam * ((params.users - 1) * params.mu + params.nu)
+    """N minus the SINR-weighted interference mass; raises unless positive."""
+    budget = params.gain - gam * ((params.users - 1) * params.mu + params.nu)
+    if budget <= 0:
+        raise ValueError("infeasible operating point: interference mass exceeds gain")
+    return budget
 
 
 def predict_power(params: LsaParams, h_sp) -> float | np.ndarray:
     """Predicted equilibrium transmit power for combined gain h_sp."""
     gam = params.target_sinr
-    budget = _interference_budget(params, gam)
-    if budget <= 0:
-        raise ValueError("infeasible operating point: interference mass exceeds gain")
     h = np.asarray(h_sp, dtype=float)
-    out = params.gain * params.sigma_sq * gam / (h * budget)
+    out = params.gain * params.sigma_sq * gam / (h * _interference_budget(params, gam))
     return float(out) if out.ndim == 0 else out
 
 
@@ -261,47 +265,9 @@ def predict_utility(params: LsaParams, h_sp) -> float | np.ndarray:
     """Predicted equilibrium utility for combined gain h_sp."""
     gam = params.target_sinr
     budget = _interference_budget(params, gam)
-    if budget <= 0:
-        raise ValueError("infeasible operating point: interference mass exceeds gain")
     h = np.asarray(h_sp, dtype=float)
-    scale = params.utility.throughput_scale * efficiency(gam, params.utility.packet_bits)
+    scale = _UTILITY.throughput_scale * efficiency(gam, _UTILITY.packet_bits)
     out = scale * h * budget / (params.gain * params.sigma_sq * gam)
-    return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class LsaPrediction:
-    """Bundle of the large-system outputs at one operating point."""
-
-    mu: float
-    nu: float
-    target_sinr: float
-    power: float | np.ndarray
-    utility: float | np.ndarray
-    ber: float
-
-
-def lsa_prediction(params: LsaParams, h_sp) -> LsaPrediction:
-    gam = params.target_sinr
-    return LsaPrediction(
-        mu=params.mu,
-        nu=params.nu,
-        target_sinr=gam,
-        power=predict_power(params, h_sp),
-        utility=predict_utility(params, h_sp),
-        ber=ber_estimate(gam),
-    )
-
-
-_erfc = np.vectorize(math.erfc, otypes=[float])
-
-
-def ber_estimate(gamma) -> float | np.ndarray:
-    """Gaussian-tail bit error estimate Q(sqrt(gamma))."""
-    g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0):
-        raise ValueError("gamma must be non-negative")
-    out = 0.5 * _erfc(np.sqrt(g / 2.0))
     return float(out) if out.ndim == 0 else out
 
 
@@ -317,7 +283,7 @@ def min_frames(params: LsaParams) -> int:
     """
     if params.chips_per_frame is None:
         raise ValueError("min_frames needs chips_per_frame")
-    gam = gamma_star(math.inf, params.utility.packet_bits)
+    gam = gamma_star(math.inf, _UTILITY.packet_bits)
     mass = gam * ((params.users - 1) * params.mu + params.nu)
     raw = mass / params.chips_per_frame
     frames = max(1, math.ceil(raw))
@@ -342,7 +308,7 @@ def loss_db(params: LsaParams, asymptotic_target: bool = True) -> float:
     combining gives exactly 0 dB either way.
     """
     full = dataclasses.replace(params, beta=1.0)
-    M = params.utility.packet_bits
+    M = _UTILITY.packet_bits
     if asymptotic_target:
         g_p = g_a = gamma_star(math.inf, M)
         eff_ratio = 1.0
@@ -351,49 +317,6 @@ def loss_db(params: LsaParams, asymptotic_target: bool = True) -> float:
         g_p, g_a = params.target_sinr, full.target_sinr
         eff_ratio = efficiency(g_a, M) / efficiency(g_p, M)
         sinr_ratio = g_p / g_a
-    budget_a = _interference_budget(full, g_a)
-    budget_p = _interference_budget(params, g_p)
-    if budget_a <= 0 or budget_p <= 0:
-        raise ValueError("infeasible operating point: interference mass exceeds gain")
-    ratio = params.mu * eff_ratio * sinr_ratio * budget_a / budget_p
+    ratio = params.mu * eff_ratio * sinr_ratio \
+        * _interference_budget(full, g_a) / _interference_budget(params, g_p)
     return 10.0 * math.log10(ratio)
-
-
-def invert_loss(target_db: float, params: LsaParams, beta_min: float = 0.01,
-                asymptotic_target: bool = True) -> float:
-    """Finger fraction whose utility penalty matches a target, in dB.
-
-    Bisects the monotone decreasing penalty curve over [beta_min, 1] until
-    within 0.01 dB of the target. Fractions too small to support the load
-    count as infinite penalty, so the search walks back into the feasible
-    range by itself. Raises if the target is negative or no fraction in
-    the range meets it.
-    """
-    if target_db < 0:
-        raise ValueError("target penalty must be non-negative")
-
-    def penalty(beta: float) -> float:
-        try:
-            return loss_db(dataclasses.replace(params, beta=beta), asymptotic_target)
-        except ValueError:
-            return math.inf
-
-    hi_loss = penalty(beta_min)
-    if target_db > hi_loss:
-        raise ValueError(
-            f"target {target_db} dB exceeds the {hi_loss:.4f} dB penalty at beta={beta_min}")
-    lo, hi = beta_min, 1.0
-    val = penalty(lo)
-    beta = lo
-    for _ in range(200):
-        beta = 0.5 * (lo + hi)
-        val = penalty(beta)
-        if abs(val - target_db) < 0.01:
-            break
-        if val > target_db:
-            lo = beta
-        else:
-            hi = beta
-    if not abs(val - target_db) < 0.01:
-        raise ValueError(f"no fraction in [{beta_min}, 1] reaches {target_db} dB")
-    return beta

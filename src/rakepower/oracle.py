@@ -46,7 +46,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .channel import ApdpProfile, sample_normals
 from .gains import RakeSelector, _fast_len, _lag_matrix, _phi_squared
 from .game import efficiency
-from .lsa import (LsaParams, _is_flat, loss_db, mu, mu_flat, nu, nu_arake,
+from .lsa import (_UTILITY, LsaParams, _is_flat, loss_db, mu, mu_flat, nu, nu_arake,
                   nu_flat, predict_power)
 
 _DEFAULT_SIGMA_SQ = 5e-16
@@ -58,6 +58,11 @@ _DIRECT_LAG_MAX_L = 32
 _LAG_BLOCK = 16
 # path counts of the lag-pattern Gram checks and of the Monte Carlo row
 _GRAM_PATH_COUNT = 400
+# relative tolerances: identity rows and finite_nu's two routes, exact
+# rational and moment identity rows, and limit rows
+_IDENTITY_TOL = 1e-12
+_EXACT_TOL = 1e-10
+_LIMIT_TOL = 1e-2
 _MC_PATH_COUNT = 400
 
 
@@ -206,7 +211,7 @@ def finite_nu(path_count: int, chips_per_frame: int, rho: float,
     phi_sq = _phi_squared(chips_per_frame, path_count)
     mass = _self_lag_mass_direct(v, fingers, phi_sq)
     other = _self_lag_mass_table(v, fingers, phi_sq)
-    if abs(mass - other) > 1e-12 * max(abs(mass), abs(other)):
+    if abs(mass - other) > _IDENTITY_TOL * max(abs(mass), abs(other)):
         raise ValueError(
             f"self-interference evaluation orders disagree: {mass} vs {other}")
     return mass / _captured_density(v, fingers) ** 2
@@ -473,33 +478,35 @@ def appendix_intermediates(path_count: int, rho: float, beta: float,
 
     w = 0.37
     rows.append(_row("captured_energy_density_scaling", "identity",
-                     _captured_density(w * v, fingers), w * den_f, 1e-12,
+                     _captured_density(w * v, fingers), w * den_f, _IDENTITY_TOL,
                      note="interfering-user copy: linear in the user variance"))
 
     v_g, fingers_g = _profile(_GRAM_PATH_COUNT, rho, beta)
     rows.append(_row("lag_gram_diagonal_full", "identity",
-                     _gram_diag_deviation(v_g, fingers_g, combined=False), 0.0, 1e-12,
+                     _gram_diag_deviation(v_g, fingers_g, combined=False), 0.0,
+                     _IDENTITY_TOL,
                      note=f"row energies equal per-path suffix sums; L={_GRAM_PATH_COUNT}"))
     rows.append(_row("lag_gram_diagonal_combined", "identity",
-                     _gram_diag_deviation(v_g, fingers_g, combined=True), 0.0, 1e-12,
+                     _gram_diag_deviation(v_g, fingers_g, combined=True), 0.0,
+                     _IDENTITY_TOL,
                      note="finger-masked rows vanish past the last finger; "
                           f"L={_GRAM_PATH_COUNT}"))
 
     num1_f, num2_f = _cross_lag_masses(v, fingers)
     num1_c = _cross_mass_combined_closed(rho, beta)
     num2_c = _cross_mass_full_closed(rho, beta)
-    rows.append(_row("cross_lag_mass_combined", "limit", num1_f, num1_c, 1e-2))
-    rows.append(_row("cross_lag_mass_full", "limit", num2_f, num2_c, 1e-2))
+    rows.append(_row("cross_lag_mass_combined", "limit", num1_f, num1_c, _LIMIT_TOL))
+    rows.append(_row("cross_lag_mass_full", "limit", num2_f, num2_c, _LIMIT_TOL))
     rows.append(_row("cross_gain_ratio_identity", "identity",
-                     (num1_c + num2_c) / (den_c * den_c), mu(rho, beta), 1e-12,
+                     (num1_c + num2_c) / (den_c * den_c), mu(rho, beta), _IDENTITY_TOL,
                      note="closed lag masses over squared density reduce to mu"))
 
     # -- self-interference chain -------------------------------------------
     rows.append(_row("captured_energy_density_squared", "limit",
-                     den_f * den_f, den_c * den_c, 1e-2))
+                     den_f * den_f, den_c * den_c, _LIMIT_TOL))
 
     rows.append(_row("self_lag_weight_factorization", "identity",
-                     _theta_factorization_deviation(v, fingers, rho), 0.0, 1e-12,
+                     _theta_factorization_deviation(v, fingers, rho), 0.0, _IDENTITY_TOL,
                      note="overlap weights factor into power law times overlap count"))
 
     for label, b_tab in (("low_fraction", 0.3), ("high_fraction", 0.7)):
@@ -513,7 +520,7 @@ def appendix_intermediates(path_count: int, rho: float, beta: float,
         direct = _self_lag_mass_direct(v, fingers_tab, phi_sq)
         table = _self_lag_mass_table(v, fingers_tab, phi_sq)
         rows.append(_row(f"self_lag_sum_decomposition_{label}", "identity",
-                         table, direct, 1e-12,
+                         table, direct, _IDENTITY_TOL,
                          note=f"beta={b_tab}; block decomposition vs single pass"))
 
     phi_dev = 0.0
@@ -522,7 +529,7 @@ def appendix_intermediates(path_count: int, rho: float, beta: float,
         cases = np.where((nc <= L) & (lags >= L - nc + 1) | (nc >= L),
                          (L - lags) / nc, 1.0)
         phi_dev = max(phi_dev, float(np.max(np.abs(cases - _phi_squared(nc, L)))))
-    rows.append(_row("collision_weight_cases", "identity", phi_dev, 0.0, 1e-12,
+    rows.append(_row("collision_weight_cases", "identity", phi_dev, 0.0, _IDENTITY_TOL,
                      note="piecewise collision weights vs direct min form, "
                           "checked for chips below and above the path count"))
 
@@ -537,18 +544,18 @@ def appendix_intermediates(path_count: int, rho: float, beta: float,
         # captured-energy density
         closed = nu(rho, b_r, lam_r) * _captured_density_closed(rho, b_r) ** 2
         rows.append(_row(f"self_lag_mass_region{region}", "limit",
-                         mass, closed, 1e-2, note=f"beta={b_r}, load={lam_r}"))
+                         mass, closed, _LIMIT_TOL, note=f"beta={b_r}, load={lam_r}"))
 
     # -- loss chain ---------------------------------------------------------
     total_f = float(v.sum()) / L
     total_c = _total_density_closed(rho)
-    rows.append(_row("total_energy_density", "limit", total_f, total_c, 1e-2))
+    rows.append(_row("total_energy_density", "limit", total_f, total_c, _LIMIT_TOL))
     rows.append(_row("energy_ratio_rewrite", "identity",
                      float(v.sum()) / float(v[:fingers].sum()),
-                     total_f / den_f, 1e-12,
+                     total_f / den_f, _IDENTITY_TOL,
                      note="per-path normalization cancels in the ratio"))
     rows.append(_row("energy_ratio_limit", "identity",
-                     total_c / den_c, mu(rho, beta), 1e-12,
+                     total_c / den_c, mu(rho, beta), _IDENTITY_TOL,
                      note="ratio of the density limits reduces to mu"))
 
     est = mc_gain_ratio(_MC_PATH_COUNT, rho, beta, trials=mc_trials,
@@ -563,7 +570,7 @@ def appendix_intermediates(path_count: int, rho: float, beta: float,
     nv_a = params_a.nu
     skeleton = sigma_sq * gam_a / (1.0 - gam_a * (nv_a / N + (users - 1) / N))
     rows.append(_row("full_combining_power_form", "identity",
-                     skeleton, predict_power(params_a, 1.0), 1e-12,
+                     skeleton, predict_power(params_a, 1.0), _IDENTITY_TOL,
                      note="ratio form of the equilibrium power equals the "
                           "budget form at full combining"))
 
@@ -572,14 +579,14 @@ def appendix_intermediates(path_count: int, rho: float, beta: float,
     gam_p = params_p.target_sinr
     m = params_p.mu
     nv = params_p.nu
-    M = params_p.utility.packet_bits
+    M = _UTILITY.packet_bits
     skel_loss = m \
         * (efficiency(gam_a, M) / efficiency(gam_p, M)) * (gam_p / gam_a) \
         * (1.0 - gam_a * (nv_a / N + (users - 1) / N)) \
         / (1.0 - gam_p * (nv / N + (users - 1) * m / N))
     rows.append(_row("loss_factorization", "identity", skel_loss,
                      10.0 ** (loss_db(params_p, asymptotic_target=False) / 10.0),
-                     1e-12,
+                     _IDENTITY_TOL,
                      note="four-factor utility-ratio skeleton under the limiting "
                           "substitutions equals the closed-form penalty"))
     return rows
@@ -600,40 +607,41 @@ def oracle_audit(path_count: int = 4000, rho: float = 10.0, beta: float = 0.1,
     rows: list[AuditRow] = []
 
     rows.append(_row("cross_coefficient", "limit",
-                     finite_mu(L, rho, beta), mu(rho, beta), 1e-2,
+                     finite_mu(L, rho, beta), mu(rho, beta), _LIMIT_TOL,
                      note=f"rho={rho}, beta={beta}"))
     for region in range(1, 6):
         b_r, lam_r = _REGION_POINTS[region]
         rows.append(_row(f"self_coefficient_region{region}", "limit",
                          finite_nu(L, round(lam_r * L), rho, b_r),
-                         nu(rho, b_r, lam_r), 1e-2,
+                         nu(rho, b_r, lam_r), _LIMIT_TOL,
                          note=f"beta={b_r}, load={lam_r}"))
     rows.append(_row("self_coefficient_operating_point", "limit",
-                     finite_nu(L, chips, rho, beta), nu(rho, beta, load), 1e-2,
+                     finite_nu(L, chips, rho, beta), nu(rho, beta, load), _LIMIT_TOL,
                      note=f"rho={rho}, beta={beta}, load={load}"))
 
     fingers = RakeSelector(beta).finger_count(L)
     mu_flat_fin = finite_mu(L, 1.0, beta)
     mu_full_fin = finite_mu(L, rho, 1.0)
     nu_flat_fin = finite_nu(L, chips, 1.0, beta)
-    rows.append(_row("cross_coefficient_flat", "limit", mu_flat_fin, mu_flat(beta), 1e-2))
+    rows.append(_row("cross_coefficient_flat", "limit",
+                     mu_flat_fin, mu_flat(beta), _LIMIT_TOL))
     rows.append(_row("cross_coefficient_flat_exact", "identity",
-                     mu_flat_fin, float(flat_mu_exact(L, fingers)), 1e-10,
+                     mu_flat_fin, float(flat_mu_exact(L, fingers)), _EXACT_TOL,
                      note="flat finite sum equals (L - 1) / fingers exactly"))
-    rows.append(_row("cross_coefficient_full", "limit", mu_full_fin, 1.0, 1e-2))
+    rows.append(_row("cross_coefficient_full", "limit", mu_full_fin, 1.0, _LIMIT_TOL))
     rows.append(_row("cross_coefficient_full_exact", "identity",
-                     mu_full_fin, _arake_mu_identity(L, rho), 1e-10,
+                     mu_full_fin, _arake_mu_identity(L, rho), _EXACT_TOL,
                      note="full combining reduces to the moment identity 1 - S2/S1^2"))
     rows.append(_row("self_coefficient_flat", "limit",
-                     nu_flat_fin, nu_flat(beta, load), 1e-2))
+                     nu_flat_fin, nu_flat(beta, load), _LIMIT_TOL))
     rows.append(_row("self_coefficient_flat_exact", "identity",
-                     nu_flat_fin, float(flat_nu_exact(L, fingers, chips)), 1e-10,
+                     nu_flat_fin, float(flat_nu_exact(L, fingers, chips)), _EXACT_TOL,
                      note="flat finite sum is rational; reference evaluated exactly"))
     rows.append(_row("self_coefficient_full", "limit",
-                     finite_nu(L, chips, rho, 1.0), nu_arake(rho, load), 1e-2))
+                     finite_nu(L, chips, rho, 1.0), nu_arake(rho, load), _LIMIT_TOL))
     rows.append(_row("self_coefficient_flat_full_exact", "identity",
                      finite_nu(L, chips, 1.0, 1.0),
-                     float(flat_nu_exact(L, L, chips)), 1e-10,
+                     float(flat_nu_exact(L, L, chips)), _EXACT_TOL,
                      note="flat full-combining finite sum vs exact rational"))
 
     rows.extend(appendix_intermediates(L, rho, beta, load, **kwargs))

@@ -1,13 +1,10 @@
 """Limiting interference coefficients and the predictions built on them."""
 
-import math
-
 import numpy as np
 import pytest
 
-from rakepower import (LsaParams, UtilityParams, ber_estimate, efficiency,
-                       gamma_star, invert_loss, loss_db, lsa_prediction,
-                       min_frames, mu, mu_flat, nu, nu_arake, nu_flat,
+from rakepower import (LsaParams, UtilityParams, efficiency, gamma_star,
+                       loss_db, min_frames, mu, mu_flat, nu, nu_arake, nu_flat,
                        nu_flat_arake, predict_power, predict_utility)
 from rakepower.lsa import _nu_branch, _region
 
@@ -167,38 +164,27 @@ def test_utility_power_product_identity():
     for beta in (0.1, 0.3, 0.5, 1.0):
         p = _params(beta)
         prod = predict_utility(p, 0.003) * predict_power(p, 0.003)
-        expected = p.utility.throughput_scale * efficiency(p.target_sinr)
+        expected = UtilityParams().throughput_scale * efficiency(p.target_sinr)
         assert prod == pytest.approx(expected, rel=1e-12)
-
-
-def test_prediction_bundle_consistency():
-    p = _params(0.5)
-    h = np.array([0.001, 0.005])
-    pred = lsa_prediction(p, h)
-    assert pred.mu == p.mu and pred.nu == p.nu
-    assert pred.target_sinr == p.target_sinr
-    assert np.allclose(pred.power, predict_power(p, h))
-    assert np.allclose(pred.utility, predict_utility(p, h))
-    assert pred.ber == ber_estimate(p.target_sinr)
 
 
 def test_prediction_infeasible_raises():
     p = _params(0.1, gain=40)  # tiny gain cannot carry 8 users
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="infeasible"):
         predict_power(p, 0.001)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="infeasible"):
         predict_utility(p, 0.001)
-
-
-def test_ber_estimate():
-    assert ber_estimate(0.0) == 0.5
-    g = np.linspace(0.0, 30.0, 50)
-    b = ber_estimate(g)
-    assert np.all(np.diff(b) < 0)
-    # Gaussian tail: Q(sqrt(9)) = Q(3)
-    assert ber_estimate(9.0) == pytest.approx(0.5 * math.erfc(3.0 / math.sqrt(2.0)), rel=1e-13)
-    with pytest.raises(ValueError):
-        ber_estimate(-1.0)
+    # at gain 200 full combining carries the 8 users (budget +91 at the
+    # asymptotic target) and partial combining does not (-236): the loss
+    # raises on the partial half alone
+    full, partial = _params(1.0, gain=200), _params(0.1, gain=200)
+    for p, budget in ((full, 91.0), (partial, -236.0)):
+        assert 200 - GAMMA_INF * (7 * p.mu + p.nu) == pytest.approx(budget, abs=0.5)
+    assert predict_power(full, 0.001) > 0
+    for gain in (200, 40):
+        for asymptotic in (True, False):
+            with pytest.raises(ValueError, match="infeasible"):
+                loss_db(_params(0.1, gain=gain), asymptotic_target=asymptotic)
 
 
 # -- design rules ------------------------------------------------------------
@@ -246,18 +232,6 @@ def test_loss_monotone_in_beta():
     vals = [loss_db(_params(b)) for b in betas]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert all(v >= 0 for v in vals)
-
-
-def test_invert_loss_round_trip():
-    p = _params(0.5)
-    for beta in (0.1, 0.3, 0.6):
-        target = loss_db(_params(beta))
-        back = invert_loss(target, p)
-        assert loss_db(_params(back)) == pytest.approx(target, abs=0.01)
-    with pytest.raises(ValueError):
-        invert_loss(-1.0, p)
-    with pytest.raises(ValueError):
-        invert_loss(1e9, p)
 
 
 def test_lsa_params_validation():
