@@ -3,13 +3,14 @@
 Each subcommand evaluates one study end to end and writes a CSV: the
 target-SINR curve, the power-decay profile, the interference coefficient
 surfaces, outage probability against the frame count, per-user utilities
-against channel gain for one shared draw, the partial-combining penalty
-against the combining fraction, and the full numerical audit. The CSV
-goes to --out, or to stdout without it; status lines go to stderr.
-Outputs start with a single '#' comment line recording the configuration,
-the seed, and the package version; everything after that line is
-deterministic for a fixed seed. Each subcommand takes --out, --config
-and only the flags and config-file keys its runner reads.
+against channel gain for one shared draw (trial 0, which rides in the
+first trial block), the partial-combining penalty against the combining
+fraction, and the full numerical audit. The CSV goes to --out, or to
+stdout without it; status lines go to stderr. Outputs start with a
+single '#' comment line recording the configuration, the seed, and the
+package version; everything after that line is deterministic for a
+fixed seed. Each subcommand takes --out, --config and only the flags
+and config-file keys its runner reads.
 
 Exit codes: 0 on success, 1 on usage or configuration errors (an unread
 flag or config key among them), 2 when the validation audit fails a row.
@@ -87,9 +88,6 @@ class ExperimentConfig:
     def rho(self) -> float:
         return 10.0 ** (self.rho_db / 10.0)
 
-    def spreading(self) -> SpreadingConfig:
-        return SpreadingConfig(frames=self.frames, chips_per_frame=self.chips)
-
     def lsa_params(self, beta: float, rho: float | None = None,
                    chips: int | None = None) -> LsaParams:
         chips = self.chips if chips is None else chips
@@ -99,8 +97,14 @@ class ExperimentConfig:
                          chips_per_frame=chips)
 
 
-_INT_KEYS = ("users", "paths", "chips", "frames", "trials", "seed")
-_FLOAT_KEYS = ("rho_db", "sigma_sq")
+def _floats(val: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in val.replace(",", " ").split())
+
+
+# each config-file key: the field it sets and the parser of its value
+_KEYS = {**{key: (key, int) for key in ("users", "paths", "chips", "frames", "trials", "seed")},
+         "rho_db": ("rho_db", float), "sigma_sq": ("sigma_sq", float),
+         "beta": ("betas", _floats), "betas": ("betas", _floats), "out": ("out", str)}
 
 
 def load_config_file(path: str) -> dict:
@@ -119,20 +123,12 @@ def load_config_file(path: str) -> dict:
         key, _, val = line.partition("=")
         key = key.strip().lower().replace("-", "_")
         val = val.strip()
+        if key not in _KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        field, parse = _KEYS[key]
         try:
-            if key in _INT_KEYS:
-                data[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                data[key] = float(val)
-            elif key in ("beta", "betas"):
-                data["betas"] = tuple(float(x) for x in val.replace(",", " ").split())
-            elif key == "out":
-                data["out"] = val
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            data[field] = parse(val)
         except ValueError as exc:
-            if "unknown config key" in str(exc):
-                raise
             raise ValueError(f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
     return data
 
@@ -238,6 +234,15 @@ def _stacked(banks: Sequence[LinkGains]) -> LinkGains:
                      np.stack([g.h_mai for g in banks]), banks[0].sigma_sq)
 
 
+def _solve(stack: LinkGains, trials: range):
+    """The equilibrium of a block's stack; raises unless its certificate holds."""
+    outcome = solve_equilibrium(stack, _UTILITY)
+    if not outcome.converged:
+        raise RuntimeError(f"equilibrium for trials {trials.start}..{trials.stop - 1} "
+                           "failed its fixed-point certificate")
+    return outcome
+
+
 def run_po_vs_frames(config: ExperimentConfig):
     """Outage probability against the frame count, per decay ratio.
 
@@ -267,12 +272,7 @@ def run_po_vs_frames(config: ExperimentConfig):
                           base.h_si[..., None, :] / frame_counts[:, None],
                           base.h_mai[..., None, :, :] / frame_counts[:, None, None],
                           config.sigma_sq)
-        outcome = solve_equilibrium(stack, _UTILITY)
-        if not outcome.converged:
-            raise RuntimeError(
-                f"equilibrium at {', '.join(map(_fmt, _RHO_DB_GRID))} dB, trials "
-                f"{trials.start}..{trials.stop - 1} failed its fixed-point certificate")
-        outages += outcome.clamped.any(axis=-1).sum(axis=1)
+        outages += _solve(stack, trials).clamped.any(axis=-1).sum(axis=1)
     fields = ["rho_db", "frames", "outage_fraction", "min_frames"]
     rows = []
     for rho_db, rho, counts in zip(_RHO_DB_GRID, rhos, outages):
@@ -292,42 +292,37 @@ def run_utility_vs_gain(config: ExperimentConfig):
     per fraction, the mean squared relative error of the full-combining
     prediction scaled down by the combining penalty against simulated
     utilities over fresh trials (trial indices 1 onward). Trials go in
-    blocks of a few: each block is drawn once, gets one link_gains call
-    per fraction and one solve of the (fractions, trials, users) stack.
-    A trial with a clamped user at a fraction is left out of that
-    fraction's nmse (its utility measures the power cap, not the
-    prediction); the count left out goes to stderr. A fraction with
-    every trial left out, or with an infeasible large-system operating
-    point, gets a nan nmse and a stderr line saying why. A solve that
-    fails its fixed-point certificate raises.
+    blocks of a few, trial 0 in the first: each block is drawn once, gets
+    one link_gains call per fraction and one solve of the (fractions,
+    trials, users) stack. A trial with a clamped user at a fraction is
+    left out of that fraction's nmse (its utility measures the power cap,
+    not the prediction); the count left out goes to stderr. A fraction
+    with every trial left out, or with an infeasible large-system
+    operating point, gets a nan nmse and a stderr line saying why. A
+    solve that fails its fixed-point certificate raises.
     """
     betas = config.betas or _BETA_BANKS
     selectors = [RakeSelector(beta) for beta in betas]
     profile = ApdpProfile(config.paths, config.rho)
-    spreading = config.spreading()
+    spreading = SpreadingConfig(frames=config.frames, chips_per_frame=config.chips)
     params_full = config.lsa_params(1.0)
     penalties = 10.0 ** (np.array([_or_nan(loss_db, config.lsa_params(beta))
                                    for beta in betas]) / 10.0)
-
-    def solve_block(block, trials):
-        stack = _stacked([link_gains(block, sel, spreading, config.sigma_sq)
-                          for sel in selectors])
-        outcome = solve_equilibrium(stack, _UTILITY)
-        if not outcome.converged:
-            raise RuntimeError(f"equilibrium for trials {trials.start}..{trials.stop - 1} "
-                               "failed its fixed-point certificate")
-        return stack, outcome
-
     sq_err_sums = np.zeros(len(betas))
     kept = np.zeros(len(betas), dtype=np.int64)
-    for trials, variances, normals in _trial_blocks(config, 1, config.trials + 1):
+    for trials, variances, normals in _trial_blocks(config, 0, config.trials + 1):
         block = profile.path_gains(variances, normals)
-        pred_full = _or_nan(predict_utility, params_full,
-                            np.sum(np.abs(block) ** 2, axis=-1))
-        _, outcome = solve_block(block, trials)
+        energy = np.sum(np.abs(block) ** 2, axis=-1)
+        pred_full = _or_nan(predict_utility, params_full, energy)
+        stack = _stacked([link_gains(block, sel, spreading, config.sigma_sq)
+                          for sel in selectors])
+        outcome = _solve(stack, trials)
+        if trials.start == 0:
+            channel_gain, h_sp0 = energy[0], stack.h_sp[:, 0]
+            powers0, utilities0 = outcome.powers[:, 0], outcome.utilities[:, 0]
         u = outcome.utilities
         sq_err = ((pred_full / penalties[:, None, None] - u) / u) ** 2
-        keep = ~outcome.clamped.any(axis=-1)
+        keep = ~outcome.clamped.any(axis=-1) & (np.asarray(trials) > 0)
         sq_err_sums += np.where(keep[..., None], sq_err, 0.0).sum(axis=(1, 2))
         kept += keep.sum(axis=1)
     excluded = config.trials - kept
@@ -344,20 +339,15 @@ def run_utility_vs_gain(config: ExperimentConfig):
             click.echo(f"nmse at beta={_fmt(beta)} is nan: every one of the "
                        f"{n} trials has a clamped user", err=True)
 
-    [(trials0, variances0, normals0)] = _trial_blocks(config, 0, 1)
-    block0 = profile.path_gains(variances0, normals0)
-    stack0, outcome0 = solve_block(block0, trials0)
-    channel_gain = np.sum(np.abs(block0[0]) ** 2, axis=-1)
     fields = ["beta", "user", "channel_gain", "power_w", "utility_sim",
               "utility_pred", "nmse"]
     rows = []
     for b, (beta, nmse) in enumerate(zip(betas, nmses)):
         pred0 = np.broadcast_to(_or_nan(predict_utility, config.lsa_params(beta),
-                                        stack0.h_sp[b, 0]), config.users)
+                                        h_sp0[b]), config.users)
         for k in range(config.users):
             rows.append({"beta": beta, "user": k, "channel_gain": channel_gain[k],
-                         "power_w": outcome0.powers[b, 0, k],
-                         "utility_sim": outcome0.utilities[b, 0, k],
+                         "power_w": powers0[b, k], "utility_sim": utilities0[b, k],
                          "utility_pred": pred0[k], "nmse": float(nmse)})
     return fields, rows
 
@@ -385,31 +375,30 @@ def run_loss_vs_beta(config: ExperimentConfig):
 def _audit_config(config: ExperimentConfig, explicit: frozenset) -> ExperimentConfig:
     """The configuration validate audits: 4000 paths, a quarter as many
     chips, 500 trials and beta 0.1 where not set explicitly; one beta
-    at most."""
+    at most. A value the audit cannot take is a usage error."""
     paths = config.paths if "paths" in explicit else 4000
-    return dataclasses.replace(
-        config, paths=paths,
-        chips=config.chips if "chips" in explicit else round(0.25 * paths),
-        trials=config.trials if "trials" in explicit else 500,
-        betas=(_one_beta(config, "validate"),))
-
-
-def run_validate(config: ExperimentConfig, explicit: frozenset = frozenset()):
-    """Full numerical audit; returns the rows plus an overall verdict.
-
-    The audit checks the closed forms at one operating point, so an
-    infeasible one (the interference mass exceeds the processing gain)
-    is a usage error.
-    """
     try:
-        point = _audit_config(config, explicit)
+        return dataclasses.replace(
+            config, paths=paths,
+            chips=config.chips if "chips" in explicit else round(0.25 * paths),
+            trials=config.trials if "trials" in explicit else 500,
+            betas=(_one_beta(config, "validate"),))
     except ValueError as exc:
         raise click.ClickException(f"bad audit configuration: {exc}") from exc
-    paths, chips, trials, (beta,) = point.paths, point.chips, point.trials, point.betas
+
+
+def run_validate(config: ExperimentConfig):
+    """Full numerical audit of the closed forms at one operating point.
+
+    config is the resolved audit point, one combining fraction included.
+    An infeasible operating point (the interference mass exceeds the
+    processing gain) is a usage error.
+    """
+    paths, chips, trials, (beta,) = config.paths, config.chips, config.trials, config.betas
     if trials < 2:
         raise click.ClickException(
             f"validate needs at least 2 Monte Carlo trials for a standard error, got {trials}")
-    if math.isnan(_or_nan(loss_db, point.lsa_params(beta), False)):
+    if math.isnan(_or_nan(loss_db, config.lsa_params(beta), False)):
         raise click.ClickException(
             f"infeasible operating point paths={paths} chips={chips} "
             f"users={config.users} frames={config.frames} "
@@ -421,8 +410,7 @@ def run_validate(config: ExperimentConfig, explicit: frozenset = frozenset()):
                          master_seed=config.seed)
     fields = ["name", "kind", "value", "reference", "rel_err", "tol",
               "passed", "note"]
-    rows = [dataclasses.asdict(r) for r in audit]
-    return fields, rows, all(r.passed for r in audit)
+    return fields, [dataclasses.asdict(r) for r in audit]
 
 
 # ---------------------------------------------------------------------------
@@ -448,24 +436,16 @@ def _comment_line(config: ExperimentConfig, reads: Sequence[str]) -> str:
 
 
 def write_csv(path: str | None, config: ExperimentConfig, fields: Sequence[str],
-              rows: Sequence[dict], reads: Sequence[str] | None = None) -> None:
-    """Write the comment line, header and rows to path, or to stdout without one.
-
-    The comment line records the config fields in reads, every study
-    field when not given.
-    """
+              rows: Sequence[dict], reads: Sequence[str]) -> str:
+    """Write the comment line (the config fields in reads), header and rows
+    to path, or to stdout without one; returns where they went."""
     with open(path, "w", newline="") if path else nullcontext(sys.stdout) as fh:
-        fh.write(_comment_line(config, _EVERY_FIELD if reads is None else reads) + "\n")
+        fh.write(_comment_line(config, reads) + "\n")
         writer = csv.writer(fh)
         writer.writerow(fields)
         for row in rows:
             writer.writerow([_fmt(row[f]) for f in fields])
-
-
-def _emit(config: ExperimentConfig, reads: Sequence[str], fields, rows) -> str:
-    """Write the CSV to --out, or to stdout without it; returns where it went."""
-    write_csv(config.out, config, fields, rows, reads=reads)
-    return config.out or "stdout"
+    return path or "stdout"
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +506,7 @@ def _simple_command(name: str, runner, reads: Sequence[str]):
     def _cmd(**flags):
         config, _ = _configure(name, reads, flags)
         fields, rows = runner(config)
-        where = _emit(config, reads, fields, rows)
+        where = write_csv(config.out, config, fields, rows, reads)
         click.echo(f"wrote {where} ({len(rows)} rows)", err=True)
         return 0
 
@@ -543,9 +523,9 @@ _simple_command("loss-beta", run_loss_vs_beta, ("users", "paths", "frames", "bet
 @cli.command("validate", help=run_validate.__doc__)
 @_options(_EVERY_FIELD)
 def _cmd_validate(**flags):
-    config, explicit = _configure("validate", _EVERY_FIELD, flags)
-    fields, rows, ok = run_validate(config, explicit)
-    where = _emit(_audit_config(config, explicit), _EVERY_FIELD, fields, rows)
+    config = _audit_config(*_configure("validate", _EVERY_FIELD, flags))
+    fields, rows = run_validate(config)
+    where = write_csv(config.out, config, fields, rows, _EVERY_FIELD)
     for row in rows:
         verdict = "PASS" if row["passed"] else "FAIL"
         click.echo(f"{verdict} {row['name']}: value={_fmt(row['value'])} "
@@ -554,7 +534,7 @@ def _cmd_validate(**flags):
                    err=True)
     failed = sum(1 for row in rows if not row["passed"])
     click.echo(f"wrote {where} ({len(rows)} rows, {failed} failures)", err=True)
-    return 0 if ok else 2
+    return 2 if failed else 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

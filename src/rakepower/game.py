@@ -150,7 +150,6 @@ class EquilibriumOutcome:
     """
 
     powers: np.ndarray
-    sinrs: np.ndarray
     utilities: np.ndarray
     converged: bool
     iterations: int
@@ -191,5 +190,5 @@ def solve_equilibrium(gains: LinkGains, params: UtilityParams) -> EquilibriumOut
 
     residual = np.abs(np.minimum(respond(p), p_max) - p)
     return EquilibriumOutcome(
-        powers=p, sinrs=_sinrs(gains, p), utilities=utilities(gains, p, params),
+        powers=p, utilities=utilities(gains, p, params),
         converged=bool(np.all(residual <= _RESIDUAL_BOUND * p)), iterations=rounds, clamped=~free)

@@ -247,7 +247,7 @@ def flat_nu_exact(path_count: int, finger_count: int,
 
 def _arake_mu_identity(path_count: int, rho: float) -> float:
     """Full-combining finite mu by the moment identity 1 - S2 / S1^2."""
-    v = ApdpProfile(path_count, rho).tap_variances(1.0)
+    v, _ = _profile(path_count, rho, 1.0)
     s1 = float(v.sum())
     s2 = float((v * v).sum())
     return 1.0 - s2 / s1 ** 2
@@ -299,13 +299,6 @@ def _captured_density_closed(rho: float, beta: float) -> float:
         return beta
     lr = math.log(rho)
     return (rho ** beta - 1.0) / (rho ** beta * lr)
-
-
-def _total_density_closed(rho: float) -> float:
-    if _is_flat(rho):
-        return 1.0
-    lr = math.log(rho)
-    return (rho - 1.0) / (rho * lr)
 
 
 def _cross_mass_combined_closed(rho: float, beta: float) -> float:
@@ -547,8 +540,8 @@ def appendix_intermediates(path_count: int, rho: float, beta: float,
                          mass, closed, _LIMIT_TOL, note=f"beta={b_r}, load={lam_r}"))
 
     # -- loss chain ---------------------------------------------------------
-    total_f = float(v.sum()) / L
-    total_c = _total_density_closed(rho)
+    total_f = _captured_density(v, L)
+    total_c = _captured_density_closed(rho, 1.0)
     rows.append(_row("total_energy_density", "limit", total_f, total_c, _LIMIT_TOL))
     rows.append(_row("energy_ratio_rewrite", "identity",
                      float(v.sum()) / float(v[:fingers].sum()),

@@ -16,7 +16,8 @@ from rakepower import (ApdpProfile, LsaParams, NetworkTopology, RakeSelector,
                        closed_form_equilibrium_power, feasibility, link_gains,
                        loss_db, min_frames, mu, nu, nu_arake, oracle_audit,
                        sample_channel_bank, solve_equilibrium, substream)
-from rakepower.cli import ExperimentConfig, run_po_vs_frames, run_utility_vs_gain, write_csv
+from rakepower.cli import (_EVERY_FIELD, ExperimentConfig, run_po_vs_frames,
+                           run_utility_vs_gain, write_csv)
 from rakepower.lsa import _nu_branch
 
 _REFERENCE = dict(rho=10.0, load=0.25, gain=1000, users=8, sigma_sq=5e-16,
@@ -200,7 +201,7 @@ def test_c8_runner_determinism(tmp_path):
     for name in ("a.csv", "b.csv"):
         fields, rows = run_utility_vs_gain(config)
         out = tmp_path / name
-        write_csv(str(out), config, fields, rows)
+        write_csv(str(out), config, fields, rows, _EVERY_FIELD)
         paths.append(out)
     a_lines = paths[0].read_text().splitlines()
     b_lines = paths[1].read_text().splitlines()

@@ -120,6 +120,22 @@ def test_po_frames_draws_each_trial_once(monkeypatch, rho_db_grid):
     assert len(rows) == 25 * len(rho_db_grid)
 
 
+@pytest.mark.parametrize("trials", [3, 9])
+def test_utility_gain_draws_and_solves_each_trial_once(monkeypatch, trials):
+    # trial 0, whose per-user rows the CSV prints, rides in the first block
+    calls, solves = [], []
+    draw, solve = cli.substream, cli.solve_equilibrium
+    for module in (cli, channel):
+        monkeypatch.setattr(module, "substream",
+                            lambda *key: calls.append(key) or draw(*key))
+    monkeypatch.setattr(cli, "solve_equilibrium",
+                        lambda gains, params: solves.append(1) or solve(gains, params))
+    config = ExperimentConfig(users=3, paths=40, chips=10, trials=trials, betas=(0.3,))
+    run_utility_vs_gain(config)
+    assert len(calls) == (config.trials + 1) * (config.users + 1)
+    assert len(solves) == math.ceil((config.trials + 1) / cli._TRIAL_BLOCK)
+
+
 def test_utility_gain_prediction_column(tmp_path):
     out = tmp_path / "ug.csv"
     assert main(["utility-gain", "--users", "4", "--paths", "80", "--chips", "20",
@@ -242,6 +258,30 @@ def test_config_file_parsing(tmp_path):
     assert explicit == {"users", "trials", "betas", "rho_db"}
 
 
+@pytest.mark.parametrize("text, message", [
+    ("users = 4\nnonsense\n", "{cfg}:2: expected key=value, got 'nonsense'"),
+    ("x = 1\n", "{cfg}:1: unknown config key 'x'"),
+    ("# users\nusers = abc\n", "{cfg}:2: bad value for users: 'abc'"),
+    ("beta = 0.1, abc\n", "{cfg}:1: bad value for beta: '0.1, abc'"),
+], ids=["no-equals", "unknown-key", "bad-int", "bad-beta"])
+def test_config_file_errors_name_the_file_and_line(tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        load_config_file(str(cfg))
+    assert str(exc.value) == message.format(cfg=cfg)
+    assert main(["mu-nu", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"Error: {message.format(cfg=cfg)}\n"
+
+
+def test_unreadable_config_file_is_an_error(tmp_path):
+    missing = tmp_path / "missing.cfg"
+    with pytest.raises(ValueError) as exc:
+        load_config_file(str(missing))
+    assert str(exc.value).startswith(f"cannot read config file {missing}: ")
+    assert main(["mu-nu", "--config", str(missing)]) == 1
+
+
 def test_flags_override_config(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("trials = 6\nusers = 4\n")
@@ -326,7 +366,7 @@ def _draw(config, profile, t):
 def _utility_gain_reference(config):
     """Per-trial loop: one bank, one link_gains call and one solve at a time."""
     profile = ApdpProfile(config.paths, config.rho)
-    spreading = config.spreading()
+    spreading = SpreadingConfig(frames=config.frames, chips_per_frame=config.chips)
     rows = []
     for beta in config.betas:
         penalty = 10.0 ** (loss_db(config.lsa_params(beta)) / 10.0)

@@ -16,7 +16,7 @@ from rakepower import (ApdpProfile, LinkGains, NetworkTopology, RakeSelector,
                        gamma_star, link_gains, sample_channel_bank,
                        sample_topology, sinr, solve_equilibrium, substream,
                        utilities)
-from rakepower.game import _targets
+from rakepower.game import _sinrs, _targets
 
 GAMMA_INF = 12.949200759178689  # solves (M/2) g = e^(g/2) - 1 at M = 100
 
@@ -194,7 +194,7 @@ def test_single_user_equilibrium_closed_form():
     expected = gains.sigma_sq * gam / (gains.h_sp[0] * (1.0 - gam / vs))
     assert out.converged and not out.any_clamped
     assert out.powers[0] == pytest.approx(expected, rel=1e-10)
-    assert out.sinrs[0] == pytest.approx(gam, rel=1e-10)
+    assert sinr(gains, out.powers, 0) == pytest.approx(gam, rel=1e-10)
 
 
 def test_single_user_single_path():
@@ -255,8 +255,8 @@ def test_equilibrium_sinrs_hit_targets():
     out = solve_equilibrium(gains, UtilityParams())
     assert out.converged and not out.any_clamped
     for k in range(5):
-        assert out.sinrs[k] == pytest.approx(gamma_star(float(gains.si_ratio[k])),
-                                             rel=1e-9)
+        assert sinr(gains, out.powers, k) == pytest.approx(
+            gamma_star(float(gains.si_ratio[k])), rel=1e-9)
 
 
 def test_closed_form_exact_for_shared_realization():
@@ -356,7 +356,7 @@ def test_stacked_solve_equals_per_bank_solves():
     params = UtilityParams()
     stack = _frame_stack(8, 200, 50, 0.0, 1, seed=12345)
     out = solve_equilibrium(stack, params)
-    assert out.powers.shape == out.sinrs.shape == out.clamped.shape == (25, 8)
+    assert out.powers.shape == _sinrs(stack, out.powers).shape == out.clamped.shape == (25, 8)
     assert out.converged
     assert 0 < out.iterations <= 8
     rounds = []
