@@ -56,7 +56,6 @@ from .lsa import (
     predict_utility,
 )
 from .oracle import (
-    appendix_intermediates,
     finite_mu,
     finite_nu,
     flat_mu_exact,
@@ -86,7 +85,6 @@ __all__ = [
     "RakeSelector",
     "SpreadingConfig",
     "UtilityParams",
-    "appendix_intermediates",
     "best_response",
     "closed_form_equilibrium_power",
     "efficiency",

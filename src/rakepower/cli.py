@@ -378,6 +378,9 @@ def _audit_config(config: ExperimentConfig, explicit: frozenset) -> ExperimentCo
     at most. A value the audit cannot take is a usage error."""
     paths = config.paths if "paths" in explicit else 4000
     try:
+        if paths < 3:
+            # the lightest region point, load 0.2, rounds to no chip at 2 paths
+            raise ValueError("validate needs at least 3 paths")
         return dataclasses.replace(
             config, paths=paths,
             chips=config.chips if "chips" in explicit else round(0.25 * paths),
@@ -398,16 +401,14 @@ def run_validate(config: ExperimentConfig):
     if trials < 2:
         raise click.ClickException(
             f"validate needs at least 2 Monte Carlo trials for a standard error, got {trials}")
-    if math.isnan(_or_nan(loss_db, config.lsa_params(beta), False)):
+    params = config.lsa_params(beta)
+    if math.isnan(_or_nan(loss_db, params, False)):
         raise click.ClickException(
             f"infeasible operating point paths={paths} chips={chips} "
             f"users={config.users} frames={config.frames} "
             f"rho_db={_fmt(config.rho_db)} beta={_fmt(beta)}: the interference "
             "mass exceeds the processing gain, so there is nothing to audit")
-    audit = oracle_audit(paths, config.rho, beta, chips / paths,
-                         users=config.users, frames=config.frames,
-                         sigma_sq=config.sigma_sq, mc_trials=trials,
-                         master_seed=config.seed)
+    audit = oracle_audit(paths, params, mc_trials=trials, master_seed=config.seed)
     fields = ["name", "kind", "value", "reference", "rel_err", "tol",
               "passed", "note"]
     return fields, [dataclasses.asdict(r) for r in audit]

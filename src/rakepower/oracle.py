@@ -11,7 +11,10 @@ overlap-count case tables (two independent orders that must agree; above
 32 paths each takes its correlations by FFT, up to 32 directly),
 estimates the same ratios by Monte Carlo over random channels, and
 assembles everything into an audit report with one row per intermediate
-quantity.
+quantity. The audit is one call on one LsaParams operating point; it
+evaluates each finite sum on the decaying profile once (the tap vector,
+the densities, the cross lag masses, and one self-interference mass per
+finger count and chip count) and every row that needs a sum reads it.
 
 Three kinds of rows appear in the report: "limit" rows compare a finite-L
 sum against the closed form it converges to (tolerance around 1% at
@@ -35,6 +38,8 @@ lags at a time, from strided views built once per array.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,10 +51,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .channel import ApdpProfile, sample_normals
 from .gains import RakeSelector, _fast_len, _lag_matrix, _phi_squared
 from .game import efficiency
-from .lsa import (_UTILITY, LsaParams, _is_flat, loss_db, mu, mu_flat, nu, nu_arake,
-                  nu_flat, predict_power)
+from .lsa import (_UTILITY, LsaParams, _is_flat, loss_db, mu_flat, nu, nu_arake, nu_flat,
+                  predict_power)
 
-_DEFAULT_SIGMA_SQ = 5e-16
 # path counts up to which _self_lag_mass_direct correlates the taps
 # without an FFT (see there for why)
 _DIRECT_LAG_MAX_L = 32
@@ -58,7 +62,7 @@ _DIRECT_LAG_MAX_L = 32
 _LAG_BLOCK = 16
 # path counts of the lag-pattern Gram checks and of the Monte Carlo row
 _GRAM_PATH_COUNT = 400
-# relative tolerances: identity rows and finite_nu's two routes, exact
+# relative tolerances: identity rows and _self_lag_mass's two routes, exact
 # rational and moment identity rows, and limit rows
 _IDENTITY_TOL = 1e-12
 _EXACT_TOL = 1e-10
@@ -124,7 +128,7 @@ def _self_lag_mass_direct(v: np.ndarray, fingers: int,
     positive lag wraps. The FFT's absolute error is about eps * v[0]^2
     and the mass falls like v[0]^2 rho^(-1/(L-1)), so its relative error
     grows like eps * rho^(1/(L-1)): at L = 2 and rho = 1e4 it breaks the
-    1e-12 agreement finite_nu checks, while past 32 paths it stays below
+    1e-12 agreement _self_lag_mass checks, while past 32 paths it stays below
     1e-13 for any decay ratio up to 1e10.
     """
     L = v.size
@@ -195,25 +199,35 @@ def _self_lag_mass_table(v: np.ndarray, fingers: int,
     return total / L ** 2
 
 
-def finite_nu(path_count: int, chips_per_frame: int, rho: float,
-              beta: float) -> float:
-    """Finite-L counterpart of the self-interference coefficient nu.
+def _self_lag_mass(v: np.ndarray, fingers: int, phi_sq: np.ndarray) -> float:
+    """The self-interference lag mass, checked by a second evaluation order.
 
     The lag sum with the overlap weights of the combined fingers is
     evaluated twice: in one pass over all lags, and by the case-table
     decomposition of the overlap counts into blocks of lags. Each route
     takes its correlations directly up to _DIRECT_LAG_MAX_L paths and by
-    FFT above. Raises if the two disagree beyond 1e-12 relative.
+    FFT above. Returns the single-pass value; raises if the two disagree
+    beyond 1e-12 relative.
     """
-    v, fingers = _profile(path_count, rho, beta)
-    if chips_per_frame < 1:
-        raise ValueError("chips_per_frame must be >= 1")
-    phi_sq = _phi_squared(chips_per_frame, path_count)
     mass = _self_lag_mass_direct(v, fingers, phi_sq)
     other = _self_lag_mass_table(v, fingers, phi_sq)
     if abs(mass - other) > _IDENTITY_TOL * max(abs(mass), abs(other)):
         raise ValueError(
             f"self-interference evaluation orders disagree: {mass} vs {other}")
+    return mass
+
+
+def finite_nu(path_count: int, chips_per_frame: int, rho: float,
+              beta: float) -> float:
+    """Finite-L counterpart of the self-interference coefficient nu.
+
+    The lag mass of _self_lag_mass over the squared captured density;
+    converges to nu(rho, beta, chips_per_frame / path_count).
+    """
+    v, fingers = _profile(path_count, rho, beta)
+    if chips_per_frame < 1:
+        raise ValueError("chips_per_frame must be >= 1")
+    mass = _self_lag_mass(v, fingers, _phi_squared(chips_per_frame, path_count))
     return mass / _captured_density(v, fingers) ** 2
 
 
@@ -243,14 +257,6 @@ def flat_nu_exact(path_count: int, finger_count: int,
     total = int(np.minimum(L - i, Nc) @ (4 * both + single))
     # (total / Nc) / L^2 over the squared captured density (P / L)^2
     return Fraction(total, Nc * P * P)
-
-
-def _arake_mu_identity(path_count: int, rho: float) -> float:
-    """Full-combining finite mu by the moment identity 1 - S2 / S1^2."""
-    v, _ = _profile(path_count, rho, 1.0)
-    s1 = float(v.sum())
-    s2 = float((v * v).sum())
-    return 1.0 - s2 / s1 ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -366,31 +372,43 @@ def _gram_diag_deviation(v: np.ndarray, fingers: int, combined: bool) -> float:
     return float(np.max(np.abs(diag - ref))) / scale
 
 
-def _theta_factorization_deviation(v: np.ndarray, fingers: int, rho: float) -> float:
-    """Sup deviation of the overlap weights from their power-law form.
+def _lag_rows(path_count: int, finger_count: int):
+    """The finger masks of every (lag, tap) pair, a block of lags at a time.
 
-    Lag i pairs tap l with m = L + l - i (l = 1..i); each lag is scaled by
-    its largest factorized weight. Each array is viewed once as rows of
-    L - 1 strided windows (row r holds lag i = L - r), and a block of lags
-    takes its first n columns; a row runs past l = i into zero padding
-    (m > L).
+    Lag i pairs tap l with m = L + l - i (l = 1..i). Each mask is viewed
+    once as rows of L - 1 strided windows (row r holds lag i = L - r), and
+    a block of up to _LAG_BLOCK lags is the row slice rows of those views,
+    cut to its first n columns (l = 1..n; a row runs past l = i into
+    m > L). Yields (n, rows, u1, u2, inside) per block, with u1 = [l <= P]
+    as one broadcast row, u2 = [l <= P - L + i] and inside = [m <= L], all
+    int8.
     """
-    L, P = v.size, fingers
+    L, P = path_count, finger_count
     x = np.arange(2 * L)
     step, inside = (x < P).astype(np.int8), (x < L).astype(np.int8)
-    v_rows = sliding_window_view(np.concatenate([v, np.zeros(L)]), L - 1)
     step_rows = sliding_window_view(step, L - 1)
     inside_rows = sliding_window_view(inside, L - 1)
-    # power law of the pair (l, i): pw[k] at k = L + 2l - i - 2
-    pw_rows = sliding_window_view(rho ** (-(np.arange(3 * L)) / (L - 1)), 2 * L - 3)
-    dev = 0.0
     for i_lo in range(1, L, _LAG_BLOCK):
         n = min(i_lo + _LAG_BLOCK, L) - 1  # widest row of the block
         rows = slice(L - n, L - i_lo + 1)
+        yield n, rows, step[:n], step_rows[rows, :n], inside_rows[rows, :n]
+
+
+def _theta_factorization_deviation(v: np.ndarray, fingers: int, rho: float) -> float:
+    """Sup deviation of the overlap weights from their power-law form.
+
+    Each lag of _lag_rows is scaled by its largest factorized weight; the
+    taps are zero-padded past m = L.
+    """
+    L = v.size
+    v_rows = sliding_window_view(np.concatenate([v, np.zeros(L)]), L - 1)
+    # power law of the pair (l, i): pw[k] at k = L + 2l - i - 2
+    pw_rows = sliding_window_view(rho ** (-(np.arange(3 * L)) / (L - 1)), 2 * L - 3)
+    dev = 0.0
+    for n, rows, u1, u2, inside in _lag_rows(L, fingers):
         direct = v[:n] * v_rows[rows, :n]
-        direct *= ((step[:n] + step_rows[rows, :n]) ** 2).astype(float)
-        u1 = step[:n] * inside_rows[rows, :n]  # l <= P, m <= L
-        u2 = step_rows[rows, :n]  # l <= P - L + i
+        direct *= ((u1 + u2) ** 2).astype(float)
+        u1 = u1 * inside  # l <= P, m <= L
         fact = (u1 + u2 + 2 * u1 * u2).astype(float)
         fact *= pw_rows[rows, :2 * n - 1:2]
         scale = np.maximum(fact.max(axis=1), 1e-300)
@@ -404,15 +422,10 @@ def _overlap_table_deviation(path_count: int, finger_count: int) -> int:
 
     The table gives lag i a count of 4 over l <= n4 and of 1 over
     n4 < l <= n1, case by case; the step definition is u1 + u2 + 2 u1 u2
-    with u1 = [l <= P] and u2 = [l <= P - L + i]. Both are compared over
-    l = 1..i, a block of lags at a time as the first columns of rows of
-    strided views built once.
+    from the masks of _lag_rows. Both are compared over l = 1..i.
     """
     L, P = path_count, finger_count
-    x = np.arange(2 * L, dtype=np.int32)
-    step, inside = (x < P).astype(np.int8), (x < L).astype(np.int8)
-    step_rows = sliding_window_view(step, L - 1)
-    inside_rows = sliding_window_view(inside, L - 1)
+    x = np.arange(L, dtype=np.int32)
     i = L - x[1:L]  # lag of row r = 1..L-1
     b = P - L + i
     if 2 * P <= L:
@@ -422,16 +435,13 @@ def _overlap_table_deviation(path_count: int, finger_count: int) -> int:
         cases = (i <= L - P, i <= P)
         n4, n1 = np.select(cases, (0, b), b), np.select(cases, (i, i), P)
     worst = 0
-    for i_lo in range(1, L, _LAG_BLOCK):
-        n = min(i_lo + _LAG_BLOCK, L) - 1
-        rows = slice(L - n, L - i_lo + 1)
-        u1, u2 = step[:n], step_rows[rows, :n]
+    for n, rows, u1, u2, inside in _lag_rows(L, P):
         direct = u1 + u2 + 2 * u1 * u2
-        l0, t4 = x[:n], n4[L - n - 1:L - i_lo, None]  # l0 = l - 1
-        t1 = n1[L - n - 1:L - i_lo, None]
+        # row r's case bounds sit at r - 1; l0 = l - 1
+        l0, t4 = x[:n], n4[rows.start - 1:rows.stop - 1, None]
+        t1 = n1[rows.start - 1:rows.stop - 1, None]
         table = np.int8(4) * (l0 < t4) + ((t4 <= l0) & (l0 < t1))
-        mismatch = np.abs(direct - table) * inside_rows[rows, :n]
-        worst = max(worst, int(mismatch.max()))
+        worst = max(worst, int((np.abs(direct - table) * inside).max()))
     return worst
 
 
@@ -440,33 +450,84 @@ _REGION_POINTS = {1: (0.3, 0.2), 2: (0.3, 0.5), 3: (0.7, 0.5),
                   4: (0.7, 0.8), 5: (0.7, 2.0)}
 
 
-def appendix_intermediates(path_count: int, rho: float, beta: float,
-                           load: float, *, users: int = 8, frames: int = 20,
-                           sigma_sq: float = _DEFAULT_SIGMA_SQ, mc_trials: int = 500,
-                           master_seed: int = 20240) -> list[AuditRow]:
-    """Audit every intermediate quantity in the coefficient derivations.
+def oracle_audit(path_count: int, params: LsaParams, *, mc_trials: int,
+                 master_seed: int) -> list[AuditRow]:
+    """Certify the closed forms at one operating point, in derivation order.
 
-    Each printed step on the way to the mu, nu, and loss closed forms is
-    evaluated once: densities and lag masses as finite profile sums
-    against their limits, structural identities (Gram diagonals, overlap
-    factorizations, case tables, collision-weight cases) elementwise, the
-    per-region self-interference masses against their closed forms, and
-    the equilibrium-power and loss factorizations against the prediction
-    module. Returns the rows in derivation order.
+    params is the operating point, with chips_per_frame equal to its load
+    times path_count. The rows come in two parts. First the coefficients:
+    convergence of mu, of nu in each of its five regions and at the
+    operating point, and the flat-profile / full-combining limit subcases,
+    whose finite sums admit exact rational or moment-identity references
+    checked at 1e-10. Then every intermediate step on the way to the mu,
+    nu and loss closed forms: densities and lag masses as finite profile
+    sums against their limits, structural identities (Gram diagonals,
+    overlap factorizations, case tables, collision-weight cases)
+    elementwise, the per-region self-interference masses against their
+    closed forms, and the equilibrium-power and loss factorizations
+    against the prediction module. Each finite sum on the decaying
+    profile is evaluated once and read by every row that needs it; only
+    the two decomposition rows take both self-lag routes on their own.
     """
-    if path_count < 2:
-        raise ValueError("path_count must be >= 2")
-    chips = round(load * path_count)
-    if chips < 1 or abs(chips - load * path_count) > 1e-9:
-        raise ValueError("load times path_count must be a positive integer")
-    L = path_count
+    L, rho, beta, load = path_count, params.rho, params.beta, params.load
+    chips = params.chips_per_frame
+    if L < 3:
+        raise ValueError("path_count must be >= 3, so that every region point "
+                         "has a chip per frame")
+    if chips is None or abs(chips - load * L) > 1e-9:
+        raise ValueError("params.chips_per_frame must equal load times path_count")
     v, fingers = _profile(L, rho, beta)
     phi_sq = _phi_squared(chips, L)
-    rows: list[AuditRow] = []
-
-    # -- cross-gain chain -------------------------------------------------
     den_f = _captured_density(v, fingers)
     den_c = _captured_density_closed(rho, beta)
+    total_f = _captured_density(v, L)
+    total_c = _captured_density_closed(rho, 1.0)
+
+    num1_f, num2_f = _cross_lag_masses(v, fingers)
+    full1_f, full2_f = _cross_lag_masses(v, L) if fingers < L else (num1_f, num2_f)
+
+    @functools.cache
+    def self_mass(fingers_: int, chips_: int) -> float:
+        return _self_lag_mass(v, fingers_, _phi_squared(chips_, L))
+
+    region_points = [(r, b_r, lam_r, RakeSelector(b_r).finger_count(L), round(lam_r * L))
+                     for r, (b_r, lam_r) in _REGION_POINTS.items()]
+    rows = [_row("cross_coefficient", "limit", (num1_f + num2_f) / den_f ** 2,
+                 params.mu, _LIMIT_TOL, note=f"rho={rho}, beta={beta}")]
+    for r, b_r, lam_r, fingers_r, chips_r in region_points:
+        rows.append(_row(f"self_coefficient_region{r}", "limit",
+                         self_mass(fingers_r, chips_r) / _captured_density(v, fingers_r) ** 2,
+                         nu(rho, b_r, lam_r), _LIMIT_TOL, note=f"beta={b_r}, load={lam_r}"))
+    rows.append(_row("self_coefficient_operating_point", "limit",
+                     self_mass(fingers, chips) / den_f ** 2, params.nu, _LIMIT_TOL,
+                     note=f"rho={rho}, beta={beta}, load={load}"))
+
+    mu_flat_fin = finite_mu(L, 1.0, beta)
+    mu_full_fin = (full1_f + full2_f) / total_f ** 2
+    nu_flat_fin = finite_nu(L, chips, 1.0, beta)
+    rows.append(_row("cross_coefficient_flat", "limit",
+                     mu_flat_fin, mu_flat(beta), _LIMIT_TOL))
+    rows.append(_row("cross_coefficient_flat_exact", "identity",
+                     mu_flat_fin, float(flat_mu_exact(L, fingers)), _EXACT_TOL,
+                     note="flat finite sum equals (L - 1) / fingers exactly"))
+    rows.append(_row("cross_coefficient_full", "limit", mu_full_fin, 1.0, _LIMIT_TOL))
+    rows.append(_row("cross_coefficient_full_exact", "identity",
+                     mu_full_fin, 1.0 - float((v * v).sum()) / float(v.sum()) ** 2,
+                     _EXACT_TOL,
+                     note="full combining reduces to the moment identity 1 - S2/S1^2"))
+    rows.append(_row("self_coefficient_flat", "limit",
+                     nu_flat_fin, nu_flat(beta, load), _LIMIT_TOL))
+    rows.append(_row("self_coefficient_flat_exact", "identity",
+                     nu_flat_fin, float(flat_nu_exact(L, fingers, chips)), _EXACT_TOL,
+                     note="flat finite sum is rational; reference evaluated exactly"))
+    rows.append(_row("self_coefficient_full", "limit",
+                     self_mass(L, chips) / total_f ** 2, nu_arake(rho, load), _LIMIT_TOL))
+    rows.append(_row("self_coefficient_flat_full_exact", "identity",
+                     finite_nu(L, chips, 1.0, 1.0) if fingers < L else nu_flat_fin,
+                     float(flat_nu_exact(L, L, chips)), _EXACT_TOL,
+                     note="flat full-combining finite sum vs exact rational"))
+
+    # -- cross-gain chain -------------------------------------------------
     rows.append(_row("captured_energy_density", "limit", den_f, den_c, 5e-3))
 
     w = 0.37
@@ -485,13 +546,12 @@ def appendix_intermediates(path_count: int, rho: float, beta: float,
                      note="finger-masked rows vanish past the last finger; "
                           f"L={_GRAM_PATH_COUNT}"))
 
-    num1_f, num2_f = _cross_lag_masses(v, fingers)
     num1_c = _cross_mass_combined_closed(rho, beta)
     num2_c = _cross_mass_full_closed(rho, beta)
     rows.append(_row("cross_lag_mass_combined", "limit", num1_f, num1_c, _LIMIT_TOL))
     rows.append(_row("cross_lag_mass_full", "limit", num2_f, num2_c, _LIMIT_TOL))
     rows.append(_row("cross_gain_ratio_identity", "identity",
-                     (num1_c + num2_c) / (den_c * den_c), mu(rho, beta), _IDENTITY_TOL,
+                     (num1_c + num2_c) / (den_c * den_c), params.mu, _IDENTITY_TOL,
                      note="closed lag masses over squared density reduce to mu"))
 
     # -- self-interference chain -------------------------------------------
@@ -526,117 +586,45 @@ def appendix_intermediates(path_count: int, rho: float, beta: float,
                      note="piecewise collision weights vs direct min form, "
                           "checked for chips below and above the path count"))
 
-    for region in range(1, 6):
-        b_r, lam_r = _REGION_POINTS[region]
-        chips_r = round(lam_r * L)
-        if chips_r < 1:
-            raise ValueError("chips_per_frame must be >= 1")
-        mass = _self_lag_mass_direct(v, RakeSelector(b_r).finger_count(L),
-                                     _phi_squared(chips_r, L))
+    for r, b_r, lam_r, fingers_r, chips_r in region_points:
         # the (1/L^2)-normalized mass tends to nu times the squared
         # captured-energy density
         closed = nu(rho, b_r, lam_r) * _captured_density_closed(rho, b_r) ** 2
-        rows.append(_row(f"self_lag_mass_region{region}", "limit",
-                         mass, closed, _LIMIT_TOL, note=f"beta={b_r}, load={lam_r}"))
+        rows.append(_row(f"self_lag_mass_region{r}", "limit",
+                         self_mass(fingers_r, chips_r), closed, _LIMIT_TOL,
+                         note=f"beta={b_r}, load={lam_r}"))
 
     # -- loss chain ---------------------------------------------------------
-    total_f = _captured_density(v, L)
-    total_c = _captured_density_closed(rho, 1.0)
     rows.append(_row("total_energy_density", "limit", total_f, total_c, _LIMIT_TOL))
     rows.append(_row("energy_ratio_rewrite", "identity",
                      float(v.sum()) / float(v[:fingers].sum()),
                      total_f / den_f, _IDENTITY_TOL,
                      note="per-path normalization cancels in the ratio"))
     rows.append(_row("energy_ratio_limit", "identity",
-                     total_c / den_c, mu(rho, beta), _IDENTITY_TOL,
+                     total_c / den_c, params.mu, _IDENTITY_TOL,
                      note="ratio of the density limits reduces to mu"))
 
     est = mc_gain_ratio(_MC_PATH_COUNT, rho, beta, trials=mc_trials,
                         master_seed=master_seed)
-    rows.append(_row("energy_ratio_mc", "mc", est.mean, mu(rho, beta), 5e-2,
+    rows.append(_row("energy_ratio_mc", "mc", est.mean, params.mu, 5e-2,
                      note=f"{mc_trials} trials at L={_MC_PATH_COUNT}, se={est.se:.2e}"))
 
-    N = frames * chips
-    params_a = LsaParams(rho=rho, beta=1.0, load=load, gain=N, users=users,
-                         sigma_sq=sigma_sq)
-    gam_a = params_a.target_sinr
-    nv_a = params_a.nu
-    skeleton = sigma_sq * gam_a / (1.0 - gam_a * (nv_a / N + (users - 1) / N))
+    full = dataclasses.replace(params, beta=1.0)
+    N, K, sigma_sq = params.gain, params.users, params.sigma_sq
+    gam_a, gam_p = full.target_sinr, params.target_sinr
+    budget_a = 1.0 - gam_a * (full.nu / N + (K - 1) / N)
     rows.append(_row("full_combining_power_form", "identity",
-                     skeleton, predict_power(params_a, 1.0), _IDENTITY_TOL,
+                     sigma_sq * gam_a / budget_a, predict_power(full, 1.0), _IDENTITY_TOL,
                      note="ratio form of the equilibrium power equals the "
                           "budget form at full combining"))
 
-    params_p = LsaParams(rho=rho, beta=beta, load=load, gain=N, users=users,
-                         sigma_sq=sigma_sq)
-    gam_p = params_p.target_sinr
-    m = params_p.mu
-    nv = params_p.nu
     M = _UTILITY.packet_bits
-    skel_loss = m \
+    skel_loss = params.mu \
         * (efficiency(gam_a, M) / efficiency(gam_p, M)) * (gam_p / gam_a) \
-        * (1.0 - gam_a * (nv_a / N + (users - 1) / N)) \
-        / (1.0 - gam_p * (nv / N + (users - 1) * m / N))
+        * budget_a / (1.0 - gam_p * (params.nu / N + (K - 1) * params.mu / N))
     rows.append(_row("loss_factorization", "identity", skel_loss,
-                     10.0 ** (loss_db(params_p, asymptotic_target=False) / 10.0),
+                     10.0 ** (loss_db(params, asymptotic_target=False) / 10.0),
                      _IDENTITY_TOL,
                      note="four-factor utility-ratio skeleton under the limiting "
                           "substitutions equals the closed-form penalty"))
     return rows
-
-
-def oracle_audit(path_count: int = 4000, rho: float = 10.0, beta: float = 0.1,
-                 load: float = 0.25, **kwargs) -> list[AuditRow]:
-    """Full certification: coefficients, limit subcases, and intermediates.
-
-    Prepends to appendix_intermediates the convergence rows for mu, for
-    nu in each of its five regions and at the operating point, and for
-    the flat-profile / full-combining limit subcases, where the finite
-    sums admit exact rational or moment-identity references checked at
-    1e-10.
-    """
-    L = path_count
-    chips = round(load * L)
-    rows: list[AuditRow] = []
-
-    rows.append(_row("cross_coefficient", "limit",
-                     finite_mu(L, rho, beta), mu(rho, beta), _LIMIT_TOL,
-                     note=f"rho={rho}, beta={beta}"))
-    for region in range(1, 6):
-        b_r, lam_r = _REGION_POINTS[region]
-        rows.append(_row(f"self_coefficient_region{region}", "limit",
-                         finite_nu(L, round(lam_r * L), rho, b_r),
-                         nu(rho, b_r, lam_r), _LIMIT_TOL,
-                         note=f"beta={b_r}, load={lam_r}"))
-    rows.append(_row("self_coefficient_operating_point", "limit",
-                     finite_nu(L, chips, rho, beta), nu(rho, beta, load), _LIMIT_TOL,
-                     note=f"rho={rho}, beta={beta}, load={load}"))
-
-    fingers = RakeSelector(beta).finger_count(L)
-    mu_flat_fin = finite_mu(L, 1.0, beta)
-    mu_full_fin = finite_mu(L, rho, 1.0)
-    nu_flat_fin = finite_nu(L, chips, 1.0, beta)
-    rows.append(_row("cross_coefficient_flat", "limit",
-                     mu_flat_fin, mu_flat(beta), _LIMIT_TOL))
-    rows.append(_row("cross_coefficient_flat_exact", "identity",
-                     mu_flat_fin, float(flat_mu_exact(L, fingers)), _EXACT_TOL,
-                     note="flat finite sum equals (L - 1) / fingers exactly"))
-    rows.append(_row("cross_coefficient_full", "limit", mu_full_fin, 1.0, _LIMIT_TOL))
-    rows.append(_row("cross_coefficient_full_exact", "identity",
-                     mu_full_fin, _arake_mu_identity(L, rho), _EXACT_TOL,
-                     note="full combining reduces to the moment identity 1 - S2/S1^2"))
-    rows.append(_row("self_coefficient_flat", "limit",
-                     nu_flat_fin, nu_flat(beta, load), _LIMIT_TOL))
-    rows.append(_row("self_coefficient_flat_exact", "identity",
-                     nu_flat_fin, float(flat_nu_exact(L, fingers, chips)), _EXACT_TOL,
-                     note="flat finite sum is rational; reference evaluated exactly"))
-    rows.append(_row("self_coefficient_full", "limit",
-                     finite_nu(L, chips, rho, 1.0), nu_arake(rho, load), _LIMIT_TOL))
-    rows.append(_row("self_coefficient_flat_full_exact", "identity",
-                     finite_nu(L, chips, 1.0, 1.0),
-                     float(flat_nu_exact(L, L, chips)), _EXACT_TOL,
-                     note="flat full-combining finite sum vs exact rational"))
-
-    rows.extend(appendix_intermediates(L, rho, beta, load, **kwargs))
-    return rows
-

@@ -68,7 +68,8 @@ def test_c3_prediction_error_against_simulation():
 
 def test_c4_oracle_audit_at_reference_size():
     t0 = time.perf_counter()
-    rows = oracle_audit(4000)
+    rows = oracle_audit(4000, ExperimentConfig(paths=4000, chips=1000).lsa_params(0.1),
+                        mc_trials=500, master_seed=20240)
     failures = [r.name for r in rows if not r.passed]
     assert failures == []
     names = {r.name for r in rows}

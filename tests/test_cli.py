@@ -502,6 +502,7 @@ _UNREAD_FLAGS = [(name, flag) for name, reads in _READS.items() for flag in _NON
     (["validate", "--paths", "400"], "sigma_sq = nan\n"),
     (["validate", "--paths", "400", "--trials", "1"], None),
     (["validate", "--paths", "2"], None),
+    (["validate", "--paths", "2", "--chips", "1", "--frames", "1000", "--users", "1"], None),
     (["po-frames", "--users", "4", "--paths", "40", "--chips", "10", "--trials", "3",
       "--beta", "0.3", "--beta", "0.9"], None),
     (["validate", "--paths", "400", "--beta", "0.3", "--beta", "0.9"], None),
@@ -513,6 +514,7 @@ _UNREAD_FLAGS = [(name, flag) for name, reads in _READS.items() for flag in _NON
         "utility-gain-nan-rho-db", "config-negative-sigma-sq",
         "utility-gain-config-nan-sigma-sq", "validate-config-nan-sigma-sq",
         "validate-one-trial", "validate-no-chips-at-two-paths",
+        "validate-no-region-chips-at-two-paths",
         "po-frames-two-betas", "validate-two-betas", "po-frames-config-rho-db",
         "loss-beta-config-sigma-sq", "gamma-curve-config-seed",
         *[f"{name}-unread-{flag[2:]}" for name, flag in _UNREAD_FLAGS]])

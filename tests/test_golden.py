@@ -21,6 +21,9 @@ validate_full.csv (beta 1) were recorded from the oracle that still
 packaged its profile arrays in a dataclass and chose its self-lag route
 by a method argument; they cover the flat-profile branches of the
 density and lag-mass closed forms and the factorization check at rho 1.
+validate_high.csv (beta 0.7 at load 1.25, so 2P > L at the operating
+point) was recorded from the oracle that still split its audit into two
+calls; it covers the cross-mass closed forms away from beta 0.1 and 1.
 Any later route must reproduce them:
 floats to 1e-10 relative; keys, outage counts, verdicts and notes exactly;
 and the elementwise deviation rows of validate.csv bit for bit. The
@@ -53,6 +56,9 @@ CASES = {
     "validate_flat.csv": (["validate", "--paths", "1600", "--rho-db", "0"],
                           ("value", "reference", "rel_err", "tol")),
     "validate_full.csv": (["validate", "--paths", "1600", "--beta", "1.0"],
+                          ("value", "reference", "rel_err", "tol")),
+    # 2P > L at the operating point, load 1.25 in region 5
+    "validate_high.csv": (["validate", "--paths", "1600", "--beta", "0.7", "--chips", "2000"],
                           ("value", "reference", "rel_err", "tol")),
     "mu_nu.csv": (["mu-nu"], ("mu", "nu")),
     # loss_db is nan where the interference budget closes

@@ -5,11 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rakepower import (appendix_intermediates, finite_mu, finite_nu,
-                       flat_mu_exact, flat_nu_exact, mc_gain_ratio, mu, nu,
-                       nu_arake, nu_flat, oracle_audit)
+from rakepower import (finite_mu, finite_nu, flat_mu_exact, flat_nu_exact,
+                       mc_gain_ratio, mu, nu, nu_flat, oracle_audit)
 import rakepower.oracle as oracle
-from rakepower.gains import _phi_squared
+from rakepower.cli import ExperimentConfig
+from rakepower.gains import RakeSelector, _phi_squared
 from rakepower.oracle import (_captured_density, _overlap_table_deviation,
                               _profile, _self_lag_mass_direct, _self_lag_mass_table,
                               _theta_factorization_deviation)
@@ -316,14 +316,23 @@ def test_mc_gain_ratio_error_shrinks_with_path_count():
 
 # -- audit report ------------------------------------------------------------
 
+def _point(L, rho=10.0, beta=0.1, load=0.25):
+    """The audit operating point at L paths, the rest of the reference system."""
+    return ExperimentConfig(paths=L, chips=round(load * L)).lsa_params(beta, rho=rho)
+
+
+def _audit(L, mc_trials=500, **point):
+    return oracle_audit(L, _point(L, **point), mc_trials=mc_trials, master_seed=20240)
+
+
 def test_audit_all_rows_pass_at_moderate_size():
-    rows = oracle_audit(1600)
+    rows = _audit(1600)
     assert all(r.passed for r in rows)
     assert len(rows) >= 35
 
 
 def test_audit_covers_every_region_and_kind():
-    rows = oracle_audit(800, mc_trials=50)
+    rows = _audit(800, mc_trials=50)
     names = {r.name for r in rows}
     for i in (1, 2, 3, 4, 5):
         assert f"self_coefficient_region{i}" in names
@@ -341,17 +350,36 @@ def test_audit_covers_every_region_and_kind():
 
 
 def test_audit_quantifies_near_miss_variants():
-    rows = {r.name: r for r in oracle_audit(800, mc_trials=50)}
+    rows = {r.name: r for r in _audit(800, mc_trials=50)}
     assert "l <= i" in rows["overlap_count_table_low_fraction"].note
 
 
 def test_audit_deterministic():
-    a = oracle_audit(800, mc_trials=50)
-    b = oracle_audit(800, mc_trials=50)
+    a = _audit(800, mc_trials=50)
+    b = _audit(800, mc_trials=50)
     assert [(r.name, r.value, r.rel_err) for r in a] == \
         [(r.name, r.value, r.rel_err) for r in b]
 
 
 def test_intermediates_flat_profile_smoke():
-    rows = appendix_intermediates(800, 1.0, 0.3, 0.5, mc_trials=50)
+    rows = _audit(800, mc_trials=50, rho=1.0, beta=0.3, load=0.5)
     assert all(r.passed for r in rows)
+
+
+def test_audit_evaluates_each_self_lag_mass_once(monkeypatch):
+    seen = []
+    direct = oracle._self_lag_mass_direct
+
+    def counted(v, fingers, phi_sq):
+        seen.append((v.tobytes(), fingers, phi_sq.tobytes()))
+        return direct(v, fingers, phi_sq)
+
+    monkeypatch.setattr(oracle, "_self_lag_mass_direct", counted)
+    rows = {r.name: r for r in _audit(800, mc_trials=50)}
+    assert len(seen) == len(set(seen))
+    v, _ = _profile(800, 10.0, 0.1)
+    for r, (beta, _) in oracle._REGION_POINTS.items():
+        mass = rows[f"self_lag_mass_region{r}"].value
+        fingers = RakeSelector(beta).finger_count(800)
+        assert rows[f"self_coefficient_region{r}"].value == \
+            mass / _captured_density(v, fingers) ** 2

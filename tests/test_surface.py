@@ -37,3 +37,7 @@ def test_benchmark_output_checks_pass(tmp_path, monkeypatch):
         out = tmp_path / f"{study}.csv"
         assert main([study, "--trials", "2", "--seed", "5", "--out", str(out)]) == 0
         assert checks.check_output(study, 5, 2, out) == []
+    # the audit against the benchmark's reference rows, values to 1e-9
+    out = tmp_path / "validate.csv"
+    assert main(["validate", "--paths", "8000", "--seed", "12345", "--out", str(out)]) == 0
+    assert checks.check_output("validate", 12345, 0, out) == []
