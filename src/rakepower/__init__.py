@@ -47,11 +47,7 @@ from .lsa import (
     loss_db,
     min_frames,
     mu,
-    mu_flat,
     nu,
-    nu_arake,
-    nu_flat,
-    nu_flat_arake,
     predict_power,
     predict_utility,
 )
@@ -99,11 +95,7 @@ __all__ = [
     "mc_gain_ratio",
     "min_frames",
     "mu",
-    "mu_flat",
     "nu",
-    "nu_arake",
-    "nu_flat",
-    "nu_flat_arake",
     "oracle_audit",
     "predict_power",
     "predict_utility",

@@ -21,14 +21,17 @@ from typing import Sequence
 import numpy as np
 from numpy.random import Generator, SeedSequence, default_rng
 
+# the pathloss law: a user at distance d has total channel variance
+# _PATH_VARIANCE_SCALE * d^(-_PATHLOSS_EXPONENT)
+_PATH_VARIANCE_SCALE = 0.3
+_PATHLOSS_EXPONENT = 2.0
+
 
 @dataclass(frozen=True)
 class NetworkTopology:
     """User distances plus the pathloss law mapping them to variance scales."""
 
     distances: np.ndarray
-    path_variance_scale: float = 0.3
-    pathloss_exponent: float = 2.0
 
     def __post_init__(self):
         d = np.atleast_1d(np.asarray(self.distances, dtype=float))
@@ -37,8 +40,6 @@ class NetworkTopology:
             raise ValueError("need at least one user")
         if np.any(d <= 0):
             raise ValueError("distances must be positive")
-        if self.path_variance_scale <= 0:
-            raise ValueError("path_variance_scale must be positive")
 
     @property
     def user_count(self) -> int:
@@ -47,7 +48,7 @@ class NetworkTopology:
     @property
     def user_variances(self) -> np.ndarray:
         """Total channel variance per user, scale * d^(-exponent)."""
-        return self.path_variance_scale * self.distances ** (-self.pathloss_exponent)
+        return _PATH_VARIANCE_SCALE * self.distances ** (-_PATHLOSS_EXPONENT)
 
 
 @dataclass(frozen=True)

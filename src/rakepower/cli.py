@@ -43,6 +43,11 @@ _LOAD_GRID = (0.25, 1.0, 4.0)
 _BETA_BANKS = (1.0, 0.5, 0.3, 0.1)
 _LOSS_RHO_DB = (0.0, 10.0)
 _LOSS_CHIPS = (50, 200)
+# the largest decay ratio accepted, in dB: the closed forms raise the ratio
+# to powers up to 5 (rho^(2 + 2 beta + load) and (rho^beta - 1)^2 rho^(2 +
+# load) with beta, load <= 1), and at 600 dB rho^5 = 1e300 stays inside
+# the double range (about 1.8e308), where 620 dB would overflow
+_RHO_DB_MAX = 600.0
 # trials per (T, K, L) block in the simulating studies: peak RSS grows by
 # about 0.27 MB per trial held, and large stacks are memory-bound
 _TRIAL_BLOCK = 4
@@ -76,8 +81,9 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if not (math.isfinite(self.rho_db) and self.rho_db >= 0):
-            raise ValueError("rho_db must be finite and >= 0 (non-increasing profile)")
+        if not 0 <= self.rho_db <= _RHO_DB_MAX:
+            raise ValueError(f"rho_db must lie in [0, {_RHO_DB_MAX:g}] (a non-increasing "
+                             "profile whose closed forms stay inside the double range)")
         if not (math.isfinite(self.sigma_sq) and self.sigma_sq > 0):
             raise ValueError("sigma_sq must be finite and positive")
         for b in self.betas:
@@ -202,8 +208,8 @@ def _or_nan(closed_form, params: LsaParams, *args):
         return math.nan
 
 
-def _trial_blocks(config: ExperimentConfig, first: int, stop: int):
-    """Trials first..stop-1 in blocks of up to _TRIAL_BLOCK: yields each
+def _trial_blocks(config: ExperimentConfig, stop: int):
+    """Trials 0..stop-1 in blocks of up to _TRIAL_BLOCK: yields each
     block's trial range, its (T, K) user variances and its (T, K, L)
     complex normals, which ApdpProfile.path_gains scales to any decay ratio.
 
@@ -211,7 +217,7 @@ def _trial_blocks(config: ExperimentConfig, first: int, stop: int):
     normals by trial and user), so the draws do not depend on how the
     trials are blocked.
     """
-    for start in range(first, stop, _TRIAL_BLOCK):
+    for start in range(0, stop, _TRIAL_BLOCK):
         trials = range(start, min(start + _TRIAL_BLOCK, stop))
         variances = np.array([sample_topology(config.users, _D_MIN, _D_MAX,
                                               substream(config.seed, t)).user_variances
@@ -264,7 +270,7 @@ def run_po_vs_frames(config: ExperimentConfig):
     rhos = [10.0 ** (rho_db / 10.0) for rho_db in _RHO_DB_GRID]
     profiles = [ApdpProfile(config.paths, rho) for rho in rhos]
     outages = np.zeros((len(rhos), frames_max), dtype=np.int64)
-    for trials, variances, normals in _trial_blocks(config, 0, config.trials):
+    for trials, variances, normals in _trial_blocks(config, config.trials):
         base = _stacked([link_gains(p.path_gains(variances, normals), selector,
                                     spreading_unit, config.sigma_sq) for p in profiles])
         stack = LinkGains(np.broadcast_to(base.h_sp[..., None, :],
@@ -310,7 +316,7 @@ def run_utility_vs_gain(config: ExperimentConfig):
                                    for beta in betas]) / 10.0)
     sq_err_sums = np.zeros(len(betas))
     kept = np.zeros(len(betas), dtype=np.int64)
-    for trials, variances, normals in _trial_blocks(config, 0, config.trials + 1):
+    for trials, variances, normals in _trial_blocks(config, config.trials + 1):
         block = profile.path_gains(variances, normals)
         energy = np.sum(np.abs(block) ** 2, axis=-1)
         pred_full = _or_nan(predict_utility, params_full, energy)

@@ -12,7 +12,8 @@ that keeps the network feasible - is a closed-form function of (mu, nu).
 
 mu and nu have removable singularities at a flat profile (decay ratio 1)
 and at full combining (finger fraction 1), where the generic expressions
-cancel catastrophically; evaluation dispatches to dedicated limit forms
+cancel catastrophically. Each coefficient has one entry, `mu` or `nu`,
+which checks its arguments once and dispatches to its own limit forms
 near those points. nu is piecewise in the load with five analytic
 branches that agree at the region boundaries.
 """
@@ -62,12 +63,6 @@ def _check_load(load: float):
         raise ValueError("load must be positive")
 
 
-def mu_flat(beta: float) -> float:
-    """Cross-gain coefficient for a flat profile: 1 / beta."""
-    _check_beta(beta)
-    return 1.0 / beta
-
-
 def mu(rho: float, beta: float) -> float:
     """Limiting ratio of total channel energy to combined energy, times beta recip.
 
@@ -80,7 +75,7 @@ def mu(rho: float, beta: float) -> float:
     if _is_full(beta):
         return 1.0
     if _is_flat(rho):
-        return mu_flat(beta)
+        return 1.0 / beta
     lr = math.log(rho)
     return (rho - 1.0) * rho ** (beta - 1.0) / math.expm1(beta * lr)
 
@@ -96,66 +91,44 @@ def _region(beta: float, load: float) -> int:
     return 5
 
 
-def nu_flat_arake(load: float) -> float:
-    """Self-interference coefficient, flat profile and full combining."""
-    _check_load(load)
-    if load <= 1.0:
-        return (2.0 / 3.0) * (load * load - 3.0 * load + 3.0)
-    return 2.0 / (3.0 * load)
-
-
-def nu_arake(rho: float, load: float) -> float:
-    """Self-interference coefficient under full combining."""
-    _check_rho(rho)
-    _check_load(load)
-    if _is_flat(rho):
-        return nu_flat_arake(load)
-    r, lam = rho, load
-    lr = math.log(r)
-    if lam <= 1.0:
-        num = 2.0 * (r * r - 1.0 + r ** lam - r ** (2.0 - lam) - 2.0 * r * lam * lr)
-    else:
-        num = 2.0 * (r * r - 1.0 - 2.0 * r * lr)
-    return num / ((r - 1.0) ** 2 * lam * lr)
-
-
-def nu_flat(beta: float, load: float) -> float:
-    """Self-interference coefficient for a flat profile."""
-    _check_beta(beta)
-    _check_load(load)
-    if _is_full(beta):
-        return nu_flat_arake(load)
-    b, lam = beta, load
-    region = _region(b, lam)
-    if region == 1:
-        return (2.0 * b * b + 2.0 * b - 4.0 * lam * b + lam * lam) / (2.0 * b * b)
-    if region == 2:
-        return ((2.0 - lam) / b + b / lam - 1.0) / 2.0
-    if region == 3:
-        return (b ** 3 + b * b * (9.0 * lam - 3.0) + b * (3.0 - 9.0 * lam * lam)
-                + 4.0 * lam ** 3 - 3.0 * lam * lam + 3.0 * lam - 1.0) / (6.0 * lam * b * b)
-    if region == 4:
-        return (4.0 * b ** 3 - 3.0 * b * b + 3.0 * b + (lam - 1.0) ** 3) / (6.0 * lam * b * b)
-    return (4.0 * b * b - 3.0 * b + 3.0) / (6.0 * lam * b)
-
-
 def nu(rho: float, beta: float, load: float) -> float:
     """Limiting self-interference coefficient: h_si -> nu / N.
 
     Piecewise-analytic in the load with breakpoints at min(beta, 1 - beta),
     max(beta, 1 - beta), and 1; continuous across all of them. Near the
     removable singularities at rho = 1 and beta = 1 the generic branches
-    cancel catastrophically, so evaluation switches to the flat-profile and
-    full-combining limit forms there.
+    cancel catastrophically, so evaluation switches to the limit forms
+    there: full combining first (flat or not), then the flat-profile form
+    of each region.
     """
     _check_rho(rho)
     _check_beta(beta)
     _check_load(load)
-    if _is_full(beta):
-        return nu_arake(rho, load)
-    if _is_flat(rho):
-        return nu_flat(beta, load)
-    return _nu_branch(rho, beta, load, _region(beta, load))
+    r, b, lam = rho, beta, load
+    if _is_full(b):
+        if _is_flat(r):
+            if lam <= 1.0:
+                return (2.0 / 3.0) * (lam * lam - 3.0 * lam + 3.0)
+            return 2.0 / (3.0 * lam)
+        lr = math.log(r)
+        if lam <= 1.0:
+            num = 2.0 * (r * r - 1.0 + r ** lam - r ** (2.0 - lam) - 2.0 * r * lam * lr)
+        else:
+            num = 2.0 * (r * r - 1.0 - 2.0 * r * lr)
+        return num / ((r - 1.0) ** 2 * lam * lr)
+    region = _region(b, lam)
+    if _is_flat(r):
+        if region == 1:
+            return (2.0 * b * b + 2.0 * b - 4.0 * lam * b + lam * lam) / (2.0 * b * b)
+        if region == 2:
+            return ((2.0 - lam) / b + b / lam - 1.0) / 2.0
+        if region == 3:
+            return (b ** 3 + b * b * (9.0 * lam - 3.0) + b * (3.0 - 9.0 * lam * lam)
+                    + 4.0 * lam ** 3 - 3.0 * lam * lam + 3.0 * lam - 1.0) / (6.0 * lam * b * b)
+        if region == 4:
+            return (4.0 * b ** 3 - 3.0 * b * b + 3.0 * b + (lam - 1.0) ** 3) / (6.0 * lam * b * b)
+        return (4.0 * b * b - 3.0 * b + 3.0) / (6.0 * lam * b)
+    return _nu_branch(r, b, lam, region)
 
 
 def _nu_branch(rho: float, beta: float, load: float, region: int) -> float:

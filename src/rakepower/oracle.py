@@ -51,8 +51,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .channel import ApdpProfile, sample_normals
 from .gains import RakeSelector, _fast_len, _lag_matrix, _phi_squared
 from .game import efficiency
-from .lsa import (_UTILITY, LsaParams, _is_flat, loss_db, mu_flat, nu, nu_arake, nu_flat,
-                  predict_power)
+from .lsa import _UTILITY, LsaParams, _is_flat, loss_db, mu, nu, predict_power
 
 # path counts up to which _self_lag_mass_direct correlates the taps
 # without an FFT (see there for why)
@@ -506,7 +505,7 @@ def oracle_audit(path_count: int, params: LsaParams, *, mc_trials: int,
     mu_full_fin = (full1_f + full2_f) / total_f ** 2
     nu_flat_fin = finite_nu(L, chips, 1.0, beta)
     rows.append(_row("cross_coefficient_flat", "limit",
-                     mu_flat_fin, mu_flat(beta), _LIMIT_TOL))
+                     mu_flat_fin, mu(1.0, beta), _LIMIT_TOL))
     rows.append(_row("cross_coefficient_flat_exact", "identity",
                      mu_flat_fin, float(flat_mu_exact(L, fingers)), _EXACT_TOL,
                      note="flat finite sum equals (L - 1) / fingers exactly"))
@@ -516,12 +515,12 @@ def oracle_audit(path_count: int, params: LsaParams, *, mc_trials: int,
                      _EXACT_TOL,
                      note="full combining reduces to the moment identity 1 - S2/S1^2"))
     rows.append(_row("self_coefficient_flat", "limit",
-                     nu_flat_fin, nu_flat(beta, load), _LIMIT_TOL))
+                     nu_flat_fin, nu(1.0, beta, load), _LIMIT_TOL))
     rows.append(_row("self_coefficient_flat_exact", "identity",
                      nu_flat_fin, float(flat_nu_exact(L, fingers, chips)), _EXACT_TOL,
                      note="flat finite sum is rational; reference evaluated exactly"))
     rows.append(_row("self_coefficient_full", "limit",
-                     self_mass(L, chips) / total_f ** 2, nu_arake(rho, load), _LIMIT_TOL))
+                     self_mass(L, chips) / total_f ** 2, nu(rho, 1.0, load), _LIMIT_TOL))
     rows.append(_row("self_coefficient_flat_full_exact", "identity",
                      finite_nu(L, chips, 1.0, 1.0) if fingers < L else nu_flat_fin,
                      float(flat_nu_exact(L, L, chips)), _EXACT_TOL,

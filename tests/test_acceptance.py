@@ -14,7 +14,7 @@ import pytest
 from rakepower import (ApdpProfile, LsaParams, NetworkTopology, RakeSelector,
                        SpreadingConfig, UtilityParams, best_response,
                        closed_form_equilibrium_power, feasibility, link_gains,
-                       loss_db, min_frames, mu, nu, nu_arake, oracle_audit,
+                       loss_db, min_frames, mu, nu, oracle_audit,
                        sample_channel_bank, solve_equilibrium, substream)
 from rakepower.cli import (_EVERY_FIELD, ExperimentConfig, run_po_vs_frames,
                            run_utility_vs_gain, write_csv)
@@ -167,7 +167,7 @@ def test_c7_monotonicity_suite():
     vals = np.array([nu(100.0, b, 0.25) for b in beta_grid])
     k = int(np.argmin(vals))
     assert 0 < k < len(beta_grid) - 1
-    assert vals[k] < nu_arake(100.0, 0.25)
+    assert vals[k] < nu(100.0, 1.0, 0.25)
 
     # outage probability never rises with the frame count (common randomness)
     config = ExperimentConfig(users=4, paths=80, chips=20, trials=8,

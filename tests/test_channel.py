@@ -145,11 +145,11 @@ def test_tap_envelope_is_rayleigh():
 
 def test_variance_scale_covariance():
     # doubling the per-user variance scales every draw by sqrt(2)
-    base = NetworkTopology(distances=np.array([6.0]), path_variance_scale=0.3)
-    doubled = NetworkTopology(distances=np.array([6.0]), path_variance_scale=0.6)
     prof = ApdpProfile(12, 10.0)
-    g1 = sample_channel_bank(prof, base, 3, 0)
-    g2 = sample_channel_bank(prof, doubled, 3, 0)
+    normals = sample_normals(3, (0,), 2, prof.path_count)[0]
+    v = NetworkTopology(distances=np.array([6.0, 11.0])).user_variances
+    g1 = prof.path_gains(v, normals)
+    g2 = prof.path_gains(2.0 * v, normals)
     assert np.allclose(g2, np.sqrt(2.0) * g1, rtol=1e-12)
 
 

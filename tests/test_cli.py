@@ -417,9 +417,9 @@ def test_trial_blocks_match_per_trial_loops(trials):
     # the blocks hold every trial once, in order, with its per-trial draw
     # (equilibrium utilities barely see the distances, so check the draws)
     profile = ApdpProfile(config.paths, config.rho)
-    drawn = [(t, bank) for ts, variances, normals in cli._trial_blocks(config, 1, trials + 1)
+    drawn = [(t, bank) for ts, variances, normals in cli._trial_blocks(config, trials + 1)
              for t, bank in zip(ts, profile.path_gains(variances, normals))]
-    assert [t for t, _ in drawn] == list(range(1, trials + 1))
+    assert [t for t, _ in drawn] == list(range(trials + 1))
     for t, bank in drawn:
         np.testing.assert_array_equal(bank, _draw(config, profile, t))
     fields, rows = run_utility_vs_gain(config)
@@ -509,6 +509,9 @@ _UNREAD_FLAGS = [(name, flag) for name, reads in _READS.items() for flag in _NON
     (["po-frames", "--trials", "2"], "rho-db = 3\n"),
     (["loss-beta"], "sigma_sq = 1e-15\n"),
     (["gamma-curve"], "seed = 3\n"),
+    (["validate", "--paths", "400", "--rho-db", "800"], None),
+    (["utility-gain", "--trials", "1", "--rho-db", "1600"], None),
+    (["apdp", "--rho-db", "3090"], None),
     *[([name, flag, _NON_DEFAULT[flag]], None) for name, flag in _UNREAD_FLAGS],
 ], ids=["utility-gain-negative-seed", "validate-negative-seed",
         "utility-gain-nan-rho-db", "config-negative-sigma-sq",
@@ -517,6 +520,7 @@ _UNREAD_FLAGS = [(name, flag) for name, reads in _READS.items() for flag in _NON
         "validate-no-region-chips-at-two-paths",
         "po-frames-two-betas", "validate-two-betas", "po-frames-config-rho-db",
         "loss-beta-config-sigma-sq", "gamma-curve-config-seed",
+        "validate-rho-db-800", "utility-gain-rho-db-1600", "apdp-rho-db-3090",
         *[f"{name}-unread-{flag[2:]}" for name, flag in _UNREAD_FLAGS]])
 def test_bad_input_is_a_usage_error(tmp_path, capsys, args, cfg):
     # rejected before any study runs: exit 1, one Error: line, no CSV

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from rakepower import (LsaParams, UtilityParams, efficiency, gamma_star,
-                       loss_db, min_frames, mu, mu_flat, nu, nu_arake, nu_flat,
-                       nu_flat_arake, predict_power, predict_utility)
+                       loss_db, min_frames, mu, nu, predict_power, predict_utility)
 from rakepower.lsa import _nu_branch, _region
 
 GAMMA_INF = 12.949200759178689
@@ -28,13 +27,12 @@ def test_mu_anchor_values():
 
 
 def test_mu_limits_and_continuity():
-    assert mu_flat(0.25) == 4.0
     assert mu(1.0, 1.0) == 1.0
     assert mu(17.0, 1.0) == 1.0
     assert mu(1.0, 0.25) == 4.0
     assert mu(123.0, 1.0) == 1.0
     # dispatch seams
-    assert mu(1.0 + 2e-6, 0.3) == pytest.approx(mu_flat(0.3), rel=1e-5)
+    assert mu(1.0 + 2e-6, 0.3) == pytest.approx(mu(1.0, 0.3), rel=1e-5)
     assert mu(10.0, 1.0 - 2e-8) == pytest.approx(1.0, rel=1e-7)
 
 
@@ -56,7 +54,7 @@ def test_nu_anchor_values():
     assert nu(10.0, 0.5, 0.25) == pytest.approx(1.4294006798612882, rel=1e-13)
     assert nu(10.0, 0.3, 0.25) == pytest.approx(1.531524620794102, rel=1e-13)
     assert nu(10.0, 0.1, 0.25) == pytest.approx(3.0299131610694787, rel=1e-13)
-    assert nu_arake(10.0, 0.25) == pytest.approx(1.416818, rel=1e-6)
+    assert nu(10.0, 1.0, 0.25) == pytest.approx(1.416818, rel=1e-6)
     # interior of the fourth branch, both sides of beta = 1/2
     assert nu(10.0, 0.3, 0.85) == pytest.approx(0.6341792103183984, rel=1e-13)
     assert nu(10.0, 0.7, 0.8) == pytest.approx(0.6247989381309589, rel=1e-13)
@@ -64,17 +62,15 @@ def test_nu_anchor_values():
 
 def test_nu_flat_forms():
     # flat-profile region forms at a few spots, against hand-reduced values
-    assert nu_flat(0.5, 0.25) == pytest.approx((2 * 0.25 + 2 * 0.5 - 4 * 0.25 * 0.5 + 0.0625) / 0.5, rel=1e-14)
-    assert nu_flat_arake(0.25) == pytest.approx(2.3125 * 2.0 / 3.0, rel=1e-14)
-    assert nu_flat_arake(4.0) == pytest.approx(2.0 / 12.0, rel=1e-14)
-    assert nu(1.0, 0.3, 0.5) == nu_flat(0.3, 0.5)
-    assert nu(1.0, 1.0, 0.5) == nu_flat_arake(0.5)
+    assert nu(1.0, 0.5, 0.25) == pytest.approx((2 * 0.25 + 2 * 0.5 - 4 * 0.25 * 0.5 + 0.0625) / 0.5, rel=1e-14)
+    assert nu(1.0, 1.0, 0.25) == pytest.approx(2.3125 * 2.0 / 3.0, rel=1e-14)
+    assert nu(1.0, 1.0, 4.0) == pytest.approx(2.0 / 12.0, rel=1e-14)
 
 
 def test_nu_dispatch_seams():
-    assert nu(1.0 + 2e-7, 0.3, 0.6) == pytest.approx(nu_flat(0.3, 0.6), rel=1e-6)
-    assert nu(10.0, 1.0 - 2e-10, 0.6) == nu_arake(10.0, 0.6)
-    assert nu_flat(1.0 - 2e-10, 0.6) == nu_flat_arake(0.6)
+    assert nu(1.0 + 2e-7, 0.3, 0.6) == pytest.approx(nu(1.0, 0.3, 0.6), rel=1e-6)
+    assert nu(10.0, 1.0 - 2e-10, 0.6) == nu(10.0, 1.0, 0.6)
+    assert nu(1.0, 1.0 - 2e-10, 0.6) == nu(1.0, 1.0, 0.6)
 
 
 def test_nu_branch_continuity_spot():
@@ -123,7 +119,7 @@ def test_nu_not_monotone_in_beta_at_strong_decay():
     vals = np.array([nu(100.0, b, 0.25) for b in betas])
     k = int(np.argmin(vals))
     assert 0 < k < betas.size - 1
-    assert vals[k] < nu_arake(100.0, 0.25)
+    assert vals[k] < nu(100.0, 1.0, 0.25)
     assert vals[k] < vals[0]
 
 
@@ -137,7 +133,7 @@ def test_invalid_coefficients_arguments():
     with pytest.raises(ValueError):
         nu(10.0, 0.3, 0.0)
     with pytest.raises(ValueError):
-        nu_arake(10.0, -1.0)
+        nu(10.0, 1.0, -1.0)
 
 
 # -- predictions -------------------------------------------------------------

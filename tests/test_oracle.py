@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rakepower import (finite_mu, finite_nu, flat_mu_exact, flat_nu_exact,
-                       mc_gain_ratio, mu, nu, nu_flat, oracle_audit)
+                       mc_gain_ratio, mu, nu, oracle_audit)
 import rakepower.oracle as oracle
 from rakepower.cli import ExperimentConfig
 from rakepower.gains import RakeSelector, _phi_squared
@@ -74,7 +74,7 @@ def test_flat_nu_exact_converges_to_closed_form():
     # the flat closed form is the L -> infinity limit of the exact rationals
     vals = [float(flat_nu_exact(L, round(0.3 * L), round(0.85 * L)))
             for L in (200, 800, 3200)]
-    target = nu_flat(0.3, 0.85)
+    target = nu(1.0, 0.3, 0.85)
     errs = [abs(v - target) / target for v in vals]
     assert errs[2] < errs[1] < errs[0]
     assert errs[2] < 1e-6

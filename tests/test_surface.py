@@ -37,6 +37,13 @@ def test_benchmark_output_checks_pass(tmp_path, monkeypatch):
         out = tmp_path / f"{study}.csv"
         assert main([study, "--trials", "2", "--seed", "5", "--out", str(out)]) == 0
         assert checks.check_output(study, 5, 2, out) == []
+    # the benchmark's own arguments at its reference seed, where the rows
+    # are also compared with its reference CSVs
+    for args in (["utility-gain", "--trials", "200"],
+                 ["po-frames", "--beta", "0.1", "--trials", "30"]):
+        out = tmp_path / f"{args[0]}.csv"
+        assert main([*args, "--seed", "12345", "--out", str(out)]) == 0
+        assert checks.check_output(args[0], 12345, int(args[-1]), out) == []
     # the audit against the benchmark's reference rows, values to 1e-9
     out = tmp_path / "validate.csv"
     assert main(["validate", "--paths", "8000", "--seed", "12345", "--out", str(out)]) == 0
