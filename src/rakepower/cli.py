@@ -401,7 +401,12 @@ def run_validate(config: ExperimentConfig):
 
     config is the resolved audit point, one combining fraction included.
     An infeasible operating point (the interference mass exceeds the
-    processing gain) is a usage error.
+    processing gain) is a usage error. A steep decay puts the energy on
+    few taps, so the limit rows need more paths to reach their closed
+    forms: the default 4000 paths pass up to 150 dB (7 limit rows fail at
+    200 dB), 8000 up to 300 dB (7 fail at 600 dB) and 16000 up to 600 dB,
+    while 400 paths fail 19 at 600 dB. The identity and mc rows pass in
+    all of these.
     """
     paths, chips, trials, (beta,) = config.paths, config.chips, config.trials, config.betas
     if trials < 2:

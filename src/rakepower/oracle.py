@@ -6,15 +6,16 @@ same traces and double sums at finite L, and the values must approach
 the closed forms as L grows. This module evaluates those sums exactly
 as written (no continuum shortcut) on the tap-variance vector of a
 unit-energy user, its finger count and the collision weights, evaluates
-the self-interference double sum both in one pass and through the
-overlap-count case tables (two independent orders that must agree; above
-32 paths each takes its correlations by FFT, up to 32 directly),
-estimates the same ratios by Monte Carlo over random channels, and
-assembles everything into an audit report with one row per intermediate
-quantity. The audit is one call on one LsaParams operating point; it
-evaluates each finite sum on the decaying profile once (the tap vector,
-the densities, the cross lag masses, and one self-interference mass per
-finger count and chip count) and every row that needs a sum reads it.
+the self-interference double sum both in one pass and block by block
+over the overlap-count case table, written once in _overlap_blocks (two
+independent orders that must agree; above 32 paths each takes its
+correlations by FFT, up to 32 directly), estimates the same ratios by
+Monte Carlo over random channels, and assembles everything into an audit
+report with one row per intermediate quantity. The audit is one call on
+one LsaParams operating point; it evaluates each finite sum on the
+decaying profile once (the tap vector, the densities, the cross lag
+masses, and both self-interference routes per finger count and chip
+count) and every row that needs a sum reads it.
 
 Three kinds of rows appear in the report: "limit" rows compare a finite-L
 sum against the closed form it converges to (tolerance around 1% at
@@ -32,8 +33,10 @@ finitely many fingers. The closed forms of the intermediate quantities
 reduce them to lsa's mu; the self-interference mass is lsa's nu times
 the squared captured density. Each limit row thus sets a finite sum
 against the one definition of its closed form, never against a retyped
-copy of it. The elementwise rows check every (lag, tap) pair, a block of
-lags at a time, from strided views built once per array.
+copy of it. The factorization row checks every (lag, tap) pair, a block
+of lags at a time; the case-table rows compare the one table with the
+step definition of the overlap counts at every point where either can
+change, which covers every pair in O(L).
 """
 
 from __future__ import annotations
@@ -56,12 +59,12 @@ from .lsa import _UTILITY, LsaParams, _is_flat, loss_db, mu, nu, predict_power
 # path counts up to which _self_lag_mass_direct correlates the taps
 # without an FFT (see there for why)
 _DIRECT_LAG_MAX_L = 32
-# lags per vectorised block of the elementwise checks: the (block, L)
+# lags per vectorised block of the factorization check: the (block, L)
 # temporaries stay at a few MB for L in the thousands
 _LAG_BLOCK = 16
 # path counts of the lag-pattern Gram checks and of the Monte Carlo row
 _GRAM_PATH_COUNT = 400
-# relative tolerances: identity rows and _self_lag_mass's two routes, exact
+# relative tolerances: identity rows and the two self-lag routes, exact
 # rational and moment identity rows, and limit rows
 _IDENTITY_TOL = 1e-12
 _EXACT_TOL = 1e-10
@@ -127,7 +130,7 @@ def _self_lag_mass_direct(v: np.ndarray, fingers: int,
     positive lag wraps. The FFT's absolute error is about eps * v[0]^2
     and the mass falls like v[0]^2 rho^(-1/(L-1)), so its relative error
     grows like eps * rho^(1/(L-1)): at L = 2 and rho = 1e4 it breaks the
-    1e-12 agreement _self_lag_mass checks, while past 32 paths it stays below
+    1e-12 agreement _checked_mass demands, while past 32 paths it stays below
     1e-13 for any decay ratio up to 1e10.
     """
     L = v.size
@@ -146,29 +149,47 @@ def _self_lag_mass_direct(v: np.ndarray, fingers: int,
     return float(phi_sq[::-1] @ r[1:L]) / L ** 2
 
 
+def _overlap_blocks(path_count: int, finger_count: int) -> list[tuple]:
+    """The overlap-count case table, as blocks of lags.
+
+    Lag i pairs tap m with n = m + L - i (0-based). A block
+    (i_lo, i_hi, weight, m_end, n_lo, n_hi) gives each lag i_lo..i_hi the
+    overlap count weight on the run m < m_end, n_lo <= n < n_hi; in
+    1-based m that run is [1, i], [1, P], [1, b] (both taps combined,
+    weight 4) or [b + 1, P] / [b + 1, i] (one tap combined), b = P - L + i.
+    A block with i_hi < i_lo is empty. _self_lag_mass_table sums this one
+    table and _overlap_table_deviation certifies it.
+    """
+    L, P = path_count, finger_count
+    if 2 * P <= L:
+        return [(1, P, 1.0, P, 0, L),
+                (P + 1, L - P, 1.0, P, 0, L),
+                (L - P + 1, L - 1, 4.0, P - 1, 0, P),
+                (L - P + 1, L - 1, 1.0, P, P, L)]
+    i_mid = min(P, L - 1)
+    return [(1, L - P, 1.0, L - P, 0, L),
+            (L - P + 1, i_mid, 4.0, P - 1, 0, P),
+            (L - P + 1, i_mid, 1.0, P, P, L),
+            (P + 1, L - 1, 4.0, P - 1, 0, P),
+            (P + 1, L - 1, 1.0, P, P, L)]
+
+
 def _self_lag_mass_table(v: np.ndarray, fingers: int,
                          phi_sq: np.ndarray) -> float:
-    """Same sum evaluated block-by-block from the overlap-count tables.
+    """Same sum evaluated block by block from _overlap_blocks.
 
-    Lag i pairs tap m with n = m + L - i (0-based). A block is a range of
-    lags over which one overlap count covers a run of m; its run in
-    1-based m is [1, i], [1, P], [1, b] (both taps combined, weight 4)
-    or [b + 1, P] / [b + 1, i] (one tap combined), b = P - L + i, given
-    here as m < m_end and n_lo <= n < n_hi. All lags of a block are
-    summed by one correlation over a zero-padded partner run: directly up
-    to _DIRECT_LAG_MAX_L paths, above that by one inverse FFT of the
-    cross spectrum at the smallest 2-3-5-smooth length that holds the
-    run, for the error bound given in _self_lag_mass_direct. The two
-    routes share no intermediate: this one sums per block and per case,
-    the other once over all lags with the weights inside the spectrum.
+    All lags of a block are summed by one correlation over a zero-padded
+    partner run: directly up to _DIRECT_LAG_MAX_L paths, above that by one
+    inverse FFT of the cross spectrum at the smallest 2-3-5-smooth length
+    that holds the run, for the error bound given in _self_lag_mass_direct.
+    The two routes share no intermediate: this one sums per block, the
+    other once over all lags with the weights inside the spectrum.
     """
     L = v.size
-    P = fingers
-
-    def block(i_lo: int, i_hi: int, weight: float, m_end: int, n_lo: int,
-              n_hi: int) -> float:
+    total = 0.0
+    for i_lo, i_hi, weight, m_end, n_lo, n_hi in _overlap_blocks(L, fingers):
         if i_hi < i_lo:
-            return 0.0
+            continue
         lo = L - i_hi  # partner of m = 0 at the first lag, i = i_hi
         window = np.zeros(i_hi - i_lo + m_end)
         s, e = max(n_lo, lo), min(n_hi, lo + window.size)
@@ -181,52 +202,31 @@ def _self_lag_mass_table(v: np.ndarray, fingers: int,
             nfft = _fast_len(window.size)
             dots = irfft(rfft(window, nfft) * np.conj(rfft(v[:m_end], nfft)),
                          nfft)[:i_hi - i_lo + 1]
-        return weight * float(phi_sq[i_lo - 1:i_hi] @ dots[::-1])
-
-    if 2 * P <= L:
-        total = (block(1, P, 1.0, P, 0, L)
-                 + block(P + 1, L - P, 1.0, P, 0, L)
-                 + block(L - P + 1, L - 1, 4.0, P - 1, 0, P)
-                 + block(L - P + 1, L - 1, 1.0, P, P, L))
-    else:
-        i_mid = min(P, L - 1)
-        total = (block(1, L - P, 1.0, L - P, 0, L)
-                 + block(L - P + 1, i_mid, 4.0, P - 1, 0, P)
-                 + block(L - P + 1, i_mid, 1.0, P, P, L)
-                 + block(P + 1, L - 1, 4.0, P - 1, 0, P)
-                 + block(P + 1, L - 1, 1.0, P, P, L))
+        total += weight * float(phi_sq[i_lo - 1:i_hi] @ dots[::-1])
     return total / L ** 2
 
 
-def _self_lag_mass(v: np.ndarray, fingers: int, phi_sq: np.ndarray) -> float:
-    """The self-interference lag mass, checked by a second evaluation order.
-
-    The lag sum with the overlap weights of the combined fingers is
-    evaluated twice: in one pass over all lags, and by the case-table
-    decomposition of the overlap counts into blocks of lags. Each route
-    takes its correlations directly up to _DIRECT_LAG_MAX_L paths and by
-    FFT above. Returns the single-pass value; raises if the two disagree
-    beyond 1e-12 relative.
-    """
-    mass = _self_lag_mass_direct(v, fingers, phi_sq)
-    other = _self_lag_mass_table(v, fingers, phi_sq)
-    if abs(mass - other) > _IDENTITY_TOL * max(abs(mass), abs(other)):
+def _checked_mass(direct: float, table: float) -> float:
+    """The direct self-lag mass, if the table route agrees to 1e-12 relative."""
+    if abs(direct - table) > _IDENTITY_TOL * max(abs(direct), abs(table)):
         raise ValueError(
-            f"self-interference evaluation orders disagree: {mass} vs {other}")
-    return mass
+            f"self-interference evaluation orders disagree: {direct} vs {table}")
+    return direct
 
 
 def finite_nu(path_count: int, chips_per_frame: int, rho: float,
               beta: float) -> float:
     """Finite-L counterpart of the self-interference coefficient nu.
 
-    The lag mass of _self_lag_mass over the squared captured density;
+    The self-lag mass, by both routes, over the squared captured density;
     converges to nu(rho, beta, chips_per_frame / path_count).
     """
     v, fingers = _profile(path_count, rho, beta)
     if chips_per_frame < 1:
         raise ValueError("chips_per_frame must be >= 1")
-    mass = _self_lag_mass(v, fingers, _phi_squared(chips_per_frame, path_count))
+    phi_sq = _phi_squared(chips_per_frame, path_count)
+    mass = _checked_mass(_self_lag_mass_direct(v, fingers, phi_sq),
+                         _self_lag_mass_table(v, fingers, phi_sq))
     return mass / _captured_density(v, fingers) ** 2
 
 
@@ -371,43 +371,31 @@ def _gram_diag_deviation(v: np.ndarray, fingers: int, combined: bool) -> float:
     return float(np.max(np.abs(diag - ref))) / scale
 
 
-def _lag_rows(path_count: int, finger_count: int):
-    """The finger masks of every (lag, tap) pair, a block of lags at a time.
-
-    Lag i pairs tap l with m = L + l - i (l = 1..i). Each mask is viewed
-    once as rows of L - 1 strided windows (row r holds lag i = L - r), and
-    a block of up to _LAG_BLOCK lags is the row slice rows of those views,
-    cut to its first n columns (l = 1..n; a row runs past l = i into
-    m > L). Yields (n, rows, u1, u2, inside) per block, with u1 = [l <= P]
-    as one broadcast row, u2 = [l <= P - L + i] and inside = [m <= L], all
-    int8.
-    """
-    L, P = path_count, finger_count
-    x = np.arange(2 * L)
-    step, inside = (x < P).astype(np.int8), (x < L).astype(np.int8)
-    step_rows = sliding_window_view(step, L - 1)
-    inside_rows = sliding_window_view(inside, L - 1)
-    for i_lo in range(1, L, _LAG_BLOCK):
-        n = min(i_lo + _LAG_BLOCK, L) - 1  # widest row of the block
-        rows = slice(L - n, L - i_lo + 1)
-        yield n, rows, step[:n], step_rows[rows, :n], inside_rows[rows, :n]
-
-
 def _theta_factorization_deviation(v: np.ndarray, fingers: int, rho: float) -> float:
     """Sup deviation of the overlap weights from their power-law form.
 
-    Each lag of _lag_rows is scaled by its largest factorized weight; the
-    taps are zero-padded past m = L.
+    Lag i pairs tap l with m = L + l - i. The masks u1 = [l <= P],
+    u2 = [l <= P - L + i] and inside = [m <= L] and the taps (zero-padded
+    past m = L) are viewed once as rows of strided windows (row r holds lag
+    L - r), _LAG_BLOCK lags at a time. Each lag is scaled by its largest
+    factorized weight.
     """
     L = v.size
+    x = np.arange(2 * L)
+    step, inside = (x < fingers).astype(np.int8), (x < L).astype(np.int8)
+    step_rows = sliding_window_view(step, L - 1)
+    inside_rows = sliding_window_view(inside, L - 1)
     v_rows = sliding_window_view(np.concatenate([v, np.zeros(L)]), L - 1)
     # power law of the pair (l, i): pw[k] at k = L + 2l - i - 2
     pw_rows = sliding_window_view(rho ** (-(np.arange(3 * L)) / (L - 1)), 2 * L - 3)
     dev = 0.0
-    for n, rows, u1, u2, inside in _lag_rows(L, fingers):
+    for i_lo in range(1, L, _LAG_BLOCK):
+        n = min(i_lo + _LAG_BLOCK, L) - 1  # widest row of the block
+        rows = slice(L - n, L - i_lo + 1)
+        u1, u2 = step[:n], step_rows[rows, :n]
         direct = v[:n] * v_rows[rows, :n]
         direct *= ((u1 + u2) ** 2).astype(float)
-        u1 = u1 * inside  # l <= P, m <= L
+        u1 = u1 * inside_rows[rows, :n]  # l <= P, m <= L
         fact = (u1 + u2 + 2 * u1 * u2).astype(float)
         fact *= pw_rows[rows, :2 * n - 1:2]
         scale = np.maximum(fact.max(axis=1), 1e-300)
@@ -416,31 +404,36 @@ def _theta_factorization_deviation(v: np.ndarray, fingers: int, rho: float) -> f
     return dev
 
 
-def _overlap_table_deviation(path_count: int, finger_count: int) -> int:
-    """Largest mismatch between tabulated and step-defined overlap counts.
+def _overlap_table_deviation(path_count: int, finger_count: int) -> float:
+    """Largest mismatch between _overlap_blocks and the step-defined counts.
 
-    The table gives lag i a count of 4 over l <= n4 and of 1 over
-    n4 < l <= n1, case by case; the step definition is u1 + u2 + 2 u1 u2
-    from the masks of _lag_rows. Both are compared over l = 1..i.
+    Each block gives its lags a weighted run of l = m + 1. The step
+    definition at lag i is u1 + u2 + 2 u1 u2, with u1 on the first
+    p1 = min(i, P) and u2 on the first p2 = max(0, P - L + i) of l = 1..i,
+    both prefixes read off one cumulative sum of the finger step. Both
+    sides are step functions of l, so they agree on 1..i when they agree
+    wherever either can change: at l = 1, each run's start, one past each
+    run's end and one past each prefix. A block outside lags 1..L-1, or a
+    run past l = i, pairs taps that do not exist: a mismatch of its weight.
     """
     L, P = path_count, finger_count
-    x = np.arange(L, dtype=np.int32)
-    i = L - x[1:L]  # lag of row r = 1..L-1
-    b = P - L + i
-    if 2 * P <= L:
-        cases = (i <= P, i <= L - P)
-        n4, n1 = np.select(cases, (0, 0), b), np.select(cases, (i, P), P)
-    else:
-        cases = (i <= L - P, i <= P)
-        n4, n1 = np.select(cases, (0, b), b), np.select(cases, (i, i), P)
-    worst = 0
-    for n, rows, u1, u2, inside in _lag_rows(L, P):
-        direct = u1 + u2 + 2 * u1 * u2
-        # row r's case bounds sit at r - 1; l0 = l - 1
-        l0, t4 = x[:n], n4[rows.start - 1:rows.stop - 1, None]
-        t1 = n1[rows.start - 1:rows.stop - 1, None]
-        table = np.int8(4) * (l0 < t4) + ((t4 <= l0) & (l0 < t1))
-        worst = max(worst, int((np.abs(direct - table) * inside).max()))
+    i = np.arange(1, L)
+    c = np.concatenate(([0], np.cumsum(np.arange(L) < P)))
+    p1, p2 = c[i], c[L] - c[L - i]
+    blocks = np.array(_overlap_blocks(L, P), dtype=float).reshape(-1, 6)
+    i_lo, i_hi, weight, m_end, n_lo, n_hi = blocks.T[:, :, None]
+    # each block's run of l at every lag, empty (1..0) off its lags
+    on = (i_lo <= i) & (i <= i_hi)
+    starts = np.where(on, np.maximum(1, n_lo - L + i + 1), 1)
+    ends = np.where(on, np.minimum(m_end, n_hi - L + i), 0)
+    past_i = ((ends > i) & (starts <= ends)).any(axis=1, keepdims=True)
+    stray = (i_lo <= i_hi) & ((i_lo < 1) | (i_hi > L - 1) | past_i)
+    worst = float(np.max(np.abs(weight) * stray, initial=0.0))
+    for edge in (np.ones_like(i), *starts, *(ends + 1), p1 + 1, p2 + 1):
+        l = np.clip(edge, 1, i)
+        u1, u2 = (l <= p1).astype(int), (l <= p2).astype(int)
+        table = (weight * ((starts <= l) & (l <= ends))).sum(axis=0)
+        worst = max(worst, float(np.max(np.abs(table - (u1 + u2 + 2 * u1 * u2)))))
     return worst
 
 
@@ -465,8 +458,9 @@ def oracle_audit(path_count: int, params: LsaParams, *, mc_trials: int,
     elementwise, the per-region self-interference masses against their
     closed forms, and the equilibrium-power and loss factorizations
     against the prediction module. Each finite sum on the decaying
-    profile is evaluated once and read by every row that needs it; only
-    the two decomposition rows take both self-lag routes on their own.
+    profile is evaluated once and read by every row that needs it: one
+    cache holds both self-lag routes per (fingers, chips), the value rows
+    raise if they split, and the decomposition rows report them.
     """
     L, rho, beta, load = path_count, params.rho, params.beta, params.load
     chips = params.chips_per_frame
@@ -476,7 +470,6 @@ def oracle_audit(path_count: int, params: LsaParams, *, mc_trials: int,
     if chips is None or abs(chips - load * L) > 1e-9:
         raise ValueError("params.chips_per_frame must equal load times path_count")
     v, fingers = _profile(L, rho, beta)
-    phi_sq = _phi_squared(chips, L)
     den_f = _captured_density(v, fingers)
     den_c = _captured_density_closed(rho, beta)
     total_f = _captured_density(v, L)
@@ -486,8 +479,13 @@ def oracle_audit(path_count: int, params: LsaParams, *, mc_trials: int,
     full1_f, full2_f = _cross_lag_masses(v, L) if fingers < L else (num1_f, num2_f)
 
     @functools.cache
+    def routes(fingers_: int, chips_: int) -> tuple[float, float]:
+        phi_sq_ = _phi_squared(chips_, L)
+        return (_self_lag_mass_direct(v, fingers_, phi_sq_),
+                _self_lag_mass_table(v, fingers_, phi_sq_))
+
     def self_mass(fingers_: int, chips_: int) -> float:
-        return _self_lag_mass(v, fingers_, _phi_squared(chips_, L))
+        return _checked_mass(*routes(fingers_, chips_))
 
     region_points = [(r, b_r, lam_r, RakeSelector(b_r).finger_count(L), round(lam_r * L))
                      for r, (b_r, lam_r) in _REGION_POINTS.items()]
@@ -569,8 +567,7 @@ def oracle_audit(path_count: int, params: LsaParams, *, mc_trials: int,
                          note=f"beta={b_tab}; tabulated counts match the step "
                               "definition with inner bound l <= i (a variant "
                               "bound l <= 1 breaks all single-overlap blocks)"))
-        direct = _self_lag_mass_direct(v, fingers_tab, phi_sq)
-        table = _self_lag_mass_table(v, fingers_tab, phi_sq)
+        direct, table = routes(fingers_tab, chips)
         rows.append(_row(f"self_lag_sum_decomposition_{label}", "identity",
                          table, direct, _IDENTITY_TOL,
                          note=f"beta={b_tab}; block decomposition vs single pass"))

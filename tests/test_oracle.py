@@ -252,6 +252,52 @@ def test_elementwise_checks_match_lag_loops():
             assert _overlap_table_deviation(L, P) == _overlap_loop(L, P) == 0
 
 
+def _block_mutations(blocks):
+    """Each copy of the block list with one field of one block moved by one."""
+    for k, block in enumerate(blocks):
+        for field in range(6):
+            for step in (-1, 1):
+                bad = list(blocks)
+                bad[k] = block[:field] + (block[field] + step,) + block[field + 1:]
+                yield bad
+
+
+def test_overlap_rows_catch_each_block_mutation_that_moves_the_sum(monkeypatch):
+    # _overlap_blocks is the one case table: the table route sums it and the
+    # overlap rows certify it. Moving one field of one block by one must
+    # break the route, leave its sum within 1e-12, or show in the row.
+    moved = 0
+    for L in (3, 5, 40, 41, 400, 401):
+        v, _ = _profile(L, 10.0, 0.5)
+        for beta in (0.01, 0.3, 0.5, 0.51, 0.7, 1.0):
+            P = RakeSelector(beta).finger_count(L)
+            for Nc in sorted({1, max(1, L // 4), 2 * L}):
+                phi_sq = _phi_squared(Nc, L)
+                exact = _self_lag_mass_table(v, P, phi_sq)
+                for bad in _block_mutations(oracle._overlap_blocks(L, P)):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(oracle, "_overlap_blocks", lambda L_, P_, bad=bad: bad)
+                        try:
+                            total = _self_lag_mass_table(v, P, phi_sq)
+                        except ValueError:
+                            continue
+                        if total != pytest.approx(exact, rel=1e-12, abs=0):
+                            moved += 1
+                            assert _overlap_table_deviation(L, P) > 0, (L, P, Nc, bad)
+    assert moved > 2000
+
+
+def test_overlap_rows_catch_blocks_of_a_neighbouring_finger_count(monkeypatch):
+    real = oracle._overlap_blocks
+    for L in (3, 5, 40, 41, 400, 401):
+        for P in range(1, L + 1):
+            for shift in (-1, 1):
+                if 1 <= P + shift <= L:
+                    monkeypatch.setattr(oracle, "_overlap_blocks",
+                                        lambda L_, P_, shift=shift: real(L_, P_ + shift))
+                    assert _overlap_table_deviation(L, P) > 0, (L, P, shift)
+
+
 def test_flat_nu_exact_matches_fraction_loop():
     for L, P, Nc in ((2, 1, 1), (2, 2, 5), (3, 2, 1), (41, 13, 7), (41, 41, 41),
                      (41, 20, 100), (200, 200, 50), (8000, 800, 2000),
@@ -367,19 +413,27 @@ def test_intermediates_flat_profile_smoke():
 
 
 def test_audit_evaluates_each_self_lag_mass_once(monkeypatch):
-    seen = []
-    direct = oracle._self_lag_mass_direct
+    # at beta 0.3 and 0.7 the operating point is also the (fingers, chips)
+    # point of a decomposition row; each route still runs once per point
+    seen = {"_self_lag_mass_direct": [], "_self_lag_mass_table": []}
+    for name, calls in seen.items():
+        route = getattr(oracle, name)
 
-    def counted(v, fingers, phi_sq):
-        seen.append((v.tobytes(), fingers, phi_sq.tobytes()))
-        return direct(v, fingers, phi_sq)
+        def counted(v, fingers, phi_sq, route=route, calls=calls):
+            calls.append((v.tobytes(), fingers, phi_sq.tobytes()))
+            return route(v, fingers, phi_sq)
 
-    monkeypatch.setattr(oracle, "_self_lag_mass_direct", counted)
-    rows = {r.name: r for r in _audit(800, mc_trials=50)}
-    assert len(seen) == len(set(seen))
+        monkeypatch.setattr(oracle, name, counted)
     v, _ = _profile(800, 10.0, 0.1)
-    for r, (beta, _) in oracle._REGION_POINTS.items():
-        mass = rows[f"self_lag_mass_region{r}"].value
-        fingers = RakeSelector(beta).finger_count(800)
-        assert rows[f"self_coefficient_region{r}"].value == \
-            mass / _captured_density(v, fingers) ** 2
+    for beta_op in (0.1, 0.3, 0.7):
+        for calls in seen.values():
+            calls.clear()
+        rows = {r.name: r for r in _audit(800, mc_trials=50, beta=beta_op)}
+        direct, table = seen.values()
+        assert len(direct) == len(set(direct))
+        assert sorted(table) == sorted(direct)
+        for r, (beta, _) in oracle._REGION_POINTS.items():
+            mass = rows[f"self_lag_mass_region{r}"].value
+            fingers = RakeSelector(beta).finger_count(800)
+            assert rows[f"self_coefficient_region{r}"].value == \
+                mass / _captured_density(v, fingers) ** 2
