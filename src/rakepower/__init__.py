@@ -18,7 +18,6 @@ import numpy as _np
 
 from .channel import (
     ApdpProfile,
-    NetworkTopology,
     sample_channel_bank,
     sample_normals,
     sample_topology,
@@ -77,7 +76,6 @@ __all__ = [
     "ApdpProfile",
     "LinkGains",
     "LsaParams",
-    "NetworkTopology",
     "RakeSelector",
     "SpreadingConfig",
     "UtilityParams",

@@ -4,8 +4,9 @@ Each user sees a tapped-delay-line channel with L resolvable paths. Path
 amplitudes are independent circular complex Gaussians whose per-tap
 variances follow an exponentially decaying average power delay profile
 (aPDP): the first-to-last tap variance ratio is the decay ratio rho, and
-rho = 1 is the flat profile. The per-user variance scale comes from a
-power-law pathloss on the user's distance to the access point.
+rho = 1 is the flat profile. A user enters only through its total channel
+variance, which sample_topology draws from a pathloss law on the user's
+distance to the access point.
 
 A bank of K users is a (K, L) array of path gains, and a block of T
 trials a (T, K, L) array. sample_normals draws a block's complex normals
@@ -20,35 +21,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.random import Generator, SeedSequence, default_rng
-
-# the pathloss law: a user at distance d has total channel variance
-# _PATH_VARIANCE_SCALE * d^(-_PATHLOSS_EXPONENT)
-_PATH_VARIANCE_SCALE = 0.3
-_PATHLOSS_EXPONENT = 2.0
-
-
-@dataclass(frozen=True)
-class NetworkTopology:
-    """User distances plus the pathloss law mapping them to variance scales."""
-
-    distances: np.ndarray
-
-    def __post_init__(self):
-        d = np.atleast_1d(np.asarray(self.distances, dtype=float))
-        object.__setattr__(self, "distances", d)
-        if d.size < 1:
-            raise ValueError("need at least one user")
-        if np.any(d <= 0):
-            raise ValueError("distances must be positive")
-
-    @property
-    def user_count(self) -> int:
-        return self.distances.size
-
-    @property
-    def user_variances(self) -> np.ndarray:
-        """Total channel variance per user, scale * d^(-exponent)."""
-        return _PATH_VARIANCE_SCALE * self.distances ** (-_PATHLOSS_EXPONENT)
 
 
 @dataclass(frozen=True)
@@ -98,13 +70,14 @@ def substream(master_seed: int, *key: int) -> Generator:
 
 
 def sample_topology(K: int, d_min: float, d_max: float,
-                    rng: Generator) -> NetworkTopology:
-    """Draw K user distances i.i.d. uniform on [d_min, d_max]."""
+                    rng: Generator) -> np.ndarray:
+    """Total channel variances of K users, (K,), at distances d drawn i.i.d.
+    uniform on [d_min, d_max], by the pathloss law 0.3 * d^(-2)."""
     if K < 1:
         raise ValueError("K must be >= 1")
     if not 0 < d_min <= d_max:
         raise ValueError("need 0 < d_min <= d_max")
-    return NetworkTopology(distances=rng.uniform(d_min, d_max, size=K))
+    return 0.3 * rng.uniform(d_min, d_max, size=K) ** -2.0
 
 
 def sample_normals(master_seed: int, trials: Sequence[int], K: int,
@@ -127,9 +100,13 @@ def sample_normals(master_seed: int, trials: Sequence[int], K: int,
     return normals
 
 
-def sample_channel_bank(profile: ApdpProfile, topology: NetworkTopology,
+def sample_channel_bank(profile: ApdpProfile, user_variances: np.ndarray,
                         master_seed: int, trial: int) -> np.ndarray:
-    """One trial's (K, L) path gains from per-(trial, user) substreams."""
-    normals = sample_normals(master_seed, (trial,), topology.user_count,
-                             profile.path_count)[0]
-    return profile.path_gains(topology.user_variances, normals)
+    """One trial's (K, L) path gains for users of the given total variances
+    (sample_topology draws them), from per-(trial, user) substreams."""
+    v = np.asarray(user_variances, dtype=float)
+    if v.ndim != 1 or v.size < 1 or not np.all((v > 0) & np.isfinite(v)):
+        raise ValueError("user_variances must be a non-empty 1-D array of "
+                         "positive, finite variances")
+    normals = sample_normals(master_seed, (trial,), v.size, profile.path_count)[0]
+    return profile.path_gains(v, normals)

@@ -213,15 +213,14 @@ def _trial_blocks(config: ExperimentConfig, stop: int):
     block's trial range, its (T, K) user variances and its (T, K, L)
     complex normals, which ApdpProfile.path_gains scales to any decay ratio.
 
-    Each trial is drawn on its own substreams (distances keyed by trial,
-    normals by trial and user), so the draws do not depend on how the
+    Each trial is drawn on its own substreams (user variances keyed by
+    trial, normals by trial and user), so the draws do not depend on how the
     trials are blocked.
     """
     for start in range(0, stop, _TRIAL_BLOCK):
         trials = range(start, min(start + _TRIAL_BLOCK, stop))
-        variances = np.array([sample_topology(config.users, _D_MIN, _D_MAX,
-                                              substream(config.seed, t)).user_variances
-                              for t in trials])
+        variances = np.stack([sample_topology(config.users, _D_MIN, _D_MAX,
+                                              substream(config.seed, t)) for t in trials])
         yield trials, variances, sample_normals(config.seed, trials, config.users,
                                                 config.paths)
 

@@ -47,7 +47,7 @@ class UtilityParams:
         return self.data_bits / self.packet_bits * self.rate_bps
 
 
-def efficiency(gamma, packet_bits: int = 100):
+def efficiency(gamma, packet_bits: int = UtilityParams.packet_bits):
     """Packet success rate (1 - e^(-gamma/2))^M; accepts scalars or arrays."""
     g = np.asarray(gamma, dtype=float)
     out = (-np.expm1(-g / 2.0)) ** packet_bits
@@ -77,7 +77,7 @@ def _targets(varsigma, packet_bits: int) -> np.ndarray:
         x = np.minimum(x, x_next)
 
 
-def gamma_star(varsigma: float, packet_bits: int = 100) -> float:
+def gamma_star(varsigma: float, packet_bits: int = UtilityParams.packet_bits) -> float:
     """Best-response SINR target for self-interference ratio varsigma; inf
     gives the interference-free one (about 12.9492 for 100-bit packets)."""
     return float(_targets(float(varsigma), packet_bits))
@@ -113,7 +113,8 @@ def best_response(gains: LinkGains, powers: np.ndarray, k: int,
                params.max_power)
 
 
-def feasibility(gains: LinkGains, packet_bits: int = 100) -> np.ndarray:
+def feasibility(gains: LinkGains,
+                packet_bits: int = UtilityParams.packet_bits) -> np.ndarray:
     """Whether each user's target is supportable with finite positive power.
 
     User k is feasible when gamma*(varsigma_k) (1/varsigma_k + zeta_k) < 1,

@@ -170,8 +170,7 @@ class LsaParams:
     """Operating point for the large-system predictions.
 
     load is chips per frame over path count; gain is the total processing
-    gain (frames times chips per frame). chips_per_frame is only needed by
-    the frame-count design rule and may be omitted otherwise.
+    gain (frames times chips per frame).
     """
 
     rho: float
@@ -180,7 +179,7 @@ class LsaParams:
     gain: int
     users: int
     sigma_sq: float
-    chips_per_frame: int | None = None
+    chips_per_frame: int
 
     def __post_init__(self):
         _check_rho(self.rho)
@@ -218,9 +217,14 @@ class LsaParams:
         return gamma_star(self.gain / self.nu, _UTILITY.packet_bits)
 
 
+def _interference_mass(params: LsaParams, gam: float) -> float:
+    """The SINR-weighted interference mass gamma ((K - 1) mu + nu)."""
+    return gam * ((params.users - 1) * params.mu + params.nu)
+
+
 def _interference_budget(params: LsaParams, gam: float) -> float:
     """N minus the SINR-weighted interference mass; raises unless positive."""
-    budget = params.gain - gam * ((params.users - 1) * params.mu + params.nu)
+    budget = params.gain - _interference_mass(params, gam)
     if budget <= 0:
         raise ValueError("infeasible operating point: interference mass exceeds gain")
     return budget
@@ -254,11 +258,8 @@ def min_frames(params: LsaParams) -> int:
     since the limiting coefficients are least accurate for very short
     spreading.
     """
-    if params.chips_per_frame is None:
-        raise ValueError("min_frames needs chips_per_frame")
     gam = gamma_star(math.inf, _UTILITY.packet_bits)
-    mass = gam * ((params.users - 1) * params.mu + params.nu)
-    raw = mass / params.chips_per_frame
+    raw = _interference_mass(params, gam) / params.chips_per_frame
     frames = max(1, math.ceil(raw))
     if frames == raw:
         frames += 1

@@ -467,7 +467,7 @@ def oracle_audit(path_count: int, params: LsaParams, *, mc_trials: int,
     if L < 3:
         raise ValueError("path_count must be >= 3, so that every region point "
                          "has a chip per frame")
-    if chips is None or abs(chips - load * L) > 1e-9:
+    if abs(chips - load * L) > 1e-9:
         raise ValueError("params.chips_per_frame must equal load times path_count")
     v, fingers = _profile(L, rho, beta)
     den_f = _captured_density(v, fingers)

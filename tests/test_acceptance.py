@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from rakepower import (ApdpProfile, LsaParams, NetworkTopology, RakeSelector,
+from rakepower import (ApdpProfile, LsaParams, RakeSelector,
                        SpreadingConfig, UtilityParams, best_response,
                        closed_form_equilibrium_power, feasibility, link_gains,
                        loss_db, min_frames, mu, nu, oracle_audit,
@@ -119,8 +119,8 @@ def test_c6_closed_form_equilibrium_on_seeded_instances():
         rho = rho_grid[seed % 3]
         beta = beta_grid[seed % 4]
         rng = substream(4242, seed)
-        topo = NetworkTopology(distances=np.full(K, float(rng.uniform(3.0, 20.0))))
-        bank = sample_channel_bank(ApdpProfile(200, rho), topo, 4242, seed)
+        variances = 0.3 * np.full(K, float(rng.uniform(3.0, 20.0))) ** -2.0
+        bank = sample_channel_bank(ApdpProfile(200, rho), variances, 4242, seed)
         bank = np.repeat(bank[:1], K, axis=0)
         gains = link_gains(bank, RakeSelector(beta), SpreadingConfig(20, 50), 5e-16)
         if not np.all(feasibility(gains)):

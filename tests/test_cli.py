@@ -352,10 +352,10 @@ def test_trial_block_temporaries_reuse_their_pages():
     code = textwrap.dedent("""
         import resource
         import numpy as np
-        from rakepower import (__version__, ApdpProfile, NetworkTopology, RakeSelector,
+        from rakepower import (__version__, ApdpProfile, RakeSelector,
                                SpreadingConfig, link_gains, sample_channel_bank)
-        topo = NetworkTopology(distances=np.linspace(3.0, 20.0, 8))
-        block = np.stack([sample_channel_bank(ApdpProfile(200, 10.0), topo, 1, t)
+        variances = 0.3 * np.linspace(3.0, 20.0, 8) ** -2.0
+        block = np.stack([sample_channel_bank(ApdpProfile(200, 10.0), variances, 1, t)
                           for t in range(4)])
         args = (block, RakeSelector(0.3), SpreadingConfig(20, 50), 5e-16)
         link_gains(*args)
@@ -371,8 +371,8 @@ def test_trial_block_temporaries_reuse_their_pages():
 
 
 def _draw(config, profile, t):
-    topo = sample_topology(config.users, 3.0, 20.0, substream(config.seed, t))
-    return sample_channel_bank(profile, topo, config.seed, t)
+    variances = sample_topology(config.users, 3.0, 20.0, substream(config.seed, t))
+    return sample_channel_bank(profile, variances, config.seed, t)
 
 
 def _utility_gain_reference(config):

@@ -4,24 +4,16 @@ import numpy as np
 import pytest
 
 import rakepower.gains as gains_module
-from rakepower import (ApdpProfile, LinkGains, NetworkTopology, RakeSelector,
-                       SpreadingConfig, link_gains, rake_weights,
-                       sample_channel_bank, sinr, substream)
+from rakepower import (ApdpProfile, LinkGains, RakeSelector, SpreadingConfig,
+                       link_gains, rake_weights, sample_channel_bank,
+                       sample_topology, sinr, substream)
 from rakepower.gains import _lag_matrix, _phi_squared
 
 
-def _bank(K, L, rho=10.0, seed=101, trial=0, distances=None):
-    prof = ApdpProfile(L, rho)
-    if distances is None:
-        topo = sample_topology_fixed(K, seed)
-    else:
-        topo = NetworkTopology(distances=np.asarray(distances, dtype=float))
-    return sample_channel_bank(prof, topo, seed, trial)
-
-
-def sample_topology_fixed(K, seed):
-    rng = substream(seed, 0)
-    return NetworkTopology(distances=rng.uniform(3.0, 20.0, size=K))
+def _bank(K, L, rho=10.0, seed=101, trial=0):
+    # the users are fixed across trials: drawn once, on the trial-0 substream
+    variances = sample_topology(K, 3.0, 20.0, substream(seed, 0))
+    return sample_channel_bank(ApdpProfile(L, rho), variances, seed, trial)
 
 
 def test_finger_count_floor_and_nudge():
@@ -276,8 +268,8 @@ def _si_ratio_violations(path_count, chips, trials, seed, block=50):
     for start in range(0, trials, block):
         ts = range(start, min(start + block, trials))
         stack = np.array([sample_channel_bank(
-            prof, NetworkTopology(distances=substream(seed, t).uniform(3.0, 20.0, 1)),
-            seed, t) for t in ts])
+            prof, sample_topology(1, 3.0, 20.0, substream(seed, t)), seed, t)
+            for t in ts])
         g = link_gains(stack, selector, spreading, 0.0)
         bad += [ts[i] for i in np.flatnonzero(g.si_ratio[:, 0] < 1.0)]
     return bad

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from rakepower import (ApdpProfile, LinkGains, NetworkTopology, RakeSelector,
+from rakepower import (ApdpProfile, LinkGains, RakeSelector,
                        SpreadingConfig, UtilityParams, best_response,
                        closed_form_equilibrium_power, efficiency, feasibility,
                        gamma_star, link_gains, sample_channel_bank,
@@ -58,8 +58,8 @@ def _jacobi(gains, params, tol=1e-15, max_iter=10**6):
 
 def _frame_stack(users, paths, chips, rho_db, trial, seed, beta=0.1, frames_max=25):
     """One trial's bank at frames 1..frames_max, stacked the way po-frames does."""
-    topo = sample_topology(users, 3.0, 20.0, substream(seed, trial))
-    bank = sample_channel_bank(ApdpProfile(paths, 10.0 ** (rho_db / 10.0)), topo,
+    variances = sample_topology(users, 3.0, 20.0, substream(seed, trial))
+    bank = sample_channel_bank(ApdpProfile(paths, 10.0 ** (rho_db / 10.0)), variances,
                                seed, trial)
     base = link_gains(bank, RakeSelector(beta), SpreadingConfig(1, chips), 5e-16)
     nf = np.arange(1, frames_max + 1)
@@ -85,9 +85,10 @@ def _gains(K=3, L=40, rho=10.0, beta=0.5, frames=20, chips=25, seed=55,
            sigma_sq=5e-16, distances=None, shared=False):
     prof = ApdpProfile(L, rho)
     if distances is None:
-        distances = substream(seed, 0).uniform(3.0, 20.0, K)
-    topo = NetworkTopology(distances=np.asarray(distances, dtype=float))
-    bank = sample_channel_bank(prof, topo, seed, 0)
+        variances = sample_topology(K, 3.0, 20.0, substream(seed, 0))
+    else:
+        variances = 0.3 * np.asarray(distances, dtype=float) ** -2.0
+    bank = sample_channel_bank(prof, variances, seed, 0)
     if shared:
         bank = np.repeat(bank[:1], K, axis=0)
     return link_gains(bank, RakeSelector(beta), SpreadingConfig(frames, chips),
@@ -284,8 +285,7 @@ def test_closed_form_gap_for_heterogeneous_bank():
 def test_infeasible_system_pins_users_at_cap():
     # one chip per frame, single frame: the interference budget cannot close
     prof = ApdpProfile(8, 10.0)
-    topo = NetworkTopology(distances=np.full(6, 10.0))
-    bank = sample_channel_bank(prof, topo, 5, 0)
+    bank = sample_channel_bank(prof, 0.3 * np.full(6, 10.0) ** -2.0, 5, 0)
     gains = link_gains(bank, RakeSelector(1.0), SpreadingConfig(1, 1), 5e-16)
     assert not np.all(feasibility(gains))
     out = solve_equilibrium(gains, UtilityParams())
@@ -332,8 +332,7 @@ def test_solver_matches_jacobi_on_partly_clamped_frame_stacks():
 
 def test_solver_matches_jacobi_on_infeasible_bank():
     prof = ApdpProfile(8, 10.0)
-    topo = NetworkTopology(distances=np.full(6, 10.0))
-    bank = sample_channel_bank(prof, topo, 5, 0)
+    bank = sample_channel_bank(prof, 0.3 * np.full(6, 10.0) ** -2.0, 5, 0)
     gains = link_gains(bank, RakeSelector(1.0), SpreadingConfig(1, 1), 5e-16)
     out = _assert_matches_jacobi(gains)
     assert out.any_clamped

@@ -197,10 +197,9 @@ def test_min_frames_clamps_to_one():
 
 
 def test_min_frames_needs_chips():
-    p = LsaParams(rho=10.0, beta=0.5, load=0.25, gain=1000, users=8,
-                  sigma_sq=5e-16)
-    with pytest.raises(ValueError):
-        min_frames(p)
+    # chips_per_frame is a required field, so no operating point lacks it
+    with pytest.raises(TypeError, match="chips_per_frame"):
+        LsaParams(rho=10.0, beta=0.5, load=0.25, gain=1000, users=8, sigma_sq=5e-16)
 
 
 def test_loss_reference_points():
@@ -232,10 +231,14 @@ def test_loss_monotone_in_beta():
 
 def test_lsa_params_validation():
     with pytest.raises(ValueError):
-        LsaParams(rho=0.5, beta=0.5, load=0.25, gain=100, users=2, sigma_sq=1e-12)
+        LsaParams(rho=0.5, beta=0.5, load=0.25, gain=100, users=2, sigma_sq=1e-12,
+                  chips_per_frame=50)
     with pytest.raises(ValueError):
-        LsaParams(rho=10.0, beta=0.0, load=0.25, gain=100, users=2, sigma_sq=1e-12)
+        LsaParams(rho=10.0, beta=0.0, load=0.25, gain=100, users=2, sigma_sq=1e-12,
+                  chips_per_frame=50)
     with pytest.raises(ValueError):
-        LsaParams(rho=10.0, beta=0.5, load=0.25, gain=0, users=2, sigma_sq=1e-12)
+        LsaParams(rho=10.0, beta=0.5, load=0.25, gain=0, users=2, sigma_sq=1e-12,
+                  chips_per_frame=50)
     with pytest.raises(ValueError):
-        LsaParams(rho=10.0, beta=0.5, load=0.25, gain=100, users=2, sigma_sq=0.0)
+        LsaParams(rho=10.0, beta=0.5, load=0.25, gain=100, users=2, sigma_sq=0.0,
+                  chips_per_frame=50)
