@@ -33,10 +33,12 @@ finitely many fingers. The closed forms of the intermediate quantities
 reduce them to lsa's mu; the self-interference mass is lsa's nu times
 the squared captured density. Each limit row thus sets a finite sum
 against the one definition of its closed form, never against a retyped
-copy of it. The factorization row checks every (lag, tap) pair, a block
-of lags at a time; the case-table rows compare the one table with the
-step definition of the overlap counts at every point where either can
-change, which covers every pair in O(L).
+copy of it. The factorization row checks every (lag, tap) pair whose
+weight can be nonzero (tap l a combined finger), a block of taps at a
+time; at the other pairs both of its sides are exactly 0. The case-table
+rows compare the one table with the step definition of the overlap
+counts at every point where either can change, which covers every pair
+in O(L).
 """
 
 from __future__ import annotations
@@ -59,9 +61,9 @@ from .lsa import _UTILITY, LsaParams, _is_flat, loss_db, mu, nu, predict_power
 # path counts up to which _self_lag_mass_direct correlates the taps
 # without an FFT (see there for why)
 _DIRECT_LAG_MAX_L = 32
-# lags per vectorised block of the factorization check: the (block, L)
+# taps per vectorised block of the factorization check: the (block, L)
 # temporaries stay at a few MB for L in the thousands
-_LAG_BLOCK = 16
+_TAP_BLOCK = 16
 # path counts of the lag-pattern Gram checks and of the Monte Carlo row
 _GRAM_PATH_COUNT = 400
 # relative tolerances: identity rows and the two self-lag routes, exact
@@ -371,14 +373,30 @@ def _gram_diag_deviation(v: np.ndarray, fingers: int, combined: bool) -> float:
     return float(np.max(np.abs(diag - ref))) / scale
 
 
+def _u2_rows(path_count: int, fingers: int) -> np.ndarray:
+    """u2 = [l <= P - L + i] of the factorized weights, as strided windows.
+
+    Row l - 1 holds tap l and column d - 1 the lag i = L - d, so the entry
+    is [l + d <= P]. The factorized side reads u2 only from here, never
+    from the direct side's finger mask of tap m.
+    """
+    step = (np.arange(1, 2 * path_count) < fingers).astype(np.int8)
+    return sliding_window_view(step, path_count - 1)
+
+
 def _theta_factorization_deviation(v: np.ndarray, fingers: int, rho: float) -> float:
     """Sup deviation of the overlap weights from their power-law form.
 
-    Lag i pairs tap l with m = L + l - i. The masks u1 = [l <= P],
-    u2 = [l <= P - L + i] and inside = [m <= L] and the taps (zero-padded
-    past m = L) are viewed once as rows of strided windows (row r holds lag
-    L - r), _LAG_BLOCK lags at a time. Each lag is scaled by its largest
-    factorized weight.
+    Lag i pairs tap l with m = L + l - i. The direct weight is
+    v[l] v[m] ([l <= P] + [m <= P])^2, the factorized one the power law
+    times u1 + u2 + 2 u1 u2 with u1 = [l <= P] [m <= L] and u2 from
+    _u2_rows. Past the last finger (l > P) both u1 and u2 vanish and so
+    does the direct weight (m > l > P): both sides are exactly 0 and
+    cannot set a maximum, so only taps l <= P are swept, _TAP_BLOCK at a
+    time. Each tap's row runs over the offsets d = m - l = L - i, read off
+    strided windows built once (zero-padded past m = L), so each lag is a
+    column. A lag's deviation is scaled by its largest factorized weight;
+    both per-lag maxima are kept across blocks and divided at the end.
     """
     L = v.size
     x = np.arange(2 * L)
@@ -386,22 +404,23 @@ def _theta_factorization_deviation(v: np.ndarray, fingers: int, rho: float) -> f
     step_rows = sliding_window_view(step, L - 1)
     inside_rows = sliding_window_view(inside, L - 1)
     v_rows = sliding_window_view(np.concatenate([v, np.zeros(L)]), L - 1)
+    u2_rows = _u2_rows(L, fingers)
     # power law of the pair (l, i): pw[k] at k = L + 2l - i - 2
-    pw_rows = sliding_window_view(rho ** (-(np.arange(3 * L)) / (L - 1)), 2 * L - 3)
-    dev = 0.0
-    for i_lo in range(1, L, _LAG_BLOCK):
-        n = min(i_lo + _LAG_BLOCK, L) - 1  # widest row of the block
-        rows = slice(L - n, L - i_lo + 1)
-        u1, u2 = step[:n], step_rows[rows, :n]
-        direct = v[:n] * v_rows[rows, :n]
-        direct *= ((u1 + u2) ** 2).astype(float)
-        u1 = u1 * inside_rows[rows, :n]  # l <= P, m <= L
+    pw_rows = sliding_window_view(rho ** (-(np.arange(3 * L)) / (L - 1)), L - 1)
+    dev, scale = np.zeros(L - 1), np.zeros(L - 1)
+    for lo in range(0, fingers, _TAP_BLOCK):
+        hi = min(lo + _TAP_BLOCK, fingers)
+        w = L - 1 - lo  # offsets of the block's first tap
+        rows = slice(lo + 1, hi + 1)
+        direct = v[lo:hi, None] * v_rows[rows, :w]
+        direct *= ((step[lo:hi, None] + step_rows[rows, :w]) ** 2).astype(float)
+        u1, u2 = step[lo:hi, None] * inside_rows[rows, :w], u2_rows[lo:hi, :w]
         fact = (u1 + u2 + 2 * u1 * u2).astype(float)
-        fact *= pw_rows[rows, :2 * n - 1:2]
-        scale = np.maximum(fact.max(axis=1), 1e-300)
+        fact *= pw_rows[2 * lo + 1:2 * hi + 1:2, :w]
+        np.maximum(scale[:w], fact.max(axis=0), out=scale[:w])
         direct -= fact
-        dev = max(dev, float(np.max(np.abs(direct, out=direct).max(axis=1) / scale)))
-    return dev
+        np.maximum(dev[:w], np.abs(direct, out=direct).max(axis=0), out=dev[:w])
+    return float(np.max(dev / np.maximum(scale, 1e-300)))
 
 
 def _overlap_table_deviation(path_count: int, finger_count: int) -> float:

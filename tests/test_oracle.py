@@ -1,5 +1,6 @@
 """Finite-size oracle: dual paths, exact subcases, MC cross-checks, audit."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -241,15 +242,63 @@ def test_fft_table_route_matches_direct_route():
 
 
 def test_elementwise_checks_match_lag_loops():
-    # 999 lags at L = 1000 leave the last block of lags partial
+    # the factorization row sweeps taps 1..P in blocks of _TAP_BLOCK = 16:
+    # P = 15, 16, 17, 32 and 33 end the sweep in a partial, a full or a
+    # single-tap block, and P = L - 1 and L sweep all taps but the last or
+    # all of them; 1e60 is the largest decay ratio the CLI accepts
     for L in (2, 3, 40, 41, 401, 1000):
-        for beta in (0.01, 0.3, 0.5, 0.7, 1.0):
-            for rho in (1.0, 10.0, 1e4):
+        for rho in (1.0, 10.0, 1e4, 1e60):
+            for beta in (0.01, 0.3, 0.5, 0.7, 1.0):
                 v, P = _profile(L, rho, beta)
                 assert _theta_factorization_deviation(v, P, rho) == _theta_loop(v, P, rho)
+        for rho in (10.0, 1e60):
+            v, _ = _profile(L, rho, 1.0)
+            for P in sorted({1, 15, 16, 17, 32, 33, L - 1, L} & set(range(1, L + 1))):
+                assert _theta_factorization_deviation(v, P, rho) == _theta_loop(v, P, rho), \
+                    (L, rho, P)
         for P in sorted({1, 2, L // 3, L // 2, L // 2 + 1, 2 * L // 3, L - 1, L}
                         & set(range(1, L + 1))):
             assert _overlap_table_deviation(L, P) == _overlap_loop(L, P) == 0
+
+
+def test_factorization_row_catches_a_shifted_u2_prefix(monkeypatch):
+    # u2 = [l <= P - L + i] becomes [l <= P - L + i + 1] on the factorized
+    # side only: at lag L - P tap 1 weighs 4 there against 1 on the direct
+    # side. At P = L the shift moves no pair, since u2 covers all of 1..i.
+    real = oracle._u2_rows
+    monkeypatch.setattr(oracle, "_u2_rows", lambda L_, P_: real(L_, P_ + 1))
+    for L in (40, 41, 401):
+        for rho in (1.0, 10.0, 1e60):
+            v, _ = _profile(L, rho, 1.0)
+            for P in range(1, L):
+                assert _theta_factorization_deviation(v, P, rho) > oracle._IDENTITY_TOL, \
+                    (L, rho, P)
+
+
+def test_factorization_row_catches_a_perturbed_tap():
+    # only taps l <= P are swept: a tap past the last finger enters the row
+    # only as the partner m of tap 1, which still sets its lag's scale
+    L, P = 41, 5
+    for rho in (1.0, 10.0, 1e60):
+        v, _ = _profile(L, rho, 1.0)
+        assert _theta_factorization_deviation(v, P, rho) <= oracle._IDENTITY_TOL
+        for k in range(L):
+            bad = v.copy()
+            bad[k] *= 1 + 1e-9
+            assert _theta_factorization_deviation(bad, P, rho) > oracle._IDENTITY_TOL, (rho, k)
+
+
+def test_factorization_row_memory_stays_blockwise():
+    # a block of taps at a time keeps the temporaries at a few MB; all of
+    # the 6.1 M swept pairs at once would trace about 50 MB per float array
+    v, P = _profile(8000, 10.0, 0.1)
+    tracemalloc.start()
+    try:
+        _theta_factorization_deviation(v, P, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
 
 
 def _block_mutations(blocks):
