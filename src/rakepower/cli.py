@@ -298,10 +298,11 @@ def run_utility_vs_gain(config: ExperimentConfig):
     prediction scaled down by the combining penalty against simulated
     utilities over fresh trials (trial indices 1 onward). Trials go in
     blocks of a few, trial 0 in the first: each block is drawn once, gets
-    one link_gains call per fraction and one solve of the (fractions,
-    trials, users) stack. A trial with a clamped user at a fraction is
-    left out of that fraction's nmse (its utility measures the power cap,
-    not the prediction); the count left out goes to stderr. A fraction
+    one link_gains call for every fraction (the path-gain spectra are
+    taken once and shared) and one solve of the (fractions, trials, users)
+    stack. A trial with a clamped user at a fraction is left out of that
+    fraction's nmse (its utility measures the power cap, not the
+    prediction); the count left out goes to stderr. A fraction
     with every trial left out, or with an infeasible large-system
     operating point, gets a nan nmse and a stderr line saying why. A
     solve that fails its fixed-point certificate raises.
@@ -319,8 +320,7 @@ def run_utility_vs_gain(config: ExperimentConfig):
         block = profile.path_gains(variances, normals)
         energy = np.sum(np.abs(block) ** 2, axis=-1)
         pred_full = _or_nan(predict_utility, params_full, energy)
-        stack = _stacked([link_gains(block, sel, spreading, config.sigma_sq)
-                          for sel in selectors])
+        stack = link_gains(block, selectors, spreading, config.sigma_sq)
         outcome = _solve(stack, trials)
         if trials.start == 0:
             channel_gain, h_sp0 = energy[0], stack.h_sp[:, 0]

@@ -11,23 +11,31 @@ large-system approximation is involved here.
 The leakage terms are cross-correlations between the combining weights
 and the path gains at lags 1..L-1; the cross gains add the zero lag. A
 bank of K users is one (K, L) array. Zero-padded to the smallest
-2-3-5-smooth length of at least 2L - 1 samples (400 at L = 200, 4000 at
-L = 2000), its discrete Fourier transform turns every correlation into a
-product of spectra (Wiener-Khinchin), and by Parseval the sum of squared
-correlations over all lags is an inner product of power spectra, so all
-K^2 cross gains come from one matrix product. The lag structure can also
-be written as two banded L x (L-1) matrices per vector (column i holds
-the last i entries shifted to the top); the dense evaluation path
-materializes them as an independent check.
+2-3-5-smooth length n of at least 2L - 1 samples (400 at L = 200, 4000
+at L = 2000), its discrete Fourier transform turns every correlation
+into a product of spectra (Wiener-Khinchin), and by Parseval the sum of
+squared correlations over all lags is an inner product of power spectra,
+so all K^2 cross gains come from one matrix product. The self-leakage at
+lag d is v_d = r_-d + conj(r_d), where r = ifft(R) and R = F_a conj(F_c)
+is the cross-spectrum of the path gains and the weights. Because
+ifft(conj(R))_m = conj(r_-m), s = ifft(2 Re R) has s_d = conj(v_d), and
+since 2 Re R is real, |v_d|^2 = 4 |rfft(Re R)_d|^2 / n^2 for
+d = 1..L-1 <= n/2: one half-length real transform of real products
+instead of a complex product and a full inverse transform. The path-gain
+spectrum F_a is shared by every combining fraction of a call. The lag
+structure can also be written as two banded L x (L-1) matrices per
+vector (column i holds the last i entries shifted to the top); the
+dense evaluation path materializes them as an independent check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-from numpy.fft import fft, ifft
+from numpy.fft import fft, rfft
 
 
 @dataclass(frozen=True)
@@ -188,8 +196,52 @@ def _fast_len(n: int) -> int:
     return best
 
 
+def _spectral_numerators(fa: np.ndarray, pa_t: np.ndarray, C: np.ndarray | None,
+                         lag_weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One selector's self- and cross-gain numerators from the shared
+    path-gain spectrum fa and its transposed power pa_t; C is None at full
+    combining, where the weights are the path gains."""
+    if C is None:
+        # F_c = F_a, so R = |F_a|^2 is real and is the weight power too
+        pc = re_r = np.swapaxes(pa_t, -1, -2)
+    else:
+        fc = fft(C, n=fa.shape[-1], axis=-1)
+        pc = np.abs(fc) ** 2
+        # Re R = Re F_a Re F_c + Im F_a Im F_c; the second product goes
+        # into fc.real, which is read for the last time in the first
+        re_r = fa.real * fc.real
+        re_r += np.multiply(fa.imag, fc.imag, out=fc.real)
+        del fc
+    cross = (pc @ pa_t) / fa.shape[-1]
+    del pc
+    v_sq = np.abs(rfft(re_r, axis=-1)[..., 1:lag_weight.size + 1]) ** 2
+    v_sq *= lag_weight
+    return v_sq.sum(axis=-1), cross
+
+
+def _dense_numerators(A: np.ndarray, C: np.ndarray,
+                      phi_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The same numerators of one (K, L) bank from its lag matrices."""
+    K = A.shape[0]
+    si = np.empty(K)
+    cross = np.zeros((K, K))
+    mats = [(_lag_matrix(a), _lag_matrix(c)) for a, c in zip(A, C)]
+    for k, (a, c) in enumerate(zip(A, C)):
+        A_k, B_k = mats[k]
+        v = B_k.conj().T @ a + A_k.conj().T @ c
+        si[k] = float(phi_sq @ np.abs(v) ** 2)
+        for j, aj in enumerate(A):
+            if j == k:
+                continue
+            A_j = mats[j][0]
+            cross[k, j] = np.sum(np.abs(B_k.conj().T @ aj) ** 2) \
+                + np.sum(np.abs(A_j.conj().T @ c) ** 2) \
+                + abs(np.vdot(c, aj)) ** 2
+    return si, cross
+
+
 def link_gains(alphas: np.ndarray,
-               selector: RakeSelector,
+               selector: RakeSelector | Sequence[RakeSelector],
                spreading: SpreadingConfig,
                sigma_sq: float,
                method: str = "spectral") -> LinkGains:
@@ -197,70 +249,86 @@ def link_gains(alphas: np.ndarray,
 
     alphas is a (K, L) array of path gains or a (..., K, L) stack of
     banks (say a block of trials), which gives a LinkGains with the same
-    leading axes. method="spectral" evaluates every bank from the spectra
-    of the path gains and weights, zero-padded with numpy.fft to the
-    smallest 2-3-5-smooth length of at least 2L - 1 samples so that no lag
-    wraps around: the cross-gain numerator, the squared weight/interferer
-    cross-correlation summed over every lag, is by Parseval an inner
-    product of power spectra, so all K^2 numerators are one matrix
-    product, and the self-interference lags come from one inverse
-    transform of each user's cross-spectrum. method="dense" materializes
-    the lag matrices and multiplies them out for one (K, L) bank: it is
-    quadratically more expensive and exists as an independent check. Both
-    agree to roundoff.
+    leading axes. selector is one RakeSelector, or a sequence of S of
+    them, which puts a leading selector axis of length S in front.
+
+    method="spectral" evaluates every bank from the spectra of the path
+    gains and weights, zero-padded with numpy.fft to the smallest
+    2-3-5-smooth length n of at least 2L - 1 samples so that no lag wraps
+    around. The path-gain spectrum F_a and its power |F_a|^2 are taken
+    once per call and shared by every selector; each selector adds only
+    the weight spectrum F_c, and not even that at full combining, where
+    C = A and F_c = F_a. The cross-gain numerator, the squared
+    weight/interferer cross-correlation summed over every lag, is by
+    Parseval an inner product of power spectra, so all K^2 numerators are
+    one matrix product. The self-interference sum at lag d is v_d = r_-d
+    + conj(r_d), where r is the inverse transform of R = F_a conj(F_c).
+    With s = ifft(2 Re R) that is v_d = conj(s_d), so |v_d|^2 =
+    4 |rfft(Re R)_d|^2 / n^2 for d = 1..L-1 <= n/2: real products and
+    one half-length real transform. Past the transforms no complex arrays
+    are multiplied: every step is elementwise on real parts and moduli, a
+    row sum or one matrix product per bank, so a bank's gains come out the
+    same bit for bit alone, inside any stack of banks and inside any
+    selector sequence.
+
+    method="dense" materializes the lag matrices and multiplies them out
+    for one (K, L) bank and one selector: it is quadratically more
+    expensive and exists as an independent check. Both agree to roundoff.
     """
     if method not in ("spectral", "dense"):
         raise ValueError(f"unknown method {method!r}")
+    several = not isinstance(selector, RakeSelector)
+    selectors = tuple(selector) if several else (selector,)
+    if not selectors or not all(isinstance(s, RakeSelector) for s in selectors):
+        raise ValueError("selector must be a RakeSelector or a non-empty sequence of them")
     A = np.asarray(alphas, dtype=complex)
     if A.ndim < 2 or 0 in A.shape[-2:]:
         raise ValueError("need a (..., K, L) bank with at least one user and path")
     if method == "dense" and A.ndim != 2:
         raise ValueError("method='dense' takes one (K, L) bank, not a stack")
+    if method == "dense" and several:
+        raise ValueError("method='dense' takes one RakeSelector, not a sequence")
     K, L = A.shape[-2:]
-    C = rake_weights(A, selector)
     N = spreading.processing_gain
     phi_sq = _phi_squared(spreading.chips_per_frame, L)
-
-    hs = np.einsum("...l,...l->...", C.conj(), A)
-    if np.any(np.abs(hs.imag) > 1e-12 * np.maximum(1.0, np.abs(hs.real))):
-        raise ValueError("combining gain has a non-negligible imaginary part")
-    h_sp = hs.real
-    if np.any(h_sp <= 0):
-        raise ValueError(f"zero combining gain at (..., user) {np.argwhere(h_sp <= 0).tolist()}")
-
     if method == "spectral":
         # any length >= 2L - 1 holds every lag without wrap-around; the
         # next 2-3-5-smooth one transforms fastest
         nfft = _fast_len(2 * L - 1)
         fa = fft(A, n=nfft, axis=-1)
-        fc = fft(C, n=nfft, axis=-1)
-        # r[k, n] = sum_m a_k[m + n] conj(c_k[m]) at lags n = -(L-1)..L-1,
-        # negative lags stored from the end; the two leakage terms at lag
-        # d = 1..L-1 are r[-d] and conj(r[d])
-        r = ifft(fa * fc.conj(), axis=-1)
-        v = r[..., nfft - 1:nfft - L:-1] + r[..., 1:L].conj()
-        h_si = (np.abs(v) ** 2 @ phi_sq[::-1]) / (N * h_sp)
-        cross = (np.abs(fc) ** 2 @ np.swapaxes(np.abs(fa) ** 2, -1, -2)) / nfft
-        h_mai = cross / (N * h_sp[..., None])
-        users = np.arange(K)
-        h_mai[..., users, users] = 0.0
-    else:
-        h_si = np.empty(K)
-        h_mai = np.zeros((K, K))
-        mats = [(_lag_matrix(a), _lag_matrix(c)) for a, c in zip(A, C)]
-        for k, (a, c) in enumerate(zip(A, C)):
-            A_k, B_k = mats[k]
-            v = B_k.conj().T @ a + A_k.conj().T @ c
-            h_si[k] = float(phi_sq @ np.abs(v) ** 2) / (N * h_sp[k])
-            for j, aj in enumerate(A):
-                if j == k:
-                    continue
-                A_j = mats[j][0]
-                cross = np.sum(np.abs(B_k.conj().T @ aj) ** 2) \
-                    + np.sum(np.abs(A_j.conj().T @ c) ** 2) \
-                    + abs(np.vdot(c, aj)) ** 2
-                h_mai[k, j] = cross / (N * h_sp[k])
+        pa_t = np.swapaxes(np.abs(fa) ** 2, -1, -2)
+        # lag d = 1..L-1 in order, with the 4 / n^2 of |v_d|^2 folded in
+        lag_weight = phi_sq[::-1] * (4.0 / nfft ** 2)
 
+    h_sp = np.empty((len(selectors),) + A.shape[:-1])
+    h_si = np.empty_like(h_sp)
+    h_mai = np.empty(h_sp.shape + (K,))
+    for s, sel in enumerate(selectors):
+        C = rake_weights(A, sel)
+        hs = np.einsum("...l,...l->...", C.conj(), A)
+        if np.any(np.abs(hs.imag) > 1e-12 * np.maximum(1.0, np.abs(hs.real))):
+            raise ValueError("combining gain has a non-negligible imaginary part")
+        if np.any(hs.real <= 0):
+            bad = np.argwhere(hs.real <= 0)
+            axes = "(selector, ..., user)" if several else "(..., user)"
+            if several:
+                bad = np.insert(bad, 0, s, axis=1)
+            raise ValueError(f"zero combining gain at {axes} {bad.tolist()}")
+        h_sp[s] = hs.real
+        if method == "dense":
+            si, cross = _dense_numerators(A, C, phi_sq)
+        else:
+            full = sel.finger_count(L) == L
+            si, cross = _spectral_numerators(fa, pa_t, None if full else C, lag_weight)
+        del C
+        scale = N * h_sp[s]
+        h_si[s] = si / scale
+        h_mai[s] = cross / scale[..., None]
+    users = np.arange(K)
+    h_mai[..., users, users] = 0.0
+
+    if not several:
+        h_sp, h_si, h_mai = h_sp[0], h_si[0], h_mai[0]
     return LinkGains(h_sp=h_sp, h_si=h_si, h_mai=h_mai, sigma_sq=sigma_sq)
 
 

@@ -122,18 +122,23 @@ def test_po_frames_draws_each_trial_once(monkeypatch, rho_db_grid):
 
 @pytest.mark.parametrize("trials", [3, 9])
 def test_utility_gain_draws_and_solves_each_trial_once(monkeypatch, trials):
-    # trial 0, whose per-user rows the CSV prints, rides in the first block
-    calls, solves = [], []
-    draw, solve = cli.substream, cli.solve_equilibrium
+    # trial 0, whose per-user rows the CSV prints, rides in the first block;
+    # each block gets one gains call for both fractions and one solve
+    calls, solves, gains_calls = [], [], []
+    draw, solve, gains = cli.substream, cli.solve_equilibrium, cli.link_gains
     for module in (cli, channel):
         monkeypatch.setattr(module, "substream",
                             lambda *key: calls.append(key) or draw(*key))
     monkeypatch.setattr(cli, "solve_equilibrium",
                         lambda gains, params: solves.append(1) or solve(gains, params))
-    config = ExperimentConfig(users=3, paths=40, chips=10, trials=trials, betas=(0.3,))
+    monkeypatch.setattr(cli, "link_gains",
+                        lambda *args: gains_calls.append(1) or gains(*args))
+    config = ExperimentConfig(users=3, paths=40, chips=10, trials=trials,
+                              betas=(1.0, 0.3))
     run_utility_vs_gain(config)
     assert len(calls) == (config.trials + 1) * (config.users + 1)
-    assert len(solves) == math.ceil((config.trials + 1) / cli._TRIAL_BLOCK)
+    blocks = math.ceil((config.trials + 1) / cli._TRIAL_BLOCK)
+    assert len(solves) == len(gains_calls) == blocks
 
 
 def test_utility_gain_prediction_column(tmp_path):

@@ -357,13 +357,107 @@ def test_trial_block_equals_per_bank_calls(K, L, beta):
             np.testing.assert_array_equal(nested.h_mai[t // 2, t % 2], out.h_mai[t])
 
 
+_FIELDS = ("h_sp", "h_si", "h_mai")
+
+
+@pytest.mark.parametrize("L", [41, 80, 200, 1000])
+@pytest.mark.parametrize("K", [3, 8])
+def test_bank_gains_do_not_depend_on_blocking(L, K):
+    # bit for bit: a bank alone, inside a (T, K, L) block of trials and
+    # inside a selector sequence over that block
+    block = _block(5, K, L, seed=L + K)
+    selectors = [RakeSelector(beta) for beta in (1.0, 0.5, 0.1)]
+    spreading = SpreadingConfig(frames=20, chips_per_frame=L // 4)
+    stacked = link_gains(block, selectors, spreading, 5e-16)
+    for s, sel in enumerate(selectors):
+        blocked = link_gains(block, sel, spreading, 5e-16)
+        for t in (0, 3, 4):
+            alone = link_gains(block[t], sel, spreading, 5e-16)
+            for field in _FIELDS:
+                one = getattr(alone, field)
+                np.testing.assert_array_equal(getattr(blocked, field)[t], one)
+                np.testing.assert_array_equal(getattr(stacked, field)[s, t], one)
+
+
+def test_selector_sequence_equals_per_selector_calls(monkeypatch):
+    # a leading selector axis, each slice bit for bit its own call; beta = 1
+    # reuses the path-gain spectrum, and a repeated fraction repeats its slice
+    betas = (1.0, 0.3, 0.1, 0.3)
+    spreading = SpreadingConfig(frames=4, chips_per_frame=10)
+    block = _block(3, 4, 41)
+    for alphas in (block, block[1]):
+        out = link_gains(alphas, [RakeSelector(b) for b in betas], spreading, 1e-9)
+        assert out.h_sp.shape == (4,) + alphas.shape[:-1]
+        assert out.h_mai.shape == out.h_sp.shape + (4,)
+        for s, beta in enumerate(betas):
+            one = link_gains(alphas, RakeSelector(beta), spreading, 1e-9)
+            for field in _FIELDS:
+                np.testing.assert_array_equal(getattr(out, field)[s], getattr(one, field))
+    # one complex transform for the path gains, one per partial fraction
+    lengths = []
+    fft = gains_module.fft
+
+    def spy(x, n, axis):
+        lengths.append(n)
+        return fft(x, n=n, axis=axis)
+
+    monkeypatch.setattr(gains_module, "fft", spy)
+    link_gains(block, [RakeSelector(b) for b in betas], spreading, 1e-9)
+    assert lengths == [81] * 4
+
+
+@pytest.mark.parametrize("L, nfft", [(1, 1), (2, 3), (3, 5), (8, 15), (41, 81), (200, 400)])
+@pytest.mark.parametrize("beta", [1.0, 0.5])
+def test_real_transform_self_interference_matches_dense(L, nfft, beta):
+    # |v_d|^2 = 4 |rfft(Re R)_d|^2 / n^2, odd transform lengths included
+    assert gains_module._fast_len(2 * L - 1) == nfft
+    bank = _bank(3, L, rho=10.0, seed=L)
+    selector = RakeSelector(beta)
+    spreading = SpreadingConfig(frames=5, chips_per_frame=max(1, L // 3))
+    spectral = link_gains(bank, selector, spreading, 1e-9)
+    dense = link_gains(bank, selector, spreading, 1e-9, method="dense")
+    np.testing.assert_allclose(spectral.h_si, dense.h_si, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(spectral.h_mai, dense.h_mai, rtol=1e-12, atol=0)
+
+
+def test_selector_sequence_temporaries_stay_bounded():
+    # the four fractions of a (4, 8, 2000) block share F_a and |F_a|^2 and
+    # free each fraction's own spectra before the next, so their traced
+    # peak does not grow with the fractions: within 256 KiB of a single
+    # fraction's (about 7.9 MiB with numpy 2.4) and under 9.8 MiB
+    import tracemalloc
+    block = _block(4, 8, 2000)
+    spreading = SpreadingConfig(frames=20, chips_per_frame=500)
+    fractions = [RakeSelector(b) for b in (1.0, 0.5, 0.3, 0.1)]
+    peaks = []
+    for selector in (fractions[-1], fractions):
+        tracemalloc.start()
+        try:
+            link_gains(block, selector, spreading, 5e-16)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    single, four = peaks
+    assert four <= single + (256 << 10)
+    assert four <= 9.8 * 2 ** 20
+
+
 def test_trial_block_guards_fire_on_one_bad_bank(monkeypatch):
     block = _block(4, 3, 16)
     selector, spreading = RakeSelector(0.5), SpreadingConfig(2, 8)
+    both = [RakeSelector(1.0), selector]
     silent = block.copy()
     silent[2, 1, :8] = 0.0            # user 1 of trial 2 has nothing on its fingers
-    with pytest.raises(ValueError, match=r"\[\[2, 1\]\]"):
+    with pytest.raises(ValueError, match=r"\(\.\.\., user\) \[\[2, 1\]\]"):
         link_gains(silent, selector, spreading, 1e-9)
+    # all-rake still sees its later taps; the second selector is the bad one
+    with pytest.raises(ValueError, match=r"\(selector, \.\.\., user\) \[\[1, 2, 1\]\]"):
+        link_gains(silent, both, spreading, 1e-9)
+    with pytest.raises(ValueError, match="dense"):
+        link_gains(block[0], both, spreading, 1e-9, method="dense")
+    for bad in ([], [selector, 0.5]):
+        with pytest.raises(ValueError, match="RakeSelector"):
+            link_gains(block, bad, spreading, 1e-9)
     with pytest.raises(ValueError, match="sigma_sq"):
         link_gains(block, selector, spreading, -1e-9)
     with pytest.raises(ValueError, match="dense"):
@@ -381,3 +475,5 @@ def test_trial_block_guards_fire_on_one_bad_bank(monkeypatch):
                         lambda alpha, sel: mrc(alpha, sel) * phase)
     with pytest.raises(ValueError, match="imaginary"):
         link_gains(block, selector, spreading, 1e-9)
+    with pytest.raises(ValueError, match="imaginary"):
+        link_gains(block, both, spreading, 1e-9)
