@@ -12,15 +12,51 @@ A bank of K users is a (K, L) array of path gains, and a block of T
 trials a (T, K, L) array. sample_normals draws a block's complex normals
 once, one substream per (trial, user); ApdpProfile.path_gains scales
 them to a decay ratio, so every ratio reuses the same draw.
+
+substream is the reference for every stream. Seeding a SeedSequence and
+a PCG64 for one stream costs about twice as much as drawing one user's
+2L normals at L = 200, so the draws go through _substreams: it runs numpy's SeedSequence mixing
+for the keys of many streams at once on uint32 arrays, and hands each
+key's output words to PCG64's own seeding. The streams are substream's
+bit for bit. _trial_streams derives the keys of a fixed chunk of trials
+per pass, so its memory stays flat in the trial count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
-from numpy.random import Generator, SeedSequence, default_rng
+from numpy.random import PCG64, Generator, SeedSequence, default_rng
+from numpy.random.bit_generator import ISeedSequence
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of 4
+# uint32 words, hashed with the multiply-xorshift hashmix and mixed
+# pairwise with mix; the output words take a second hash-constant stream
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+# trials whose streams _trial_streams derives in one pass: numpy's
+# per-call cost is spread over enough keys, and the pass's arrays stay a
+# few KiB whatever the trial count
+_HASH_CHUNK = 64
+
+
+def _hash_constants(const: int, mult: int, n: int) -> list[int]:
+    """const * mult^i modulo 2^32 for i = 0..n. Successive hashmix calls
+    take entries i and i + 1 as their xor constant and multiplier."""
+    out = [const]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+# the output words: word i is hashed from pool word i mod 4
+_OUTPUT_CONSTS = np.array(_hash_constants(_INIT_B, _MULT_B, 2 * _POOL_WORDS), dtype=np.uint32)
 
 
 @dataclass(frozen=True)
@@ -69,6 +105,104 @@ def substream(master_seed: int, *key: int) -> Generator:
     return default_rng(SeedSequence(master_seed, spawn_key=key))
 
 
+def _seed_pool(master_seed: int) -> tuple[list[int], int]:
+    """SeedSequence's pool once the master seed's entropy is mixed in, and
+    the hash constant the key words go on from.
+
+    The seed splits into little-endian uint32 words, zero-padded to the
+    pool size as numpy pads it when a spawn key follows. This part is the
+    same for every key, so it runs once per call, on Python integers.
+    """
+    if master_seed < 0:
+        raise ValueError("master_seed must be non-negative")
+    words = [master_seed >> 32 * i & _MASK32
+             for i in range(max(_POOL_WORDS, -(-master_seed.bit_length() // 32)))]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> _XSHIFT
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ result >> _XSHIFT
+
+    pool = [hashmix(w) for w in words[:_POOL_WORDS]]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool, const
+
+
+class _Seeded(ISeedSequence):
+    """Seed words derived already, handed to a bit generator's seeding
+    (PCG64 asks for its four uint64 words)."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _substreams(master_seed: int, *key) -> Iterator[Generator]:
+    """substream(master_seed, *k) for every key k in the broadcast of the
+    integer arrays in key, in C order.
+
+    The key words enter SeedSequence's pool after the seed, each hashed
+    against every pool word, so that part of the mixing runs on (..., 4)
+    uint32 arrays for all keys at once. The eight output words give each
+    key's PCG64 seed and increment as little-endian uint64 pairs, which
+    PCG64 takes through numpy's ISeedSequence interface.
+    """
+    key = [np.asarray(word) for word in key]
+    if not key or any(((word < 0) | (word > _MASK32)).any() for word in key):
+        # SeedSequence would split a wider word into two
+        raise ValueError("a key is one or more words in [0, 2^32)")
+    pool, const = _seed_pool(master_seed)
+    consts = np.array(_hash_constants(const, _MULT_A, _POOL_WORDS * len(key)), dtype=np.uint32)
+    pool = np.array(pool, dtype=np.uint32)
+    xshift = np.uint32(_XSHIFT)
+    for i, word in enumerate(key):
+        c = consts[_POOL_WORDS * i:_POOL_WORDS * (i + 1) + 1]
+        h = (word.astype(np.uint32)[..., None] ^ c[:-1]) * c[1:]
+        h ^= h >> xshift
+        pool = np.uint32(_MIX_MULT_L) * pool - np.uint32(_MIX_MULT_R) * h
+        pool ^= pool >> xshift
+    out = (np.concatenate((pool, pool), axis=-1) ^ _OUTPUT_CONSTS[:-1]) * _OUTPUT_CONSTS[1:]
+    out ^= out >> xshift
+    seeds = np.ascontiguousarray(out, dtype="<u4").view("<u8").astype(np.uint64)
+    for words in seeds.reshape(-1, _POOL_WORDS):
+        yield Generator(PCG64(_Seeded(words)))
+
+
+def _trial_streams(master_seed: int, stop: int, *key) -> Iterator[Generator]:
+    """substream(master_seed, t, *k) for t = 0..stop-1, trial major, and
+    every k in the broadcast of the arrays in key: _substreams over
+    _HASH_CHUNK trials at a time."""
+    for first in range(0, stop, _HASH_CHUNK):
+        trials = np.arange(first, min(first + _HASH_CHUNK, stop))
+        yield from _substreams(master_seed, trials.reshape((-1,) + (1,) * len(key)), *key)
+
+
+def _normals(streams: Iterator[Generator], T: int, K: int, L: int) -> np.ndarray:
+    """(T, K, L) complex normals, user by user from the next T K streams:
+    each takes standard_normal(2L), real parts then imaginary parts."""
+    z = np.empty((T, K, 2 * L))
+    for row, rng in zip(z.reshape(-1, 2 * L), streams):
+        rng.standard_normal(out=row)
+    normals = np.empty((T, K, L), dtype=complex)
+    normals.real, normals.imag = z[..., :L], z[..., L:]
+    return normals
+
+
 def sample_topology(K: int, d_min: float, d_max: float,
                     rng: Generator) -> np.ndarray:
     """Total channel variances of K users, (K,), at distances d drawn i.i.d.
@@ -89,15 +223,11 @@ def sample_normals(master_seed: int, trials: Sequence[int], K: int,
     t, k): the first L are the real parts and the last L the imaginary
     parts, the same numbers as two standard_normal(L) calls. Only the
     per-tap scale depends on the profile (ApdpProfile.path_gains), so one
-    draw serves every decay ratio.
+    draw serves every decay ratio. All T K streams are derived in one pass
+    of _substreams.
     """
-    z = np.empty((len(trials), K, 2 * L))
-    for i, t in enumerate(trials):
-        for k in range(K):
-            substream(master_seed, t, k).standard_normal(out=z[i, k])
-    normals = np.empty((len(trials), K, L), dtype=complex)
-    normals.real, normals.imag = z[..., :L], z[..., L:]
-    return normals
+    streams = _substreams(master_seed, np.asarray(trials)[:, None], np.arange(K))
+    return _normals(streams, len(trials), K, L)
 
 
 def sample_channel_bank(profile: ApdpProfile, user_variances: np.ndarray,

@@ -24,6 +24,7 @@ import math
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -31,9 +32,9 @@ import click
 import numpy as np
 
 from . import __version__
-from .channel import ApdpProfile, sample_normals, sample_topology, substream
-from .gains import LinkGains, RakeSelector, SpreadingConfig, link_gains
-from .game import gamma_star, solve_equilibrium
+from .channel import ApdpProfile, _normals, _trial_streams, sample_topology
+from .gains import RakeSelector, SpreadingConfig, link_gains
+from .game import _outage, gamma_star, solve_equilibrium
 from .lsa import _UTILITY, LsaParams, loss_db, min_frames, mu, nu, predict_utility
 from .oracle import oracle_audit
 
@@ -215,14 +216,18 @@ def _trial_blocks(config: ExperimentConfig, stop: int):
 
     Each trial is drawn on its own substreams (user variances keyed by
     trial, normals by trial and user), so the draws do not depend on how the
-    trials are blocked.
+    trials are blocked. The streams come from channel._trial_streams, which
+    derives the keys of a fixed chunk of trials in one pass, so memory
+    stays flat in the trial count.
     """
+    K = config.users
+    places = _trial_streams(config.seed, stop)
+    channels = _trial_streams(config.seed, stop, np.arange(K))
     for start in range(0, stop, _TRIAL_BLOCK):
         trials = range(start, min(start + _TRIAL_BLOCK, stop))
-        variances = np.stack([sample_topology(config.users, _D_MIN, _D_MAX,
-                                              substream(config.seed, t)) for t in trials])
-        yield trials, variances, sample_normals(config.seed, trials, config.users,
-                                                config.paths)
+        variances = np.stack([sample_topology(K, _D_MIN, _D_MAX, rng)
+                              for rng in islice(places, len(trials))])
+        yield trials, variances, _normals(channels, len(trials), K, config.paths)
 
 
 def _one_beta(config: ExperimentConfig, study: str) -> float:
@@ -233,19 +238,11 @@ def _one_beta(config: ExperimentConfig, study: str) -> float:
     return config.betas[0] if config.betas else 0.1
 
 
-def _stacked(banks: Sequence[LinkGains]) -> LinkGains:
-    """Gain banks of one shape stacked on a new leading axis."""
-    return LinkGains(np.stack([g.h_sp for g in banks]), np.stack([g.h_si for g in banks]),
-                     np.stack([g.h_mai for g in banks]), banks[0].sigma_sq)
-
-
-def _solve(stack: LinkGains, trials: range):
-    """The equilibrium of a block's stack; raises unless its certificate holds."""
-    outcome = solve_equilibrium(stack, _UTILITY)
-    if not outcome.converged:
+def _certify(certified: bool, trials: range) -> None:
+    """Raise unless a block's equilibria passed their fixed-point certificate."""
+    if not certified:
         raise RuntimeError(f"equilibrium for trials {trials.start}..{trials.stop - 1} "
                            "failed its fixed-point certificate")
-    return outcome
 
 
 def run_po_vs_frames(config: ExperimentConfig):
@@ -256,10 +253,13 @@ def run_po_vs_frames(config: ExperimentConfig):
     independent of the frame count, so the per-trial outage indicator is
     non-increasing in the frame count. Trials go in blocks of a few, each
     drawn once and rescaled to every decay ratio: one unit-spreading
-    link_gains call per ratio, then one solve of the (ratios, trials,
-    frame counts, users) stack with h_si and h_mai scaled by 1/frames; a
-    solve that fails its fixed-point certificate raises instead of counting
-    as outage. It runs at one combining fraction and at 0, 10 and 20 dB.
+    link_gains call per ratio, with h_si and h_mai then scaled by 1/frames
+    for every frame count. Outage needs no equilibrium search: with the
+    best response p -> N p + b, a bank is served exactly when the linear
+    solve of (I - N) p = b gives 0 < p < cap for every user, one solve
+    per (trial, frame count) system; a served bank whose power fails the
+    fixed-point certificate raises instead of counting. It runs at one
+    combining fraction and at 0, 10 and 20 dB.
     """
     beta = _one_beta(config, "po-frames")
     frames_max = max(25, config.frames)
@@ -270,14 +270,16 @@ def run_po_vs_frames(config: ExperimentConfig):
     profiles = [ApdpProfile(config.paths, rho) for rho in rhos]
     outages = np.zeros((len(rhos), frames_max), dtype=np.int64)
     for trials, variances, normals in _trial_blocks(config, config.trials):
-        base = _stacked([link_gains(p.path_gains(variances, normals), selector,
-                                    spreading_unit, config.sigma_sq) for p in profiles])
-        stack = LinkGains(np.broadcast_to(base.h_sp[..., None, :],
-                                          base.h_sp.shape[:-1] + (frames_max, config.users)),
-                          base.h_si[..., None, :] / frame_counts[:, None],
-                          base.h_mai[..., None, :, :] / frame_counts[:, None, None],
-                          config.sigma_sq)
-        outages += _solve(stack, trials).clamped.any(axis=-1).sum(axis=1)
+        units = [link_gains(p.path_gains(variances, normals), selector, spreading_unit,
+                            config.sigma_sq) for p in profiles]
+        # (ratios, trials, 1, ...) stacks: dividing by the frame counts fills the frame axis
+        h_sp, h_si, h_mai = (np.stack(h)[:, :, None] for h in
+                             zip(*((g.h_sp, g.h_si, g.h_mai) for g in units)))
+        outage, certified = _outage(h_sp, h_si / frame_counts[:, None],
+                                    h_mai / frame_counts[:, None, None],
+                                    config.sigma_sq, _UTILITY)
+        _certify(certified, trials)
+        outages += outage.sum(axis=1)
     fields = ["rho_db", "frames", "outage_fraction", "min_frames"]
     rows = []
     for rho_db, rho, counts in zip(_RHO_DB_GRID, rhos, outages):
@@ -321,7 +323,8 @@ def run_utility_vs_gain(config: ExperimentConfig):
         energy = np.sum(np.abs(block) ** 2, axis=-1)
         pred_full = _or_nan(predict_utility, params_full, energy)
         stack = link_gains(block, selectors, spreading, config.sigma_sq)
-        outcome = _solve(stack, trials)
+        outcome = solve_equilibrium(stack, _UTILITY)
+        _certify(outcome.converged, trials)
         if trials.start == 0:
             channel_gain, h_sp0 = energy[0], stack.h_sp[:, 0]
             powers0, utilities0 = outcome.powers[:, 0], outcome.utilities[:, 0]

@@ -53,7 +53,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import ApdpProfile, sample_normals
+from .channel import ApdpProfile, _normals, _trial_streams
 from .gains import RakeSelector, _fast_len, _lag_matrix, _phi_squared
 from .game import efficiency
 from .lsa import _UTILITY, LsaParams, _is_flat, loss_db, mu, nu, predict_power
@@ -279,7 +279,8 @@ def mc_gain_ratio(path_count: int, rho: float, beta: float,
     """Monte Carlo average of total-to-combined channel energy.
 
     Draws independent unit-variance channel realizations (trial t from
-    the (t, 0) substream, a block of trials at a time), forms ||alpha||^2
+    the (t, 0) substream, a block of trials at a time, the streams derived
+    a chunk of trials at a time), forms ||alpha||^2
     over the energy captured by the combined fingers, and averages; the
     mean approaches mu(rho, beta) as the path count grows.
     """
@@ -289,9 +290,10 @@ def mc_gain_ratio(path_count: int, rho: float, beta: float,
     fingers = RakeSelector(beta).finger_count(path_count)
     block = max(1, _MC_BLOCK_TAPS // path_count)
     ratios = np.empty(trials)
+    streams = _trial_streams(master_seed, trials, 0)
     for start in range(0, trials, block):
         ts = range(start, min(start + block, trials))
-        a = profile.path_gains(1.0, sample_normals(master_seed, ts, 1, path_count)[:, 0])
+        a = profile.path_gains(1.0, _normals(streams, len(ts), 1, path_count)[:, 0])
         energy = np.abs(a) ** 2
         ratios[ts.start:ts.stop] = energy.sum(axis=-1) / energy[:, :fingers].sum(axis=-1)
     return McEstimate(mean=float(ratios.mean()),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import rakepower.channel as channel
 from rakepower import (ApdpProfile, sample_channel_bank, sample_normals,
                        sample_topology, substream)
 
@@ -61,6 +62,46 @@ def test_substream_determinism_and_independence():
     c = substream(42, 3, 2).standard_normal(8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# from 2^32 the seed is more than one entropy word; 2^130 has five, more
+# than the pool, so nothing is padded and the fifth is mixed in after it
+_SEEDS = [0, 1, 12345, 2**32 - 1, 2**32, 2**64 + 5, 2**130]
+
+
+def _same_stream(a, b):
+    return (a.bit_generator.state == b.bit_generator.state
+            and np.array_equal(a.standard_normal(5), b.standard_normal(5)))
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+@pytest.mark.parametrize("width", [1, 2])
+def test_batched_streams_are_substream_bit_for_bit(seed, width):
+    keys = np.random.default_rng(width).integers(0, 2**32, size=(40, width))
+    keys[0], keys[1] = 0, 2**32 - 1
+    streams = list(channel._substreams(seed, *keys.T))
+    assert len(streams) == len(keys)
+    for key, stream in zip(keys.tolist(), streams):
+        assert _same_stream(stream, substream(seed, *key)), key
+
+
+@pytest.mark.parametrize("seed", [0, 2**130])
+def test_trial_streams_cross_chunk_boundaries(seed):
+    # keys on both sides of each boundary between hashing chunks
+    stop = 2 * channel._HASH_CHUNK + 3
+    for inner, keys in (((), [(t,) for t in range(stop)]),
+                        ((np.arange(3),), [(t, k) for t in range(stop) for k in range(3)])):
+        streams = list(channel._trial_streams(seed, stop, *inner))
+        assert len(streams) == len(keys)
+        for key, stream in zip(keys, streams):
+            assert _same_stream(stream, substream(seed, *key)), key
+
+
+@pytest.mark.parametrize("key", [(2**32,), (0, 2**32), (2**64,), (-1,), (3, -1)])
+def test_batched_streams_reject_key_words_outside_uint32(key):
+    # SeedSequence splits a word of 2^32 or more into two: never wrap it
+    with pytest.raises(ValueError):
+        next(channel._substreams(7, *(np.array([w]) for w in key)))
 
 
 def test_bank_determinism_and_trial_decorrelation():

@@ -7,12 +7,14 @@ import platform
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import rakepower.channel as channel
 import rakepower.cli as cli
+import rakepower.game as game
 from rakepower import (ApdpProfile, LsaParams, RakeSelector, SpreadingConfig,
                        UtilityParams, __version__, gamma_star, link_gains, loss_db,
                        mu, nu, predict_utility, sample_channel_bank, sample_topology,
@@ -95,28 +97,36 @@ def test_po_frames_outage_monotone(tmp_path):
 
 
 def test_po_frames_raises_on_failed_certificate(monkeypatch):
-    # an uncertified equilibrium is an error, never an outage count
-    solve = cli.solve_equilibrium
-    monkeypatch.setattr(cli, "solve_equilibrium", lambda gains, params:
-                        dataclasses.replace(solve(gains, params), converged=False))
+    # an uncertified equilibrium is an error, never an outage count: with a
+    # negative residual bound no served bank passes the certificate
+    monkeypatch.setattr(game, "_RESIDUAL_BOUND", -1.0)
     config = ExperimentConfig(users=3, paths=60, chips=15, trials=2, betas=(0.1,))
     with pytest.raises(RuntimeError, match="certificate"):
         cli.run_po_vs_frames(config)
+
+
+def _record_keys(monkeypatch):
+    """The keys handed to the batched stream deriver, one tuple per stream."""
+    keys = []
+    derive = channel._substreams
+
+    def recording(seed, *key):
+        words = np.broadcast_arrays(*key)
+        keys.extend(zip(*(w.ravel().tolist() for w in words)))
+        return derive(seed, *key)
+    monkeypatch.setattr(channel, "_substreams", recording)
+    return keys
 
 
 @pytest.mark.parametrize("rho_db_grid", [(10.0,), (0.0, 10.0, 20.0)])
 def test_po_frames_draws_each_trial_once(monkeypatch, rho_db_grid):
     # one distance stream and one stream per user for each trial, however
     # many decay ratios reuse the draw
-    calls = []
-    draw = cli.substream
     monkeypatch.setattr(cli, "_RHO_DB_GRID", rho_db_grid)
-    for module in (cli, channel):
-        monkeypatch.setattr(module, "substream",
-                            lambda *key: calls.append(key) or draw(*key))
+    keys = _record_keys(monkeypatch)
     config = ExperimentConfig(users=3, paths=40, chips=10, trials=5, betas=(0.3,))
     _, rows = run_po_vs_frames(config)
-    assert len(calls) == config.trials * (config.users + 1)
+    assert len(keys) == len(set(keys)) == config.trials * (config.users + 1)
     assert len(rows) == 25 * len(rho_db_grid)
 
 
@@ -124,11 +134,9 @@ def test_po_frames_draws_each_trial_once(monkeypatch, rho_db_grid):
 def test_utility_gain_draws_and_solves_each_trial_once(monkeypatch, trials):
     # trial 0, whose per-user rows the CSV prints, rides in the first block;
     # each block gets one gains call for both fractions and one solve
-    calls, solves, gains_calls = [], [], []
-    draw, solve, gains = cli.substream, cli.solve_equilibrium, cli.link_gains
-    for module in (cli, channel):
-        monkeypatch.setattr(module, "substream",
-                            lambda *key: calls.append(key) or draw(*key))
+    solves, gains_calls = [], []
+    solve, gains = cli.solve_equilibrium, cli.link_gains
+    keys = _record_keys(monkeypatch)
     monkeypatch.setattr(cli, "solve_equilibrium",
                         lambda gains, params: solves.append(1) or solve(gains, params))
     monkeypatch.setattr(cli, "link_gains",
@@ -136,9 +144,25 @@ def test_utility_gain_draws_and_solves_each_trial_once(monkeypatch, trials):
     config = ExperimentConfig(users=3, paths=40, chips=10, trials=trials,
                               betas=(1.0, 0.3))
     run_utility_vs_gain(config)
-    assert len(calls) == (config.trials + 1) * (config.users + 1)
+    assert len(keys) == len(set(keys)) == (config.trials + 1) * (config.users + 1)
     blocks = math.ceil((config.trials + 1) / cli._TRIAL_BLOCK)
     assert len(solves) == len(gains_calls) == blocks
+
+
+def test_trial_blocks_memory_is_flat_in_the_trial_count():
+    # streams are derived a chunk of trials at a time, so the traced peak
+    # does not grow with the trial count
+    config = ExperimentConfig(users=3, paths=40, chips=10, betas=(0.3,))
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            for _ in cli._trial_blocks(config, trials):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(5000) <= peak(200) + 64 * 1024
 
 
 def test_utility_gain_prediction_column(tmp_path):

@@ -16,7 +16,8 @@ from rakepower import (ApdpProfile, LinkGains, RakeSelector,
                        gamma_star, link_gains, sample_channel_bank,
                        sample_topology, sinr, solve_equilibrium, substream,
                        utilities)
-from rakepower.game import _sinrs, _targets
+import rakepower.game as game
+from rakepower.game import _outage, _response_map, _sinrs, _targets
 
 GAMMA_INF = 12.949200759178689  # solves (M/2) g = e^(g/2) - 1 at M = 100
 
@@ -382,3 +383,88 @@ def test_vector_helpers_on_stacks():
         assert u[f][0] == pytest.approx(UtilityParams().throughput_scale
                                         * efficiency(sinr(one, p[f], 0)) / 1e-9,
                                         rel=1e-14)
+
+
+def _outage_of(gains, params=UtilityParams()):
+    return _outage(gains.h_sp, gains.h_si, gains.h_mai, gains.sigma_sq, params)
+
+
+def _scaled(h_sp, h_si, h_mai, c):
+    # scaling a system's gains by c keeps its targets and N and divides its
+    # powers by c
+    return h_sp * c[:, None], h_si * c[:, None], h_mai * c[:, None, None]
+
+
+def _edge_stack(K, n, seed):
+    """n random systems whose largest uncapped power spreads over a decade
+    around the cap, then the same systems built within 1e-9 of the cap
+    and (K > 1) of spectral radius 1, on either side; the ones just below
+    radius 1 are scaled to half the cap. Returns the stack and the outage
+    each built system must have (-1 for the random ones)."""
+    params = UtilityParams()
+    rng = np.random.default_rng(seed)
+    h_sp = rng.uniform(0.5, 2.0, (n, K))
+    h_si = rng.uniform(0.0, 0.01, (n, K))
+    # varsigma >= 50 gives s < 33, so every row of N sums below 0.98: each
+    # system has a positive uncapped fixed point
+    h_mai = rng.uniform(0.0, 0.03 / K, (n, K, K)) * (1 - np.eye(K))
+    sigma_sq = 5e-16
+
+    def powers(h_mai):
+        N, floor = _response_map(h_sp, h_si, h_mai, sigma_sq, params.packet_bits)
+        p = np.linalg.solve(np.eye(K) - N, floor[..., None])[..., 0]
+        return N, np.max(p, axis=-1)
+
+    N, p = powers(h_mai)
+    assert np.all(p > 0)
+    systems = [_scaled(h_sp, h_si, h_mai, p / (params.max_power * 10 ** rng.uniform(-0.5, 0.5, n)))]
+    expected = [np.full(n, -1)]
+    for gap in (-1e-9, 1e-9):
+        # the largest uncapped power at (1 + gap) times the cap
+        systems.append(_scaled(h_sp, h_si, h_mai, p / (params.max_power * (1 + gap))))
+        expected.append(np.full(n, gap > 0))
+        if K > 1:
+            mai = h_mai * ((1 + gap) / np.max(np.abs(np.linalg.eigvals(N)), axis=-1))[:, None, None]
+            c = powers(mai)[1] / (0.5 * params.max_power) if gap < 0 else np.ones(n)
+            systems.append(_scaled(h_sp, h_si, mai, c))
+            expected.append(np.full(n, gap > 0))
+    stack = LinkGains(*(np.concatenate(h) for h in zip(*systems)), sigma_sq)
+    return stack, np.concatenate(expected)
+
+
+@pytest.mark.parametrize("K, seed", [(1, 0), (2, 1), (3, 2), (8, 3)])
+def test_outage_rule_equals_the_equilibrium_search(K, seed):
+    stack, expected = _edge_stack(K, 60, seed)
+    out = solve_equilibrium(stack, UtilityParams())
+    outage, certified = _outage_of(stack)
+    assert out.converged and certified
+    np.testing.assert_array_equal(outage, out.clamped.any(axis=-1))
+    built = expected >= 0
+    np.testing.assert_array_equal(outage[built], expected[built] == 1)
+    assert 0 < outage[~built].sum() < (~built).sum()
+
+
+def test_outage_rule_on_a_singular_system():
+    # h_si = 0 gives s = gamma* / h_sp, exactly 1 at h_sp = gamma*, so
+    # N = h_mai = [[0, 1], [1, 0]] and I - N is exactly singular: the
+    # stacked solve raises, and the system is in outage
+    g = gamma_star(math.inf)
+    h_mai = np.array([[[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.1], [0.1, 0.0]]])
+    stack = LinkGains(np.full((2, 2), g), np.zeros((2, 2)), h_mai, 5e-16)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.eye(2) - h_mai, np.ones((2, 2, 1)))
+    outage, certified = _outage_of(stack)
+    np.testing.assert_array_equal(outage, [True, False])
+    assert certified
+    np.testing.assert_array_equal(outage, solve_equilibrium(stack, UtilityParams()).clamped.any(-1))
+
+
+def test_outage_certificate(monkeypatch):
+    # a served system is certified by one more best response; a negative
+    # bound fails every served one, and a stack with none served passes
+    stack = _frame_stack(4, 80, 20, 10.0, 0, seed=7)
+    outage, certified = _outage_of(stack)
+    assert certified and outage.any() and not outage.all()
+    monkeypatch.setattr(game, "_RESIDUAL_BOUND", -1.0)
+    assert not _outage_of(stack)[1]
+    assert _outage_of(_slice(stack, slice(0, 1)))[1]

@@ -8,6 +8,7 @@ import pytest
 
 from rakepower import (finite_mu, finite_nu, flat_mu_exact, flat_nu_exact,
                        mc_gain_ratio, mu, nu, oracle_audit)
+import rakepower.channel as channel
 import rakepower.oracle as oracle
 from rakepower.cli import ExperimentConfig
 from rakepower.gains import RakeSelector, _phi_squared
@@ -372,14 +373,16 @@ def test_mc_gain_ratio_matches_finite_sum():
 def test_mc_gain_ratio_draws_bounded_blocks(monkeypatch):
     # memory stays bounded in the trial count: every trial once, in order,
     # a block of at most _MC_BLOCK_TAPS taps at a time
-    blocks = []
-    draw = oracle.sample_normals
-    monkeypatch.setattr(oracle, "sample_normals",
-                        lambda seed, ts, K, L: blocks.append(ts) or draw(seed, ts, K, L))
+    blocks, keys = [], []
+    draw, derive = oracle._normals, channel._substreams
+    monkeypatch.setattr(oracle, "_normals",
+                        lambda streams, T, K, L: blocks.append(T) or draw(streams, T, K, L))
+    monkeypatch.setattr(channel, "_substreams", lambda seed, *key: keys.extend(
+        zip(*(w.ravel().tolist() for w in np.broadcast_arrays(*key)))) or derive(seed, *key))
     mc_gain_ratio(4000, 10.0, 0.3, trials=9)
-    assert [t for ts in blocks for t in ts] == list(range(9))
-    assert len(blocks) > 1
-    assert max(len(ts) for ts in blocks) * 4000 <= oracle._MC_BLOCK_TAPS
+    assert keys == [(t, 0) for t in range(9)]
+    assert sum(blocks) == 9 and len(blocks) > 1
+    assert max(blocks) * 4000 <= oracle._MC_BLOCK_TAPS
 
 
 def test_convergence_table_exact_subcases():
