@@ -19,7 +19,6 @@ import numpy as _np
 from .channel import (
     ApdpProfile,
     sample_channel_bank,
-    sample_normals,
     sample_topology,
     substream,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "predict_utility",
     "rake_weights",
     "sample_channel_bank",
-    "sample_normals",
     "sample_topology",
     "sinr",
     "solve_equilibrium",

@@ -9,31 +9,35 @@ variance, which sample_topology draws from a pathloss law on the user's
 distance to the access point.
 
 A bank of K users is a (K, L) array of path gains, and a block of T
-trials a (T, K, L) array. sample_normals draws a block's complex normals
-once, one substream per (trial, user); ApdpProfile.path_gains scales
-them to a decay ratio, so every ratio reuses the same draw.
+trials a (T, K, L) array. _normals draws a block's complex normals once,
+one substream per (trial, user); ApdpProfile.path_gains scales them to a
+decay ratio, so every ratio reuses the same draw.
 
 substream is the reference for every stream. Seeding a SeedSequence and
 a PCG64 for one stream costs about twice as much as drawing one user's
-2L normals at L = 200, so the draws go through _substreams: it runs numpy's SeedSequence mixing
-for the keys of many streams at once on uint32 arrays, and hands each
-key's output words to PCG64's own seeding. The streams are substream's
-bit for bit. _trial_streams derives the keys of a fixed chunk of trials
-per pass, so its memory stays flat in the trial count.
+2L normals at L = 200, so the draws go through _substreams: numpy's
+SeedSequence mixes in the master seed once, and _substreams redoes only
+the key words' mixing and the output hashing, for the keys of many
+streams at once on uint32 arrays, and hands each key's output words to
+PCG64's own seeding. The streams are substream's bit for bit.
+_trial_streams derives the keys of a fixed chunk of trials per pass, so
+its memory stays flat in the trial count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence, default_rng
 from numpy.random.bit_generator import ISeedSequence
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of 4
-# uint32 words, hashed with the multiply-xorshift hashmix and mixed
-# pairwise with mix; the output words take a second hash-constant stream
+# uint32 words; each entropy word is hashed (xor a hash constant, times
+# the next constant, xorshift) and mixed into every pool word
+# (L * pool - R * hash, xorshift); the output words take a second
+# hash-constant stream
 _POOL_WORDS = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -47,7 +51,7 @@ _HASH_CHUNK = 64
 
 
 def _hash_constants(const: int, mult: int, n: int) -> list[int]:
-    """const * mult^i modulo 2^32 for i = 0..n. Successive hashmix calls
+    """const * mult^i modulo 2^32 for i = 0..n. Successive word hashes
     take entries i and i + 1 as their xor constant and multiplier."""
     out = [const]
     for _ in range(n):
@@ -84,7 +88,7 @@ class ApdpProfile:
         return np.multiply.outer(user_variance, self.decay_ratio ** exponents)
 
     def path_gains(self, user_variances, normals: np.ndarray) -> np.ndarray:
-        """Circular complex Gaussian path gains from sample_normals draws.
+        """Circular complex Gaussian path gains from _normals draws.
 
         normals has shape (..., L), its leading axes those of
         user_variances. Tap l of a user with total variance v has
@@ -105,42 +109,6 @@ def substream(master_seed: int, *key: int) -> Generator:
     return default_rng(SeedSequence(master_seed, spawn_key=key))
 
 
-def _seed_pool(master_seed: int) -> tuple[list[int], int]:
-    """SeedSequence's pool once the master seed's entropy is mixed in, and
-    the hash constant the key words go on from.
-
-    The seed splits into little-endian uint32 words, zero-padded to the
-    pool size as numpy pads it when a spawn key follows. This part is the
-    same for every key, so it runs once per call, on Python integers.
-    """
-    if master_seed < 0:
-        raise ValueError("master_seed must be non-negative")
-    words = [master_seed >> 32 * i & _MASK32
-             for i in range(max(_POOL_WORDS, -(-master_seed.bit_length() // 32)))]
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value ^= const
-        const = const * _MULT_A & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> _XSHIFT
-
-    def mix(x, y):
-        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return result ^ result >> _XSHIFT
-
-    pool = [hashmix(w) for w in words[:_POOL_WORDS]]
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL_WORDS:]:
-        for dst in range(_POOL_WORDS):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    return pool, const
-
-
 class _Seeded(ISeedSequence):
     """Seed words derived already, handed to a bit generator's seeding
     (PCG64 asks for its four uint64 words)."""
@@ -156,8 +124,10 @@ def _substreams(master_seed: int, *key) -> Iterator[Generator]:
     """substream(master_seed, *k) for every key k in the broadcast of the
     integer arrays in key, in C order.
 
-    The key words enter SeedSequence's pool after the seed, each hashed
-    against every pool word, so that part of the mixing runs on (..., 4)
+    numpy's SeedSequence(master_seed) mixes the seed's n = max(4, words)
+    words into the pool, zero-padded as when a spawn key follows; their
+    4 n hashes fix the hash constant the key words go on from. Each key
+    word is hashed against every pool word, so that part runs on (..., 4)
     uint32 arrays for all keys at once. The eight output words give each
     key's PCG64 seed and increment as little-endian uint64 pairs, which
     PCG64 takes through numpy's ISeedSequence interface.
@@ -166,9 +136,10 @@ def _substreams(master_seed: int, *key) -> Iterator[Generator]:
     if not key or any(((word < 0) | (word > _MASK32)).any() for word in key):
         # SeedSequence would split a wider word into two
         raise ValueError("a key is one or more words in [0, 2^32)")
-    pool, const = _seed_pool(master_seed)
+    pool = SeedSequence(master_seed).pool
+    n = max(_POOL_WORDS, -(-int(master_seed).bit_length() // 32))
+    const = _INIT_A * pow(_MULT_A, _POOL_WORDS * n, 1 << 32) & _MASK32
     consts = np.array(_hash_constants(const, _MULT_A, _POOL_WORDS * len(key)), dtype=np.uint32)
-    pool = np.array(pool, dtype=np.uint32)
     xshift = np.uint32(_XSHIFT)
     for i, word in enumerate(key):
         c = consts[_POOL_WORDS * i:_POOL_WORDS * (i + 1) + 1]
@@ -214,22 +185,6 @@ def sample_topology(K: int, d_min: float, d_max: float,
     return 0.3 * rng.uniform(d_min, d_max, size=K) ** -2.0
 
 
-def sample_normals(master_seed: int, trials: Sequence[int], K: int,
-                   L: int) -> np.ndarray:
-    """Complex normals of users 0..K-1 in the given trials, (T, K, L), with
-    standard normal real and imaginary parts.
-
-    User k of trial t takes standard_normal(2L) from substream(master_seed,
-    t, k): the first L are the real parts and the last L the imaginary
-    parts, the same numbers as two standard_normal(L) calls. Only the
-    per-tap scale depends on the profile (ApdpProfile.path_gains), so one
-    draw serves every decay ratio. All T K streams are derived in one pass
-    of _substreams.
-    """
-    streams = _substreams(master_seed, np.asarray(trials)[:, None], np.arange(K))
-    return _normals(streams, len(trials), K, L)
-
-
 def sample_channel_bank(profile: ApdpProfile, user_variances: np.ndarray,
                         master_seed: int, trial: int) -> np.ndarray:
     """One trial's (K, L) path gains for users of the given total variances
@@ -238,5 +193,6 @@ def sample_channel_bank(profile: ApdpProfile, user_variances: np.ndarray,
     if v.ndim != 1 or v.size < 1 or not np.all((v > 0) & np.isfinite(v)):
         raise ValueError("user_variances must be a non-empty 1-D array of "
                          "positive, finite variances")
-    normals = sample_normals(master_seed, (trial,), v.size, profile.path_count)[0]
+    streams = _substreams(master_seed, trial, np.arange(v.size))
+    normals = _normals(streams, 1, v.size, profile.path_count)[0]
     return profile.path_gains(v, normals)

@@ -118,8 +118,8 @@ def load_config_file(path: str) -> dict:
     """Parse a flat key=value config file into constructor arguments."""
     data: dict = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -453,7 +453,11 @@ def write_csv(path: str | None, config: ExperimentConfig, fields: Sequence[str],
               rows: Sequence[dict], reads: Sequence[str]) -> str:
     """Write the comment line (the config fields in reads), header and rows
     to path, or to stdout without one; returns where they went."""
-    with open(path, "w", newline="") if path else nullcontext(sys.stdout) as fh:
+    try:
+        out = open(path, "w", newline="") if path else nullcontext(sys.stdout)
+    except OSError as exc:
+        raise click.ClickException(f"cannot write {path}: {exc.strerror or exc}") from exc
+    with out as fh:
         fh.write(_comment_line(config, reads) + "\n")
         writer = csv.writer(fh)
         writer.writerow(fields)

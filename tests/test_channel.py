@@ -5,8 +5,7 @@ import pytest
 from scipy import stats
 
 import rakepower.channel as channel
-from rakepower import (ApdpProfile, sample_channel_bank, sample_normals,
-                       sample_topology, substream)
+from rakepower import ApdpProfile, sample_channel_bank, sample_topology, substream
 
 
 def _variances(*distances):
@@ -14,9 +13,16 @@ def _variances(*distances):
     return 0.3 * np.array(distances) ** -2.0
 
 
+def _normals(seed, trials, K, L):
+    # the complex normals of users 0..K-1 in the given trials, (T, K, L)
+    trials = np.asarray(trials)
+    return channel._normals(channel._substreams(seed, trials[:, None], np.arange(K)),
+                            len(trials), K, L)
+
+
 def _draws(prof, variance, seed, trials):
     # one user's path gains over many trials, (trials, L)
-    normals = sample_normals(seed, range(trials), 1, prof.path_count)[:, 0]
+    normals = _normals(seed, range(trials), 1, prof.path_count)[:, 0]
     return prof.path_gains(variance, normals)
 
 
@@ -64,9 +70,12 @@ def test_substream_determinism_and_independence():
     assert not np.array_equal(a, c)
 
 
-# from 2^32 the seed is more than one entropy word; 2^130 has five, more
-# than the pool, so nothing is padded and the fifth is mixed in after it
-_SEEDS = [0, 1, 12345, 2**32 - 1, 2**32, 2**64 + 5, 2**130]
+# from 2^32 the seed is more than one entropy word; 2^96 + 7 fills the
+# pool exactly (no padding, no extra word); 2^130 has five words, more
+# than the pool, so the fifth is mixed in after it, and 2^160 + 3 six.
+# numpy takes its own integer types as seeds too
+_SEEDS = [0, 1, 12345, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 7, 2**130, 2**160 + 3,
+          np.uint64(2**64 - 1)]
 
 
 def _same_stream(a, b):
@@ -102,6 +111,16 @@ def test_batched_streams_reject_key_words_outside_uint32(key):
     # SeedSequence splits a word of 2^32 or more into two: never wrap it
     with pytest.raises(ValueError):
         next(channel._substreams(7, *(np.array([w]) for w in key)))
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: next(channel._substreams(-1, np.arange(3))),
+    lambda: sample_channel_bank(ApdpProfile(4, 10.0), _variances(5.0), -1, 0),
+    lambda: substream(-1, 0),
+], ids=["batched", "bank", "substream"])
+def test_negative_master_seed_is_rejected(draw):
+    with pytest.raises(ValueError):
+        draw()
 
 
 def test_bank_determinism_and_trial_decorrelation():
@@ -141,7 +160,7 @@ def test_block_draws_match_the_reference_bit_for_bit(K, L, rho):
     # a (T, K, L) block, rescaled per profile, is the per-user reference draw
     v = _variances(*np.linspace(4.0, 15.0, K))
     trials = range(3, 6)
-    normals = sample_normals(11, trials, K, L)
+    normals = _normals(11, trials, K, L)
     assert normals.shape == (3, K, L)
     for prof in (ApdpProfile(L, rho), ApdpProfile(L, 100.0)):
         block = prof.path_gains(np.broadcast_to(v, (3, K)), normals)
@@ -188,7 +207,7 @@ def test_tap_envelope_is_rayleigh():
 def test_variance_scale_covariance():
     # doubling the per-user variance scales every draw by sqrt(2)
     prof = ApdpProfile(12, 10.0)
-    normals = sample_normals(3, (0,), 2, prof.path_count)[0]
+    normals = _normals(3, (0,), 2, prof.path_count)[0]
     v = _variances(6.0, 11.0)
     g1 = prof.path_gains(v, normals)
     g2 = prof.path_gains(2.0 * v, normals)

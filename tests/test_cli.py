@@ -315,12 +315,20 @@ def test_config_file_errors_name_the_file_and_line(tmp_path, capsys, text, messa
     assert capsys.readouterr().err == f"Error: {message.format(cfg=cfg)}\n"
 
 
-def test_unreadable_config_file_is_an_error(tmp_path):
-    missing = tmp_path / "missing.cfg"
-    with pytest.raises(ValueError) as exc:
-        load_config_file(str(missing))
-    assert str(exc.value).startswith(f"cannot read config file {missing}: ")
-    assert main(["mu-nu", "--config", str(missing)]) == 1
+def test_unreadable_config_file_is_an_error(tmp_path, capsys):
+    missing, binary = tmp_path / "missing.cfg", tmp_path / "binary.cfg"
+    binary.write_bytes(b"trials = 3\n\xff\n")
+    for cfg in (missing, binary):
+        with pytest.raises(ValueError) as exc:
+            load_config_file(str(cfg))
+        assert str(exc.value).startswith(f"cannot read config file {cfg}: ")
+        assert main(["mu-nu", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"Error: cannot read config file {cfg}: ")
+    # an output path that cannot be opened is named the same way
+    for out, reason in ((tmp_path / "missing" / "x.csv", "No such file or directory"),
+                        (tmp_path, "Is a directory")):
+        assert main(["gamma-curve", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"Error: cannot write {out}: {reason}\n"
 
 
 def test_flags_override_config(tmp_path):
