@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .channel import ApdpProfile, _normals, _trial_streams, sample_topology
-from .gains import RakeSelector, SpreadingConfig, link_gains
+from .gains import LinkGains, RakeSelector, SpreadingConfig, link_gains
 from .game import _outage, gamma_star, solve_equilibrium
 from .lsa import _UTILITY, LsaParams, loss_db, min_frames, mu, nu, predict_utility
 from .oracle import oracle_audit
@@ -97,11 +97,9 @@ class ExperimentConfig:
 
     def lsa_params(self, beta: float, rho: float | None = None,
                    chips: int | None = None) -> LsaParams:
-        chips = self.chips if chips is None else chips
-        return LsaParams(rho=self.rho if rho is None else rho, beta=beta,
-                         load=chips / self.paths, gain=self.frames * chips,
-                         users=self.users, sigma_sq=self.sigma_sq,
-                         chips_per_frame=chips)
+        spreading = SpreadingConfig(self.frames, self.chips if chips is None else chips)
+        return LsaParams.from_spreading(spreading, self.paths, rho=self.rho if rho is None else rho,
+                                        beta=beta, users=self.users, sigma_sq=self.sigma_sq)
 
 
 def _floats(val: str) -> tuple[float, ...]:
@@ -197,14 +195,15 @@ def run_mu_nu_curves(config: ExperimentConfig):
         for load in _LOAD_GRID:
             for beta in betas:
                 rows.append({"rho_db": rho_db, "load": load, "beta": beta,
-                             "mu": mu(rho, beta), "nu": nu(rho, beta, load)})
+                             "mu": _or_nan(mu, rho, beta),
+                             "nu": _or_nan(nu, rho, beta, load)})
     return fields, rows
 
 
-def _or_nan(closed_form, params: LsaParams, *args):
-    """A closed form's value, or nan where its operating point is infeasible."""
+def _or_nan(closed_form, *args):
+    """A closed form's value, or nan where it has none (it raises ValueError)."""
     try:
-        return closed_form(params, *args)
+        return closed_form(*args)
     except ValueError:
         return math.nan
 
@@ -272,18 +271,19 @@ def run_po_vs_frames(config: ExperimentConfig):
     for trials, variances, normals in _trial_blocks(config, config.trials):
         units = [link_gains(p.path_gains(variances, normals), selector, spreading_unit,
                             config.sigma_sq) for p in profiles]
-        # (ratios, trials, 1, ...) stacks: dividing by the frame counts fills the frame axis
+        # (ratios, trials, 1, ...) stacks: dividing by the frame counts fills
+        # the frame axis, and h_sp broadcasts over it
         h_sp, h_si, h_mai = (np.stack(h)[:, :, None] for h in
                              zip(*((g.h_sp, g.h_si, g.h_mai) for g in units)))
-        outage, certified = _outage(h_sp, h_si / frame_counts[:, None],
-                                    h_mai / frame_counts[:, None, None],
-                                    config.sigma_sq, _UTILITY)
+        stack = LinkGains(h_sp, h_si / frame_counts[:, None],
+                          h_mai / frame_counts[:, None, None], config.sigma_sq)
+        outage, certified = _outage(stack, _UTILITY)
         _certify(certified, trials)
         outages += outage.sum(axis=1)
     fields = ["rho_db", "frames", "outage_fraction", "min_frames"]
     rows = []
     for rho_db, rho, counts in zip(_RHO_DB_GRID, rhos, outages):
-        analytic = min_frames(config.lsa_params(beta, rho=rho))
+        analytic = _or_nan(min_frames, config.lsa_params(beta, rho=rho))
         rows += [{"rho_db": rho_db, "frames": nf, "min_frames": analytic,
                   "outage_fraction": counts[nf - 1] / config.trials}
                  for nf in range(1, frames_max + 1)]
@@ -341,8 +341,8 @@ def run_utility_vs_gain(config: ExperimentConfig):
                err=True)
     for beta, penalty, n in zip(betas, penalties, excluded):
         if math.isnan(penalty):
-            click.echo(f"nmse at beta={_fmt(beta)} is nan: the operating point is "
-                       "infeasible, so there is no combining penalty", err=True)
+            click.echo(f"nmse at beta={_fmt(beta)} is nan: the operating point is infeasible "
+                       "or has no finite nu, so there is no combining penalty", err=True)
         if n == config.trials:
             click.echo(f"nmse at beta={_fmt(beta)} is nan: every one of the "
                        f"{n} trials has a clamped user", err=True)
@@ -403,25 +403,29 @@ def run_validate(config: ExperimentConfig):
 
     config is the resolved audit point, one combining fraction included.
     An infeasible operating point (the interference mass exceeds the
-    processing gain) is a usage error. A steep decay puts the energy on
-    few taps, so the limit rows need more paths to reach their closed
-    forms: the default 4000 paths pass up to 150 dB (7 limit rows fail at
-    200 dB), 8000 up to 300 dB (7 fail at 600 dB) and 16000 up to 600 dB,
-    while 400 paths fail 19 at 600 dB. The identity and mc rows pass in
-    all of these.
+    processing gain), or one where nu has no finite value, is a usage
+    error. A steep decay puts the energy on few taps, so the limit rows
+    need more paths to reach their closed forms: the default 4000 paths
+    pass up to 150 dB (7 limit rows fail at 200 dB), 8000 up to 300 dB
+    (7 fail at 600 dB) and 16000 up to 600 dB, while 400 paths fail 19 at
+    600 dB. The identity and mc rows pass in all of these.
     """
     paths, chips, trials, (beta,) = config.paths, config.chips, config.trials, config.betas
     if trials < 2:
         raise click.ClickException(
             f"validate needs at least 2 Monte Carlo trials for a standard error, got {trials}")
     params = config.lsa_params(beta)
-    if math.isnan(_or_nan(loss_db, params, False)):
-        raise click.ClickException(
-            f"infeasible operating point paths={paths} chips={chips} "
-            f"users={config.users} frames={config.frames} "
-            f"rho_db={_fmt(config.rho_db)} beta={_fmt(beta)}: the interference "
-            "mass exceeds the processing gain, so there is nothing to audit")
-    audit = oracle_audit(paths, params, mc_trials=trials, master_seed=config.seed)
+    point = (f"paths={paths} chips={chips} users={config.users} frames={config.frames} "
+             f"rho_db={_fmt(config.rho_db)} beta={_fmt(beta)}")
+    try:
+        params.nu  # raises where nu has no finite value, which is no infeasibility
+        if math.isnan(_or_nan(loss_db, params, False)):
+            raise click.ClickException(
+                f"infeasible operating point {point}: the interference mass exceeds "
+                "the processing gain, so there is nothing to audit")
+        audit = oracle_audit(paths, params, mc_trials=trials, master_seed=config.seed)
+    except ValueError as exc:
+        raise click.ClickException(f"cannot audit {point}: {exc}") from exc
     fields = ["name", "kind", "value", "reference", "rel_err", "tol",
               "passed", "note"]
     return fields, [dataclasses.asdict(r) for r in audit]

@@ -9,11 +9,13 @@ the set of combined fingers, and the processing gain; no Gaussian or
 large-system approximation is involved here.
 
 The leakage terms are cross-correlations between the combining weights
-and the path gains at lags 1..L-1; the cross gains add the zero lag. A
-bank of K users is one (K, L) array. Zero-padded to the smallest
-2-3-5-smooth length n of at least 2L - 1 samples (400 at L = 200, 4000
-at L = 2000), its discrete Fourier transform turns every correlation
-into a product of spectra (Wiener-Khinchin), and by Parseval the sum of
+and the path gains at lags 1..L-1; the cross gains add the zero lag.
+Combining is maximal-ratio, so the weights are the finger slice
+C = A[..., :P] of the path gains. A bank of K users is one (K, L) array.
+Zero-padded to the smallest 2-3-5-smooth length n of at least 2L - 1
+samples (400 at L = 200, 4000 at L = 2000; numpy pads the P-tap slice to
+the same n), its discrete Fourier transform turns every correlation into
+a product of spectra (Wiener-Khinchin), and by Parseval the sum of
 squared correlations over all lags is an inner product of power spectra,
 so all K^2 cross gains come from one matrix product. The self-leakage at
 lag d is v_d = r_-d + conj(r_d), where r = ifft(R) and R = F_a conj(F_c)
@@ -92,7 +94,8 @@ class SpreadingConfig:
 def rake_weights(alpha: np.ndarray, selector: RakeSelector) -> np.ndarray:
     """Combining weights: the path gains on the combined fingers, zero after.
 
-    alpha is one user's (L,) path gains or a (..., K, L) bank.
+    alpha is one user's (L,) path gains or a (..., K, L) bank. link_gains
+    reads them on its dense path only; the spectral one takes the slice.
     """
     a = np.asarray(alpha, dtype=complex)
     c = np.zeros_like(a)
@@ -137,7 +140,10 @@ class LinkGains:
     self-interference, and h_mai[k, j] the interference user k receives
     from user j (diagonal identically zero). sigma_sq is the noise power
     at the rake output. A stack of banks carries leading axes: h_sp and
-    h_si of shape (..., K), h_mai of shape (..., K, K).
+    h_si of shape (..., K), h_mai of shape (..., K, K), whose leading axes
+    broadcast together (a bank's h_sp shared by every frame count of a
+    stack, say); a field given fewer leading axes holds a read-only
+    broadcast view of the common shape.
     """
 
     h_sp: np.ndarray
@@ -149,11 +155,13 @@ class LinkGains:
         h_sp = np.atleast_1d(np.asarray(self.h_sp, dtype=float))
         h_si = np.atleast_1d(np.asarray(self.h_si, dtype=float))
         h_mai = np.asarray(self.h_mai, dtype=float)
-        object.__setattr__(self, "h_sp", h_sp)
-        object.__setattr__(self, "h_si", h_si)
-        object.__setattr__(self, "h_mai", h_mai)
-        if h_si.shape != h_sp.shape or h_mai.shape != h_sp.shape + h_sp.shape[-1:]:
+        K = h_sp.shape[-1:]
+        if h_si.shape[-1:] != K or h_mai.shape[-2:] != K + K:
             raise ValueError("inconsistent gain shapes")
+        lead = np.broadcast_shapes(h_sp.shape[:-1], h_si.shape[:-1], h_mai.shape[:-2])
+        for name, x, tail in (("h_sp", h_sp, K), ("h_si", h_si, K), ("h_mai", h_mai, K + K)):
+            shape = lead + tail
+            object.__setattr__(self, name, x if x.shape == shape else np.broadcast_to(x, shape))
         if np.any(h_sp <= 0):
             raise ValueError("h_sp must be positive")
         if np.any(h_si < 0) or np.any(h_mai < 0):
@@ -199,8 +207,9 @@ def _fast_len(n: int) -> int:
 def _spectral_numerators(fa: np.ndarray, pa_t: np.ndarray, C: np.ndarray | None,
                          lag_weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One selector's self- and cross-gain numerators from the shared
-    path-gain spectrum fa and its transposed power pa_t; C is None at full
-    combining, where the weights are the path gains."""
+    path-gain spectrum fa and its transposed power pa_t. C is the (..., K, P)
+    finger slice of the path gains, None at full combining (P = L), where
+    the weight spectrum is fa itself."""
     if C is None:
         # F_c = F_a, so R = |F_a|^2 is real and is the weight power too
         pc = re_r = np.swapaxes(pa_t, -1, -2)
@@ -253,23 +262,14 @@ def link_gains(alphas: np.ndarray,
     them, which puts a leading selector axis of length S in front.
 
     method="spectral" evaluates every bank from the spectra of the path
-    gains and weights, zero-padded with numpy.fft to the smallest
-    2-3-5-smooth length n of at least 2L - 1 samples so that no lag wraps
-    around. The path-gain spectrum F_a and its power |F_a|^2 are taken
-    once per call and shared by every selector; each selector adds only
-    the weight spectrum F_c, and not even that at full combining, where
-    C = A and F_c = F_a. The cross-gain numerator, the squared
-    weight/interferer cross-correlation summed over every lag, is by
-    Parseval an inner product of power spectra, so all K^2 numerators are
-    one matrix product. The self-interference sum at lag d is v_d = r_-d
-    + conj(r_d), where r is the inverse transform of R = F_a conj(F_c).
-    With s = ifft(2 Re R) that is v_d = conj(s_d), so |v_d|^2 =
-    4 |rfft(Re R)_d|^2 / n^2 for d = 1..L-1 <= n/2: real products and
-    one half-length real transform. Past the transforms no complex arrays
-    are multiplied: every step is elementwise on real parts and moduli, a
-    row sum or one matrix product per bank, so a bank's gains come out the
-    same bit for bit alone, inside any stack of banks and inside any
-    selector sequence.
+    gains and of each selector's finger slice, as the module docstring
+    derives: the path-gain spectrum F_a and its power |F_a|^2 are taken
+    once per call and shared by every selector, and full combining takes
+    no weight spectrum at all (F_c = F_a). Past the transforms no complex
+    arrays are multiplied: every step is elementwise on real parts and
+    moduli, a row sum or one matrix product per bank, so a bank's gains
+    come out the same bit for bit alone, inside any stack of banks and
+    inside any selector sequence.
 
     method="dense" materializes the lag matrices and multiplies them out
     for one (K, L) bank and one selector: it is quadratically more
@@ -304,23 +304,20 @@ def link_gains(alphas: np.ndarray,
     h_si = np.empty_like(h_sp)
     h_mai = np.empty(h_sp.shape + (K,))
     for s, sel in enumerate(selectors):
-        C = rake_weights(A, sel)
-        hs = np.einsum("...l,...l->...", C.conj(), A)
-        if np.any(np.abs(hs.imag) > 1e-12 * np.maximum(1.0, np.abs(hs.real))):
-            raise ValueError("combining gain has a non-negligible imaginary part")
-        if np.any(hs.real <= 0):
-            bad = np.argwhere(hs.real <= 0)
+        P = sel.finger_count(L)
+        # the maximal-ratio weights: the path gains on the first P fingers
+        fingers = A[..., :P]
+        h_sp[s] = np.einsum("...l,...l->...", fingers.conj(), fingers).real
+        if np.any(h_sp[s] <= 0):
+            bad = np.argwhere(h_sp[s] <= 0)
             axes = "(selector, ..., user)" if several else "(..., user)"
             if several:
                 bad = np.insert(bad, 0, s, axis=1)
             raise ValueError(f"zero combining gain at {axes} {bad.tolist()}")
-        h_sp[s] = hs.real
         if method == "dense":
-            si, cross = _dense_numerators(A, C, phi_sq)
+            si, cross = _dense_numerators(A, rake_weights(A, sel), phi_sq)
         else:
-            full = sel.finger_count(L) == L
-            si, cross = _spectral_numerators(fa, pa_t, None if full else C, lag_weight)
-        del C
+            si, cross = _spectral_numerators(fa, pa_t, None if P == L else fingers, lag_weight)
         scale = N * h_sp[s]
         h_si[s] = si / scale
         h_mai[s] = cross / scale[..., None]

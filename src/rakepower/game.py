@@ -163,15 +163,20 @@ class EquilibriumOutcome:
         return bool(np.any(self.clamped))
 
 
-def _response_map(h_sp, h_si, h_mai, sigma_sq: float,
-                  packet_bits: int) -> tuple[np.ndarray, np.ndarray]:
+def _response_map(gains: LinkGains, packet_bits: int) -> tuple[np.ndarray, np.ndarray]:
     """N = s[:, None] h_mai and b = s sigma^2 of the uncapped best response
-    p -> N p + b, s_k = gamma*_k / (h_sp[k] - gamma*_k h_si[k]), for gain
-    arrays of one bank or a stack (h_sp and h_si broadcast together)."""
-    with np.errstate(divide="ignore"):
-        gam = _targets(h_sp / h_si, packet_bits)
-    s = gam / (h_sp - gam * h_si)
-    return s[..., None] * h_mai, s * sigma_sq
+    p -> N p + b, s_k = gamma*_k / (h_sp[k] - gamma*_k h_si[k]), for one
+    bank or a stack."""
+    gam = _targets(gains.si_ratio, packet_bits)
+    s = gam / (gains.h_sp - gam * gains.h_si)
+    return s[..., None] * gains.h_mai, s * gains.sigma_sq
+
+
+def _certified(N: np.ndarray, floor: np.ndarray, p: np.ndarray, p_max: float) -> bool:
+    """Whether one more capped best response p -> min(N p + floor, p_max)
+    moves no power of p by more than 1e-12 of itself."""
+    residual = np.abs(np.minimum((N @ p[..., None])[..., 0] + floor, p_max) - p)
+    return bool(np.all(residual <= _RESIDUAL_BOUND * p))
 
 
 def solve_equilibrium(gains: LinkGains, params: UtilityParams) -> EquilibriumOutcome:
@@ -185,45 +190,34 @@ def solve_equilibrium(gains: LinkGains, params: UtilityParams) -> EquilibriumOut
     and I - N_FF is a nonsingular M-matrix: at most K rounds.
     """
     p_max = params.max_power
-    N, floor = _response_map(gains.h_sp, gains.h_si, gains.h_mai, gains.sigma_sq,
-                             params.packet_bits)
-
-    def respond(p):
-        return (N @ p[..., None])[..., 0] + floor
-
+    N, floor = _response_map(gains, params.packet_bits)
     p, free, rounds = np.full(floor.shape, p_max), np.zeros(floor.shape, dtype=bool), 0
-    while (release := ~free & (respond(p) < p_max)).any():
+    while (release := ~free & ((N @ p[..., None])[..., 0] + floor < p_max)).any():
         rounds += 1
         banks = release.any(axis=-1)
         free |= release
         f = free[banks]
         p[banks] = np.linalg.solve(np.eye(floor.shape[-1]) - f[..., None] * N[banks],
                                    np.where(f, floor[banks], p_max)[..., None])[..., 0]
-
-    residual = np.abs(np.minimum(respond(p), p_max) - p)
     return EquilibriumOutcome(
         powers=p, utilities=utilities(gains, p, params),
-        converged=bool(np.all(residual <= _RESIDUAL_BOUND * p)), iterations=rounds, clamped=~free)
+        converged=_certified(N, floor, p, p_max), iterations=rounds, clamped=~free)
 
 
-def _outage(h_sp, h_si, h_mai, sigma_sq: float,
-            params: UtilityParams) -> tuple[np.ndarray, bool]:
+def _outage(gains: LinkGains, params: UtilityParams) -> tuple[np.ndarray, bool]:
     """Whether each system of a stack has a user at the power cap at its
     equilibrium, found with no equilibrium search; and whether every
     system served without one passes solve_equilibrium's certificate.
 
-    The arrays are those of a LinkGains stack, (..., K) and (..., K, K),
-    with h_sp and h_si broadcasting together. With N and b of the best
-    response, a solution p > 0 of (I - N) p = b gives N p < p, so the
-    spectral radius of N is below 1 (Collatz-Wielandt) and p is the
-    uncapped fixed point. The capped map's fixed point is unique (Yates),
-    so it is p exactly when p < max_power; every other system, a singular
-    I - N included, has a user at the cap. That is one linear solve per
-    system. A served system is certified when one more best response
-    moves no power by more than 1e-12 of itself.
+    With N and b of the best response, a solution p > 0 of (I - N) p = b
+    gives N p < p, so the spectral radius of N is below 1
+    (Collatz-Wielandt) and p is the uncapped fixed point. The capped map's
+    fixed point is unique (Yates), so it is p exactly when p < max_power;
+    every other system, a singular I - N included, has a user at the cap.
+    That is one linear solve per system.
     """
     p_max = params.max_power
-    N, floor = _response_map(h_sp, h_si, h_mai, sigma_sq, params.packet_bits)
+    N, floor = _response_map(gains, params.packet_bits)
     A = np.eye(floor.shape[-1]) - N
     try:
         p = np.linalg.solve(A, floor[..., None])[..., 0]
@@ -237,6 +231,4 @@ def _outage(h_sp, h_si, h_mai, sigma_sq: float,
             except np.linalg.LinAlgError:
                 pass
     served = np.all((p > 0) & (p < p_max), axis=-1)
-    q = p[served]
-    residual = np.abs(np.minimum((N[served] @ q[..., None])[..., 0] + floor[served], p_max) - q)
-    return ~served, bool(np.all(residual <= _RESIDUAL_BOUND * q))
+    return ~served, _certified(N[served], floor[served], p[served], p_max)

@@ -10,20 +10,23 @@ simulation layer - equilibrium power and utility predictions, the
 partial-versus-full combining utility loss, and the minimum frame count
 that keeps the network feasible - is a closed-form function of (mu, nu).
 
-mu and nu have removable singularities at a flat profile (decay ratio 1)
-and at full combining (finger fraction 1), where the generic expressions
-cancel catastrophically. Each coefficient has one entry, `mu` or `nu`,
-which checks its arguments once and dispatches to its own limit forms
-near those points. nu is piecewise in the load with five analytic
-branches that agree at the region boundaries.
+nu is piecewise in the load with five analytic branches that agree at
+the region boundaries. Flat decay (rho = 1) is its only removable
+singularity: there each region has its own flat-profile form, and close
+to it the generic branches cancel catastrophically in floats, so they are
+evaluated on 60-digit decimals. Full combining needs no form of its own:
+at beta = 1 every load lies in region 3 (load <= 1) or region 5. mu keeps
+an exact 1 at beta = 1, so the full-combining penalty is exactly 0 dB.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import decimal
 import functools
 import logging
 import math
+from decimal import Decimal
 
 import numpy as np
 
@@ -32,52 +35,46 @@ from .gains import SpreadingConfig
 
 logger = logging.getLogger(__name__)
 
-_FLAT_RHO_TOL = 1e-6
-_ARAKE_BETA_TOL = 1e-9
+# below min(beta, load) ln(rho) = _NEAR_FLAT the generic nu branches cancel
+# in floats and run on decimals; below _NEAR_FLAT_MIN nu is not evaluated
+_NEAR_FLAT = 0.03
+_NEAR_FLAT_MIN = 1e-12
+_NEAR_FLAT_DIGITS = 60
 # the utility of every prediction, and of every study's equilibrium solve
 _UTILITY = UtilityParams()
 
 
-def _is_flat(rho: float) -> bool:
-    """Whether rho is close enough to 1 for the flat-profile limit forms."""
-    return abs(rho - 1.0) < _FLAT_RHO_TOL
-
-
-def _is_full(beta: float) -> bool:
-    """Whether beta is close enough to 1 for the full-combining limit forms."""
-    return 1.0 - beta < _ARAKE_BETA_TOL
-
-
-def _check_rho(rho: float):
+def _check(rho: float, beta: float, load: float = 1.0):
     if not rho >= 1:
         raise ValueError("decay ratio must be >= 1")
-
-
-def _check_beta(beta: float):
     if not 0 < beta <= 1:
         raise ValueError("finger fraction must be in (0, 1]")
-
-
-def _check_load(load: float):
     if not load > 0:
         raise ValueError("load must be positive")
+
+
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{what} has no finite double value")
+    return value
 
 
 def mu(rho: float, beta: float) -> float:
     """Limiting ratio of total channel energy to combined energy, times beta recip.
 
     mu(rho, beta) = (rho - 1) rho^(beta - 1) / (rho^beta - 1), with the
-    removable limits mu -> 1/beta as rho -> 1 and mu = 1 at beta = 1.
+    removable limit mu -> 1/beta as rho -> 1 and exactly 1 at beta = 1.
     Scales the per-interferer cross gain: h_mai -> mu / N.
     """
-    _check_rho(rho)
-    _check_beta(beta)
-    if _is_full(beta):
+    _check(rho, beta)
+    if beta == 1.0:
         return 1.0
-    if _is_flat(rho):
-        return 1.0 / beta
-    lr = math.log(rho)
-    return (rho - 1.0) * rho ** (beta - 1.0) / math.expm1(beta * lr)
+    try:
+        value = 1.0 / beta if rho == 1.0 else \
+            (rho - 1.0) * rho ** (beta - 1.0) / math.expm1(beta * math.log(rho))
+    except ArithmeticError:  # beta ln(rho) underflows to 0
+        value = math.nan
+    return _finite(value, f"mu({rho!r}, {beta!r})")
 
 
 def _region(beta: float, load: float) -> int:
@@ -95,73 +92,81 @@ def nu(rho: float, beta: float, load: float) -> float:
     """Limiting self-interference coefficient: h_si -> nu / N.
 
     Piecewise-analytic in the load with breakpoints at min(beta, 1 - beta),
-    max(beta, 1 - beta), and 1; continuous across all of them. Near the
-    removable singularities at rho = 1 and beta = 1 the generic branches
-    cancel catastrophically, so evaluation switches to the limit forms
-    there: full combining first (flat or not), then the flat-profile form
-    of each region.
+    max(beta, 1 - beta), and 1; continuous across all of them. Full
+    combining is regions 3 and 5 at beta = 1. Flat decay is the only
+    removable singularity: at rho = 1 each region takes its flat-profile
+    form. Near it the branch is evaluated on 60-digit decimals wherever
+    min(beta, load) ln(rho) < 0.03, and below 1e-12 it is not evaluated:
+    that, and a value past the double range, raise ValueError.
     """
-    _check_rho(rho)
-    _check_beta(beta)
-    _check_load(load)
-    r, b, lam = rho, beta, load
-    if _is_full(b):
-        if _is_flat(r):
-            if lam <= 1.0:
-                return (2.0 / 3.0) * (lam * lam - 3.0 * lam + 3.0)
-            return 2.0 / (3.0 * lam)
-        lr = math.log(r)
-        if lam <= 1.0:
-            num = 2.0 * (r * r - 1.0 + r ** lam - r ** (2.0 - lam) - 2.0 * r * lam * lr)
+    _check(rho, beta, load)
+    region = _region(beta, load)
+    depth = min(beta, load) * math.log(rho)
+    if rho != 1.0 and depth < _NEAR_FLAT_MIN:
+        raise ValueError(f"nu is not evaluated at min(beta, load) ln(rho) = {depth:.3g} "
+                         f"< {_NEAR_FLAT_MIN:g}, where its branches cancel")
+    try:
+        if rho == 1.0:
+            value = _nu_flat(beta, load, region)
+        elif depth >= _NEAR_FLAT:
+            value = _nu_branch(rho, beta, load, region)
         else:
-            num = 2.0 * (r * r - 1.0 - 2.0 * r * lr)
-        return num / ((r - 1.0) ** 2 * lam * lr)
-    region = _region(b, lam)
-    if _is_flat(r):
-        if region == 1:
-            return (2.0 * b * b + 2.0 * b - 4.0 * lam * b + lam * lam) / (2.0 * b * b)
-        if region == 2:
-            return ((2.0 - lam) / b + b / lam - 1.0) / 2.0
-        if region == 3:
-            return (b ** 3 + b * b * (9.0 * lam - 3.0) + b * (3.0 - 9.0 * lam * lam)
-                    + 4.0 * lam ** 3 - 3.0 * lam * lam + 3.0 * lam - 1.0) / (6.0 * lam * b * b)
-        if region == 4:
-            return (4.0 * b ** 3 - 3.0 * b * b + 3.0 * b + (lam - 1.0) ** 3) / (6.0 * lam * b * b)
-        return (4.0 * b * b - 3.0 * b + 3.0) / (6.0 * lam * b)
-    return _nu_branch(r, b, lam, region)
+            with decimal.localcontext() as ctx:
+                ctx.prec = _NEAR_FLAT_DIGITS
+                value = float(_nu_branch(Decimal(rho), Decimal(beta), Decimal(load), region))
+    except ArithmeticError:
+        value = math.nan
+    return _finite(value, f"nu({rho!r}, {beta!r}, {load!r})")
 
 
-def _nu_branch(rho: float, beta: float, load: float, region: int) -> float:
+def _nu_flat(beta: float, load: float, region: int) -> float:
+    """The flat-profile (rho = 1) form of one region of nu."""
+    b, lam = beta, load
+    if region == 1:
+        return (2.0 * b * b + 2.0 * b - 4.0 * lam * b + lam * lam) / (2.0 * b * b)
+    if region == 2:
+        return ((2.0 - lam) / b + b / lam - 1.0) / 2.0
+    if region == 3:
+        return (b ** 3 + b * b * (9.0 * lam - 3.0) + b * (3.0 - 9.0 * lam * lam)
+                + 4.0 * lam ** 3 - 3.0 * lam * lam + 3.0 * lam - 1.0) / (6.0 * lam * b * b)
+    if region == 4:
+        return (4.0 * b ** 3 - 3.0 * b * b + 3.0 * b + (lam - 1.0) ** 3) / (6.0 * lam * b * b)
+    return (4.0 * b * b - 3.0 * b + 3.0) / (6.0 * lam * b)
+
+
+def _nu_branch(rho, beta, load, region: int):
     """One analytic branch of nu, evaluated without the region dispatch.
 
-    Branches stay finite slightly outside their own region, which lets the
-    continuity of the piecewise definition be checked at the breakpoints.
+    The literals are integers, so the same expression evaluates on floats
+    or on decimal.Decimal. Branches stay finite slightly outside their own
+    region, which lets the continuity of the piecewise definition be
+    checked at the breakpoints.
     """
     r, b, lam = rho, beta, load
-    lr = math.log(r)
+    lr = r.ln() if isinstance(r, Decimal) else math.log(r)
     if region == 1:
-        num = r * (r ** lam - 1.0) * (4.0 * r ** (2.0 * b) + 3.0 * r ** lam - 1.0) \
-            - 2.0 * r ** (b + lam) * (r ** b + 3.0 * r - 1.0) * lam * lr
-        den = 2.0 * (r ** b - 1.0) ** 2 * lam * r ** (1.0 + lam) * lr
+        num = r * (r ** lam - 1) * (4 * r ** (2 * b) + 3 * r ** lam - 1) \
+            - 2 * r ** (b + lam) * (r ** b + 3 * r - 1) * lam * lr
+        den = 2 * (r ** b - 1) ** 2 * lam * r ** (1 + lam) * lr
     elif region == 2:
-        num = r * (4.0 * r ** lam - 1.0) * (r ** (2.0 * b) - 1.0) \
-            - 2.0 * r ** (b + lam) * (3.0 * r * b - lam + r ** b * lam) * lr
-        den = 2.0 * (r ** b - 1.0) ** 2 * lam * r ** (1.0 + lam) * lr
+        num = r * (4 * r ** lam - 1) * (r ** (2 * b) - 1) \
+            - 2 * r ** (b + lam) * (3 * r * b - lam + r ** b * lam) * lr
+        den = 2 * (r ** b - 1) ** 2 * lam * r ** (1 + lam) * lr
     elif region == 3:
-        num = -4.0 * r ** (2.0 + 2.0 * b) - 4.0 * r ** (2.0 + lam) \
-            + r ** (2.0 * (b + lam)) + 4.0 * r ** (2.0 + 2.0 * b + lam) \
-            + 3.0 * r ** (2.0 + 2.0 * lam) \
-            - 2.0 * r ** (1.0 + b + lam) * (b + 3.0 * r * lam + r ** b * lam - 1.0) * lr
-        den = 2.0 * (r ** b - 1.0) ** 2 * lam * r ** (2.0 + lam) * lr
+        num = -4 * r ** (2 + 2 * b) - 4 * r ** (2 + lam) \
+            + r ** (2 * (b + lam)) + 4 * r ** (2 + 2 * b + lam) \
+            + 3 * r ** (2 + 2 * lam) \
+            - 2 * r ** (1 + b + lam) * (b + 3 * r * lam + r ** b * lam - 1) * lr
+        den = 2 * (r ** b - 1) ** 2 * lam * r ** (2 + lam) * lr
     elif region == 4:
-        num = -(r ** (2.0 + 2.0 * b)) - 4.0 * r ** (2.0 + lam) \
-            + r ** (2.0 * (b + lam)) + 4.0 * r ** (2.0 + 2.0 * b + lam) \
-            - 2.0 * r ** (1.0 + b + lam) * (b + 3.0 * r * b + r ** b * lam - 1.0) * lr
-        den = 2.0 * (r ** b - 1.0) ** 2 * lam * r ** (2.0 + lam) * lr
+        num = -(r ** (2 + 2 * b)) - 4 * r ** (2 + lam) \
+            + r ** (2 * (b + lam)) + 4 * r ** (2 + 2 * b + lam) \
+            - 2 * r ** (1 + b + lam) * (b + 3 * r * b + r ** b * lam - 1) * lr
+        den = 2 * (r ** b - 1) ** 2 * lam * r ** (2 + lam) * lr
     else:
-        num = 2.0 * r * (r ** (2.0 * b) - 1.0) \
-            - (r ** b + b + 3.0 * r * b - 1.0) * r ** b * lr
-        den = (r ** b - 1.0) ** 2 * lam * r * lr
+        num = 2 * r * (r ** (2 * b) - 1) \
+            - (r ** b + b + 3 * r * b - 1) * r ** b * lr
+        den = (r ** b - 1) ** 2 * lam * r * lr
     return num / den
 
 
@@ -182,9 +187,7 @@ class LsaParams:
     chips_per_frame: int
 
     def __post_init__(self):
-        _check_rho(self.rho)
-        _check_beta(self.beta)
-        _check_load(self.load)
+        _check(self.rho, self.beta, self.load)
         if self.gain < 1:
             raise ValueError("processing gain must be >= 1")
         if self.users < 1:
@@ -285,12 +288,10 @@ def loss_db(params: LsaParams, asymptotic_target: bool = True) -> float:
     M = _UTILITY.packet_bits
     if asymptotic_target:
         g_p = g_a = gamma_star(math.inf, M)
-        eff_ratio = 1.0
-        sinr_ratio = 1.0
     else:
         g_p, g_a = params.target_sinr, full.target_sinr
-        eff_ratio = efficiency(g_a, M) / efficiency(g_p, M)
-        sinr_ratio = g_p / g_a
-    ratio = params.mu * eff_ratio * sinr_ratio \
-        * _interference_budget(full, g_a) / _interference_budget(params, g_p)
-    return 10.0 * math.log10(ratio)
+    # the budgets first: an infeasible point raises before its efficiency,
+    # which can underflow to 0 there, is divided by
+    budget_a, budget_p = _interference_budget(full, g_a), _interference_budget(params, g_p)
+    eff_ratio = 1.0 if asymptotic_target else efficiency(g_a, M) / efficiency(g_p, M)
+    return 10.0 * math.log10(params.mu * eff_ratio * (g_p / g_a) * budget_a / budget_p)

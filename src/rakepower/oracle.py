@@ -56,7 +56,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .channel import ApdpProfile, _normals, _trial_streams
 from .gains import RakeSelector, _fast_len, _lag_matrix, _phi_squared
 from .game import efficiency
-from .lsa import _UTILITY, LsaParams, _is_flat, loss_db, mu, nu, predict_power
+from .lsa import _UTILITY, LsaParams, loss_db, mu, nu, predict_power
 
 # path counts up to which _self_lag_mass_direct correlates the taps
 # without an FFT (see there for why)
@@ -301,28 +301,30 @@ def mc_gain_ratio(path_count: int, rho: float, beta: float,
 
 
 # ---------------------------------------------------------------------------
-# closed forms for the printed intermediates (unit user variance)
+# closed forms for the printed intermediates (unit user variance); each
+# rho^x - 1 is an expm1, so that none cancels near flat decay
 
 def _captured_density_closed(rho: float, beta: float) -> float:
-    if _is_flat(rho):
+    if rho == 1.0:
         return beta
     lr = math.log(rho)
-    return (rho ** beta - 1.0) / (rho ** beta * lr)
+    return math.expm1(beta * lr) / (rho ** beta * lr)
 
 
 def _cross_mass_combined_closed(rho: float, beta: float) -> float:
-    if _is_flat(rho):
+    if rho == 1.0:
         return beta * beta / 2.0
     lr = math.log(rho)
-    return rho ** (-2.0 * beta) * (rho ** beta - 1.0) ** 2 / (2.0 * lr * lr)
+    return rho ** (-2.0 * beta) * math.expm1(beta * lr) ** 2 / (2.0 * lr * lr)
 
 
 def _cross_mass_full_closed(rho: float, beta: float) -> float:
-    if _is_flat(rho):
+    if rho == 1.0:
         return beta - beta * beta / 2.0
     lr = math.log(rho)
-    return rho ** (-1.0 - 2.0 * beta) * (rho ** beta - 1.0) \
-        * (rho - 2.0 * rho ** beta + rho ** (beta + 1.0)) / (2.0 * lr * lr)
+    # rho - 2 rho^beta + rho^(beta + 1) as rho^beta (rho - 1) - rho (rho^(beta - 1) - 1)
+    return rho ** (-1.0 - 2.0 * beta) * math.expm1(beta * lr) \
+        * (rho ** beta * math.expm1(lr) - rho * math.expm1((beta - 1.0) * lr)) / (2.0 * lr * lr)
 
 
 # ---------------------------------------------------------------------------

@@ -521,6 +521,28 @@ def test_validate_rejects_infeasible_operating_point(tmp_path, capsys):
     assert not out.exists()
 
 
+_SMALL = ["--users", "2", "--paths", "20", "--chips", "5", "--trials", "2"]
+
+
+@pytest.mark.parametrize("args, code, nan_column", [
+    (["mu-nu"], 0, "nu"), (["loss-beta"], 0, "loss_db"),
+    (["utility-gain", *_SMALL], 0, "nmse"), (["po-frames", *_SMALL], 0, "min_frames"),
+    (["validate", "--paths", "40", "--trials", "2"], 1, None)])
+def test_tiny_beta_gives_nan_cells_or_one_error_line(tmp_path, capsys, args, code, nan_column):
+    # at beta 1e-20, rho^beta rounds to 1 at 10 and 20 dB: nu has no value
+    # there, which a study reports as nan or as a usage error, never a traceback
+    out = tmp_path / "out.csv"
+    assert main([*args, "--beta", "1e-20", "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if nan_column is None:
+        assert [line for line in err.splitlines() if line.startswith("Error:")] == [
+            err.strip()]
+        assert "nu is not evaluated" in err
+    else:
+        cells = [row[nan_column] for row in _read_csv(out)[1]]
+        assert "nan" in cells
+
+
 # the flags each command's runner reads; every command also takes --out and
 # --config, and sigma_sq is a config-file key only
 _READS = {

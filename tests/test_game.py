@@ -64,8 +64,7 @@ def _frame_stack(users, paths, chips, rho_db, trial, seed, beta=0.1, frames_max=
                                seed, trial)
     base = link_gains(bank, RakeSelector(beta), SpreadingConfig(1, chips), 5e-16)
     nf = np.arange(1, frames_max + 1)
-    return LinkGains(np.broadcast_to(base.h_sp, (frames_max, users)),
-                     base.h_si / nf[:, None], base.h_mai / nf[:, None, None], 5e-16)
+    return LinkGains(base.h_sp, base.h_si / nf[:, None], base.h_mai / nf[:, None, None], 5e-16)
 
 
 def _slice(stack, f):
@@ -385,10 +384,6 @@ def test_vector_helpers_on_stacks():
                                         rel=1e-14)
 
 
-def _outage_of(gains, params=UtilityParams()):
-    return _outage(gains.h_sp, gains.h_si, gains.h_mai, gains.sigma_sq, params)
-
-
 def _scaled(h_sp, h_si, h_mai, c):
     # scaling a system's gains by c keeps its targets and N and divides its
     # powers by c
@@ -411,7 +406,7 @@ def _edge_stack(K, n, seed):
     sigma_sq = 5e-16
 
     def powers(h_mai):
-        N, floor = _response_map(h_sp, h_si, h_mai, sigma_sq, params.packet_bits)
+        N, floor = _response_map(LinkGains(h_sp, h_si, h_mai, sigma_sq), params.packet_bits)
         p = np.linalg.solve(np.eye(K) - N, floor[..., None])[..., 0]
         return N, np.max(p, axis=-1)
 
@@ -436,7 +431,7 @@ def _edge_stack(K, n, seed):
 def test_outage_rule_equals_the_equilibrium_search(K, seed):
     stack, expected = _edge_stack(K, 60, seed)
     out = solve_equilibrium(stack, UtilityParams())
-    outage, certified = _outage_of(stack)
+    outage, certified = _outage(stack, UtilityParams())
     assert out.converged and certified
     np.testing.assert_array_equal(outage, out.clamped.any(axis=-1))
     built = expected >= 0
@@ -453,7 +448,7 @@ def test_outage_rule_on_a_singular_system():
     stack = LinkGains(np.full((2, 2), g), np.zeros((2, 2)), h_mai, 5e-16)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(np.eye(2) - h_mai, np.ones((2, 2, 1)))
-    outage, certified = _outage_of(stack)
+    outage, certified = _outage(stack, UtilityParams())
     np.testing.assert_array_equal(outage, [True, False])
     assert certified
     np.testing.assert_array_equal(outage, solve_equilibrium(stack, UtilityParams()).clamped.any(-1))
@@ -463,8 +458,10 @@ def test_outage_certificate(monkeypatch):
     # a served system is certified by one more best response; a negative
     # bound fails every served one, and a stack with none served passes
     stack = _frame_stack(4, 80, 20, 10.0, 0, seed=7)
-    outage, certified = _outage_of(stack)
+    outage, certified = _outage(stack, UtilityParams())
     assert certified and outage.any() and not outage.all()
     monkeypatch.setattr(game, "_RESIDUAL_BOUND", -1.0)
-    assert not _outage_of(stack)[1]
-    assert _outage_of(_slice(stack, slice(0, 1)))[1]
+    assert not _outage(stack, UtilityParams())[1]
+    # the one certificate holds both routes
+    assert not solve_equilibrium(stack, UtilityParams()).converged
+    assert _outage(_slice(stack, slice(0, 1)), UtilityParams())[1]

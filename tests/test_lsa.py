@@ -1,5 +1,10 @@
 """Limiting interference coefficients and the predictions built on them."""
 
+import decimal
+import math
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -67,10 +72,74 @@ def test_nu_flat_forms():
     assert nu(1.0, 1.0, 4.0) == pytest.approx(2.0 / 12.0, rel=1e-14)
 
 
+def _arake_nu(rho, load):
+    """The all-rake closed forms of nu, the reference for beta = 1: exact
+    rationals at flat decay (load a Fraction), floats otherwise."""
+    if rho == 1:
+        return Fraction(2, 3) * (load * load - 3 * load + 3) if load <= 1 else Fraction(2) / (3 * load)
+    lr = math.log(rho)
+    if load <= 1.0:
+        num = 2.0 * (rho * rho - 1.0 + rho ** load - rho ** (2.0 - load) - 2.0 * rho * load * lr)
+    else:
+        num = 2.0 * (rho * rho - 1.0 - 2.0 * rho * lr)
+    return num / ((rho - 1.0) ** 2 * load * lr)
+
+
 def test_nu_dispatch_seams():
     assert nu(1.0 + 2e-7, 0.3, 0.6) == pytest.approx(nu(1.0, 0.3, 0.6), rel=1e-6)
-    assert nu(10.0, 1.0 - 2e-10, 0.6) == nu(10.0, 1.0, 0.6)
-    assert nu(1.0, 1.0 - 2e-10, 0.6) == nu(1.0, 1.0, 0.6)
+    # full combining is regions 3 and 5 at beta = 1
+    for load in (0.05, 0.25, 0.6, 0.99, 1.0, 1.01, 2.0, 4.0):
+        flat = float(_arake_nu(1, Fraction(load)))
+        assert abs(nu(1.0, 1.0, load) - flat) <= math.ulp(flat)
+        for rho in (10.0, 100.0, 1e60):
+            assert nu(rho, 1.0, load) == pytest.approx(_arake_nu(rho, load), rel=1e-11, abs=0)
+
+
+def _nu_reference(rho, beta, load, digits=100):
+    """nu's own branch on decimals of the given digits: no cancellation
+    left at any point the float grid below reaches."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        return float(_nu_branch(Decimal(rho), Decimal(beta), Decimal(load), _region(beta, load)))
+
+
+def test_nu_near_flat_and_small_beta_against_100_digits():
+    # on both sides of min(beta, load) ln(rho) = 0.03, where nu moves from
+    # decimals to floats, down to where it stops evaluating (1e-12)
+    for lr in (1e-10, 1e-7, 1e-5, 1e-3, 0.02, 0.05, 0.5, 5.0, 138.0):
+        rho = math.exp(lr)
+        for beta in (1e-9, 1e-4, 0.01, 0.1, 0.3, 0.5, 0.7, 1.0):
+            for load in (1e-4, 0.05, 0.25, 0.6, 0.9, 2.0, 10.0):
+                if min(beta, load) * math.log(rho) < 1e-12:
+                    with pytest.raises(ValueError, match="not evaluated"):
+                        nu(rho, beta, load)
+                    continue
+                assert nu(rho, beta, load) == pytest.approx(
+                    _nu_reference(rho, beta, load), rel=1e-9, abs=0), (lr, beta, load)
+
+
+def test_nu_near_flat_meets_the_flat_forms():
+    # an independent route to the near-flat values: nu is smooth in ln(rho),
+    # so at ln(rho) = 1e-9 it lies within about 1e-9 of its flat form
+    for beta in (0.1, 0.3, 0.5, 0.7, 1.0):
+        for load in (0.05, 0.2, 0.4, 0.6, 0.8, 1.0, 3.0):
+            assert nu(math.exp(1e-9), beta, load) == pytest.approx(nu(1.0, beta, load), rel=1e-7)
+    # once off by 87% and more: 1 + 2e-6 took a generic branch in floats
+    assert nu(1.0 + 2e-6, 0.1, 0.25) == pytest.approx(8.45, abs=5e-3)
+    assert min_frames(_params(0.1, rho=1.0 + 2e-6)) == min_frames(_params(0.1, rho=1.0)) == 21
+
+
+def test_coefficients_without_a_finite_value_raise():
+    # a fraction so small that rho^beta rounds to 1, one whose flat form
+    # leaves the double range, and a decay ratio past it
+    for args in ((10.0, 1e-20, 0.25), (1.0, 1e-320, 0.25), (1e200, 0.7, 0.5)):
+        with pytest.raises(ValueError):
+            nu(*args)
+    with pytest.raises(ValueError, match="finite"):
+        mu(1.0, 1e-320)
+    with pytest.raises(ValueError, match="finite"):
+        mu(1.0 + 1e-15, 5e-324)
+    assert mu(10.0, 1e-20) == pytest.approx(0.9 / (1e-20 * math.log(10.0)), rel=1e-12)
 
 
 def test_nu_branch_continuity_spot():
