@@ -27,7 +27,6 @@ from .gains import (
     RakeSelector,
     SpreadingConfig,
     link_gains,
-    rake_weights,
     sinr,
 )
 from .game import (
@@ -96,7 +95,6 @@ __all__ = [
     "oracle_audit",
     "predict_power",
     "predict_utility",
-    "rake_weights",
     "sample_channel_bank",
     "sample_topology",
     "sinr",

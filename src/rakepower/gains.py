@@ -24,10 +24,7 @@ ifft(conj(R))_m = conj(r_-m), s = ifft(2 Re R) has s_d = conj(v_d), and
 since 2 Re R is real, |v_d|^2 = 4 |rfft(Re R)_d|^2 / n^2 for
 d = 1..L-1 <= n/2: one half-length real transform of real products
 instead of a complex product and a full inverse transform. The path-gain
-spectrum F_a is shared by every combining fraction of a call. The lag
-structure can also be written as two banded L x (L-1) matrices per
-vector (column i holds the last i entries shifted to the top); the
-dense evaluation path materializes them as an independent check.
+spectrum F_a is shared by every combining fraction of a call.
 """
 
 from __future__ import annotations
@@ -91,19 +88,6 @@ class SpreadingConfig:
         return self.chips_per_frame / path_count
 
 
-def rake_weights(alpha: np.ndarray, selector: RakeSelector) -> np.ndarray:
-    """Combining weights: the path gains on the combined fingers, zero after.
-
-    alpha is one user's (L,) path gains or a (..., K, L) bank. link_gains
-    reads them on its dense path only; the spectral one takes the slice.
-    """
-    a = np.asarray(alpha, dtype=complex)
-    c = np.zeros_like(a)
-    fingers = selector.finger_count(a.shape[-1])
-    c[..., :fingers] = a[..., :fingers]
-    return c
-
-
 def _phi_squared(chips_per_frame: int, path_count: int) -> np.ndarray:
     """Squared chip-collision weights min(L - l, N_c) / N_c, l = 1..L-1.
 
@@ -112,24 +96,6 @@ def _phi_squared(chips_per_frame: int, path_count: int) -> np.ndarray:
     """
     lags = np.arange(1, path_count)
     return np.minimum(path_count - lags, chips_per_frame) / chips_per_frame
-
-
-def _lag_matrix(x: np.ndarray) -> np.ndarray:
-    """Banded L x (L-1) lag matrix of a complex vector.
-
-    Entry (l, i) is x_{L+l-i} when l <= i and zero otherwise (1-based):
-    column i holds the last i entries of x, shifted to the top. Only the
-    dense evaluation path and the oracle use these; link_gains defaults
-    to the equivalent spectral form.
-    """
-    L = x.size
-    if L == 1:
-        return np.zeros((1, 0), dtype=complex)
-    l_idx = np.arange(1, L + 1)[:, None]
-    i_idx = np.arange(1, L)[None, :]
-    mask = l_idx <= i_idx
-    src = np.clip(L + l_idx - i_idx - 1, 0, L - 1)
-    return np.where(mask, x[src], 0.0 + 0.0j)
 
 
 @dataclass(frozen=True)
@@ -179,7 +145,7 @@ class LinkGains:
     def si_ratio(self) -> np.ndarray:
         """h_sp / h_si per user; infinite when there is no self-interference."""
         with np.errstate(divide="ignore"):
-            return np.where(self.h_si > 0, self.h_sp / np.where(self.h_si > 0, self.h_si, 1.0), np.inf)
+            return self.h_sp / self.h_si
 
     @property
     def mai_ratio_inv(self) -> np.ndarray:
@@ -228,24 +194,25 @@ def _spectral_numerators(fa: np.ndarray, pa_t: np.ndarray, C: np.ndarray | None,
     return v_sq.sum(axis=-1), cross
 
 
-def _dense_numerators(A: np.ndarray, C: np.ndarray,
+def _dense_numerators(A: np.ndarray, fingers: np.ndarray,
                       phi_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The same numerators of one (K, L) bank from its lag matrices."""
-    K = A.shape[0]
-    si = np.empty(K)
-    cross = np.zeros((K, K))
-    mats = [(_lag_matrix(a), _lag_matrix(c)) for a, c in zip(A, C)]
-    for k, (a, c) in enumerate(zip(A, C)):
-        A_k, B_k = mats[k]
-        v = B_k.conj().T @ a + A_k.conj().T @ c
-        si[k] = float(phi_sq @ np.abs(v) ** 2)
-        for j, aj in enumerate(A):
-            if j == k:
-                continue
-            A_j = mats[j][0]
-            cross[k, j] = np.sum(np.abs(B_k.conj().T @ aj) ** 2) \
-                + np.sum(np.abs(A_j.conj().T @ c) ** 2) \
-                + abs(np.vdot(c, aj)) ** 2
+    """The same numerators summed lag by lag, bank by bank over the leading
+    axes of A: one full correlation r of user j's path gains with user k's
+    zero-padded finger slice per pair, lag 0 at index L - 1."""
+    L = A.shape[-1]
+    C = np.zeros_like(A)
+    C[..., :fingers.shape[-1]] = fingers
+    si = np.empty(A.shape[:-1])
+    cross = np.empty(A.shape[:-1] + A.shape[-2:-1])
+    for bank in np.ndindex(A.shape[:-2]):
+        for k, c in enumerate(C[bank]):
+            for j, a in enumerate(A[bank]):
+                r = np.correlate(a, c, "full")
+                cross[bank + (k, j)] = np.vdot(r, r).real
+                if j == k:
+                    # v_d = r_-d + conj(r_d) for lags d = 1..L-1
+                    v = r[:L - 1][::-1] + r[L:].conj()
+                    si[bank + (k,)] = np.abs(v) ** 2 @ phi_sq[::-1]
     return si, cross
 
 
@@ -271,9 +238,10 @@ def link_gains(alphas: np.ndarray,
     come out the same bit for bit alone, inside any stack of banks and
     inside any selector sequence.
 
-    method="dense" materializes the lag matrices and multiplies them out
-    for one (K, L) bank and one selector: it is quadratically more
-    expensive and exists as an independent check. Both agree to roundoff.
+    method="dense" sums every correlation lag by lag instead, one direct
+    correlation per user pair of each bank, for the same stacks and
+    selector sequences: it is quadratically more expensive in L and exists
+    as an independent check. Both agree to roundoff.
     """
     if method not in ("spectral", "dense"):
         raise ValueError(f"unknown method {method!r}")
@@ -284,10 +252,6 @@ def link_gains(alphas: np.ndarray,
     A = np.asarray(alphas, dtype=complex)
     if A.ndim < 2 or 0 in A.shape[-2:]:
         raise ValueError("need a (..., K, L) bank with at least one user and path")
-    if method == "dense" and A.ndim != 2:
-        raise ValueError("method='dense' takes one (K, L) bank, not a stack")
-    if method == "dense" and several:
-        raise ValueError("method='dense' takes one RakeSelector, not a sequence")
     K, L = A.shape[-2:]
     N = spreading.processing_gain
     phi_sq = _phi_squared(spreading.chips_per_frame, L)
@@ -315,7 +279,7 @@ def link_gains(alphas: np.ndarray,
                 bad = np.insert(bad, 0, s, axis=1)
             raise ValueError(f"zero combining gain at {axes} {bad.tolist()}")
         if method == "dense":
-            si, cross = _dense_numerators(A, rake_weights(A, sel), phi_sq)
+            si, cross = _dense_numerators(A, fingers, phi_sq)
         else:
             si, cross = _spectral_numerators(fa, pa_t, None if P == L else fingers, lag_weight)
         scale = N * h_sp[s]

@@ -36,7 +36,9 @@ from .gains import SpreadingConfig
 logger = logging.getLogger(__name__)
 
 # below min(beta, load) ln(rho) = _NEAR_FLAT the generic nu branches cancel
-# in floats and run on decimals; below _NEAR_FLAT_MIN nu is not evaluated
+# in floats and run on decimals; below _NEAR_FLAT_MIN they are not
+# evaluated: nu takes its flat form where max(1, load) ln(rho) is below it
+# too (within 0.67 max(1, load) ln(rho) relative) and raises otherwise
 _NEAR_FLAT = 0.03
 _NEAR_FLAT_MIN = 1e-12
 _NEAR_FLAT_DIGITS = 60
@@ -95,18 +97,23 @@ def nu(rho: float, beta: float, load: float) -> float:
     max(beta, 1 - beta), and 1; continuous across all of them. Full
     combining is regions 3 and 5 at beta = 1. Flat decay is the only
     removable singularity: at rho = 1 each region takes its flat-profile
-    form. Near it the branch is evaluated on 60-digit decimals wherever
-    min(beta, load) ln(rho) < 0.03, and below 1e-12 it is not evaluated:
-    that, and a value past the double range, raise ValueError.
+    form, and so does every rho with max(1, load) ln(rho) < 1e-12, where
+    that form is within 0.67 max(1, load) ln(rho) of the branch, relative.
+    Near flat decay the branch is evaluated on 60-digit decimals wherever
+    min(beta, load) ln(rho) < 0.03; below 1e-12 it is not evaluated. A
+    rho there that the flat form does not cover, and a value past the
+    double range, raise ValueError.
     """
     _check(rho, beta, load)
     region = _region(beta, load)
-    depth = min(beta, load) * math.log(rho)
-    if rho != 1.0 and depth < _NEAR_FLAT_MIN:
+    lr = math.log(rho)
+    flat = max(1.0, load) * lr < _NEAR_FLAT_MIN
+    depth = min(beta, load) * lr
+    if not flat and depth < _NEAR_FLAT_MIN:
         raise ValueError(f"nu is not evaluated at min(beta, load) ln(rho) = {depth:.3g} "
                          f"< {_NEAR_FLAT_MIN:g}, where its branches cancel")
     try:
-        if rho == 1.0:
+        if flat:
             value = _nu_flat(beta, load, region)
         elif depth >= _NEAR_FLAT:
             value = _nu_branch(rho, beta, load, region)

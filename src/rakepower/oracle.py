@@ -54,7 +54,7 @@ from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import ApdpProfile, _normals, _trial_streams
-from .gains import RakeSelector, _fast_len, _lag_matrix, _phi_squared
+from .gains import RakeSelector, _fast_len, _phi_squared
 from .game import efficiency
 from .lsa import _UTILITY, LsaParams, loss_db, mu, nu, predict_power
 
@@ -359,6 +359,23 @@ def _row(name: str, kind: str, value: float, reference: float, tol: float,
     return AuditRow(name=name, kind=kind, value=float(value),
                     reference=float(reference), rel_err=float(rel),
                     tol=tol, passed=bool(rel <= tol), note=note)
+
+
+def _lag_matrix(x: np.ndarray) -> np.ndarray:
+    """Banded L x (L-1) lag matrix of a complex vector.
+
+    Entry (l, i) is x_{L+l-i} when l <= i and zero otherwise (1-based):
+    column i holds the last i entries of x, shifted to the top. The lag
+    Gram rows build their lag pattern from it.
+    """
+    L = x.size
+    if L == 1:
+        return np.zeros((1, 0), dtype=complex)
+    l_idx = np.arange(1, L + 1)[:, None]
+    i_idx = np.arange(1, L)[None, :]
+    mask = l_idx <= i_idx
+    src = np.clip(L + l_idx - i_idx - 1, 0, L - 1)
+    return np.where(mask, x[src], 0.0 + 0.0j)
 
 
 def _gram_diag_deviation(v: np.ndarray, fingers: int, combined: bool) -> float:

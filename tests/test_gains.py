@@ -5,9 +5,10 @@ import pytest
 
 import rakepower.gains as gains_module
 from rakepower import (ApdpProfile, LinkGains, RakeSelector, SpreadingConfig,
-                       link_gains, rake_weights, sample_channel_bank,
-                       sample_topology, sinr, substream)
-from rakepower.gains import _lag_matrix, _phi_squared
+                       link_gains, sample_channel_bank, sample_topology, sinr,
+                       substream)
+from rakepower.gains import _phi_squared
+from rakepower.oracle import _lag_matrix
 
 
 def _bank(K, L, rho=10.0, seed=101, trial=0):
@@ -23,14 +24,6 @@ def test_finger_count_floor_and_nudge():
     assert RakeSelector(0.5).finger_count(3) == 1
     assert RakeSelector(0.001).finger_count(10) == 1  # clamped to >= 1
     assert RakeSelector(0.7).finger_count(10) == 7
-
-
-def test_rake_weights_mask():
-    a = np.arange(1, 7, dtype=complex)
-    c = rake_weights(a, RakeSelector(0.5))
-    assert np.array_equal(c, np.array([1, 2, 3, 0, 0, 0], dtype=complex))
-    c_all = rake_weights(a, RakeSelector(1.0))
-    assert np.array_equal(c_all, a)
 
 
 def test_phi_squared_values():
@@ -70,7 +63,8 @@ def _loop_gains(gains_list, selector, spreading, sigma_sq):
     N = spreading.processing_gain
     Nc = spreading.chips_per_frame
     phi_sq = [min(L - i, Nc) / Nc for i in range(1, L)]
-    weights = [rake_weights(a, selector) for a in gains_list]
+    P = selector.finger_count(L)
+    weights = [np.where(np.arange(L) < P, a, 0) for a in gains_list]
     h_sp = np.array([np.vdot(c, a).real for a, c in zip(gains_list, weights)])
 
     def col_sum(x, y, i):
@@ -426,6 +420,35 @@ def test_real_transform_self_interference_matches_dense(L, nfft, beta):
     np.testing.assert_allclose(spectral.h_mai, dense.h_mai, rtol=1e-12, atol=0)
 
 
+def test_dense_equals_spectral_on_a_stack_and_selector_sequence():
+    # a (2, 3, K, L) stack of banks under three fractions, full combining
+    # among them: every bank of every fraction summed lag by lag
+    stack = _block(6, 4, 41, seed=17).reshape(2, 3, 4, 41)
+    selectors = [RakeSelector(b) for b in (1.0, 0.3, 0.1)]
+    spreading = SpreadingConfig(frames=4, chips_per_frame=10)
+    spectral = link_gains(stack, selectors, spreading, 1e-9)
+    dense = link_gains(stack, selectors, spreading, 1e-9, method="dense")
+    assert dense.h_mai.shape == (3, 2, 3, 4, 4)
+    np.testing.assert_array_equal(dense.h_sp, spectral.h_sp)
+    np.testing.assert_allclose(dense.h_si, spectral.h_si, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(dense.h_mai, spectral.h_mai, rtol=1e-12, atol=0)
+
+
+def test_dense_route_memory_stays_linear_in_paths():
+    # one dense call at K = 8, L = 1000 stays under 1 MiB of traced
+    # allocations, eight times the (8, 1000) complex bank; two banded
+    # L x (L - 1) lag matrices per user took about 256 MiB
+    import tracemalloc
+    bank = _bank(8, 1000)
+    tracemalloc.start()
+    try:
+        link_gains(bank, RakeSelector(0.3), SpreadingConfig(20, 250), 5e-16, method="dense")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_selector_sequence_temporaries_stay_bounded():
     # the four fractions of a (4, 8, 2000) block share F_a and |F_a|^2 and
     # free each fraction's own spectra before the next, so their traced
@@ -459,15 +482,11 @@ def test_trial_block_guards_fire_on_one_bad_bank():
     # all-rake still sees its later taps; the second selector is the bad one
     with pytest.raises(ValueError, match=r"\(selector, \.\.\., user\) \[\[1, 2, 1\]\]"):
         link_gains(silent, both, spreading, 1e-9)
-    with pytest.raises(ValueError, match="dense"):
-        link_gains(block[0], both, spreading, 1e-9, method="dense")
     for bad in ([], [selector, 0.5]):
         with pytest.raises(ValueError, match="RakeSelector"):
             link_gains(block, bad, spreading, 1e-9)
     with pytest.raises(ValueError, match="sigma_sq"):
         link_gains(block, selector, spreading, -1e-9)
-    with pytest.raises(ValueError, match="dense"):
-        link_gains(block, selector, spreading, 1e-9, method="dense")
     with pytest.raises(ValueError):
         link_gains(block[:, :0], selector, spreading, 1e-9)
     # a ragged bank is no (K, L) array

@@ -118,6 +118,30 @@ def test_nu_near_flat_and_small_beta_against_100_digits():
                     _nu_reference(rho, beta, load), rel=1e-9, abs=0), (lr, beta, load)
 
 
+def test_nu_takes_its_flat_form_below_the_cutoff_against_150_digits():
+    # where max(1, load) ln(rho) < 1e-12 nu is its flat form, within
+    # 0.67 max(1, load) ln(rho) of its own branch on 150-digit decimals;
+    # where only min(beta, load) ln(rho) is below the cutoff it still refuses
+    flat = 0
+    for log_rho in (1e-13, 3e-13, 1e-12, 1e-11, 1e-10):
+        rho = math.exp(log_rho)
+        lr = math.log(rho)  # of the float rho nu is given
+        for beta in (1e-3, 0.01, 0.1, 0.5, 1.0):
+            for load in (1e-3, 0.25, 1.0, 3.0, 100.0):
+                depth = max(1.0, load) * lr
+                if depth >= 1e-12:
+                    if min(beta, load) * lr < 1e-12:
+                        with pytest.raises(ValueError, match="not evaluated"):
+                            nu(rho, beta, load)
+                    continue
+                flat += 1
+                value = nu(rho, beta, load)
+                assert value == nu(1.0, beta, load)
+                assert value == pytest.approx(_nu_reference(rho, beta, load, digits=150),
+                                              rel=0.67 * depth, abs=0), (lr, beta, load)
+    assert flat == 40
+
+
 def test_nu_near_flat_meets_the_flat_forms():
     # an independent route to the near-flat values: nu is smooth in ln(rho),
     # so at ln(rho) = 1e-9 it lies within about 1e-9 of its flat form
