@@ -428,7 +428,7 @@ def run_validate(config: ExperimentConfig):
         raise click.ClickException(f"cannot audit {point}: {exc}") from exc
     fields = ["name", "kind", "value", "reference", "rel_err", "tol",
               "passed", "note"]
-    return fields, [dataclasses.asdict(r) for r in audit]
+    return fields, [{f: getattr(r, f) for f in fields} for r in audit]
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,9 @@ the squared captured density. Each limit row thus sets a finite sum
 against the one definition of its closed form, never against a retyped
 copy of it. The factorization row checks every (lag, tap) pair whose
 weight can be nonzero (tap l a combined finger), a block of taps at a
-time; at the other pairs both of its sides are exactly 0. The case-table
+time; at the other pairs both of its sides are exactly 0. Every swept tap
+is combined, so each side's overlap count folds into an array over the
+partner tap, with the same bits (the counts are 1 or 4). The case-table
 rows compare the one table with the step definition of the overlap
 counts at every point where either can change, which covers every pair
 in O(L).
@@ -61,9 +63,9 @@ from .lsa import _UTILITY, LsaParams, loss_db, mu, nu, predict_power
 # path counts up to which _self_lag_mass_direct correlates the taps
 # without an FFT (see there for why)
 _DIRECT_LAG_MAX_L = 32
-# taps per vectorised block of the factorization check: the (block, L)
-# temporaries stay at a few MB for L in the thousands
-_TAP_BLOCK = 16
+# taps per vectorised block of the factorization check: its two (block, L)
+# temporaries take 1 MB at L = 8000, where 4 and 16 taps were not faster
+_TAP_BLOCK = 8
 # path counts of the lag-pattern Gram checks and of the Monte Carlo row
 _GRAM_PATH_COUNT = 400
 # relative tolerances: identity rows and the two self-lag routes, exact
@@ -118,8 +120,8 @@ def finite_mu(path_count: int, rho: float, beta: float) -> float:
     return (num1 + num2) / _captured_density(v, fingers) ** 2
 
 
-def _self_lag_mass_direct(v: np.ndarray, fingers: int,
-                          phi_sq: np.ndarray) -> float:
+def _self_lag_mass_direct(v: np.ndarray, fingers: int, phi_sq: np.ndarray,
+                          spectrum: np.ndarray | None = None) -> float:
     """(1/L^2) sum over lags of phi^2 times the squared overlap weights.
 
     The overlap weight expands into three lag correlations (combined-by-
@@ -133,7 +135,8 @@ def _self_lag_mass_direct(v: np.ndarray, fingers: int,
     and the mass falls like v[0]^2 rho^(-1/(L-1)), so its relative error
     grows like eps * rho^(1/(L-1)): at L = 2 and rho = 1e4 it breaks the
     1e-12 agreement _checked_mass demands, while past 32 paths it stays below
-    1e-13 for any decay ratio up to 1e10.
+    1e-13 for any decay ratio up to 1e10. spectrum, if given, is
+    rfft(v, _fast_len(2L - 1)), which an audit takes once for all its calls.
     """
     L = v.size
     vm = np.where(np.arange(L) < fingers, v, 0.0)
@@ -144,7 +147,7 @@ def _self_lag_mass_direct(v: np.ndarray, fingers: int,
         r = full[L - 1:] + full[L - 1::-1]
     else:
         n = _fast_len(2 * L - 1)
-        V = rfft(v, n)
+        V = rfft(v, n) if spectrum is None else spectrum
         VM = rfft(vm, n)
         r = irfft(np.conj(VM) * V + np.conj(V) * VM + 2.0 * (VM.real ** 2 + VM.imag ** 2), n)
     # r[d] = sum_m (cross weights) v[m] v[m + d]; phi_sq is indexed by i = L - d
@@ -366,16 +369,14 @@ def _lag_matrix(x: np.ndarray) -> np.ndarray:
 
     Entry (l, i) is x_{L+l-i} when l <= i and zero otherwise (1-based):
     column i holds the last i entries of x, shifted to the top. The lag
-    Gram rows build their lag pattern from it.
+    Gram rows build their lag pattern from it. The entry hangs on l - i
+    alone: row l is a window of x zero-padded to 2L and reversed, read
+    from L + 1 - l on and copied out contiguous, so each entry is a copy of
+    x_{L+l-i} or an exact zero.
     """
     L = x.size
-    if L == 1:
-        return np.zeros((1, 0), dtype=complex)
-    l_idx = np.arange(1, L + 1)[:, None]
-    i_idx = np.arange(1, L)[None, :]
-    mask = l_idx <= i_idx
-    src = np.clip(L + l_idx - i_idx - 1, 0, L - 1)
-    return np.where(mask, x[src], 0.0 + 0.0j)
+    z = np.concatenate([x, np.zeros(L, dtype=complex)])
+    return np.ascontiguousarray(sliding_window_view(z[::-1], L - 1)[L:0:-1])
 
 
 def _gram_diag_deviation(v: np.ndarray, fingers: int, combined: bool) -> float:
@@ -414,30 +415,30 @@ def _theta_factorization_deviation(v: np.ndarray, fingers: int, rho: float) -> f
     _u2_rows. Past the last finger (l > P) both u1 and u2 vanish and so
     does the direct weight (m > l > P): both sides are exactly 0 and
     cannot set a maximum, so only taps l <= P are swept, _TAP_BLOCK at a
-    time. Each tap's row runs over the offsets d = m - l = L - i, read off
-    strided windows built once (zero-padded past m = L), so each lag is a
+    time. There [l <= P] = 1, so each side folds into an array over m,
+    zero past m = L: v[l] w[m] with w = v (1 + [m <= P])^2, and c[m]
+    times the power law with c = u1 + u2 + 2 u1 u2, u2 read off tap 1's
+    row of _u2_rows (it hangs on l + d = m alone). The folded counts are
+    1 or 4, and scaling by them is exact, so both sides keep the bits of
+    the pairwise products. Each tap's row runs over the offsets
+    d = m - l = L - i of strided windows built once, so each lag is a
     column. A lag's deviation is scaled by its largest factorized weight;
     both per-lag maxima are kept across blocks and divided at the end.
     """
     L = v.size
-    x = np.arange(2 * L)
-    step, inside = (x < fingers).astype(np.int8), (x < L).astype(np.int8)
-    step_rows = sliding_window_view(step, L - 1)
-    inside_rows = sliding_window_view(inside, L - 1)
-    v_rows = sliding_window_view(np.concatenate([v, np.zeros(L)]), L - 1)
-    u2_rows = _u2_rows(L, fingers)
-    # power law of the pair (l, i): pw[k] at k = L + 2l - i - 2
+    u1, u2 = (np.arange(2 * L) < L).astype(np.int8), np.zeros(2 * L, dtype=np.int8)
+    u2[1:L] = _u2_rows(L, fingers)[0]
+    w_rows = sliding_window_view(
+        np.concatenate([v * (1 + (np.arange(L) < fingers)) ** 2, np.zeros(L)]), L - 1)
+    c_rows = sliding_window_view((u1 + u2 + 2 * u1 * u2).astype(float), L - 1)
+    # power law of the pair (l, m): pw[l + m - 2] (1-based)
     pw_rows = sliding_window_view(rho ** (-(np.arange(3 * L)) / (L - 1)), L - 1)
     dev, scale = np.zeros(L - 1), np.zeros(L - 1)
     for lo in range(0, fingers, _TAP_BLOCK):
         hi = min(lo + _TAP_BLOCK, fingers)
         w = L - 1 - lo  # offsets of the block's first tap
-        rows = slice(lo + 1, hi + 1)
-        direct = v[lo:hi, None] * v_rows[rows, :w]
-        direct *= ((step[lo:hi, None] + step_rows[rows, :w]) ** 2).astype(float)
-        u1, u2 = step[lo:hi, None] * inside_rows[rows, :w], u2_rows[lo:hi, :w]
-        fact = (u1 + u2 + 2 * u1 * u2).astype(float)
-        fact *= pw_rows[2 * lo + 1:2 * hi + 1:2, :w]
+        direct = v[lo:hi, None] * w_rows[lo + 1:hi + 1, :w]
+        fact = c_rows[lo + 1:hi + 1, :w] * pw_rows[2 * lo + 1:2 * hi + 1:2, :w]
         np.maximum(scale[:w], fact.max(axis=0), out=scale[:w])
         direct -= fact
         np.maximum(dev[:w], np.abs(direct, out=direct).max(axis=0), out=dev[:w])
@@ -517,11 +518,12 @@ def oracle_audit(path_count: int, params: LsaParams, *, mc_trials: int,
 
     num1_f, num2_f = _cross_lag_masses(v, fingers)
     full1_f, full2_f = _cross_lag_masses(v, L) if fingers < L else (num1_f, num2_f)
+    v_spectrum = rfft(v, _fast_len(2 * L - 1))  # read by the direct route only
 
     @functools.cache
     def routes(fingers_: int, chips_: int) -> tuple[float, float]:
         phi_sq_ = _phi_squared(chips_, L)
-        return (_self_lag_mass_direct(v, fingers_, phi_sq_),
+        return (_self_lag_mass_direct(v, fingers_, phi_sq_, v_spectrum),
                 _self_lag_mass_table(v, fingers_, phi_sq_))
 
     def self_mass(fingers_: int, chips_: int) -> float:
@@ -573,15 +575,12 @@ def oracle_audit(path_count: int, params: LsaParams, *, mc_trials: int,
                      note="interfering-user copy: linear in the user variance"))
 
     v_g, fingers_g = _profile(_GRAM_PATH_COUNT, rho, beta)
-    rows.append(_row("lag_gram_diagonal_full", "identity",
-                     _gram_diag_deviation(v_g, fingers_g, combined=False), 0.0,
-                     _IDENTITY_TOL,
-                     note=f"row energies equal per-path suffix sums; L={_GRAM_PATH_COUNT}"))
-    rows.append(_row("lag_gram_diagonal_combined", "identity",
-                     _gram_diag_deviation(v_g, fingers_g, combined=True), 0.0,
-                     _IDENTITY_TOL,
-                     note="finger-masked rows vanish past the last finger; "
-                          f"L={_GRAM_PATH_COUNT}"))
+    for label, combined, note in (
+            ("full", False, "row energies equal per-path suffix sums"),
+            ("combined", True, "finger-masked rows vanish past the last finger")):
+        rows.append(_row(f"lag_gram_diagonal_{label}", "identity",
+                         _gram_diag_deviation(v_g, fingers_g, combined), 0.0, _IDENTITY_TOL,
+                         note=f"{note}; L={_GRAM_PATH_COUNT}"))
 
     num1_c = _cross_mass_combined_closed(rho, beta)
     num2_c = _cross_mass_full_closed(rho, beta)

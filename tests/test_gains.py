@@ -8,7 +8,6 @@ from rakepower import (ApdpProfile, LinkGains, RakeSelector, SpreadingConfig,
                        link_gains, sample_channel_bank, sample_topology, sinr,
                        substream)
 from rakepower.gains import _phi_squared
-from rakepower.oracle import _lag_matrix
 
 
 def _bank(K, L, rho=10.0, seed=101, trial=0):
@@ -35,20 +34,6 @@ def test_phi_squared_values():
     assert phi_sq[159] == 40.0 / 50.0
     assert phi_sq[189] == 10.0 / 50.0
     assert phi_sq[198] == 1.0 / 50.0
-
-
-def test_lag_matrix_structure():
-    a = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
-    A = _lag_matrix(a)
-    # column i holds the last i entries of a, top-aligned (1-based law:
-    # A[l, i] = a[L + l - i] for l <= i)
-    expected = np.array([
-        [4, 3, 2],
-        [0, 4, 3],
-        [0, 0, 4],
-        [0, 0, 0],
-    ], dtype=complex)
-    assert np.array_equal(A, expected)
 
 
 def _loop_gains(gains_list, selector, spreading, sigma_sq):

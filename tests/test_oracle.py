@@ -243,10 +243,11 @@ def test_fft_table_route_matches_direct_route():
 
 
 def test_elementwise_checks_match_lag_loops():
-    # the factorization row sweeps taps 1..P in blocks of _TAP_BLOCK = 16:
-    # P = 15, 16, 17, 32 and 33 end the sweep in a partial, a full or a
-    # single-tap block, and P = L - 1 and L sweep all taps but the last or
-    # all of them; 1e60 is the largest decay ratio the CLI accepts
+    # the factorization row sweeps taps 1..P in blocks of _TAP_BLOCK = 8:
+    # P = 7, 8, 9, 15, 16, 17, 32 and 33 end the sweep in a partial, a full
+    # or a single-tap block (also for blocks of 16), and P = L - 1 and L
+    # sweep all taps but the last or all of them; 1e60 is the largest decay
+    # ratio the CLI accepts
     for L in (2, 3, 40, 41, 401, 1000):
         for rho in (1.0, 10.0, 1e4, 1e60):
             for beta in (0.01, 0.3, 0.5, 0.7, 1.0):
@@ -254,7 +255,8 @@ def test_elementwise_checks_match_lag_loops():
                 assert _theta_factorization_deviation(v, P, rho) == _theta_loop(v, P, rho)
         for rho in (10.0, 1e60):
             v, _ = _profile(L, rho, 1.0)
-            for P in sorted({1, 15, 16, 17, 32, 33, L - 1, L} & set(range(1, L + 1))):
+            for P in sorted({1, 7, 8, 9, 15, 16, 17, 32, 33, L - 1, L}
+                            & set(range(1, L + 1))):
                 assert _theta_factorization_deviation(v, P, rho) == _theta_loop(v, P, rho), \
                     (L, rho, P)
         for P in sorted({1, 2, L // 3, L // 2, L // 2 + 1, 2 * L // 3, L - 1, L}
@@ -291,15 +293,42 @@ def test_factorization_row_catches_a_perturbed_tap():
 
 def test_factorization_row_memory_stays_blockwise():
     # a block of taps at a time keeps the temporaries at a few MB; all of
-    # the 6.1 M swept pairs at once would trace about 50 MB per float array
-    v, P = _profile(8000, 10.0, 0.1)
-    tracemalloc.start()
-    try:
-        _theta_factorization_deviation(v, P, 10.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 2 ** 20
+    # the 6.1 M swept pairs at once (beta 0.1) would trace about 50 MB per
+    # float array, and all 32 M at beta 1 (every tap swept) about 256 MB
+    for beta in (0.1, 1.0):
+        v, P = _profile(8000, 10.0, beta)
+        tracemalloc.start()
+        try:
+            _theta_factorization_deviation(v, P, 10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20, beta
+
+
+def test_lag_matrix_structure():
+    a = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
+    # column i holds the last i entries of a, top-aligned
+    expected = np.array([
+        [4, 3, 2],
+        [0, 4, 3],
+        [0, 0, 4],
+        [0, 0, 0],
+    ], dtype=complex)
+    assert np.array_equal(oracle._lag_matrix(a), expected)
+    # the 1-based law entry by entry: A[l, i] = x[L + l - i] for l <= i, an
+    # exact zero below; complex and C-contiguous, from complex or real taps
+    for L in (1, 2, 3, 40, 400):
+        x = np.arange(1, L + 1) * (0.75 - 0.5j)
+        for taps in (x, x.real):
+            A = oracle._lag_matrix(taps)
+            assert A.dtype == np.complex128 and A.shape == (L, L - 1)
+            assert A.flags["C_CONTIGUOUS"]
+            entries, xs = A.tolist(), np.asarray(taps, complex).tolist()
+            for l in range(1, L + 1):
+                for i in range(1, L):
+                    want = xs[L + l - i - 1] if l <= i else 0j
+                    assert entries[l - 1][i - 1] == want, (L, l, i)
 
 
 def _block_mutations(blocks):
@@ -466,23 +495,29 @@ def test_intermediates_flat_profile_smoke():
 
 def test_audit_evaluates_each_self_lag_mass_once(monkeypatch):
     # at beta 0.3 and 0.7 the operating point is also the (fingers, chips)
-    # point of a decomposition row; each route still runs once per point
+    # point of a decomposition row; each route still runs once per point,
+    # and every direct call on the decaying profile reads the audit's one
+    # tap spectrum (the flat-profile calls of finite_nu take their own)
     seen = {"_self_lag_mass_direct": [], "_self_lag_mass_table": []}
+    spectra = []
     for name, calls in seen.items():
         route = getattr(oracle, name)
 
-        def counted(v, fingers, phi_sq, route=route, calls=calls):
+        def counted(v, fingers, phi_sq, *spectrum, route=route, calls=calls, name=name):
             calls.append((v.tobytes(), fingers, phi_sq.tobytes()))
-            return route(v, fingers, phi_sq)
+            spectra.extend((name, v.tobytes(), id(x)) for x in spectrum)
+            return route(v, fingers, phi_sq, *spectrum)
 
         monkeypatch.setattr(oracle, name, counted)
     v, _ = _profile(800, 10.0, 0.1)
     for beta_op in (0.1, 0.3, 0.7):
-        for calls in seen.values():
+        for calls in (*seen.values(), spectra):
             calls.clear()
         rows = {r.name: r for r in _audit(800, mc_trials=50, beta=beta_op)}
         direct, table = seen.values()
         assert len(direct) == len(set(direct))
+        assert set(spectra) == {("_self_lag_mass_direct", v.tobytes(), spectra[0][2])}
+        assert len(spectra) == sum(call[0] == v.tobytes() for call in direct)
         assert sorted(table) == sorted(direct)
         for r, (beta, _) in oracle._REGION_POINTS.items():
             mass = rows[f"self_lag_mass_region{r}"].value
