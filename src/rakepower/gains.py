@@ -29,6 +29,7 @@ spectrum F_a is shared by every combining fraction of a call.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -153,6 +154,7 @@ class LinkGains:
         return (self.h_mai / self.h_sp[..., None, :]).sum(axis=-1)
 
 
+@functools.cache
 def _fast_len(n: int) -> int:
     """Smallest 2-3-5-smooth integer >= n, a transform length the FFT
     factors into its fastest radices."""

@@ -14,6 +14,7 @@ per bank decides it (_outage).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,11 +57,32 @@ def efficiency(gamma, packet_bits: int = UtilityParams.packet_bits):
     return float(out) if np.isscalar(gamma) or g.ndim == 0 else out
 
 
+def _newton_root(x: np.ndarray, inv: np.ndarray | float, M: int) -> np.ndarray:
+    """Newton on the concave g(x) = (M/2) x (1 - x inv) - (e^(x/2) - 1) from
+    points right of its positive root, onto which it falls monotonically;
+    it ends once no entry falls any further."""
+    while True:
+        e = np.expm1(x / 2.0)
+        g = 0.5 * M * x * (1.0 - x * inv) - e
+        dg = 0.5 * M * (1.0 - 2.0 * x * inv) - 0.5 * (e + 1.0)
+        x_next = x - g / dg
+        if not np.any(x_next < x):
+            return x
+        x = np.minimum(x, x_next)
+
+
+@functools.cache
+def _free_target(packet_bits: int) -> float:
+    """gamma* without self-interference (varsigma = inf), from 4 ln M,
+    which lies right of it; one value per packet size."""
+    return float(_newton_root(np.array(4.0 * math.log(packet_bits)), 0.0, packet_bits))
+
+
 def _targets(varsigma, packet_bits: int) -> np.ndarray:
-    """gamma* for an array of varsigma: Newton on the concave
-    g(x) = (M/2) x (1 - x/varsigma) - (e^(x/2) - 1), g(0) = 0 < g'(0) for
-    M >= 2, falls monotonically onto the root from min(4 ln M, varsigma),
-    which lies right of it; it ends once no entry falls any further.
+    """gamma* for an array of varsigma: the root of g with inv = 1/varsigma,
+    g(0) = 0 < g'(0) for M >= 2. Since g = g_inf - (M/2) x^2 / varsigma,
+    every root lies left of gamma*(inf), and below varsigma, so Newton
+    falls onto it from min(gamma*(inf), varsigma).
     """
     vs = np.asarray(varsigma, dtype=float)
     M = int(packet_bits)
@@ -68,15 +90,7 @@ def _targets(varsigma, packet_bits: int) -> np.ndarray:
         raise ValueError("varsigma must be positive")
     if M < 2:
         raise ValueError(f"no SINR target exists for M={M}")
-    inv = 1.0 / vs
-    x = np.minimum(4.0 * math.log(M), vs)
-    while True:
-        g = 0.5 * M * x * (1.0 - x * inv) - np.expm1(x / 2.0)
-        dg = 0.5 * M * (1.0 - 2.0 * x * inv) - 0.5 * np.exp(x / 2.0)
-        x_next = x - g / dg
-        if not np.any(x_next < x):
-            return x
-        x = np.minimum(x, x_next)
+    return _newton_root(np.minimum(_free_target(M), vs), 1.0 / vs, M)
 
 
 def gamma_star(varsigma: float, packet_bits: int = UtilityParams.packet_bits) -> float:

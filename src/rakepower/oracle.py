@@ -14,8 +14,9 @@ Monte Carlo over random channels, and assembles everything into an audit
 report with one row per intermediate quantity. The audit is one call on
 one LsaParams operating point; it evaluates each finite sum on the
 decaying profile once (the tap vector, the densities, the cross lag
-masses, and both self-interference routes per finger count and chip
-count) and every row that needs a sum reads it.
+masses, and each self-interference route's lag correlations per finger
+count, weighted by the collision weights of each chip count in one dot
+product) and every row that needs a sum reads it.
 
 Three kinds of rows appear in the report: "limit" rows compare a finite-L
 sum against the closed form it converges to (tolerance around 1% at
@@ -46,10 +47,10 @@ in O(L).
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -60,8 +61,8 @@ from .gains import RakeSelector, _fast_len, _phi_squared
 from .game import efficiency
 from .lsa import _UTILITY, LsaParams, loss_db, mu, nu, predict_power
 
-# path counts up to which _self_lag_mass_direct correlates the taps
-# without an FFT (see there for why)
+# path counts up to which the self-lag routes correlate the taps without
+# an FFT (see _direct_route for why)
 _DIRECT_LAG_MAX_L = 32
 # taps per vectorised block of the factorization check: its two (block, L)
 # temporaries take 1 MB at L = 8000, where 4 and 16 taps were not faster
@@ -120,15 +121,17 @@ def finite_mu(path_count: int, rho: float, beta: float) -> float:
     return (num1 + num2) / _captured_density(v, fingers) ** 2
 
 
-def _self_lag_mass_direct(v: np.ndarray, fingers: int, phi_sq: np.ndarray,
-                          spectrum: np.ndarray | None = None) -> float:
-    """(1/L^2) sum over lags of phi^2 times the squared overlap weights.
+def _direct_route(v: np.ndarray, fingers: int,
+                  spectrum: np.ndarray | None = None) -> Callable[[np.ndarray], float]:
+    """The self-lag mass as a function of phi_sq, lag correlations taken once.
 
-    The overlap weight expands into three lag correlations (combined-by-
-    full, full-by-combined, combined-by-combined); their sum at lag d is
-    r[d] = sum_m vm[m] u[m + d] + u[m] vm[m + d], with vm the combined
-    taps (v on the first fingers, zero above) and u = v + vm. Up to
-    _DIRECT_LAG_MAX_L paths that is one direct correlation. Above, it is
+    The mass is (1/L^2) times the sum over lags of phi^2 times the squared
+    overlap weights. The overlap weight expands into three lag correlations
+    (combined-by-full, full-by-combined, combined-by-combined); their sum at
+    lag d is r[d] = sum_m vm[m] u[m + d] + u[m] vm[m + d], with vm the
+    combined taps (v on the first fingers, zero above) and u = v + vm. r
+    hangs on (v, fingers) alone; phi_sq enters only the returned dot product.
+    Up to _DIRECT_LAG_MAX_L paths r is one direct correlation. Above, it is
     one inverse FFT of the combined cross spectrum, zero-padded to the
     smallest 2-3-5-smooth length of at least 2L - 1 points so that no
     positive lag wraps. The FFT's absolute error is about eps * v[0]^2
@@ -151,7 +154,13 @@ def _self_lag_mass_direct(v: np.ndarray, fingers: int, phi_sq: np.ndarray,
         VM = rfft(vm, n)
         r = irfft(np.conj(VM) * V + np.conj(V) * VM + 2.0 * (VM.real ** 2 + VM.imag ** 2), n)
     # r[d] = sum_m (cross weights) v[m] v[m + d]; phi_sq is indexed by i = L - d
-    return float(phi_sq[::-1] @ r[1:L]) / L ** 2
+    return lambda phi_sq: float(phi_sq[::-1] @ r[1:L]) / L ** 2
+
+
+def _self_lag_mass_direct(v: np.ndarray, fingers: int, phi_sq: np.ndarray,
+                          spectrum: np.ndarray | None = None) -> float:
+    """The self-lag mass at one phi_sq, in one pass over all lags."""
+    return _direct_route(v, fingers, spectrum)(phi_sq)
 
 
 def _overlap_blocks(path_count: int, finger_count: int) -> list[tuple]:
@@ -162,7 +171,7 @@ def _overlap_blocks(path_count: int, finger_count: int) -> list[tuple]:
     overlap count weight on the run m < m_end, n_lo <= n < n_hi; in
     1-based m that run is [1, i], [1, P], [1, b] (both taps combined,
     weight 4) or [b + 1, P] / [b + 1, i] (one tap combined), b = P - L + i.
-    A block with i_hi < i_lo is empty. _self_lag_mass_table sums this one
+    A block with i_hi < i_lo is empty. _table_route sums this one
     table and _overlap_table_deviation certifies it.
     """
     L, P = path_count, finger_count
@@ -179,19 +188,19 @@ def _overlap_blocks(path_count: int, finger_count: int) -> list[tuple]:
             (P + 1, L - 1, 1.0, P, P, L)]
 
 
-def _self_lag_mass_table(v: np.ndarray, fingers: int,
-                         phi_sq: np.ndarray) -> float:
-    """Same sum evaluated block by block from _overlap_blocks.
+def _table_route(v: np.ndarray, fingers: int) -> Callable[[np.ndarray], float]:
+    """The same mass from _overlap_blocks, block correlations taken once.
 
     All lags of a block are summed by one correlation over a zero-padded
     partner run: directly up to _DIRECT_LAG_MAX_L paths, above that by one
     inverse FFT of the cross spectrum at the smallest 2-3-5-smooth length
-    that holds the run, for the error bound given in _self_lag_mass_direct.
-    The two routes share no intermediate: this one sums per block, the
-    other once over all lags with the weights inside the spectrum.
+    that holds the run, for the error bound given in _direct_route. The
+    returned function weights each block's correlations by phi_sq, in block
+    order. The two routes share no intermediate: this one sums per block,
+    the other once over all lags with the weights inside the spectrum.
     """
     L = v.size
-    total = 0.0
+    runs = []
     for i_lo, i_hi, weight, m_end, n_lo, n_hi in _overlap_blocks(L, fingers):
         if i_hi < i_lo:
             continue
@@ -203,12 +212,32 @@ def _self_lag_mass_table(v: np.ndarray, fingers: int,
             dots = np.correlate(window, v[:m_end], "valid")  # i = i_hi down to i_lo
         else:
             # dots[k] = sum_j window[k + j] v[j]; k + j < window.size, so
-            # no term wraps at any length of at least window.size
+            # no term wraps at any length of at least window.size; only the
+            # block's lags are kept
             nfft = _fast_len(window.size)
             dots = irfft(rfft(window, nfft) * np.conj(rfft(v[:m_end], nfft)),
-                         nfft)[:i_hi - i_lo + 1]
-        total += weight * float(phi_sq[i_lo - 1:i_hi] @ dots[::-1])
-    return total / L ** 2
+                         nfft)[:i_hi - i_lo + 1].copy()
+        runs.append((i_lo, i_hi, weight, dots[::-1]))
+
+    def mass(phi_sq: np.ndarray) -> float:
+        total = 0.0
+        for i_lo, i_hi, weight, dots in runs:
+            total += weight * float(phi_sq[i_lo - 1:i_hi] @ dots)
+        return total / L ** 2
+    return mass
+
+
+def _self_lag_mass_table(v: np.ndarray, fingers: int, phi_sq: np.ndarray) -> float:
+    """The self-lag mass at one phi_sq, block by block."""
+    return _table_route(v, fingers)(phi_sq)
+
+
+def _self_lag_masses(v: np.ndarray, fingers: int, phi_sqs: list[np.ndarray],
+                     spectrum: np.ndarray | None = None) -> list[tuple[float, float]]:
+    """(direct, table) self-lag mass at each phi_sq: each route's
+    correlations once, then one dot product per phi_sq and route."""
+    direct, table = _direct_route(v, fingers, spectrum), _table_route(v, fingers)
+    return [(direct(phi_sq), table(phi_sq)) for phi_sq in phi_sqs]
 
 
 def _checked_mass(direct: float, table: float) -> float:
@@ -229,10 +258,8 @@ def finite_nu(path_count: int, chips_per_frame: int, rho: float,
     v, fingers = _profile(path_count, rho, beta)
     if chips_per_frame < 1:
         raise ValueError("chips_per_frame must be >= 1")
-    phi_sq = _phi_squared(chips_per_frame, path_count)
-    mass = _checked_mass(_self_lag_mass_direct(v, fingers, phi_sq),
-                         _self_lag_mass_table(v, fingers, phi_sq))
-    return mass / _captured_density(v, fingers) ** 2
+    ((direct, table),) = _self_lag_masses(v, fingers, [_phi_squared(chips_per_frame, path_count)])
+    return _checked_mass(direct, table) / _captured_density(v, fingers) ** 2
 
 
 def flat_mu_exact(path_count: int, finger_count: int) -> Fraction:
@@ -499,9 +526,12 @@ def oracle_audit(path_count: int, params: LsaParams, *, mc_trials: int,
     elementwise, the per-region self-interference masses against their
     closed forms, and the equilibrium-power and loss factorizations
     against the prediction module. Each finite sum on the decaying
-    profile is evaluated once and read by every row that needs it: one
-    cache holds both self-lag routes per (fingers, chips), the value rows
-    raise if they split, and the decomposition rows report them.
+    profile is evaluated once and read by every row that needs it. The
+    self-lag rows' (fingers, chips) points are listed up front and grouped
+    by finger count; each group takes both routes' lag correlations once,
+    one dot product per chip count gives its masses, and its arrays are
+    dropped before the next group. The value rows raise if the two routes
+    split, and the decomposition rows report them.
     """
     L, rho, beta, load = path_count, params.rho, params.beta, params.load
     chips = params.chips_per_frame
@@ -518,19 +548,24 @@ def oracle_audit(path_count: int, params: LsaParams, *, mc_trials: int,
 
     num1_f, num2_f = _cross_lag_masses(v, fingers)
     full1_f, full2_f = _cross_lag_masses(v, L) if fingers < L else (num1_f, num2_f)
-    v_spectrum = rfft(v, _fast_len(2 * L - 1))  # read by the direct route only
-
-    @functools.cache
-    def routes(fingers_: int, chips_: int) -> tuple[float, float]:
-        phi_sq_ = _phi_squared(chips_, L)
-        return (_self_lag_mass_direct(v, fingers_, phi_sq_, v_spectrum),
-                _self_lag_mass_table(v, fingers_, phi_sq_))
-
-    def self_mass(fingers_: int, chips_: int) -> float:
-        return _checked_mass(*routes(fingers_, chips_))
-
     region_points = [(r, b_r, lam_r, RakeSelector(b_r).finger_count(L), round(lam_r * L))
                      for r, (b_r, lam_r) in _REGION_POINTS.items()]
+    table_points = [(label, b_tab, RakeSelector(b_tab).finger_count(L))
+                    for label, b_tab in (("low_fraction", 0.3), ("high_fraction", 0.7))]
+    # every (fingers, chips) point of a self-lag row; each finger count takes
+    # its correlations once and drops them before the next
+    points = {(f, c) for _, _, _, f, c in region_points} | {(fingers, chips), (L, chips)} \
+        | {(f, chips) for _, _, f in table_points}
+    v_spectrum = rfft(v, _fast_len(2 * L - 1))  # read by the direct route only
+    routes = {}
+    for fingers_ in sorted({f for f, _ in points}):
+        group = sorted(p for p in points if p[0] == fingers_)
+        routes.update(zip(group, _self_lag_masses(
+            v, fingers_, [_phi_squared(c, L) for _, c in group], v_spectrum)))
+
+    def self_mass(fingers_: int, chips_: int) -> float:
+        return _checked_mass(*routes[fingers_, chips_])
+
     rows = [_row("cross_coefficient", "limit", (num1_f + num2_f) / den_f ** 2,
                  params.mu, _LIMIT_TOL, note=f"rho={rho}, beta={beta}")]
     for r, b_r, lam_r, fingers_r, chips_r in region_points:
@@ -598,15 +633,14 @@ def oracle_audit(path_count: int, params: LsaParams, *, mc_trials: int,
                      _theta_factorization_deviation(v, fingers, rho), 0.0, _IDENTITY_TOL,
                      note="overlap weights factor into power law times overlap count"))
 
-    for label, b_tab in (("low_fraction", 0.3), ("high_fraction", 0.7)):
-        fingers_tab = RakeSelector(b_tab).finger_count(L)
+    for label, b_tab, fingers_tab in table_points:
         dev = _overlap_table_deviation(L, fingers_tab)
         rows.append(_row(f"overlap_count_table_{label}", "identity",
                          float(dev), 0.0, 0.0,
                          note=f"beta={b_tab}; tabulated counts match the step "
                               "definition with inner bound l <= i (a variant "
                               "bound l <= 1 breaks all single-overlap blocks)"))
-        direct, table = routes(fingers_tab, chips)
+        direct, table = routes[fingers_tab, chips]
         rows.append(_row(f"self_lag_sum_decomposition_{label}", "identity",
                          table, direct, _IDENTITY_TOL,
                          note=f"beta={b_tab}; block decomposition vs single pass"))

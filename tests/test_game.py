@@ -145,8 +145,13 @@ def test_gamma_star_rejects_bad_input():
 
 
 def test_array_targets_against_bisection():
-    vs = np.append(np.logspace(-0.3, 12.0, 61), math.inf)
+    # Newton starts at min(gamma*(inf), varsigma): varsigma on both sides of
+    # gamma*(inf), down to one ulp, starts it on either branch of the min
     for M in (2, 20, 100, 1000):
+        g_inf = _bisect_target(math.inf, M)
+        near = g_inf * np.array([0.5, 0.9, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.1, 2.0])
+        vs = np.concatenate([np.logspace(-0.3, 12.0, 61), near,
+                             np.nextafter(g_inf, [0.0, math.inf]), [math.inf]])
         got = _targets(vs, M)
         want = np.array([_bisect_target(v, M) for v in vs])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

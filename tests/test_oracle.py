@@ -494,33 +494,67 @@ def test_intermediates_flat_profile_smoke():
 
 
 def test_audit_evaluates_each_self_lag_mass_once(monkeypatch):
-    # at beta 0.3 and 0.7 the operating point is also the (fingers, chips)
-    # point of a decomposition row; each route still runs once per point,
-    # and every direct call on the decaying profile reads the audit's one
-    # tap spectrum (the flat-profile calls of finite_nu take their own)
-    seen = {"_self_lag_mass_direct": [], "_self_lag_mass_table": []}
+    # each route takes its lag correlations once per distinct finger count
+    # on the decaying profile, every direct one from the audit's one tap
+    # spectrum (the flat-profile calls of finite_nu take their own), and
+    # each (fingers, chips) mass keeps the bits of the standalone routes. At
+    # beta 0.3 and 0.7 the operating point is also the point of a
+    # decomposition row, and at beta 1 it is the full-combining point
+    L = 800
+    seen = {"_direct_route": [], "_table_route": []}
     spectra = []
     for name, calls in seen.items():
         route = getattr(oracle, name)
 
-        def counted(v, fingers, phi_sq, *spectrum, route=route, calls=calls, name=name):
-            calls.append((v.tobytes(), fingers, phi_sq.tobytes()))
-            spectra.extend((name, v.tobytes(), id(x)) for x in spectrum)
-            return route(v, fingers, phi_sq, *spectrum)
+        def counted(v, fingers, *spectrum, route=route, calls=calls):
+            calls.append((v.tobytes(), fingers))
+            spectra.extend((v.tobytes(), id(x)) for x in spectrum if x is not None)
+            return route(v, fingers, *spectrum)
 
         monkeypatch.setattr(oracle, name, counted)
-    v, _ = _profile(800, 10.0, 0.1)
-    for beta_op in (0.1, 0.3, 0.7):
+    v, _ = _profile(L, 10.0, 0.1)
+    chips = round(0.25 * L)
+
+    def fingers(beta):
+        return RakeSelector(beta).finger_count(L)
+
+    def masses(fingers_, chips_):
+        phi_sq = _phi_squared(chips_, L)
+        return _self_lag_mass_direct(v, fingers_, phi_sq), _self_lag_mass_table(v, fingers_, phi_sq)
+
+    for beta_op in (0.1, 0.3, 0.7, 1.0):
         for calls in (*seen.values(), spectra):
             calls.clear()
-        rows = {r.name: r for r in _audit(800, mc_trials=50, beta=beta_op)}
-        direct, table = seen.values()
-        assert len(direct) == len(set(direct))
-        assert set(spectra) == {("_self_lag_mass_direct", v.tobytes(), spectra[0][2])}
-        assert len(spectra) == sum(call[0] == v.tobytes() for call in direct)
-        assert sorted(table) == sorted(direct)
-        for r, (beta, _) in oracle._REGION_POINTS.items():
+        rows = {r.name: r for r in _audit(L, mc_trials=50, beta=beta_op)}
+        want = sorted({fingers(b) for b in (0.3, 0.7, beta_op, 1.0)})
+        for calls in seen.values():
+            assert sorted(f for vb, f in calls if vb == v.tobytes()) == want
+        direct_on_v = sum(vb == v.tobytes() for vb, _ in seen["_direct_route"])
+        assert set(spectra) == {(v.tobytes(), spectra[0][1])}
+        assert len(spectra) == direct_on_v
+        for r, (beta, load) in oracle._REGION_POINTS.items():
+            direct, table = masses(fingers(beta), round(load * L))
+            assert table == pytest.approx(direct, rel=1e-12, abs=0)
             mass = rows[f"self_lag_mass_region{r}"].value
-            fingers = RakeSelector(beta).finger_count(800)
+            assert mass == direct
             assert rows[f"self_coefficient_region{r}"].value == \
-                mass / _captured_density(v, fingers) ** 2
+                mass / _captured_density(v, fingers(beta)) ** 2
+        for name, beta in (("operating_point", beta_op), ("full", 1.0)):
+            assert rows[f"self_coefficient_{name}"].value == \
+                masses(fingers(beta), chips)[0] / _captured_density(v, fingers(beta)) ** 2
+        for label, beta in (("low_fraction", 0.3), ("high_fraction", 0.7)):
+            row = rows[f"self_lag_sum_decomposition_{label}"]
+            assert (row.reference, row.value) == masses(fingers(beta), chips)
+
+
+def test_audit_keeps_no_self_lag_correlations_across_groups():
+    # one audit at 8000 paths traces a 3.85 MiB peak; keeping every finger
+    # count's lag correlations to the end of the audit (a cache over them)
+    # traced 5.15 MiB, so the bound sits between the two
+    tracemalloc.start()
+    try:
+        _audit(8000, mc_trials=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 2 ** 20
