@@ -77,7 +77,7 @@ class ApdpProfile:
     decay_ratio: float = 1.0
 
     def __post_init__(self):
-        if self.path_count < 1:
+        if not self.path_count >= 1:
             raise ValueError("path_count must be >= 1")
         if not self.decay_ratio >= 1:
             raise ValueError("decay_ratio must be >= 1")

@@ -73,9 +73,9 @@ class SpreadingConfig:
     chips_per_frame: int
 
     def __post_init__(self):
-        if self.frames < 1:
+        if not self.frames >= 1:
             raise ValueError("frames must be >= 1")
-        if self.chips_per_frame < 1:
+        if not self.chips_per_frame >= 1:
             raise ValueError("chips_per_frame must be >= 1")
 
     @property
@@ -129,13 +129,13 @@ class LinkGains:
         for name, x, tail in (("h_sp", h_sp, K), ("h_si", h_si, K), ("h_mai", h_mai, K + K)):
             shape = lead + tail
             object.__setattr__(self, name, x if x.shape == shape else np.broadcast_to(x, shape))
-        if np.any(h_sp <= 0):
+        if not np.all(h_sp > 0):
             raise ValueError("h_sp must be positive")
-        if np.any(h_si < 0) or np.any(h_mai < 0):
+        if not (np.all(h_si >= 0) and np.all(h_mai >= 0)):
             raise ValueError("interference gains must be non-negative")
         if np.any(np.diagonal(h_mai, axis1=-2, axis2=-1) != 0):
             raise ValueError("h_mai diagonal must be zero")
-        if self.sigma_sq < 0:
+        if not self.sigma_sq >= 0:
             raise ValueError("sigma_sq must be non-negative")
 
     @property

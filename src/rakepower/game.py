@@ -40,9 +40,9 @@ class UtilityParams:
             raise ValueError("packet_bits must be >= 2")
         if not 0 < self.data_bits <= self.packet_bits:
             raise ValueError("data_bits must be in 1..packet_bits")
-        if self.rate_bps <= 0:
+        if not self.rate_bps > 0:
             raise ValueError("rate_bps must be positive")
-        if self.max_power <= 0:
+        if not self.max_power > 0:
             raise ValueError("max_power must be positive")
 
     @property

@@ -195,11 +195,11 @@ class LsaParams:
 
     def __post_init__(self):
         _check(self.rho, self.beta, self.load)
-        if self.gain < 1:
+        if not self.gain >= 1:
             raise ValueError("processing gain must be >= 1")
-        if self.users < 1:
+        if not self.users >= 1:
             raise ValueError("users must be >= 1")
-        if self.sigma_sq <= 0:
+        if not self.sigma_sq > 0:
             raise ValueError("sigma_sq must be positive")
 
     @classmethod

@@ -5,18 +5,18 @@ sums: replace every random path energy by its variance, evaluate the
 same traces and double sums at finite L, and the values must approach
 the closed forms as L grows. This module evaluates those sums exactly
 as written (no continuum shortcut) on the tap-variance vector of a
-unit-energy user, its finger count and the collision weights, evaluates
-the self-interference double sum both in one pass and block by block
-over the overlap-count case table, written once in _overlap_blocks (two
-independent orders that must agree; above 32 paths each takes its
-correlations by FFT, up to 32 directly), estimates the same ratios by
-Monte Carlo over random channels, and assembles everything into an audit
-report with one row per intermediate quantity. The audit is one call on
-one LsaParams operating point; it evaluates each finite sum on the
-decaying profile once (the tap vector, the densities, the cross lag
-masses, and each self-interference route's lag correlations per finger
-count, weighted by the collision weights of each chip count in one dot
-product) and every row that needs a sum reads it.
+unit-energy user, its finger count and the collision weights, takes
+the self-interference double sum's lag sums by two routes that must
+agree, _direct_lags in one pass over all lags and _table_lags block by
+block over the overlap-count case table written once in _overlap_blocks
+(above 32 paths each correlates by FFT, up to 32 directly), estimates
+the same ratios by Monte Carlo over random channels, and assembles
+everything into an audit report with one row per intermediate quantity.
+The audit is one call on one LsaParams operating point; it evaluates
+each finite sum on the decaying profile once (the tap vector, the
+densities, the cross lag masses, and each route's lag sums per finger
+count, which _mass weights by each chip count's collision weights in
+one dot product) and every row that needs a sum reads it.
 
 Three kinds of rows appear in the report: "limit" rows compare a finite-L
 sum against the closed form it converges to (tolerance around 1% at
@@ -50,7 +50,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -62,7 +61,7 @@ from .game import efficiency
 from .lsa import _UTILITY, LsaParams, loss_db, mu, nu, predict_power
 
 # path counts up to which the self-lag routes correlate the taps without
-# an FFT (see _direct_route for why)
+# an FFT (see _direct_lags for why)
 _DIRECT_LAG_MAX_L = 32
 # taps per vectorised block of the factorization check: its two (block, L)
 # temporaries take 1 MB at L = 8000, where 4 and 16 taps were not faster
@@ -121,25 +120,22 @@ def finite_mu(path_count: int, rho: float, beta: float) -> float:
     return (num1 + num2) / _captured_density(v, fingers) ** 2
 
 
-def _direct_route(v: np.ndarray, fingers: int,
-                  spectrum: np.ndarray | None = None) -> Callable[[np.ndarray], float]:
-    """The self-lag mass as a function of phi_sq, lag correlations taken once.
+def _direct_lags(v: np.ndarray, fingers: int) -> np.ndarray:
+    """The self-lag sums s[d], d = 1..L-1, in one pass over all lags.
 
-    The mass is (1/L^2) times the sum over lags of phi^2 times the squared
-    overlap weights. The overlap weight expands into three lag correlations
+    The self-lag mass is (1/L^2) times the sum over lags of phi^2 times the
+    squared overlap weights. That weight expands into three lag correlations
     (combined-by-full, full-by-combined, combined-by-combined); their sum at
-    lag d is r[d] = sum_m vm[m] u[m + d] + u[m] vm[m + d], with vm the
-    combined taps (v on the first fingers, zero above) and u = v + vm. r
-    hangs on (v, fingers) alone; phi_sq enters only the returned dot product.
-    Up to _DIRECT_LAG_MAX_L paths r is one direct correlation. Above, it is
+    lag d is s[d] = sum_m vm[m] u[m + d] + u[m] vm[m + d], with vm the
+    combined taps (v on the first fingers, zero above) and u = v + vm. Up
+    to _DIRECT_LAG_MAX_L paths s is one direct correlation. Above, it is
     one inverse FFT of the combined cross spectrum, zero-padded to the
     smallest 2-3-5-smooth length of at least 2L - 1 points so that no
     positive lag wraps. The FFT's absolute error is about eps * v[0]^2
     and the mass falls like v[0]^2 rho^(-1/(L-1)), so its relative error
     grows like eps * rho^(1/(L-1)): at L = 2 and rho = 1e4 it breaks the
     1e-12 agreement _checked_mass demands, while past 32 paths it stays below
-    1e-13 for any decay ratio up to 1e10. spectrum, if given, is
-    rfft(v, _fast_len(2L - 1)), which an audit takes once for all its calls.
+    1e-13 for any decay ratio up to 1e10.
     """
     L = v.size
     vm = np.where(np.arange(L) < fingers, v, 0.0)
@@ -150,17 +146,9 @@ def _direct_route(v: np.ndarray, fingers: int,
         r = full[L - 1:] + full[L - 1::-1]
     else:
         n = _fast_len(2 * L - 1)
-        V = rfft(v, n) if spectrum is None else spectrum
-        VM = rfft(vm, n)
+        V, VM = rfft(v, n), rfft(vm, n)
         r = irfft(np.conj(VM) * V + np.conj(V) * VM + 2.0 * (VM.real ** 2 + VM.imag ** 2), n)
-    # r[d] = sum_m (cross weights) v[m] v[m + d]; phi_sq is indexed by i = L - d
-    return lambda phi_sq: float(phi_sq[::-1] @ r[1:L]) / L ** 2
-
-
-def _self_lag_mass_direct(v: np.ndarray, fingers: int, phi_sq: np.ndarray,
-                          spectrum: np.ndarray | None = None) -> float:
-    """The self-lag mass at one phi_sq, in one pass over all lags."""
-    return _direct_route(v, fingers, spectrum)(phi_sq)
+    return r[1:L]
 
 
 def _overlap_blocks(path_count: int, finger_count: int) -> list[tuple]:
@@ -171,8 +159,8 @@ def _overlap_blocks(path_count: int, finger_count: int) -> list[tuple]:
     overlap count weight on the run m < m_end, n_lo <= n < n_hi; in
     1-based m that run is [1, i], [1, P], [1, b] (both taps combined,
     weight 4) or [b + 1, P] / [b + 1, i] (one tap combined), b = P - L + i.
-    A block with i_hi < i_lo is empty. _table_route sums this one
-    table and _overlap_table_deviation certifies it.
+    A block with i_hi < i_lo is empty. _table_lags sums this one table and
+    _overlap_table_deviation certifies it.
     """
     L, P = path_count, finger_count
     if 2 * P <= L:
@@ -188,19 +176,19 @@ def _overlap_blocks(path_count: int, finger_count: int) -> list[tuple]:
             (P + 1, L - 1, 1.0, P, P, L)]
 
 
-def _table_route(v: np.ndarray, fingers: int) -> Callable[[np.ndarray], float]:
-    """The same mass from _overlap_blocks, block correlations taken once.
+def _table_lags(v: np.ndarray, fingers: int) -> np.ndarray:
+    """The same lag sums from _overlap_blocks, one correlation per block.
 
     All lags of a block are summed by one correlation over a zero-padded
     partner run: directly up to _DIRECT_LAG_MAX_L paths, above that by one
     inverse FFT of the cross spectrum at the smallest 2-3-5-smooth length
-    that holds the run, for the error bound given in _direct_route. The
-    returned function weights each block's correlations by phi_sq, in block
-    order. The two routes share no intermediate: this one sums per block,
-    the other once over all lags with the weights inside the spectrum.
+    that holds the run, for the error bound given in _direct_lags. Each
+    block's weighted correlations are added into the lag sums in block
+    order. The two routes share no lag sum: this one sums per block, the
+    other once over all lags with the weights inside the spectrum.
     """
     L = v.size
-    runs = []
+    lags = np.zeros(L - 1)
     for i_lo, i_hi, weight, m_end, n_lo, n_hi in _overlap_blocks(L, fingers):
         if i_hi < i_lo:
             continue
@@ -209,35 +197,29 @@ def _table_route(v: np.ndarray, fingers: int) -> Callable[[np.ndarray], float]:
         s, e = max(n_lo, lo), min(n_hi, lo + window.size)
         window[s - lo:e - lo] = v[s:e]
         if L <= _DIRECT_LAG_MAX_L:
-            dots = np.correlate(window, v[:m_end], "valid")  # i = i_hi down to i_lo
+            dots = np.correlate(window, v[:m_end], "valid")
         else:
             # dots[k] = sum_j window[k + j] v[j]; k + j < window.size, so
             # no term wraps at any length of at least window.size; only the
             # block's lags are kept
             nfft = _fast_len(window.size)
             dots = irfft(rfft(window, nfft) * np.conj(rfft(v[:m_end], nfft)),
-                         nfft)[:i_hi - i_lo + 1].copy()
-        runs.append((i_lo, i_hi, weight, dots[::-1]))
-
-    def mass(phi_sq: np.ndarray) -> float:
-        total = 0.0
-        for i_lo, i_hi, weight, dots in runs:
-            total += weight * float(phi_sq[i_lo - 1:i_hi] @ dots)
-        return total / L ** 2
-    return mass
+                         nfft)[:i_hi - i_lo + 1]
+        # dots runs over i = i_hi down to i_lo, so over d = L - i from lo up
+        lags[lo - 1:L - i_lo] += weight * dots
+    return lags
 
 
-def _self_lag_mass_table(v: np.ndarray, fingers: int, phi_sq: np.ndarray) -> float:
-    """The self-lag mass at one phi_sq, block by block."""
-    return _table_route(v, fingers)(phi_sq)
+def _mass(lags: np.ndarray, phi_sq: np.ndarray) -> float:
+    """The (1/L^2) self-lag mass of lag sums s[d] at phi_sq (indexed by i = L - d)."""
+    return float(phi_sq[::-1] @ lags) / (lags.size + 1) ** 2
 
 
-def _self_lag_masses(v: np.ndarray, fingers: int, phi_sqs: list[np.ndarray],
-                     spectrum: np.ndarray | None = None) -> list[tuple[float, float]]:
-    """(direct, table) self-lag mass at each phi_sq: each route's
-    correlations once, then one dot product per phi_sq and route."""
-    direct, table = _direct_route(v, fingers, spectrum), _table_route(v, fingers)
-    return [(direct(phi_sq), table(phi_sq)) for phi_sq in phi_sqs]
+def _self_lag_masses(v: np.ndarray, fingers: int,
+                     phi_sqs: list[np.ndarray]) -> list[tuple[float, float]]:
+    """(direct, table) self-lag mass at each phi_sq, each route's lag sums taken once."""
+    direct, table = _direct_lags(v, fingers), _table_lags(v, fingers)
+    return [(_mass(direct, phi_sq), _mass(table, phi_sq)) for phi_sq in phi_sqs]
 
 
 def _checked_mass(direct: float, table: float) -> float:
@@ -280,6 +262,8 @@ def flat_nu_exact(path_count: int, finger_count: int,
     L, P, Nc = path_count, finger_count, chips_per_frame
     if not 1 <= P <= L:
         raise ValueError("finger_count must be in 1..path_count")
+    if Nc < 1:
+        raise ValueError("chips_per_frame must be >= 1")
     if 4 * L ** 3 >= 2 ** 63:  # the integer total is below 4 L^3
         raise ValueError("path_count too large for an exact int64 count")
     i = np.arange(1, L, dtype=np.int64)
@@ -392,7 +376,7 @@ def _row(name: str, kind: str, value: float, reference: float, tol: float,
 
 
 def _lag_matrix(x: np.ndarray) -> np.ndarray:
-    """Banded L x (L-1) lag matrix of a complex vector.
+    """Banded L x (L-1) lag matrix of a real vector.
 
     Entry (l, i) is x_{L+l-i} when l <= i and zero otherwise (1-based):
     column i holds the last i entries of x, shifted to the top. The lag
@@ -402,7 +386,7 @@ def _lag_matrix(x: np.ndarray) -> np.ndarray:
     x_{L+l-i} or an exact zero.
     """
     L = x.size
-    z = np.concatenate([x, np.zeros(L, dtype=complex)])
+    z = np.concatenate([x, np.zeros(L)])
     return np.ascontiguousarray(sliding_window_view(z[::-1], L - 1)[L:0:-1])
 
 
@@ -414,7 +398,7 @@ def _gram_diag_deviation(v: np.ndarray, fingers: int, combined: bool) -> float:
     """
     L = v.size
     source = np.where(np.arange(L) < fingers, v, 0.0) if combined else v
-    M = _lag_matrix(np.sqrt(source).astype(complex)).real / math.sqrt(L)
+    M = _lag_matrix(np.sqrt(source)) / math.sqrt(L)
     diag = np.sum(M * M, axis=1)
     cs = np.cumsum(source)
     ref = (cs[-1] - cs) / L
@@ -422,15 +406,11 @@ def _gram_diag_deviation(v: np.ndarray, fingers: int, combined: bool) -> float:
     return float(np.max(np.abs(diag - ref))) / scale
 
 
-def _u2_rows(path_count: int, fingers: int) -> np.ndarray:
-    """u2 = [l <= P - L + i] of the factorized weights, as strided windows.
-
-    Row l - 1 holds tap l and column d - 1 the lag i = L - d, so the entry
-    is [l + d <= P]. The factorized side reads u2 only from here, never
-    from the direct side's finger mask of tap m.
-    """
-    step = (np.arange(1, 2 * path_count) < fingers).astype(np.int8)
-    return sliding_window_view(step, path_count - 1)
+def _u2(path_count: int, fingers: int) -> np.ndarray:
+    """u2 = [l <= P - L + i] of the factorized weights at tap l = 1: entry
+    d - 1 holds the lag i = L - d, so it is [1 + d <= P]. The factorized side
+    reads u2 only from here, never from the direct side's finger mask of m."""
+    return (np.arange(1, path_count) < fingers).astype(np.int8)
 
 
 def _theta_factorization_deviation(v: np.ndarray, fingers: int, rho: float) -> float:
@@ -438,23 +418,23 @@ def _theta_factorization_deviation(v: np.ndarray, fingers: int, rho: float) -> f
 
     Lag i pairs tap l with m = L + l - i. The direct weight is
     v[l] v[m] ([l <= P] + [m <= P])^2, the factorized one the power law
-    times u1 + u2 + 2 u1 u2 with u1 = [l <= P] [m <= L] and u2 from
-    _u2_rows. Past the last finger (l > P) both u1 and u2 vanish and so
-    does the direct weight (m > l > P): both sides are exactly 0 and
-    cannot set a maximum, so only taps l <= P are swept, _TAP_BLOCK at a
-    time. There [l <= P] = 1, so each side folds into an array over m,
-    zero past m = L: v[l] w[m] with w = v (1 + [m <= P])^2, and c[m]
-    times the power law with c = u1 + u2 + 2 u1 u2, u2 read off tap 1's
-    row of _u2_rows (it hangs on l + d = m alone). The folded counts are
-    1 or 4, and scaling by them is exact, so both sides keep the bits of
-    the pairwise products. Each tap's row runs over the offsets
-    d = m - l = L - i of strided windows built once, so each lag is a
-    column. A lag's deviation is scaled by its largest factorized weight;
-    both per-lag maxima are kept across blocks and divided at the end.
+    times u1 + u2 + 2 u1 u2 with u1 = [l <= P] [m <= L] and u2 from _u2.
+    Past the last finger (l > P) both u1 and u2 vanish and so does the
+    direct weight (m > l > P): both sides are exactly 0 and cannot set a
+    maximum, so only taps l <= P are swept, _TAP_BLOCK at a time. There
+    [l <= P] = 1, so each side folds into an array over m, zero past
+    m = L: v[l] w[m] with w = v (1 + [m <= P])^2, and c[m] times the power
+    law with c = u1 + u2 + 2 u1 u2, u2 taken at tap 1 (it hangs on
+    l + d = m alone). The folded counts are 1 or 4, and scaling by them is
+    exact, so both sides keep the bits of the pairwise products. Each
+    tap's row runs over the offsets d = m - l = L - i of strided windows
+    built once, so each lag is a column. A lag's deviation is scaled by its
+    largest factorized weight; both per-lag maxima are kept across blocks
+    and divided at the end.
     """
     L = v.size
     u1, u2 = (np.arange(2 * L) < L).astype(np.int8), np.zeros(2 * L, dtype=np.int8)
-    u2[1:L] = _u2_rows(L, fingers)[0]
+    u2[1:L] = _u2(L, fingers)
     w_rows = sliding_window_view(
         np.concatenate([v * (1 + (np.arange(L) < fingers)) ** 2, np.zeros(L)]), L - 1)
     c_rows = sliding_window_view((u1 + u2 + 2 * u1 * u2).astype(float), L - 1)
@@ -528,9 +508,9 @@ def oracle_audit(path_count: int, params: LsaParams, *, mc_trials: int,
     against the prediction module. Each finite sum on the decaying
     profile is evaluated once and read by every row that needs it. The
     self-lag rows' (fingers, chips) points are listed up front and grouped
-    by finger count; each group takes both routes' lag correlations once,
-    one dot product per chip count gives its masses, and its arrays are
-    dropped before the next group. The value rows raise if the two routes
+    by finger count; each group takes both routes' lag sums once, one dot
+    product per chip count gives its masses, and its arrays are dropped
+    before the next group. The value rows raise if the two routes
     split, and the decomposition rows report them.
     """
     L, rho, beta, load = path_count, params.rho, params.beta, params.load
@@ -553,15 +533,14 @@ def oracle_audit(path_count: int, params: LsaParams, *, mc_trials: int,
     table_points = [(label, b_tab, RakeSelector(b_tab).finger_count(L))
                     for label, b_tab in (("low_fraction", 0.3), ("high_fraction", 0.7))]
     # every (fingers, chips) point of a self-lag row; each finger count takes
-    # its correlations once and drops them before the next
+    # its lag sums once and drops them before the next
     points = {(f, c) for _, _, _, f, c in region_points} | {(fingers, chips), (L, chips)} \
         | {(f, chips) for _, _, f in table_points}
-    v_spectrum = rfft(v, _fast_len(2 * L - 1))  # read by the direct route only
     routes = {}
     for fingers_ in sorted({f for f, _ in points}):
         group = sorted(p for p in points if p[0] == fingers_)
         routes.update(zip(group, _self_lag_masses(
-            v, fingers_, [_phi_squared(c, L) for _, c in group], v_spectrum)))
+            v, fingers_, [_phi_squared(c, L) for _, c in group])))
 
     def self_mass(fingers_: int, chips_: int) -> float:
         return _checked_mass(*routes[fingers_, chips_])

@@ -4,13 +4,14 @@ The exact solver is checked against the simultaneous best-response
 (Jacobi) iteration from zero power, run to a 1e-15 step, as an oracle.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from rakepower import (ApdpProfile, LinkGains, RakeSelector,
+from rakepower import (ApdpProfile, LinkGains, LsaParams, RakeSelector,
                        SpreadingConfig, UtilityParams, best_response,
                        closed_form_equilibrium_power, efficiency, feasibility,
                        gamma_star, link_gains, sample_channel_bank,
@@ -142,6 +143,53 @@ def test_gamma_star_rejects_bad_input():
         gamma_star(5.0, packet_bits=1)
     with pytest.raises(ValueError):
         _targets(np.array([5.0, 0.0, math.inf]), 100)
+
+
+def _with_nan(field):
+    """A valid two-user LinkGains with one NaN entry in field."""
+    gains = dict(h_sp=np.array([1.0, 2.0]), h_si=np.array([0.1, 0.2]),
+                 h_mai=np.array([[0.0, 0.5], [0.3, 0.0]]), sigma_sq=1e-9)
+    if field == "sigma_sq":
+        gains[field] = math.nan
+    else:
+        gains[field].flat[1] = math.nan
+    return LinkGains(**gains)
+
+
+def _bank_with_nan(path):
+    """link_gains on a two-user bank of ones with one NaN path gain."""
+    bank = np.ones((2, 16), dtype=complex)
+    bank[1, path] = math.nan
+    return link_gains(bank, RakeSelector(0.5), SpreadingConfig(2, 8), 1e-9)
+
+
+_LSA_POINT = LsaParams(rho=10.0, beta=0.1, load=0.25, gain=100, users=4,
+                       sigma_sq=1e-9, chips_per_frame=100)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: UtilityParams(max_power=math.nan), "max_power must be positive"),
+    (lambda: UtilityParams(rate_bps=math.nan), "rate_bps must be positive"),
+    (lambda: _with_nan("h_sp"), "h_sp must be positive"),
+    (lambda: _with_nan("h_si"), "interference gains must be non-negative"),
+    (lambda: _with_nan("h_mai"), "interference gains must be non-negative"),
+    (lambda: _with_nan("sigma_sq"), "sigma_sq must be non-negative"),
+    (lambda: dataclasses.replace(_LSA_POINT, gain=math.nan), "processing gain must be >= 1"),
+    (lambda: dataclasses.replace(_LSA_POINT, sigma_sq=math.nan), "sigma_sq must be positive"),
+    (lambda: dataclasses.replace(_LSA_POINT, users=math.nan), "users must be >= 1"),
+    (lambda: SpreadingConfig(math.nan, 8), "frames must be >= 1"),
+    (lambda: SpreadingConfig(2, math.nan), "chips_per_frame must be >= 1"),
+    (lambda: ApdpProfile(math.nan, 10.0), "path_count must be >= 1"),
+    # on a finger the NaN reaches h_sp, past the fingers only h_si and h_mai
+    (lambda: _bank_with_nan(0), "h_sp must be positive"),
+    (lambda: _bank_with_nan(15), "interference gains must be non-negative"),
+], ids=["max_power", "rate_bps", "h_sp", "h_si", "h_mai", "gains_sigma_sq",
+        "lsa_gain", "lsa_sigma_sq", "lsa_users", "frames", "chips_per_frame",
+        "apdp_path_count", "finger_path", "later_path"])
+def test_public_inputs_reject_nan(build, message):
+    # each check is the negated accepting comparison, which a NaN fails
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_array_targets_against_bisection():
