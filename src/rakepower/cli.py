@@ -24,7 +24,6 @@ import math
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -32,13 +31,12 @@ import click
 import numpy as np
 
 from . import __version__
-from .channel import ApdpProfile, _normals, _trial_streams, sample_topology
+from .channel import ApdpProfile, _trial_blocks
 from .gains import LinkGains, RakeSelector, SpreadingConfig, link_gains
 from .game import _outage, gamma_star, solve_equilibrium
 from .lsa import _UTILITY, LsaParams, loss_db, min_frames, mu, nu, predict_utility
 from .oracle import oracle_audit
 
-_D_MIN, _D_MAX = 3.0, 20.0
 _RHO_DB_GRID = (0.0, 10.0, 20.0)
 _LOAD_GRID = (0.25, 1.0, 4.0)
 _BETA_BANKS = (1.0, 0.5, 0.3, 0.1)
@@ -70,17 +68,17 @@ class ExperimentConfig:
     sigma_sq: float = 5e-16
 
     def __post_init__(self):
-        if self.users < 1:
+        if not self.users >= 1:
             raise ValueError("users must be >= 1")
-        if self.paths < 2:
+        if not self.paths >= 2:
             raise ValueError("paths must be >= 2")
-        if self.chips < 1:
+        if not self.chips >= 1:
             raise ValueError("chips must be >= 1")
-        if self.frames < 1:
+        if not self.frames >= 1:
             raise ValueError("frames must be >= 1")
-        if self.trials < 1:
+        if not self.trials >= 1:
             raise ValueError("trials must be >= 1")
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise ValueError("seed must be >= 0")
         if not 0 <= self.rho_db <= _RHO_DB_MAX:
             raise ValueError(f"rho_db must lie in [0, {_RHO_DB_MAX:g}] (a non-increasing "
@@ -208,27 +206,6 @@ def _or_nan(closed_form, *args):
         return math.nan
 
 
-def _trial_blocks(config: ExperimentConfig, stop: int):
-    """Trials 0..stop-1 in blocks of up to _TRIAL_BLOCK: yields each
-    block's trial range, its (T, K) user variances and its (T, K, L)
-    complex normals, which ApdpProfile.path_gains scales to any decay ratio.
-
-    Each trial is drawn on its own substreams (user variances keyed by
-    trial, normals by trial and user), so the draws do not depend on how the
-    trials are blocked. The streams come from channel._trial_streams, which
-    derives the keys of a fixed chunk of trials in one pass, so memory
-    stays flat in the trial count.
-    """
-    K = config.users
-    places = _trial_streams(config.seed, stop)
-    channels = _trial_streams(config.seed, stop, np.arange(K))
-    for start in range(0, stop, _TRIAL_BLOCK):
-        trials = range(start, min(start + _TRIAL_BLOCK, stop))
-        variances = np.stack([sample_topology(K, _D_MIN, _D_MAX, rng)
-                              for rng in islice(places, len(trials))])
-        yield trials, variances, _normals(channels, len(trials), K, config.paths)
-
-
 def _one_beta(config: ExperimentConfig, study: str) -> float:
     """The single combining fraction a study runs at: 0.1 unless set."""
     if len(config.betas) > 1:
@@ -268,7 +245,8 @@ def run_po_vs_frames(config: ExperimentConfig):
     rhos = [10.0 ** (rho_db / 10.0) for rho_db in _RHO_DB_GRID]
     profiles = [ApdpProfile(config.paths, rho) for rho in rhos]
     outages = np.zeros((len(rhos), frames_max), dtype=np.int64)
-    for trials, variances, normals in _trial_blocks(config, config.trials):
+    for trials, variances, normals in _trial_blocks(
+            config.seed, range(config.trials), config.users, config.paths, _TRIAL_BLOCK):
         units = [link_gains(p.path_gains(variances, normals), selector, spreading_unit,
                             config.sigma_sq) for p in profiles]
         # (ratios, trials, 1, ...) stacks: dividing by the frame counts fills
@@ -318,7 +296,8 @@ def run_utility_vs_gain(config: ExperimentConfig):
                                    for beta in betas]) / 10.0)
     sq_err_sums = np.zeros(len(betas))
     kept = np.zeros(len(betas), dtype=np.int64)
-    for trials, variances, normals in _trial_blocks(config, config.trials + 1):
+    for trials, variances, normals in _trial_blocks(
+            config.seed, range(config.trials + 1), config.users, config.paths, _TRIAL_BLOCK):
         block = profile.path_gains(variances, normals)
         energy = np.sum(np.abs(block) ** 2, axis=-1)
         pred_full = _or_nan(predict_utility, params_full, energy)

@@ -60,7 +60,7 @@ class RakeSelector:
         so that fractions with no exact binary representation (0.3 * 200)
         still select the intended finger count.
         """
-        if path_count < 1:
+        if not path_count >= 1:
             raise ValueError("path_count must be >= 1")
         return max(1, math.floor(self.finger_fraction * path_count + 1e-9))
 
@@ -84,7 +84,7 @@ class SpreadingConfig:
 
     def load_factor(self, path_count: int) -> float:
         """Chips per frame relative to the channel length."""
-        if path_count < 1:
+        if not path_count >= 1:
             raise ValueError("path_count must be >= 1")
         return self.chips_per_frame / path_count
 
@@ -274,12 +274,12 @@ def link_gains(alphas: np.ndarray,
         # the maximal-ratio weights: the path gains on the first P fingers
         fingers = A[..., :P]
         h_sp[s] = np.einsum("...l,...l->...", fingers.conj(), fingers).real
-        if np.any(h_sp[s] <= 0):
-            bad = np.argwhere(h_sp[s] <= 0)
+        bad = np.argwhere(~(h_sp[s] > 0))
+        if bad.size:
             axes = "(selector, ..., user)" if several else "(..., user)"
             if several:
                 bad = np.insert(bad, 0, s, axis=1)
-            raise ValueError(f"zero combining gain at {axes} {bad.tolist()}")
+            raise ValueError(f"no positive combining gain at {axes} {bad.tolist()}")
         if method == "dense":
             si, cross = _dense_numerators(A, fingers, phi_sq)
         else:

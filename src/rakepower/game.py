@@ -36,7 +36,7 @@ class UtilityParams:
     max_power: float = 1e-6
 
     def __post_init__(self):
-        if self.packet_bits < 2:
+        if not self.packet_bits >= 2:
             raise ValueError("packet_bits must be >= 2")
         if not 0 < self.data_bits <= self.packet_bits:
             raise ValueError("data_bits must be in 1..packet_bits")

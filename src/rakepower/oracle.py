@@ -55,7 +55,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import ApdpProfile, _normals, _trial_streams
+from .channel import ApdpProfile, _trial_normals
 from .gains import RakeSelector, _fast_len, _phi_squared
 from .game import efficiency
 from .lsa import _UTILITY, LsaParams, loss_db, mu, nu, predict_power
@@ -293,8 +293,8 @@ def mc_gain_ratio(path_count: int, rho: float, beta: float,
     """Monte Carlo average of total-to-combined channel energy.
 
     Draws independent unit-variance channel realizations (trial t from
-    the (t, 0) substream, a block of trials at a time, the streams derived
-    a chunk of trials at a time), forms ||alpha||^2
+    the (t, 0) substream, through channel._trial_normals a block of trials
+    at a time), forms ||alpha||^2
     over the energy captured by the combined fingers, and averages; the
     mean approaches mu(rho, beta) as the path count grows.
     """
@@ -304,11 +304,8 @@ def mc_gain_ratio(path_count: int, rho: float, beta: float,
     fingers = RakeSelector(beta).finger_count(path_count)
     block = max(1, _MC_BLOCK_TAPS // path_count)
     ratios = np.empty(trials)
-    streams = _trial_streams(master_seed, trials, 0)
-    for start in range(0, trials, block):
-        ts = range(start, min(start + block, trials))
-        a = profile.path_gains(1.0, _normals(streams, len(ts), 1, path_count)[:, 0])
-        energy = np.abs(a) ** 2
+    for ts, normals in _trial_normals(master_seed, range(trials), 1, path_count, block):
+        energy = np.abs(profile.path_gains(1.0, normals[:, 0])) ** 2
         ratios[ts.start:ts.stop] = energy.sum(axis=-1) / energy[:, :fingers].sum(axis=-1)
     return McEstimate(mean=float(ratios.mean()),
                       se=float(ratios.std(ddof=1) / math.sqrt(trials)))

