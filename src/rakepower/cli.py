@@ -76,8 +76,9 @@ class ExperimentConfig:
             raise ValueError("chips must be >= 1")
         if not self.frames >= 1:
             raise ValueError("frames must be >= 1")
-        if not self.trials >= 1:
-            raise ValueError("trials must be >= 1")
+        # each trial index is one stream key word, and utility-gain's run 0 to trials
+        if not 1 <= self.trials <= 2**32 - 1:
+            raise ValueError(f"trials must be >= 1 and <= {2**32 - 1}")
         if not self.seed >= 0:
             raise ValueError("seed must be >= 0")
         if not 0 <= self.rho_db <= _RHO_DB_MAX:
@@ -96,8 +97,8 @@ class ExperimentConfig:
     def lsa_params(self, beta: float, rho: float | None = None,
                    chips: int | None = None) -> LsaParams:
         spreading = SpreadingConfig(self.frames, self.chips if chips is None else chips)
-        return LsaParams.from_spreading(spreading, self.paths, rho=self.rho if rho is None else rho,
-                                        beta=beta, users=self.users, sigma_sq=self.sigma_sq)
+        return LsaParams(rho=self.rho if rho is None else rho, beta=beta, users=self.users,
+                         sigma_sq=self.sigma_sq, spreading=spreading, path_count=self.paths)
 
 
 def _floats(val: str) -> tuple[float, ...]:
@@ -402,7 +403,7 @@ def run_validate(config: ExperimentConfig):
             raise click.ClickException(
                 f"infeasible operating point {point}: the interference mass exceeds "
                 "the processing gain, so there is nothing to audit")
-        audit = oracle_audit(paths, params, mc_trials=trials, master_seed=config.seed)
+        audit = oracle_audit(params, mc_trials=trials, master_seed=config.seed)
     except ValueError as exc:
         raise click.ClickException(f"cannot audit {point}: {exc}") from exc
     fields = ["name", "kind", "value", "reference", "rel_err", "tol",

@@ -181,34 +181,34 @@ def _nu_branch(rho, beta, load, region: int):
 class LsaParams:
     """Operating point for the large-system predictions.
 
-    load is chips per frame over path count; gain is the total processing
-    gain (frames times chips per frame).
+    load (chips per frame over path count) and gain (frames times chips per
+    frame) derive from spreading and path_count, as in link_gains.
     """
 
     rho: float
     beta: float
-    load: float
-    gain: int
     users: int
     sigma_sq: float
-    chips_per_frame: int
+    spreading: SpreadingConfig
+    path_count: int
 
     def __post_init__(self):
         _check(self.rho, self.beta, self.load)
-        if not self.gain >= 1:
-            raise ValueError("processing gain must be >= 1")
         if not self.users >= 1:
             raise ValueError("users must be >= 1")
         if not self.sigma_sq > 0:
             raise ValueError("sigma_sq must be positive")
 
-    @classmethod
-    def from_spreading(cls, spreading: SpreadingConfig, path_count: int,
-                       rho: float, beta: float, users: int,
-                       sigma_sq: float) -> "LsaParams":
-        return cls(rho=rho, beta=beta, load=spreading.load_factor(path_count),
-                   gain=spreading.processing_gain, users=users,
-                   sigma_sq=sigma_sq, chips_per_frame=spreading.chips_per_frame)
+    # the constructor under the keyword name perfbench/checks.py calls
+    from_spreading = classmethod(lambda cls, **fields: cls(**fields))
+
+    @property
+    def load(self) -> float:
+        return self.spreading.load_factor(self.path_count)
+
+    @property
+    def gain(self) -> int:
+        return self.spreading.processing_gain
 
     @property
     def mu(self) -> float:
@@ -269,7 +269,7 @@ def min_frames(params: LsaParams) -> int:
     spreading.
     """
     gam = gamma_star(math.inf, _UTILITY.packet_bits)
-    raw = _interference_mass(params, gam) / params.chips_per_frame
+    raw = _interference_mass(params, gam) / params.spreading.chips_per_frame
     frames = max(1, math.ceil(raw))
     if frames == raw:
         frames += 1

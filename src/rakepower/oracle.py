@@ -12,11 +12,12 @@ block over the overlap-count case table written once in _overlap_blocks
 (above 32 paths each correlates by FFT, up to 32 directly), estimates
 the same ratios by Monte Carlo over random channels, and assembles
 everything into an audit report with one row per intermediate quantity.
-The audit is one call on one LsaParams operating point; it evaluates
-each finite sum on the decaying profile once (the tap vector, the
-densities, the cross lag masses, and each route's lag sums per finger
-count, which _mass weights by each chip count's collision weights in
-one dot product) and every row that needs a sum reads it.
+The audit is one call on one LsaParams operating point, which carries
+its path count and chips per frame; it evaluates each finite sum on the
+decaying profile once (the tap vector, the densities, the cross lag
+masses, and each route's lag sums per finger count, which _mass weights
+by each chip count's collision weights in one dot product) and every row
+that needs a sum reads it.
 
 Three kinds of rows appear in the report: "limit" rows compare a finite-L
 sum against the closed form it converges to (tolerance around 1% at
@@ -487,12 +488,11 @@ _REGION_POINTS = {1: (0.3, 0.2), 2: (0.3, 0.5), 3: (0.7, 0.5),
                   4: (0.7, 0.8), 5: (0.7, 2.0)}
 
 
-def oracle_audit(path_count: int, params: LsaParams, *, mc_trials: int,
-                 master_seed: int) -> list[AuditRow]:
+def oracle_audit(params: LsaParams, *, mc_trials: int, master_seed: int) -> list[AuditRow]:
     """Certify the closed forms at one operating point, in derivation order.
 
-    params is the operating point, with chips_per_frame equal to its load
-    times path_count. The rows come in two parts. First the coefficients:
+    params is the operating point; the finite sums run over its path count
+    at its chips per frame. The rows come in two parts. First the coefficients:
     convergence of mu, of nu in each of its five regions and at the
     operating point, and the flat-profile / full-combining limit subcases,
     whose finite sums admit exact rational or moment-identity references
@@ -510,13 +510,11 @@ def oracle_audit(path_count: int, params: LsaParams, *, mc_trials: int,
     before the next group. The value rows raise if the two routes
     split, and the decomposition rows report them.
     """
-    L, rho, beta, load = path_count, params.rho, params.beta, params.load
-    chips = params.chips_per_frame
+    L, rho, beta, load = params.path_count, params.rho, params.beta, params.load
+    chips = params.spreading.chips_per_frame
     if L < 3:
         raise ValueError("path_count must be >= 3, so that every region point "
                          "has a chip per frame")
-    if abs(chips - load * L) > 1e-9:
-        raise ValueError("params.chips_per_frame must equal load times path_count")
     v, fingers = _profile(L, rho, beta)
     den_f = _captured_density(v, fingers)
     den_c = _captured_density_closed(rho, beta)

@@ -20,8 +20,9 @@ from rakepower.cli import (_EVERY_FIELD, ExperimentConfig, run_po_vs_frames,
                            run_utility_vs_gain, write_csv)
 from rakepower.lsa import _nu_branch
 
-_REFERENCE = dict(rho=10.0, load=0.25, gain=1000, users=8, sigma_sq=5e-16,
-                  chips_per_frame=50)
+# load 50 / 200 = 0.25, gain 20 * 50 = 1000
+_REFERENCE = dict(rho=10.0, users=8, sigma_sq=5e-16,
+                  spreading=SpreadingConfig(20, 50), path_count=200)
 
 
 def test_c1_partial_combining_penalty():
@@ -68,7 +69,7 @@ def test_c3_prediction_error_against_simulation():
 
 def test_c4_oracle_audit_at_reference_size():
     t0 = time.perf_counter()
-    rows = oracle_audit(4000, ExperimentConfig(paths=4000, chips=1000).lsa_params(0.1),
+    rows = oracle_audit(ExperimentConfig(paths=4000, chips=1000).lsa_params(0.1),
                         mc_trials=500, master_seed=20240)
     failures = [r.name for r in rows if not r.passed]
     assert failures == []
@@ -180,8 +181,10 @@ def test_c7_monotonicity_suite():
 
     # the combining penalty falls with fraction, decay, and load
     def pen(beta=0.1, rho=10.0, load=0.25):
-        return loss_db(LsaParams(beta=beta, **{**_REFERENCE, "rho": rho,
-                                               "load": load}))
+        # 10 frames of 100 chips over 100 / load paths: gain 1000 at every load
+        return loss_db(LsaParams(beta=beta, **{
+            **_REFERENCE, "rho": rho, "spreading": SpreadingConfig(10, 100),
+            "path_count": round(100 / load)}))
 
     vals = [pen(beta=b) for b in beta_grid]
     assert all(a > b for a, b in zip(vals, vals[1:]))

@@ -528,6 +528,20 @@ def test_tiny_beta_gives_nan_cells_or_one_error_line(tmp_path, capsys, args, cod
         assert "nan" in cells
 
 
+@pytest.mark.parametrize("name", ["utility-gain", "po-frames", "validate"])
+def test_trials_past_the_stream_key_range_are_a_usage_error(tmp_path, capsys, name):
+    # each trial index is one stream key word in [0, 2^32), and utility-gain
+    # runs trials 0 to --trials: 2^32 is refused before any study runs
+    out = tmp_path / "out.csv"
+    assert main([name, "--trials", str(2**32), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("Error:")] == [err.strip()]
+    assert f"trials must be >= 1 and <= {2**32 - 1}" in err
+    assert not out.exists()
+    # the largest count is accepted; no study runs at that size here
+    assert ExperimentConfig(trials=2**32 - 1).trials == 2**32 - 1
+
+
 # the flags each command's runner reads; every command also takes --out and
 # --config, and sigma_sq is a config-file key only
 _READS = {

@@ -164,8 +164,8 @@ def _bank_with_nan(path, selectors=RakeSelector(0.5)):
     return link_gains(bank, selectors, SpreadingConfig(2, 8), 1e-9)
 
 
-_LSA_POINT = LsaParams(rho=10.0, beta=0.1, load=0.25, gain=100, users=4,
-                       sigma_sq=1e-9, chips_per_frame=100)
+_LSA_POINT = LsaParams(rho=10.0, beta=0.1, users=4, sigma_sq=1e-9,
+                       spreading=SpreadingConfig(1, 100), path_count=400)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -175,7 +175,7 @@ _LSA_POINT = LsaParams(rho=10.0, beta=0.1, load=0.25, gain=100, users=4,
     (lambda: _with_nan("h_si"), "interference gains must be non-negative"),
     (lambda: _with_nan("h_mai"), "interference gains must be non-negative"),
     (lambda: _with_nan("sigma_sq"), "sigma_sq must be non-negative"),
-    (lambda: dataclasses.replace(_LSA_POINT, gain=math.nan), "processing gain must be >= 1"),
+    (lambda: dataclasses.replace(_LSA_POINT, path_count=math.nan), "path_count must be >= 1"),
     (lambda: dataclasses.replace(_LSA_POINT, sigma_sq=math.nan), "sigma_sq must be positive"),
     (lambda: dataclasses.replace(_LSA_POINT, users=math.nan), "users must be >= 1"),
     (lambda: SpreadingConfig(math.nan, 8), "frames must be >= 1"),
@@ -193,7 +193,7 @@ _LSA_POINT = LsaParams(rho=10.0, beta=0.1, load=0.25, gain=100, users=4,
     *((lambda field=field: ExperimentConfig(**{field: math.nan}), f"{field} must be >= ")
       for field in ("users", "paths", "chips", "frames", "trials", "seed")),
 ], ids=["max_power", "rate_bps", "h_sp", "h_si", "h_mai", "gains_sigma_sq",
-        "lsa_gain", "lsa_sigma_sq", "lsa_users", "frames", "chips_per_frame",
+        "lsa_path_count", "lsa_sigma_sq", "lsa_users", "frames", "chips_per_frame",
         "apdp_path_count", "finger_path", "finger_path_selectors", "later_path",
         "packet_bits", "load_factor", "finger_count", "config_users", "config_paths",
         "config_chips", "config_frames", "config_trials", "config_seed"])

@@ -8,16 +8,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rakepower import (LsaParams, UtilityParams, efficiency, gamma_star,
+from rakepower import (LsaParams, SpreadingConfig, UtilityParams, efficiency, gamma_star,
                        loss_db, min_frames, mu, nu, predict_power, predict_utility)
 from rakepower.lsa import _nu_branch, _region
 
 GAMMA_INF = 12.949200759178689
 
 
-def _params(beta, rho=10.0, load=0.25, gain=1000, users=8, chips=50):
-    return LsaParams(rho=rho, beta=beta, load=load, gain=gain, users=users,
-                     sigma_sq=5e-16, chips_per_frame=chips)
+def _params(beta, rho=10.0, frames=20, chips=50, paths=200, users=8):
+    """The reference system: load 50 / 200 = 0.25, gain 20 * 50 = 1000."""
+    return LsaParams(rho=rho, beta=beta, users=users, sigma_sq=5e-16,
+                     spreading=SpreadingConfig(frames, chips), path_count=paths)
 
 
 # -- cross coefficient -------------------------------------------------------
@@ -258,22 +259,24 @@ def test_utility_power_product_identity():
 
 
 def test_prediction_infeasible_raises():
-    p = _params(0.1, gain=40)  # tiny gain cannot carry 8 users
+    # gain 4 * 10 = 40 at load 10 / 40 = 0.25 cannot carry 8 users
+    tiny = dict(frames=4, chips=10, paths=40)
+    p = _params(0.1, **tiny)
     with pytest.raises(ValueError, match="infeasible"):
         predict_power(p, 0.001)
     with pytest.raises(ValueError, match="infeasible"):
         predict_utility(p, 0.001)
-    # at gain 200 full combining carries the 8 users (budget +91 at the
-    # asymptotic target) and partial combining does not (-236): the loss
-    # raises on the partial half alone
-    full, partial = _params(1.0, gain=200), _params(0.1, gain=200)
+    # at gain 4 * 50 = 200 full combining carries the 8 users (budget +91
+    # at the asymptotic target) and partial combining does not (-236): the
+    # loss raises on the partial half alone
+    full, partial = _params(1.0, frames=4), _params(0.1, frames=4)
     for p, budget in ((full, 91.0), (partial, -236.0)):
         assert 200 - GAMMA_INF * (7 * p.mu + p.nu) == pytest.approx(budget, abs=0.5)
     assert predict_power(full, 0.001) > 0
-    for gain in (200, 40):
+    for point in (dict(frames=4), tiny):
         for asymptotic in (True, False):
             with pytest.raises(ValueError, match="infeasible"):
-                loss_db(_params(0.1, gain=gain), asymptotic_target=asymptotic)
+                loss_db(_params(0.1, **point), asymptotic_target=asymptotic)
 
 
 # -- design rules ------------------------------------------------------------
@@ -285,14 +288,15 @@ def test_min_frames_reference_points():
 
 
 def test_min_frames_clamps_to_one():
-    p = _params(0.5, users=1, chips=100000)
+    # one user sending one frame of 50 chips needs no second frame
+    p = _params(0.5, users=1, frames=1)
     assert min_frames(p) == 1
 
 
 def test_min_frames_needs_chips():
-    # chips_per_frame is a required field, so no operating point lacks it
-    with pytest.raises(TypeError, match="chips_per_frame"):
-        LsaParams(rho=10.0, beta=0.5, load=0.25, gain=1000, users=8, sigma_sq=5e-16)
+    # the spreading is a required field, so no operating point lacks chips per frame
+    with pytest.raises(TypeError, match="spreading"):
+        LsaParams(rho=10.0, beta=0.5, users=8, sigma_sq=5e-16, path_count=200)
 
 
 def test_loss_reference_points():
@@ -323,15 +327,21 @@ def test_loss_monotone_in_beta():
 
 
 def test_lsa_params_validation():
+    point = dict(rho=10.0, beta=0.5, users=2, sigma_sq=1e-12,
+                 spreading=SpreadingConfig(2, 50), path_count=200)
     with pytest.raises(ValueError):
-        LsaParams(rho=0.5, beta=0.5, load=0.25, gain=100, users=2, sigma_sq=1e-12,
-                  chips_per_frame=50)
+        LsaParams(**{**point, "rho": 0.5})
     with pytest.raises(ValueError):
-        LsaParams(rho=10.0, beta=0.0, load=0.25, gain=100, users=2, sigma_sq=1e-12,
-                  chips_per_frame=50)
+        LsaParams(**{**point, "beta": 0.0})
+    with pytest.raises(ValueError, match="path_count must be >= 1"):
+        LsaParams(**{**point, "path_count": 0})
     with pytest.raises(ValueError):
-        LsaParams(rho=10.0, beta=0.5, load=0.25, gain=0, users=2, sigma_sq=1e-12,
-                  chips_per_frame=50)
-    with pytest.raises(ValueError):
-        LsaParams(rho=10.0, beta=0.5, load=0.25, gain=100, users=2, sigma_sq=0.0,
-                  chips_per_frame=50)
+        LsaParams(**{**point, "sigma_sq": 0.0})
+
+
+def test_lsa_params_derive_load_and_gain_from_the_spreading():
+    p = _params(0.1)
+    assert (p.load, p.gain) == (0.25, 1000)
+    # the keyword alias the benchmark's output checks call
+    assert LsaParams.from_spreading(spreading=SpreadingConfig(20, 50), path_count=200,
+                                    rho=10.0, beta=0.1, users=8, sigma_sq=5e-16) == p

@@ -468,7 +468,7 @@ def _point(L, rho=10.0, beta=0.1, load=0.25):
 
 
 def _audit(L, mc_trials=500, **point):
-    return oracle_audit(L, _point(L, **point), mc_trials=mc_trials, master_seed=20240)
+    return oracle_audit(_point(L, **point), mc_trials=mc_trials, master_seed=20240)
 
 
 def test_audit_all_rows_pass_at_moderate_size():

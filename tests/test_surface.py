@@ -1,4 +1,4 @@
-"""The package root: the README example, the star import, and the names
+"""The package root: the README examples, the star import, and the names
 the benchmark's output checks import."""
 
 import importlib.util
@@ -17,6 +17,19 @@ def test_readme_library_example_runs(capsys):
     [block] = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_config_example_runs(tmp_path, capsys):
+    # a utility-gain config, which po-frames refuses for its rho-db
+    readme = (ROOT / "README.md").read_text()
+    [block] = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(block)
+    out = tmp_path / "out.csv"
+    assert main(["utility-gain", "--config", str(cfg), "--trials", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["po-frames", "--config", str(cfg)]) == 1
+    assert "po-frames does not read rho_db" in capsys.readouterr().err
 
 
 def test_star_import_resolves_every_exported_name():
