@@ -47,9 +47,16 @@ _LOSS_CHIPS = (50, 200)
 # load) with beta, load <= 1), and at 600 dB rho^5 = 1e300 stays inside
 # the double range (about 1.8e308), where 620 dB would overflow
 _RHO_DB_MAX = 600.0
-# trials per (T, K, L) block in the simulating studies: peak RSS grows by
-# about 0.27 MB per trial held, and large stacks are memory-bound
+# trials per (T, K, L) block of draws and spectra in the simulating
+# studies: peak RSS grows by about 0.27 MB per trial held, and large stacks
+# are memory-bound
 _TRIAL_BLOCK = 4
+# trials per equilibrium solve in utility-gain, a multiple of _TRIAL_BLOCK:
+# its inputs are the blocks' gains, K^2 + 2K doubles per bank, and the
+# solve costs more per call than per bank. At the reference system it took
+# 73, 33, 25 and 22 us per trial on stacks of 4, 16, 32 and 64 trials, at
+# traced peaks of 37, 140, 278 and 489 KiB
+_SOLVE_TRIALS = 64
 
 
 @dataclass(frozen=True)
@@ -269,6 +276,22 @@ def run_po_vs_frames(config: ExperimentConfig):
     return fields, rows
 
 
+def _chunk_gains(config: ExperimentConfig, chunk: range, profile: ApdpProfile,
+                 selectors: Sequence[RakeSelector],
+                 spreading: SpreadingConfig) -> tuple[np.ndarray, LinkGains]:
+    """A chunk of trials' (T, K) channel energies and (S, T, K[, K]) gains,
+    taken block by block, keeping only each block's energies and gains."""
+    energies, stacks = [], []
+    for _, variances, normals in _trial_blocks(config.seed, chunk, config.users,
+                                               config.paths, _TRIAL_BLOCK):
+        block = profile.path_gains(variances, normals)
+        energies.append(np.sum(np.abs(block) ** 2, axis=-1))
+        stacks.append(link_gains(block, selectors, spreading, config.sigma_sq))
+    fields = zip(*((g.h_sp, g.h_si, g.h_mai) for g in stacks))
+    return np.concatenate(energies), LinkGains(
+        *(np.concatenate(field, axis=1) for field in fields), config.sigma_sq)
+
+
 def run_utility_vs_gain(config: ExperimentConfig):
     """Equilibrium utilities against channel gain for one shared draw.
 
@@ -277,12 +300,13 @@ def run_utility_vs_gain(config: ExperimentConfig):
     across fractions reflects combining alone. The nmse column reports,
     per fraction, the mean squared relative error of the full-combining
     prediction scaled down by the combining penalty against simulated
-    utilities over fresh trials (trial indices 1 onward). Trials go in
-    blocks of a few, trial 0 in the first: each block is drawn once, gets
-    one link_gains call for every fraction (the path-gain spectra are
-    taken once and shared) and one solve of the (fractions, trials, users)
-    stack. A trial with a clamped user at a fraction is left out of that
-    fraction's nmse (its utility measures the power cap, not the
+    utilities over fresh trials (trial indices 1 onward). Trials are drawn
+    in blocks of a few, trial 0 in the first: each block is drawn once and
+    gets one link_gains call for every fraction (the path-gain spectra are
+    taken once and shared). Only the blocks' energies and gains are kept,
+    and each chunk of 64 trials gets one solve of its (fractions, trials,
+    users) stack. A trial with a clamped user at a fraction is left out of
+    that fraction's nmse (its utility measures the power cap, not the
     prediction); the count left out goes to stderr. A fraction
     with every trial left out, or with an infeasible large-system
     operating point, gets a nan nmse and a stderr line saying why. A
@@ -297,22 +321,24 @@ def run_utility_vs_gain(config: ExperimentConfig):
                                    for beta in betas]) / 10.0)
     sq_err_sums = np.zeros(len(betas))
     kept = np.zeros(len(betas), dtype=np.int64)
-    for trials, variances, normals in _trial_blocks(
-            config.seed, range(config.trials + 1), config.users, config.paths, _TRIAL_BLOCK):
-        block = profile.path_gains(variances, normals)
-        energy = np.sum(np.abs(block) ** 2, axis=-1)
+    every_trial = range(config.trials + 1)
+    for first in range(0, len(every_trial), _SOLVE_TRIALS):
+        chunk = every_trial[first:first + _SOLVE_TRIALS]
+        energy, stack = _chunk_gains(config, chunk, profile, selectors, spreading)
         pred_full = _or_nan(predict_utility, params_full, energy)
-        stack = link_gains(block, selectors, spreading, config.sigma_sq)
         outcome = solve_equilibrium(stack, _UTILITY)
-        _certify(outcome.converged, trials)
-        if trials.start == 0:
-            channel_gain, h_sp0 = energy[0], stack.h_sp[:, 0]
-            powers0, utilities0 = outcome.powers[:, 0], outcome.utilities[:, 0]
+        _certify(outcome.converged, chunk)
+        if chunk.start == 0:
+            # copies: views would keep the first chunk's arrays alive
+            channel_gain, h_sp0 = energy[0].copy(), stack.h_sp[:, 0].copy()
+            powers0, utilities0 = outcome.powers[:, 0].copy(), outcome.utilities[:, 0].copy()
         u = outcome.utilities
         sq_err = ((pred_full / penalties[:, None, None] - u) / u) ** 2
-        keep = ~outcome.clamped.any(axis=-1) & (np.asarray(trials) > 0)
+        keep = ~outcome.clamped.any(axis=-1) & (np.asarray(chunk) > 0)
         sq_err_sums += np.where(keep[..., None], sq_err, 0.0).sum(axis=(1, 2))
         kept += keep.sum(axis=1)
+        # this chunk's gains and equilibria go before the next chunk's spectra
+        del energy, stack, pred_full, outcome, u, sq_err
     excluded = config.trials - kept
     with np.errstate(invalid="ignore"):
         nmses = sq_err_sums / (kept * config.users)

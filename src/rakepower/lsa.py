@@ -22,18 +22,13 @@ an exact 1 at beta = 1, so the full-combining penalty is exactly 0 dB.
 from __future__ import annotations
 
 import dataclasses
-import decimal
 import functools
-import logging
 import math
-from decimal import Decimal
 
 import numpy as np
 
 from .game import UtilityParams, efficiency, gamma_star
 from .gains import SpreadingConfig
-
-logger = logging.getLogger(__name__)
 
 # below min(beta, load) ln(rho) = _NEAR_FLAT the generic nu branches cancel
 # in floats and run on decimals; below _NEAR_FLAT_MIN they are not
@@ -118,7 +113,8 @@ def nu(rho: float, beta: float, load: float) -> float:
         elif depth >= _NEAR_FLAT:
             value = _nu_branch(rho, beta, load, region)
         else:
-            with decimal.localcontext() as ctx:
+            from decimal import Decimal, localcontext
+            with localcontext() as ctx:
                 ctx.prec = _NEAR_FLAT_DIGITS
                 value = float(_nu_branch(Decimal(rho), Decimal(beta), Decimal(load), region))
     except ArithmeticError:
@@ -145,12 +141,12 @@ def _nu_branch(rho, beta, load, region: int):
     """One analytic branch of nu, evaluated without the region dispatch.
 
     The literals are integers, so the same expression evaluates on floats
-    or on decimal.Decimal. Branches stay finite slightly outside their own
-    region, which lets the continuity of the piecewise definition be
-    checked at the breakpoints.
+    or on decimal.Decimal, whose logarithm is its own ln method. Branches
+    stay finite slightly outside their own region, which lets the
+    continuity of the piecewise definition be checked at the breakpoints.
     """
     r, b, lam = rho, beta, load
-    lr = r.ln() if isinstance(r, Decimal) else math.log(r)
+    lr = r.ln() if hasattr(r, "ln") else math.log(r)
     if region == 1:
         num = r * (r ** lam - 1) * (4 * r ** (2 * b) + 3 * r ** lam - 1) \
             - 2 * r ** (b + lam) * (r ** b + 3 * r - 1) * lam * lr
@@ -274,7 +270,8 @@ def min_frames(params: LsaParams) -> int:
     if frames == raw:
         frames += 1
     if frames < 5:
-        logger.warning(
+        import logging
+        logging.getLogger(__name__).warning(
             "minimum frame count %d is below 5; the limiting coefficients "
             "are rough at such short spreading", frames)
     return frames

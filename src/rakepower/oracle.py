@@ -50,7 +50,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -60,6 +60,9 @@ from .channel import ApdpProfile, _trial_normals
 from .gains import RakeSelector, _fast_len, _phi_squared
 from .game import efficiency
 from .lsa import _UTILITY, LsaParams, loss_db, mu, nu, predict_power
+
+if TYPE_CHECKING:  # fractions imports decimal: loaded where the exact forms run
+    from fractions import Fraction
 
 # path counts up to which the self-lag routes correlate the taps without
 # an FFT (see _direct_lags for why)
@@ -247,6 +250,7 @@ def finite_nu(path_count: int, chips_per_frame: int, rho: float,
 
 def flat_mu_exact(path_count: int, finger_count: int) -> Fraction:
     """Exact rational value of the flat-profile finite mu: (L - 1) / L_P."""
+    from fractions import Fraction
     if not 1 <= finger_count <= path_count:
         raise ValueError("finger_count must be in 1..path_count")
     return Fraction(path_count - 1, finger_count)
@@ -260,6 +264,7 @@ def flat_nu_exact(path_count: int, finger_count: int,
     the double sum reduces to counting masked lags, weighted by the
     rational collision coefficients.
     """
+    from fractions import Fraction
     L, P, Nc = path_count, finger_count, chips_per_frame
     if not 1 <= P <= L:
         raise ValueError("finger_count must be in 1..path_count")

@@ -7,6 +7,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,23 +130,51 @@ def test_po_frames_draws_each_trial_once(monkeypatch, rho_db_grid):
     assert len(rows) == 25 * len(rho_db_grid)
 
 
-@pytest.mark.parametrize("trials", [3, 9])
-def test_utility_gain_draws_and_solves_each_trial_once(monkeypatch, trials):
+@pytest.mark.parametrize("trials, solve_trials", [
+    pytest.param(3, 64, id="3"), pytest.param(9, 64, id="9"),
+    # 11 trials over chunks of 8: blocks of 4, 4 | 3, and a solve per chunk
+    pytest.param(10, 8, id="10-chunks-of-8")])
+def test_utility_gain_draws_and_solves_each_trial_once(monkeypatch, trials, solve_trials):
     # trial 0, whose per-user rows the CSV prints, rides in the first block;
-    # each block gets one gains call for both fractions and one solve
+    # each block gets one gains call for both fractions, and each chunk of
+    # _SOLVE_TRIALS trials one solve
+    monkeypatch.setattr(cli, "_SOLVE_TRIALS", solve_trials)
     solves, gains_calls = [], []
     solve, gains = cli.solve_equilibrium, cli.link_gains
     keys = _record_keys(monkeypatch)
     monkeypatch.setattr(cli, "solve_equilibrium",
-                        lambda gains, params: solves.append(1) or solve(gains, params))
+                        lambda gains, params: solves.append(gains.h_sp.shape[1])
+                        or solve(gains, params))
     monkeypatch.setattr(cli, "link_gains",
                         lambda *args: gains_calls.append(1) or gains(*args))
     config = ExperimentConfig(users=3, paths=40, chips=10, trials=trials,
                               betas=(1.0, 0.3))
     run_utility_vs_gain(config)
     assert len(keys) == len(set(keys)) == (config.trials + 1) * (config.users + 1)
-    blocks = math.ceil((config.trials + 1) / cli._TRIAL_BLOCK)
-    assert len(solves) == len(gains_calls) == blocks
+    chunks = [len(range(config.trials + 1)[first:first + solve_trials])
+              for first in range(0, config.trials + 1, solve_trials)]
+    assert solves == chunks
+    assert len(gains_calls) == sum(math.ceil(n / cli._TRIAL_BLOCK) for n in chunks)
+
+
+def test_utility_gain_memory_is_flat_in_the_trial_count():
+    # draws and spectra live one block of trials at a time, and a chunk of
+    # solves keeps only its blocks' energies and gains: 100 doubles a trial
+    # at 4 users and 4 fractions, 51 KB for 64 trials. So the traced peak
+    # at 130 and at 260 trials (chunks of 64) stays within 128 KiB of the
+    # one-block peak at 3 trials. Holding a chunk's draws until its gains
+    # would keep 64 trials of (K, L) normals and path gains, 328 KB more
+    def peak(trials):
+        config = ExperimentConfig(users=4, paths=40, chips=10, trials=trials)
+        tracemalloc.start()
+        try:
+            run_utility_vs_gain(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    one_block = peak(3)
+    assert peak(130) <= one_block + 128 * 1024
+    assert peak(260) <= one_block + 128 * 1024
 
 
 def test_utility_gain_prediction_column(tmp_path):
@@ -354,14 +383,17 @@ def test_module_entrypoint_help():
 
 def test_cli_import_loads_no_scipy_and_the_numpy_submodules():
     # numpy loads numpy.random and numpy.fft lazily: importing them with the
-    # package keeps their cost in start-up rather than in the first study
+    # package keeps their cost in start-up rather than in the first study;
+    # decimal (nu near flat decay, fractions in the exact flat forms) and
+    # logging (min_frames below 5 frames) load only where they are used
     code = ("import sys, rakepower.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
-            "print('numpy.random' in sys.modules, 'numpy.fft' in sys.modules)")
+            "print('numpy.random' in sys.modules, 'numpy.fft' in sys.modules); "
+            "print('decimal' in sys.modules, 'logging' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["[]", "True True"]
+    assert proc.stdout.split("\n")[:3] == ["[]", "True True", "False False"]
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
@@ -540,6 +572,16 @@ def test_trials_past_the_stream_key_range_are_a_usage_error(tmp_path, capsys, na
     assert not out.exists()
     # the largest count is accepted; no study runs at that size here
     assert ExperimentConfig(trials=2**32 - 1).trials == 2**32 - 1
+
+
+def test_usage_error_exits_one_without_a_traceback():
+    # the README's exit-code contract at process level, through the entry
+    # point: a trial count past the 32-bit stream keys is a usage error
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "rakepower", "utility-gain",
+                           "--trials", str(2**32)], capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"trials must be >= 1 and <= {2**32 - 1}" in proc.stderr
 
 
 # the flags each command's runner reads; every command also takes --out and

@@ -1,6 +1,7 @@
 """Limiting interference coefficients and the predictions built on them."""
 
 import decimal
+import logging
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -10,7 +11,8 @@ import pytest
 
 from rakepower import (LsaParams, SpreadingConfig, UtilityParams, efficiency, gamma_star,
                        loss_db, min_frames, mu, nu, predict_power, predict_utility)
-from rakepower.lsa import _nu_branch, _region
+from rakepower.lsa import _nu_branch, _nu_flat, _region
+from rakepower.oracle import flat_nu_exact
 
 GAMMA_INF = 12.949200759178689
 
@@ -71,6 +73,44 @@ def test_nu_flat_forms():
     assert nu(1.0, 0.5, 0.25) == pytest.approx((2 * 0.25 + 2 * 0.5 - 4 * 0.25 * 0.5 + 0.0625) / 0.5, rel=1e-14)
     assert nu(1.0, 1.0, 0.25) == pytest.approx(2.3125 * 2.0 / 3.0, rel=1e-14)
     assert nu(1.0, 1.0, 4.0) == pytest.approx(2.0 / 12.0, rel=1e-14)
+
+
+def _neville_at_zero(hs, ys):
+    """The value at h = 0 of the polynomial through the points (hs, ys)."""
+    p = list(ys)
+    for m in range(1, len(hs)):
+        for i in range(len(hs) - m):
+            p[i] = (hs[i + m] * p[i] - hs[i] * p[i + 1]) / (hs[i + m] - hs[i])
+    return p[0]
+
+
+# (beta, load) in each region of nu, then (0.1, 0.25) and full combining,
+# with the region and the exact flat limit; beta L and load L are whole at
+# L = 20, 40, 60 and 80
+_FLAT_LIMITS = [
+    (Fraction(3, 10), Fraction(1, 5), 1, Fraction(29, 9)),
+    (Fraction(3, 10), Fraction(1, 2), 2, Fraction(23, 10)),
+    (Fraction(7, 10), Fraction(1, 2), 3, Fraction(1853, 1470)),
+    (Fraction(7, 10), Fraction(4, 5), 4, Fraction(997, 1176)),
+    (Fraction(7, 10), Fraction(2), 5, Fraction(143, 420)),
+    (Fraction(1, 10), Fraction(1, 4), 2, Fraction(169, 20)),
+    (Fraction(1), Fraction(1, 4), 3, Fraction(37, 24)),
+]
+
+
+@pytest.mark.parametrize("beta, load, region, limit", _FLAT_LIMITS)
+def test_nu_flat_forms_are_the_exact_finite_limits(beta, load, region, limit):
+    # the flat finite nu at L paths, beta L fingers and load L chips is a
+    # quadratic in h = 1/L, exact on rationals: Neville's scheme through
+    # three sizes gives its L -> infinity limit, and the next three sizes
+    # give it again; the region's flat form is that limit to a few ulps
+    def extrapolated(sizes):
+        return _neville_at_zero([Fraction(1, L) for L in sizes],
+                                [flat_nu_exact(L, int(beta * L), int(load * L)) for L in sizes])
+    assert extrapolated((20, 40, 60)) == extrapolated((40, 60, 80)) == limit
+    b, lam, exact = float(beta), float(load), float(limit)
+    assert _region(b, lam) == region
+    assert abs(_nu_flat(b, lam, region) - exact) <= 4 * math.ulp(exact)
 
 
 def _arake_nu(rho, load):
@@ -291,6 +331,18 @@ def test_min_frames_clamps_to_one():
     # one user sending one frame of 50 chips needs no second frame
     p = _params(0.5, users=1, frames=1)
     assert min_frames(p) == 1
+
+
+def test_min_frames_warns_below_five_frames(caplog):
+    # a count below 5 is returned but logged: the limiting coefficients are
+    # rough at such short spreading; the reference points log nothing
+    with caplog.at_level(logging.WARNING, logger="rakepower.lsa"):
+        assert min_frames(_params(0.5, users=1, frames=1)) == 1
+        assert [(r.name, r.levelno) for r in caplog.records] == [("rakepower.lsa", logging.WARNING)]
+        assert "minimum frame count 1 is below 5" in caplog.records[0].getMessage()
+        caplog.clear()
+        assert min_frames(_params(0.1)) == 9
+        assert caplog.records == []
 
 
 def test_min_frames_needs_chips():
