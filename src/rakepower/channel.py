@@ -30,6 +30,7 @@ bit, and memory stays flat in the trial count.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -85,6 +86,7 @@ class ApdpProfile:
     def __post_init__(self):
         if not self.path_count >= 1:
             raise ValueError("path_count must be >= 1")
+        operator.index(self.path_count)  # a non-integer count raises TypeError
         if not self.decay_ratio >= 1:
             raise ValueError("decay_ratio must be >= 1")
 

@@ -566,11 +566,10 @@ def _cmd_validate(**flags):
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run the CLI without exiting the interpreter; returns the exit code."""
+    """Run the CLI without exiting the interpreter; returns the exit code.
+    click itself returns the code of an exit such as --help's."""
     try:
         rv = cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
     except click.ClickException as exc:
         exc.show()
         return 1

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -62,6 +63,7 @@ class RakeSelector:
         """
         if not path_count >= 1:
             raise ValueError("path_count must be >= 1")
+        operator.index(path_count)  # a non-integer count raises TypeError
         return max(1, math.floor(self.finger_fraction * path_count + 1e-9))
 
 
@@ -77,6 +79,9 @@ class SpreadingConfig:
             raise ValueError("frames must be >= 1")
         if not self.chips_per_frame >= 1:
             raise ValueError("chips_per_frame must be >= 1")
+        # a non-integer count raises TypeError
+        operator.index(self.frames)
+        operator.index(self.chips_per_frame)
 
     @property
     def processing_gain(self) -> int:
@@ -86,6 +91,7 @@ class SpreadingConfig:
         """Chips per frame relative to the channel length."""
         if not path_count >= 1:
             raise ValueError("path_count must be >= 1")
+        operator.index(path_count)  # a non-integer count raises TypeError
         return self.chips_per_frame / path_count
 
 
@@ -227,7 +233,8 @@ def link_gains(alphas: np.ndarray,
 
     alphas is a (K, L) array of path gains or a (..., K, L) stack of
     banks (say a block of trials), which gives a LinkGains with the same
-    leading axes. selector is one RakeSelector, or a sequence of S of
+    leading axes; a non-finite path gain is refused by its position before
+    any transform. selector is one RakeSelector, or a sequence of S of
     them, which puts a leading selector axis of length S in front.
 
     method="spectral" evaluates every bank from the spectra of the path
@@ -254,6 +261,9 @@ def link_gains(alphas: np.ndarray,
     A = np.asarray(alphas, dtype=complex)
     if A.ndim < 2 or 0 in A.shape[-2:]:
         raise ValueError("need a (..., K, L) bank with at least one user and path")
+    if not np.isfinite(A).all():
+        raise ValueError(f"non-finite path gain at (..., user, path) "
+                         f"{np.argwhere(~np.isfinite(A)).tolist()}")
     K, L = A.shape[-2:]
     N = spreading.processing_gain
     phi_sq = _phi_squared(spreading.chips_per_frame, L)

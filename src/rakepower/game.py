@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,9 @@ class UtilityParams:
             raise ValueError("packet_bits must be >= 2")
         if not 0 < self.data_bits <= self.packet_bits:
             raise ValueError("data_bits must be in 1..packet_bits")
+        # a non-integer count raises TypeError
+        operator.index(self.packet_bits)
+        operator.index(self.data_bits)
         if not self.rate_bps > 0:
             raise ValueError("rate_bps must be positive")
         if not self.max_power > 0:
@@ -85,7 +89,7 @@ def _targets(varsigma, packet_bits: int) -> np.ndarray:
     falls onto it from min(gamma*(inf), varsigma).
     """
     vs = np.asarray(varsigma, dtype=float)
-    M = int(packet_bits)
+    M = operator.index(packet_bits)
     if not np.all(vs > 0):
         raise ValueError("varsigma must be positive")
     if M < 2:

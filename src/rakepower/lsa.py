@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -192,6 +193,7 @@ class LsaParams:
         _check(self.rho, self.beta, self.load)
         if not self.users >= 1:
             raise ValueError("users must be >= 1")
+        operator.index(self.users)  # a non-integer count raises TypeError
         if not self.sigma_sq > 0:
             raise ValueError("sigma_sq must be positive")
 

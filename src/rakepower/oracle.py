@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -244,6 +245,7 @@ def finite_nu(path_count: int, chips_per_frame: int, rho: float,
     v, fingers = _profile(path_count, rho, beta)
     if chips_per_frame < 1:
         raise ValueError("chips_per_frame must be >= 1")
+    operator.index(chips_per_frame)  # a non-integer count raises TypeError
     ((direct, table),) = _self_lag_masses(v, fingers, [_phi_squared(chips_per_frame, path_count)])
     return _checked_mass(direct, table) / _captured_density(v, fingers) ** 2
 
@@ -265,7 +267,9 @@ def flat_nu_exact(path_count: int, finger_count: int,
     rational collision coefficients.
     """
     from fractions import Fraction
-    L, P, Nc = path_count, finger_count, chips_per_frame
+    # Python integers, so that 4 L^3 below cannot wrap; a non-integer
+    # count raises TypeError
+    L, P, Nc = map(operator.index, (path_count, finger_count, chips_per_frame))
     if not 1 <= P <= L:
         raise ValueError("finger_count must be in 1..path_count")
     if Nc < 1:

@@ -584,6 +584,20 @@ def test_usage_error_exits_one_without_a_traceback():
     assert f"trials must be >= 1 and <= {2**32 - 1}" in proc.stderr
 
 
+def test_help_exits_zero_in_process(capsys):
+    assert main(["--help"]) == 0
+    assert "Usage:" in capsys.readouterr().out
+
+
+def test_interrupted_run_exits_one(monkeypatch, capsys):
+    # click turns a KeyboardInterrupt into Abort, which main reports
+    def interrupted(config):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, "run_validate", interrupted)
+    assert main(["validate"]) == 1
+    assert capsys.readouterr().err.strip().endswith("aborted")
+
+
 # the flags each command's runner reads; every command also takes --out and
 # --config, and sigma_sq is a config-file key only
 _READS = {

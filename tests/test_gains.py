@@ -1,5 +1,7 @@
 """Rake gain coefficients: exact finite-size identities and estimates."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,15 @@ def test_sinr_power_monotonicity():
     assert sinr(out, p_up, 2) < base[2]
 
 
+def test_sinr_refuses_a_power_shape_or_user_outside_the_bank():
+    out = link_gains(_bank(3, 30, seed=21), RakeSelector(0.5), SpreadingConfig(10, 15), 5e-16)
+    with pytest.raises(ValueError, match="one entry per user"):
+        sinr(out, np.full(2, 1e-8), 0)
+    for k in (-1, 3):
+        with pytest.raises(IndexError, match=r"user index .* outside 0\.\.2"):
+            sinr(out, np.full(3, 1e-8), k)
+
+
 def _si_ratio_violations(path_count, chips, trials, seed, block=50):
     # each trial keeps its own substreams; the one-user banks go to
     # link_gains as (block, 1, L) stacks
@@ -467,6 +478,14 @@ def test_trial_block_guards_fire_on_one_bad_bank():
     # all-rake still sees its later taps; the second selector is the bad one
     with pytest.raises(ValueError, match=r"\(selector, \.\.\., user\) \[\[1, 2, 1\]\]"):
         link_gains(silent, both, spreading, 1e-9)
+    # a non-finite path gain is refused before the transforms, whose
+    # products would otherwise warn
+    for value in (math.nan, math.inf, -math.inf, complex(0.0, math.inf)):
+        broken = block.copy()
+        broken[2, 1, 15] = value
+        with pytest.raises(ValueError, match=r"non-finite path gain at "
+                           r"\(\.\.\., user, path\) \[\[2, 1, 15\]\]"):
+            link_gains(broken, both, spreading, 1e-9)
     for bad in ([], [selector, 0.5]):
         with pytest.raises(ValueError, match="RakeSelector"):
             link_gains(block, bad, spreading, 1e-9)

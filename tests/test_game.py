@@ -20,6 +20,7 @@ from rakepower import (ApdpProfile, LinkGains, LsaParams, RakeSelector,
 import rakepower.game as game
 from rakepower.cli import ExperimentConfig
 from rakepower.game import _outage, _response_map, _sinrs, _targets
+from rakepower.oracle import finite_nu, flat_nu_exact
 
 GAMMA_INF = 12.949200759178689  # solves (M/2) g = e^(g/2) - 1 at M = 100
 
@@ -181,13 +182,14 @@ _LSA_POINT = LsaParams(rho=10.0, beta=0.1, users=4, sigma_sq=1e-9,
     (lambda: SpreadingConfig(math.nan, 8), "frames must be >= 1"),
     (lambda: SpreadingConfig(2, math.nan), "chips_per_frame must be >= 1"),
     (lambda: ApdpProfile(math.nan, 10.0), "path_count must be >= 1"),
-    # on a finger the NaN reaches h_sp, where link_gains names its position,
-    # past the fingers only h_si and h_mai
-    (lambda: _bank_with_nan(0), r"combining gain at \(\.\.\., user\) \[\[1\]\]"),
+    # link_gains names a NaN path gain's position before any transform, on
+    # a finger or past the fingers, for one selector or several
+    (lambda: _bank_with_nan(0), r"non-finite path gain at \(\.\.\., user, path\) \[\[1, 0\]\]"),
     (lambda: _bank_with_nan(0, [RakeSelector(1.0), RakeSelector(0.5)]),
-     r"combining gain at \(selector, \.\.\., user\) \[\[0, 1\]\]"),
-    (lambda: _bank_with_nan(15), "interference gains must be non-negative"),
+     r"non-finite path gain at \(\.\.\., user, path\) \[\[1, 0\]\]"),
+    (lambda: _bank_with_nan(15), r"non-finite path gain at \(\.\.\., user, path\) \[\[1, 15\]\]"),
     (lambda: UtilityParams(packet_bits=math.nan), "packet_bits must be >= 2"),
+    (lambda: UtilityParams(data_bits=math.nan), r"data_bits must be in 1\.\.packet_bits"),
     (lambda: SpreadingConfig(20, 50).load_factor(math.nan), "path_count must be >= 1"),
     (lambda: RakeSelector(0.5).finger_count(math.nan), "path_count must be >= 1"),
     *((lambda field=field: ExperimentConfig(**{field: math.nan}), f"{field} must be >= ")
@@ -195,12 +197,40 @@ _LSA_POINT = LsaParams(rho=10.0, beta=0.1, users=4, sigma_sq=1e-9,
 ], ids=["max_power", "rate_bps", "h_sp", "h_si", "h_mai", "gains_sigma_sq",
         "lsa_path_count", "lsa_sigma_sq", "lsa_users", "frames", "chips_per_frame",
         "apdp_path_count", "finger_path", "finger_path_selectors", "later_path",
-        "packet_bits", "load_factor", "finger_count", "config_users", "config_paths",
+        "packet_bits", "data_bits", "load_factor", "finger_count", "config_users", "config_paths",
         "config_chips", "config_frames", "config_trials", "config_seed"])
 def test_public_inputs_reject_nan(build, message):
     # each check is the negated accepting comparison, which a NaN fails
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("build, count", [
+    (lambda n: ApdpProfile(n, 10.0).tap_variances(1.0), 200),
+    (lambda n: SpreadingConfig(n, 50), 2),
+    (lambda n: SpreadingConfig(2, n), 50),
+    (lambda n: SpreadingConfig(20, 50).load_factor(n), 200),
+    (lambda n: RakeSelector(0.5).finger_count(n), 200),
+    (lambda n: UtilityParams(packet_bits=n), 100),
+    (lambda n: UtilityParams(data_bits=n), 50),
+    (lambda n: gamma_star(10.0, n), 100),
+    (lambda n: dataclasses.replace(_LSA_POINT, users=n), 4),
+    (lambda n: dataclasses.replace(_LSA_POINT, path_count=n), 400),
+    (lambda n: finite_nu(n, 50, 10.0, 0.5), 200),
+    (lambda n: finite_nu(200, n, 10.0, 0.5), 50),
+    (lambda n: flat_nu_exact(n, 50, 10), 200),
+], ids=["apdp_path_count", "frames", "chips_per_frame", "load_factor", "finger_count",
+        "packet_bits", "data_bits", "gamma_star", "lsa_users", "lsa_path_count",
+        "finite_nu", "finite_nu_chips", "flat_nu_exact"])
+def test_counts_refuse_non_integers(build, count):
+    # a count is an integer, numpy's included; a fraction of one, and a
+    # whole float, raise TypeError rather than being floored, rounded up or
+    # carried into a power
+    build(count)
+    build(np.int64(count))
+    for bad in (count + 0.5, float(count), np.float64(count)):
+        with pytest.raises(TypeError):
+            build(bad)
 
 
 def test_array_targets_against_bisection():

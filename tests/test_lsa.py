@@ -12,7 +12,10 @@ import pytest
 from rakepower import (LsaParams, SpreadingConfig, UtilityParams, efficiency, gamma_star,
                        loss_db, min_frames, mu, nu, predict_power, predict_utility)
 from rakepower.lsa import _nu_branch, _nu_flat, _region
-from rakepower.oracle import flat_nu_exact
+from rakepower.oracle import (_captured_density, _captured_density_closed,
+                              _cross_lag_masses, _cross_mass_combined_closed,
+                              _cross_mass_full_closed, _profile, finite_mu, finite_nu,
+                              flat_mu_exact, flat_nu_exact)
 
 GAMMA_INF = 12.949200759178689
 
@@ -111,6 +114,87 @@ def test_nu_flat_forms_are_the_exact_finite_limits(beta, load, region, limit):
     b, lam, exact = float(beta), float(load), float(limit)
     assert _region(b, lam) == region
     assert abs(_nu_flat(b, lam, region) - exact) <= 4 * math.ulp(exact)
+
+
+@pytest.mark.parametrize("beta", [Fraction(3, 10), Fraction(9, 20), Fraction(1, 2),
+                                  Fraction(11, 20), Fraction(7, 10), Fraction(1)])
+def test_flat_forms_are_the_exact_limits_around_each_breakpoint(beta):
+    # beta on both sides of 1/2 and at it, where 2P = L splits the finite
+    # case table; each load breakpoint min(beta, 1 - beta), max(beta,
+    # 1 - beta) and 1, and a twentieth on either side: there the dispatched
+    # flat form is the exact quadratic limit (checked through two size
+    # triples), and at the breakpoint so is each neighbouring region's form
+    def limit(load, sizes):
+        return _neville_at_zero([Fraction(1, L) for L in sizes],
+                                [flat_nu_exact(L, int(beta * L), int(load * L)) for L in sizes])
+
+    b, step = float(beta), Fraction(1, 20)
+    for x in sorted({min(beta, 1 - beta), max(beta, 1 - beta), Fraction(1)} - {0}):
+        sides = {_region(b, float(x - step)), _region(b, float(x + step))}
+        for load in (x - step, x, x + step):
+            exact = limit(load, (20, 40, 60))
+            assert limit(load, (40, 60, 80)) == exact
+            exact = float(exact)
+            forms = sides if load == x else {_region(b, float(load))}
+            for region in forms:
+                assert abs(_nu_flat(b, float(load), region) - exact) <= 4 * math.ulp(exact)
+            assert abs(nu(1.0, b, float(load)) - exact) <= 4 * math.ulp(exact)
+    # flat mu is (L - 1) / (beta L), linear in 1/L, with limit 1 / beta
+    exact = float(_neville_at_zero([Fraction(1, 20), Fraction(1, 40)],
+                                   [flat_mu_exact(L, int(beta * L)) for L in (20, 40)]))
+    assert exact == float(1 / beta)
+    assert abs(mu(1.0, b) - exact) <= math.ulp(exact)
+
+
+# five sizes at which beta L and load L are whole for every point below,
+# so that no breakpoint (beta L, load L, 2P = L at beta 0.5) adds an
+# oscillating 1/L term to the finite sums
+_LADDER = (1000, 2000, 3000, 4000, 5000)
+_LADDER_BETAS = (0.1, 0.3, 0.5, 0.7, 1.0)
+# (beta, load) in regions 1 to 5 of nu, then (0.1, 0.25), full combining
+# in regions 3 and 5, and beta 0.5 in regions 1 and 4
+_LADDER_NU_POINTS = [(0.3, 0.2), (0.3, 0.5), (0.7, 0.5), (0.7, 0.8), (0.7, 2.0),
+                     (0.1, 0.25), (1.0, 0.25), (1.0, 2.0), (0.5, 0.25), (0.5, 0.75)]
+
+
+def _ladder_limit(finite):
+    """Neville's scheme in h = 1/L through finite(L) on the five sizes."""
+    return _neville_at_zero([1.0 / L for L in _LADDER], [finite(L) for L in _LADDER])
+
+
+@pytest.mark.parametrize("rho_db", [10, 60, 150, 300, 600])
+def test_closed_forms_are_the_extrapolated_finite_sums(rho_db):
+    # Every closed form against the limit of its own finite sum: mu, nu in
+    # each region, and the captured density and both cross lag masses of
+    # the oracle. Recorded sweep of the worst relative error over all of
+    # them (numpy 2.4, x86-64):
+    #   rho (dB)     10       60       150      300      600
+    #   worst     2.0e-13  5.0e-13  4.4e-12  1.3e-10  4.1e-9
+    # Five sizes cancel the 1/L to 1/L^4 terms and leave the 1/L^5 one,
+    # whose coefficient grows like ln(rho)^5 (the error rises 30-fold per
+    # doubling of ln(rho) from 150 dB up), over a roundoff floor of about
+    # 100 eps. The tolerance is 5 to 12 times the sweep at each rho, and at
+    # 600 dB still 20 times below a 1e-6 error in any form. The five
+    # decay ratios take about 0.2 s together, within a budget of 1 s.
+    rho = 10.0 ** (rho_db / 10.0)
+    tol = 2e-12 + 1e-18 * math.log(rho) ** 5
+    pairs = {}
+    for beta in _LADDER_BETAS:
+        pairs[f"mu {beta}"] = (_ladder_limit(lambda L: finite_mu(L, rho, beta)), mu(rho, beta))
+        sums = {L: _profile(L, rho, beta) for L in _LADDER}
+        pairs[f"density {beta}"] = (_ladder_limit(lambda L: _captured_density(*sums[L])),
+                                    _captured_density_closed(rho, beta))
+        masses = {L: _cross_lag_masses(*sums[L]) for L in _LADDER}
+        pairs[f"cross combined {beta}"] = (_ladder_limit(lambda L: masses[L][0]),
+                                           _cross_mass_combined_closed(rho, beta))
+        pairs[f"cross full {beta}"] = (_ladder_limit(lambda L: masses[L][1]),
+                                       _cross_mass_full_closed(rho, beta))
+    for beta, load in _LADDER_NU_POINTS:
+        pairs[f"nu {beta} {load}"] = (
+            _ladder_limit(lambda L: finite_nu(L, round(load * L), rho, beta)),
+            nu(rho, beta, load))
+    errors = {name: abs(limit / closed - 1.0) for name, (limit, closed) in pairs.items()}
+    assert max(errors.values()) <= tol, {n: e for n, e in errors.items() if e > tol}
 
 
 def _arake_nu(rho, load):

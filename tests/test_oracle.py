@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rakepower import (finite_mu, finite_nu, flat_mu_exact, flat_nu_exact,
-                       mc_gain_ratio, mu, nu, oracle_audit)
+from rakepower import (LsaParams, SpreadingConfig, finite_mu, finite_nu, flat_mu_exact,
+                       flat_nu_exact, mc_gain_ratio, mu, nu, oracle_audit)
 import rakepower.channel as channel
 import rakepower.oracle as oracle
 from rakepower.cli import ExperimentConfig
@@ -54,6 +54,34 @@ def test_finite_nu_tracks_each_branch():
     for beta, lam in points:
         fin = finite_nu(L, round(lam * L), 10.0, beta)
         assert fin == pytest.approx(nu(10.0, beta, lam), rel=2e-3)
+
+
+_AT_TWO_PATHS = LsaParams(rho=10.0, beta=0.5, users=2, sigma_sq=1e-9,
+                          spreading=SpreadingConfig(1, 1), path_count=2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _profile(1, 10.0, 0.5), "path_count must be >= 2"),
+    (lambda: finite_nu(40, 0, 10.0, 0.5), "chips_per_frame must be >= 1"),
+    (lambda: flat_mu_exact(10, 0), r"finger_count must be in 1\.\.path_count"),
+    (lambda: flat_mu_exact(10, 11), r"finger_count must be in 1\.\.path_count"),
+    (lambda: flat_nu_exact(10, 0, 5), r"finger_count must be in 1\.\.path_count"),
+    (lambda: flat_nu_exact(10, 11, 5), r"finger_count must be in 1\.\.path_count"),
+    (lambda: mc_gain_ratio(40, 10.0, 0.5, trials=1), "trials must be >= 2"),
+    (lambda: oracle_audit(_AT_TWO_PATHS, mc_trials=10, master_seed=1), "path_count must be >= 3"),
+], ids=["profile_paths", "finite_nu_chips", "flat_mu_no_finger", "flat_mu_fingers",
+        "flat_nu_no_finger", "flat_nu_fingers", "mc_trials", "audit_paths"])
+def test_oracle_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_finite_nu_refuses_routes_that_split(monkeypatch):
+    table_lags = oracle._table_lags
+    monkeypatch.setattr(oracle, "_table_lags",
+                        lambda v, fingers: table_lags(v, fingers) * (1.0 + 1e-9))
+    with pytest.raises(ValueError, match="self-interference evaluation orders disagree"):
+        finite_nu(40, 10, 10.0, 0.3)
 
 
 def test_flat_exact_rationals():
@@ -396,9 +424,11 @@ def test_flat_nu_exact_matches_fraction_loop():
                      (41, 20, 100), (200, 200, 50), (8000, 800, 2000),
                      (8000, 8000, 2000), (8000, 5600, 20000)):
         assert flat_nu_exact(L, P, Nc) == _flat_nu_loop(L, P, Nc)
-    # past L = 1.3e6 the int64 count could wrap: refused, not rounded
-    with pytest.raises(ValueError):
-        flat_nu_exact(1_400_000, 1, 1)
+    # past L = 1.3e6 the int64 count could wrap: refused, not rounded, and
+    # a numpy integer path count does not wrap in the bound itself
+    for L in (1_400_000, np.int64(2**21)):
+        with pytest.raises(ValueError):
+            flat_nu_exact(L, 1, 1)
     # a frame has at least one chip, as in finite_nu: no division by zero
     # and no rational from a negative count
     for chips in (0, -3):
