@@ -70,6 +70,16 @@ def _hash_constants(const: int, mult: int, n: int) -> list[int]:
 _OUTPUT_CONSTS = np.array(_hash_constants(_INIT_B, _MULT_B, 2 * _POOL_WORDS), dtype=np.uint32)
 
 
+def _count(value, name: str, least: int = 1) -> int:
+    """The count value as an int. NaN or a value below least raises
+    ValueError naming the field, since the accepting comparison runs first;
+    a non-integer (a fraction or a whole float) raises TypeError, and numpy
+    integers pass."""
+    if not value >= least:
+        raise ValueError(f"{name} must be >= {least}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class ApdpProfile:
     """Exponentially decaying average power delay profile.
@@ -84,9 +94,7 @@ class ApdpProfile:
     decay_ratio: float = 1.0
 
     def __post_init__(self):
-        if not self.path_count >= 1:
-            raise ValueError("path_count must be >= 1")
-        operator.index(self.path_count)  # a non-integer count raises TypeError
+        _count(self.path_count, "path_count")
         if not self.decay_ratio >= 1:
             raise ValueError("decay_ratio must be >= 1")
 
@@ -186,8 +194,7 @@ def sample_topology(K: int, d_min: float, d_max: float,
                     rng: Generator) -> np.ndarray:
     """Total channel variances of K users, (K,), at distances d drawn i.i.d.
     uniform on [d_min, d_max], by the pathloss law 0.3 * d^(-2)."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    _count(K, "K")
     if not 0 < d_min <= d_max:
         raise ValueError("need 0 < d_min <= d_max")
     return 0.3 * rng.uniform(d_min, d_max, size=K) ** -2.0

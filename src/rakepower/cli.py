@@ -31,7 +31,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .channel import ApdpProfile, _trial_blocks
+from .channel import ApdpProfile, _count, _trial_blocks
 from .gains import LinkGains, RakeSelector, SpreadingConfig, link_gains
 from .game import _outage, gamma_star, solve_equilibrium
 from .lsa import _UTILITY, LsaParams, loss_db, min_frames, mu, nu, predict_utility
@@ -75,19 +75,12 @@ class ExperimentConfig:
     sigma_sq: float = 5e-16
 
     def __post_init__(self):
-        if not self.users >= 1:
-            raise ValueError("users must be >= 1")
-        if not self.paths >= 2:
-            raise ValueError("paths must be >= 2")
-        if not self.chips >= 1:
-            raise ValueError("chips must be >= 1")
-        if not self.frames >= 1:
-            raise ValueError("frames must be >= 1")
+        for name, least in (("users", 1), ("paths", 2), ("chips", 1), ("frames", 1),
+                            ("trials", 1), ("seed", 0)):
+            _count(getattr(self, name), name, least)
         # each trial index is one stream key word, and utility-gain's run 0 to trials
-        if not 1 <= self.trials <= 2**32 - 1:
+        if not self.trials <= 2**32 - 1:
             raise ValueError(f"trials must be >= 1 and <= {2**32 - 1}")
-        if not self.seed >= 0:
-            raise ValueError("seed must be >= 0")
         if not 0 <= self.rho_db <= _RHO_DB_MAX:
             raise ValueError(f"rho_db must lie in [0, {_RHO_DB_MAX:g}] (a non-increasing "
                              "profile whose closed forms stay inside the double range)")

@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from numpy.fft import fft, rfft
+
+from .channel import _count
 
 
 @dataclass(frozen=True)
@@ -61,9 +62,7 @@ class RakeSelector:
         so that fractions with no exact binary representation (0.3 * 200)
         still select the intended finger count.
         """
-        if not path_count >= 1:
-            raise ValueError("path_count must be >= 1")
-        operator.index(path_count)  # a non-integer count raises TypeError
+        _count(path_count, "path_count")
         return max(1, math.floor(self.finger_fraction * path_count + 1e-9))
 
 
@@ -75,13 +74,8 @@ class SpreadingConfig:
     chips_per_frame: int
 
     def __post_init__(self):
-        if not self.frames >= 1:
-            raise ValueError("frames must be >= 1")
-        if not self.chips_per_frame >= 1:
-            raise ValueError("chips_per_frame must be >= 1")
-        # a non-integer count raises TypeError
-        operator.index(self.frames)
-        operator.index(self.chips_per_frame)
+        _count(self.frames, "frames")
+        _count(self.chips_per_frame, "chips_per_frame")
 
     @property
     def processing_gain(self) -> int:
@@ -89,9 +83,7 @@ class SpreadingConfig:
 
     def load_factor(self, path_count: int) -> float:
         """Chips per frame relative to the channel length."""
-        if not path_count >= 1:
-            raise ValueError("path_count must be >= 1")
-        operator.index(path_count)  # a non-integer count raises TypeError
+        _count(path_count, "path_count")
         return self.chips_per_frame / path_count
 
 
@@ -164,8 +156,7 @@ class LinkGains:
 def _fast_len(n: int) -> int:
     """Smallest 2-3-5-smooth integer >= n, a transform length the FFT
     factors into its fastest radices."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _count(n, "n")
     best = 1 << (n - 1).bit_length()
     p5 = 1
     while p5 < best:

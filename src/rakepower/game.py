@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _count
 from .gains import LinkGains
 
 # relative fixed-point residual a solve must certify (roundoff is ~1e-15)
@@ -37,13 +38,10 @@ class UtilityParams:
     max_power: float = 1e-6
 
     def __post_init__(self):
-        if not self.packet_bits >= 2:
-            raise ValueError("packet_bits must be >= 2")
+        _count(self.packet_bits, "packet_bits", 2)
         if not 0 < self.data_bits <= self.packet_bits:
             raise ValueError("data_bits must be in 1..packet_bits")
-        # a non-integer count raises TypeError
-        operator.index(self.packet_bits)
-        operator.index(self.data_bits)
+        operator.index(self.data_bits)  # a non-integer count raises TypeError
         if not self.rate_bps > 0:
             raise ValueError("rate_bps must be positive")
         if not self.max_power > 0:
@@ -57,7 +55,7 @@ class UtilityParams:
 def efficiency(gamma, packet_bits: int = UtilityParams.packet_bits):
     """Packet success rate (1 - e^(-gamma/2))^M; accepts scalars or arrays."""
     g = np.asarray(gamma, dtype=float)
-    out = (-np.expm1(-g / 2.0)) ** packet_bits
+    out = (-np.expm1(-g / 2.0)) ** _count(packet_bits, "packet_bits", 2)
     return float(out) if np.isscalar(gamma) or g.ndim == 0 else out
 
 
@@ -89,11 +87,9 @@ def _targets(varsigma, packet_bits: int) -> np.ndarray:
     falls onto it from min(gamma*(inf), varsigma).
     """
     vs = np.asarray(varsigma, dtype=float)
-    M = operator.index(packet_bits)
+    M = _count(packet_bits, "packet_bits", 2)
     if not np.all(vs > 0):
         raise ValueError("varsigma must be positive")
-    if M < 2:
-        raise ValueError(f"no SINR target exists for M={M}")
     return _newton_root(np.minimum(_free_target(M), vs), 1.0 / vs, M)
 
 
@@ -127,6 +123,8 @@ def _target_load(gains: LinkGains, packet_bits: int) -> tuple[np.ndarray, np.nda
 def best_response(gains: LinkGains, powers: np.ndarray, k: int,
                   params: UtilityParams) -> float:
     """Utility-maximizing power for user k against fixed other-user powers."""
+    if not 0 <= k < gains.user_count:
+        raise IndexError(f"user index {k} outside 0..{gains.user_count - 1}")
     gam = gamma_star(float(gains.si_ratio[k]), params.packet_bits)
     interference = float(gains.h_mai[k] @ np.asarray(powers, dtype=float)) + gains.sigma_sq
     return min(gam * interference / (gains.h_sp[k] - gam * gains.h_si[k]),

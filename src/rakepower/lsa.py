@@ -24,10 +24,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import operator
 
 import numpy as np
 
+from .channel import _count
 from .game import UtilityParams, efficiency, gamma_star
 from .gains import SpreadingConfig
 
@@ -191,9 +191,7 @@ class LsaParams:
 
     def __post_init__(self):
         _check(self.rho, self.beta, self.load)
-        if not self.users >= 1:
-            raise ValueError("users must be >= 1")
-        operator.index(self.users)  # a non-integer count raises TypeError
+        _count(self.users, "users")
         if not self.sigma_sq > 0:
             raise ValueError("sigma_sq must be positive")
 

@@ -57,7 +57,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import ApdpProfile, _trial_normals
+from .channel import ApdpProfile, _count, _trial_normals
 from .gains import RakeSelector, _fast_len, _phi_squared
 from .game import efficiency
 from .lsa import _UTILITY, LsaParams, loss_db, mu, nu, predict_power
@@ -86,8 +86,7 @@ _MC_PATH_COUNT = 400
 
 def _profile(path_count: int, rho: float, beta: float) -> tuple[np.ndarray, int]:
     """Tap variances of a unit-energy user and the combined finger count."""
-    if path_count < 2:
-        raise ValueError("path_count must be >= 2")
+    _count(path_count, "path_count", 2)
     return (ApdpProfile(path_count, rho).tap_variances(1.0),
             RakeSelector(beta).finger_count(path_count))
 
@@ -243,9 +242,7 @@ def finite_nu(path_count: int, chips_per_frame: int, rho: float,
     converges to nu(rho, beta, chips_per_frame / path_count).
     """
     v, fingers = _profile(path_count, rho, beta)
-    if chips_per_frame < 1:
-        raise ValueError("chips_per_frame must be >= 1")
-    operator.index(chips_per_frame)  # a non-integer count raises TypeError
+    _count(chips_per_frame, "chips_per_frame")
     ((direct, table),) = _self_lag_masses(v, fingers, [_phi_squared(chips_per_frame, path_count)])
     return _checked_mass(direct, table) / _captured_density(v, fingers) ** 2
 
@@ -269,11 +266,10 @@ def flat_nu_exact(path_count: int, finger_count: int,
     from fractions import Fraction
     # Python integers, so that 4 L^3 below cannot wrap; a non-integer
     # count raises TypeError
-    L, P, Nc = map(operator.index, (path_count, finger_count, chips_per_frame))
+    L, P = map(operator.index, (path_count, finger_count))
     if not 1 <= P <= L:
         raise ValueError("finger_count must be in 1..path_count")
-    if Nc < 1:
-        raise ValueError("chips_per_frame must be >= 1")
+    Nc = _count(chips_per_frame, "chips_per_frame")
     if 4 * L ** 3 >= 2 ** 63:  # the integer total is below 4 L^3
         raise ValueError("path_count too large for an exact int64 count")
     i = np.arange(1, L, dtype=np.int64)
@@ -308,8 +304,7 @@ def mc_gain_ratio(path_count: int, rho: float, beta: float,
     over the energy captured by the combined fingers, and averages; the
     mean approaches mu(rho, beta) as the path count grows.
     """
-    if trials < 2:
-        raise ValueError("trials must be >= 2")
+    _count(trials, "trials", 2)
     profile = ApdpProfile(path_count=path_count, decay_ratio=rho)
     fingers = RakeSelector(beta).finger_count(path_count)
     block = max(1, _MC_BLOCK_TAPS // path_count)

@@ -1,6 +1,8 @@
 """Channel model: decay profile, pathloss, tap statistics, substreams."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,3 +317,27 @@ def test_invalid_inputs():
         sample_topology(0, 3.0, 20.0, substream(0))
     with pytest.raises(ValueError):
         sample_topology(2, 20.0, 3.0, substream(0))
+
+
+def test_the_count_rule_is_written_once():
+    # channel._count is the one check that a count is an integer; the only
+    # other operator.index calls are on counts whose range is two-sided
+    where = []
+    for path in sorted(Path(channel.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "operator":
+                where.append((path.stem, "from operator import ..."))
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "operator.index":
+                scope, up = [], node
+                while up in parent:
+                    up = parent[up]
+                    if isinstance(up, (ast.FunctionDef, ast.ClassDef)):
+                        scope.insert(0, up.name)
+                where.append((path.stem, ".".join(scope), ast.unparse(parent[node])))
+    assert sorted(where) == [
+        ("channel", "_count", "operator.index(value)"),
+        ("game", "UtilityParams.__post_init__", "operator.index(self.data_bits)"),
+        ("oracle", "flat_nu_exact", "map(operator.index, (path_count, finger_count))"),
+    ]

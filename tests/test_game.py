@@ -20,7 +20,7 @@ from rakepower import (ApdpProfile, LinkGains, LsaParams, RakeSelector,
 import rakepower.game as game
 from rakepower.cli import ExperimentConfig
 from rakepower.game import _outage, _response_map, _sinrs, _targets
-from rakepower.oracle import finite_nu, flat_nu_exact
+from rakepower.oracle import finite_mu, finite_nu, flat_nu_exact, mc_gain_ratio
 
 GAMMA_INF = 12.949200759178689  # solves (M/2) g = e^(g/2) - 1 at M = 100
 
@@ -115,6 +115,13 @@ def test_efficiency_packet_length():
     assert efficiency(10.0, packet_bits=1000) < efficiency(10.0, packet_bits=100)
 
 
+def test_efficiency_refuses_packets_under_two_bits():
+    # a packet is at least two bits, as in UtilityParams and gamma_star
+    for bits in (1, 0, -3):
+        with pytest.raises(ValueError, match="packet_bits must be >= 2"):
+            efficiency(10.0, bits)
+
+
 def test_gamma_star_interference_free_limit():
     assert gamma_star(math.inf) == pytest.approx(GAMMA_INF, abs=1e-10)
     assert gamma_star(1e12) == pytest.approx(GAMMA_INF, rel=1e-9)
@@ -194,11 +201,14 @@ _LSA_POINT = LsaParams(rho=10.0, beta=0.1, users=4, sigma_sq=1e-9,
     (lambda: RakeSelector(0.5).finger_count(math.nan), "path_count must be >= 1"),
     *((lambda field=field: ExperimentConfig(**{field: math.nan}), f"{field} must be >= ")
       for field in ("users", "paths", "chips", "frames", "trials", "seed")),
+    (lambda: mc_gain_ratio(40, 10.0, 0.5, trials=math.nan), "trials must be >= 2"),
+    (lambda: sample_topology(math.nan, 3.0, 20.0, substream(1, 0)), "K must be >= 1"),
 ], ids=["max_power", "rate_bps", "h_sp", "h_si", "h_mai", "gains_sigma_sq",
         "lsa_path_count", "lsa_sigma_sq", "lsa_users", "frames", "chips_per_frame",
         "apdp_path_count", "finger_path", "finger_path_selectors", "later_path",
         "packet_bits", "data_bits", "load_factor", "finger_count", "config_users", "config_paths",
-        "config_chips", "config_frames", "config_trials", "config_seed"])
+        "config_chips", "config_frames", "config_trials", "config_seed", "mc_trials",
+        "topology_users"])
 def test_public_inputs_reject_nan(build, message):
     # each check is the negated accepting comparison, which a NaN fails
     with pytest.raises(ValueError, match=message):
@@ -219,9 +229,18 @@ def test_public_inputs_reject_nan(build, message):
     (lambda n: finite_nu(n, 50, 10.0, 0.5), 200),
     (lambda n: finite_nu(200, n, 10.0, 0.5), 50),
     (lambda n: flat_nu_exact(n, 50, 10), 200),
+    (lambda n: efficiency(10.0, n), 100),
+    *((lambda n, field=field: ExperimentConfig(**{field: n}), count)
+      for field, count in (("users", 8), ("paths", 200), ("chips", 50), ("frames", 20),
+                           ("trials", 1000), ("seed", 12345))),
+    (lambda n: sample_topology(n, 3.0, 20.0, substream(1, 0)), 8),
+    (lambda n: finite_mu(n, 10.0, 0.5), 200),
+    (lambda n: mc_gain_ratio(40, 10.0, 0.5, trials=n), 10),
 ], ids=["apdp_path_count", "frames", "chips_per_frame", "load_factor", "finger_count",
         "packet_bits", "data_bits", "gamma_star", "lsa_users", "lsa_path_count",
-        "finite_nu", "finite_nu_chips", "flat_nu_exact"])
+        "finite_nu", "finite_nu_chips", "flat_nu_exact", "efficiency", "config_users",
+        "config_paths", "config_chips", "config_frames", "config_trials", "config_seed",
+        "topology_users", "finite_mu", "mc_trials"])
 def test_counts_refuse_non_integers(build, count):
     # a count is an integer, numpy's included; a fraction of one, and a
     # whole float, raise TypeError rather than being floored, rounded up or
@@ -254,6 +273,14 @@ def test_gamma_star_depends_on_packet_bits():
     g20 = gamma_star(50.0, packet_bits=20)
     assert g20 < g100
     assert gamma_star(50.0, packet_bits=100) == g100
+
+
+def test_best_response_refuses_a_user_outside_the_bank():
+    # as sinr does: -1 does not wrap round to the last user
+    gains = _gains()
+    for k in (-1, 3):
+        with pytest.raises(IndexError, match=rf"user index {k} outside 0\.\.2"):
+            best_response(gains, np.full(3, 2e-8), k, UtilityParams())
 
 
 def test_best_response_maximizes_utility():
