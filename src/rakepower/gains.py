@@ -296,12 +296,18 @@ def link_gains(alphas: np.ndarray,
     return LinkGains(h_sp=h_sp, h_si=h_si, h_mai=h_mai, sigma_sq=sigma_sq)
 
 
-def sinr(gains: LinkGains, powers: np.ndarray, k: int) -> float:
-    """Output SINR of user k at the given power vector."""
+def _user_powers(gains: LinkGains, powers: np.ndarray, k: int) -> np.ndarray:
+    """The power vector as floats, checked against the bank with user k."""
     p = np.asarray(powers, dtype=float)
     if p.shape != (gains.user_count,):
         raise ValueError("powers must have one entry per user")
     if not 0 <= k < gains.user_count:
         raise IndexError(f"user index {k} outside 0..{gains.user_count - 1}")
+    return p
+
+
+def sinr(gains: LinkGains, powers: np.ndarray, k: int) -> float:
+    """Output SINR of user k at the given power vector."""
+    p = _user_powers(gains, powers, k)
     denom = gains.h_si[k] * p[k] + float(gains.h_mai[k] @ p) + gains.sigma_sq
     return gains.h_sp[k] * p[k] / denom

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import _count
-from .gains import LinkGains
+from .gains import LinkGains, _user_powers
 
 # relative fixed-point residual a solve must certify (roundoff is ~1e-15)
 _RESIDUAL_BOUND = 1e-12
@@ -123,10 +123,9 @@ def _target_load(gains: LinkGains, packet_bits: int) -> tuple[np.ndarray, np.nda
 def best_response(gains: LinkGains, powers: np.ndarray, k: int,
                   params: UtilityParams) -> float:
     """Utility-maximizing power for user k against fixed other-user powers."""
-    if not 0 <= k < gains.user_count:
-        raise IndexError(f"user index {k} outside 0..{gains.user_count - 1}")
+    p = _user_powers(gains, powers, k)
     gam = gamma_star(float(gains.si_ratio[k]), params.packet_bits)
-    interference = float(gains.h_mai[k] @ np.asarray(powers, dtype=float)) + gains.sigma_sq
+    interference = float(gains.h_mai[k] @ p) + gains.sigma_sq
     return min(gam * interference / (gains.h_sp[k] - gam * gains.h_si[k]),
                params.max_power)
 

@@ -512,13 +512,18 @@ def oracle_audit(params: LsaParams, *, mc_trials: int, master_seed: int) -> list
     by finger count; each group takes both routes' lag sums once, one dot
     product per chip count gives its masses, and its arrays are dropped
     before the next group. The value rows raise if the two routes
-    split, and the decomposition rows report them.
+    split, and the decomposition rows report them. A point the audit
+    cannot certify (fewer than 3 paths or 2 Monte Carlo trials, no finite
+    nu, an infeasible point) raises ValueError before any finite sum.
     """
     L, rho, beta, load = params.path_count, params.rho, params.beta, params.load
     chips = params.spreading.chips_per_frame
     if L < 3:
         raise ValueError("path_count must be >= 3, so that every region point "
                          "has a chip per frame")
+    # raises where nu has no finite value or either fraction is infeasible
+    loss = loss_db(params, asymptotic_target=False)
+    est = mc_gain_ratio(_MC_PATH_COUNT, rho, beta, trials=mc_trials, master_seed=master_seed)
     v, fingers = _profile(L, rho, beta)
     den_f = _captured_density(v, fingers)
     den_c = _captured_density_closed(rho, beta)
@@ -651,8 +656,6 @@ def oracle_audit(params: LsaParams, *, mc_trials: int, master_seed: int) -> list
                      total_c / den_c, params.mu, _IDENTITY_TOL,
                      note="ratio of the density limits reduces to mu"))
 
-    est = mc_gain_ratio(_MC_PATH_COUNT, rho, beta, trials=mc_trials,
-                        master_seed=master_seed)
     rows.append(_row("energy_ratio_mc", "mc", est.mean, params.mu, 5e-2,
                      note=f"{mc_trials} trials at L={_MC_PATH_COUNT}, se={est.se:.2e}"))
 
@@ -669,8 +672,7 @@ def oracle_audit(params: LsaParams, *, mc_trials: int, master_seed: int) -> list
     skel_loss = params.mu \
         * (efficiency(gam_a, M) / efficiency(gam_p, M)) * (gam_p / gam_a) \
         * budget_a / (1.0 - gam_p * (params.nu / N + (K - 1) * params.mu / N))
-    rows.append(_row("loss_factorization", "identity", skel_loss,
-                     10.0 ** (loss_db(params, asymptotic_target=False) / 10.0),
+    rows.append(_row("loss_factorization", "identity", skel_loss, 10.0 ** (loss / 10.0),
                      _IDENTITY_TOL,
                      note="four-factor utility-ratio skeleton under the limiting "
                           "substitutions equals the closed-form penalty"))

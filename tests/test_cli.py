@@ -316,7 +316,9 @@ def test_config_file_parsing(tmp_path):
     ("x = 1\n", "{cfg}:1: unknown config key 'x'"),
     ("# users\nusers = abc\n", "{cfg}:2: bad value for users: 'abc'"),
     ("beta = 0.1, abc\n", "{cfg}:1: bad value for beta: '0.1, abc'"),
-], ids=["no-equals", "unknown-key", "bad-int", "bad-beta"])
+    ("beta = 0.1\nbetas = 0.5\nrho-db = 3\nrho_db = 5\n", "{cfg}:2: betas already set on line 1"),
+    ("rho-db = 3\n# again\nrho_db = 5\n", "{cfg}:3: rho_db already set on line 1"),
+], ids=["no-equals", "unknown-key", "bad-int", "bad-beta", "beta-twice", "rho-db-twice"])
 def test_config_file_errors_name_the_file_and_line(tmp_path, capsys, text, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
@@ -533,7 +535,9 @@ def test_validate_rejects_infeasible_operating_point(tmp_path, capsys):
     out = tmp_path / "v.csv"
     assert main(["validate", "--paths", "41", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "infeasible operating point paths=41 chips=10 users=8" in err
+    assert [line for line in err.splitlines() if line.startswith("Error:")] == [err.strip()]
+    assert "cannot audit paths=41 chips=10 users=8" in err
+    assert "infeasible operating point" in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -582,6 +586,15 @@ def test_usage_error_exits_one_without_a_traceback():
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert f"trials must be >= 1 and <= {2**32 - 1}" in proc.stderr
+    # and a validate point the audit refuses, with the point named
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "rakepower", "validate",
+                           "--paths", "41"], capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("Error:")]
+    assert errors == [proc.stderr.strip()]
+    assert "cannot audit paths=41 chips=10" in errors[0]
+    assert "infeasible operating point" in errors[0]
 
 
 def test_help_exits_zero_in_process(capsys):

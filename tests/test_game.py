@@ -283,6 +283,14 @@ def test_best_response_refuses_a_user_outside_the_bank():
             best_response(gains, np.full(3, 2e-8), k, UtilityParams())
 
 
+def test_best_response_refuses_a_power_vector_off_the_bank():
+    # as sinr does: one entry per user, not numpy's matmul message
+    gains = _gains()
+    for powers in (np.full(2, 2e-8), np.full(4, 2e-8), 2e-8):
+        with pytest.raises(ValueError, match="powers must have one entry per user"):
+            best_response(gains, powers, 0, UtilityParams())
+
+
 def test_best_response_maximizes_utility():
     gains = _gains()
     params = UtilityParams()

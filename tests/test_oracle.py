@@ -590,6 +590,23 @@ def test_audit_evaluates_each_self_lag_mass_once(monkeypatch):
             assert (row.reference, row.value) == masses(fingers(beta), chips)
 
 
+@pytest.mark.parametrize("params, mc_trials, message", [
+    (_point(41), 500, "infeasible operating point"),
+    (_point(40, beta=1e-20), 500, "nu is not evaluated"),
+    (_point(400), 1, "trials must be >= 2"),
+    (_AT_TWO_PATHS, 500, "path_count must be >= 3"),
+], ids=["infeasible", "no-finite-nu", "one-trial", "two-paths"])
+def test_audit_refuses_before_any_finite_sum(monkeypatch, params, mc_trials, message):
+    # a point the audit cannot certify raises before the profile or a lag sum
+    def never(*args):
+        pytest.fail("a finite sum ran before the audit refused its point")
+
+    for name in ("_profile", "_direct_lags", "_table_lags"):
+        monkeypatch.setattr(oracle, name, never)
+    with pytest.raises(ValueError, match=message):
+        oracle_audit(params, mc_trials=mc_trials, master_seed=1)
+
+
 def test_audit_keeps_no_self_lag_correlations_across_groups():
     # one audit at 8000 paths traces a 2.51 MiB peak; keeping every finger
     # count's lag sums to the end of the audit (a cache over them) traced
