@@ -9,15 +9,10 @@ unit-energy user, its finger count and the collision weights, takes
 the self-interference double sum's lag sums by two routes that must
 agree, _direct_lags in one pass over all lags and _table_lags block by
 block over the overlap-count case table written once in _overlap_blocks
-(above 32 paths each correlates by FFT, up to 32 directly), estimates
-the same ratios by Monte Carlo over random channels, and assembles
-everything into an audit report with one row per intermediate quantity.
-The audit is one call on one LsaParams operating point, which carries
-its path count and chips per frame; it evaluates each finite sum on the
-decaying profile once (the tap vector, the densities, the cross lag
-masses, and each route's lag sums per finger count, which _mass weights
-by each chip count's collision weights in one dot product) and every row
-that needs a sum reads it.
+(each correlates by FFT above 32 paths), estimates the same ratios by
+Monte Carlo over random channels, and assembles everything into an audit
+report with one row per intermediate quantity (oracle_audit, one call on
+one LsaParams operating point).
 
 Three kinds of rows appear in the report: "limit" rows compare a finite-L
 sum against the closed form it converges to (tolerance around 1% at
@@ -35,14 +30,7 @@ finitely many fingers. The closed forms of the intermediate quantities
 reduce them to lsa's mu; the self-interference mass is lsa's nu times
 the squared captured density. Each limit row thus sets a finite sum
 against the one definition of its closed form, never against a retyped
-copy of it. The factorization row checks every (lag, tap) pair whose
-weight can be nonzero (tap l a combined finger), a block of taps at a
-time; at the other pairs both of its sides are exactly 0. Every swept tap
-is combined, so each side's overlap count folds into an array over the
-partner tap, with the same bits (the counts are 1 or 4). The case-table
-rows compare the one table with the step definition of the overlap
-counts at every point where either can change, which covers every pair
-in O(L).
+copy of it.
 """
 
 from __future__ import annotations
@@ -68,11 +56,12 @@ if TYPE_CHECKING:  # fractions imports decimal: loaded where the exact forms run
 # path counts up to which the self-lag routes correlate the taps without
 # an FFT (see _direct_lags for why)
 _DIRECT_LAG_MAX_L = 32
-# taps per vectorised block of the factorization check: its two (block, L)
-# temporaries take 1 MB at L = 8000, where 4 and 16 taps were not faster
-_TAP_BLOCK = 8
+# taps per block of the factorization check (256 KB of buffers at L = 8000);
+# 8 took 13.1 against 13.8 ms there but 0.45 MB more peak RSS in validate
+_TAP_BLOCK = 4
 # path counts of the lag-pattern Gram checks and of the Monte Carlo row
 _GRAM_PATH_COUNT = 400
+_GRAM_ROW_BLOCK = 32  # lag-matrix rows per block of the Gram checks
 # relative tolerances: identity rows and the two self-lag routes, exact
 # rational and moment identity rows, and limit rows
 _IDENTITY_TOL = 1e-12
@@ -247,28 +236,22 @@ def finite_nu(path_count: int, chips_per_frame: int, rho: float,
     return _checked_mass(direct, table) / _captured_density(v, fingers) ** 2
 
 
-def flat_mu_exact(path_count: int, finger_count: int) -> Fraction:
-    """Exact rational value of the flat-profile finite mu: (L - 1) / L_P."""
-    from fractions import Fraction
-    if not 1 <= finger_count <= path_count:
-        raise ValueError("finger_count must be in 1..path_count")
-    return Fraction(path_count - 1, finger_count)
+def _flat_ratio(path_count: int, finger_count: int,
+                chips_per_frame: int | None = None) -> tuple[int, int]:
+    """The flat-profile finite mu, or finite nu at chips_per_frame, as an
+    exact (numerator, denominator) of Python integers; the audit divides
+    them, which rounds correctly, as float() of their Fraction does.
 
-
-def flat_nu_exact(path_count: int, finger_count: int,
-                  chips_per_frame: int) -> Fraction:
-    """Exact rational value of the flat-profile finite nu.
-
-    With equal tap powers every overlap weight is an integer count, so
-    the double sum reduces to counting masked lags, weighted by the
-    rational collision coefficients.
+    With equal tap powers every overlap weight of nu is an integer count, so
+    its double sum reduces to counting masked lags, weighted by the rational
+    collision coefficients.
     """
-    from fractions import Fraction
-    # Python integers, so that 4 L^3 below cannot wrap; a non-integer
-    # count raises TypeError
+    # Python integers, so that 4 L^3 below cannot wrap (TypeError if not one)
     L, P = map(operator.index, (path_count, finger_count))
     if not 1 <= P <= L:
         raise ValueError("finger_count must be in 1..path_count")
+    if chips_per_frame is None:  # (L - 1) / L_P
+        return L - 1, P
     Nc = _count(chips_per_frame, "chips_per_frame")
     if 4 * L ** 3 >= 2 ** 63:  # the integer total is below 4 L^3
         raise ValueError("path_count too large for an exact int64 count")
@@ -277,7 +260,20 @@ def flat_nu_exact(path_count: int, finger_count: int,
     single = np.maximum(0, np.minimum(i, P) - both)
     total = int(np.minimum(L - i, Nc) @ (4 * both + single))
     # (total / Nc) / L^2 over the squared captured density (P / L)^2
-    return Fraction(total, Nc * P * P)
+    return total, Nc * P * P
+
+
+def flat_mu_exact(path_count: int, finger_count: int) -> Fraction:
+    """Exact rational value of the flat-profile finite mu: (L - 1) / L_P."""
+    from fractions import Fraction
+    return Fraction(*_flat_ratio(path_count, finger_count))
+
+
+def flat_nu_exact(path_count: int, finger_count: int,
+                  chips_per_frame: int) -> Fraction:
+    """Exact rational value of the flat-profile finite nu (see _flat_ratio)."""
+    from fractions import Fraction
+    return Fraction(*_flat_ratio(path_count, finger_count, chips_per_frame))
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +285,9 @@ class McEstimate:
     se: float
 
 
-# taps per Monte Carlo draw block: 256 KiB of complex normals, so the
-# draws stay on the heap far below the 2 MiB malloc threshold at any L
-_MC_BLOCK_TAPS = 1 << 14
+# taps per Monte Carlo draw block: 64 KiB of complex normals; against 2^14
+# taps, 500 trials at L = 400 draw 0.76 MB less peak RSS for about 0.3 ms
+_MC_BLOCK_TAPS = 1 << 12
 
 
 def mc_gain_ratio(path_count: int, rho: float, beta: float,
@@ -300,9 +296,8 @@ def mc_gain_ratio(path_count: int, rho: float, beta: float,
 
     Draws independent unit-variance channel realizations (trial t from
     the (t, 0) substream, through channel._trial_normals a block of trials
-    at a time), forms ||alpha||^2
-    over the energy captured by the combined fingers, and averages; the
-    mean approaches mu(rho, beta) as the path count grows.
+    at a time), forms ||alpha||^2 over the energy captured by the combined
+    fingers, and averages; the mean approaches mu(rho, beta) as L grows.
     """
     _count(trials, "trials", 2)
     profile = ApdpProfile(path_count=path_count, decay_ratio=rho)
@@ -377,35 +372,37 @@ def _row(name: str, kind: str, value: float, reference: float, tol: float,
                     tol=tol, passed=bool(rel <= tol), note=note)
 
 
-def _lag_matrix(x: np.ndarray) -> np.ndarray:
-    """Banded L x (L-1) lag matrix of a real vector.
+def _lag_matrix(x: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Rows lo..hi-1 (0-based; all by default) of the banded L x (L-1) lag matrix.
 
     Entry (l, i) is x_{L+l-i} when l <= i and zero otherwise (1-based):
-    column i holds the last i entries of x, shifted to the top. The lag
-    Gram rows build their lag pattern from it. The entry hangs on l - i
-    alone: row l is a window of x zero-padded to 2L and reversed, read
-    from L + 1 - l on and copied out contiguous, so each entry is a copy of
-    x_{L+l-i} or an exact zero.
+    column i holds the last i entries of x, shifted to the top. Row l is a
+    window of x zero-padded to 2L and reversed, read from L + 1 - l on and
+    copied out contiguous, so each entry is a copy of x_{L+l-i} or an exact 0.
     """
     L = x.size
+    hi = L if hi is None else min(hi, L)
     z = np.concatenate([x, np.zeros(L)])
-    return np.ascontiguousarray(sliding_window_view(z[::-1], L - 1)[L:0:-1])
+    return np.ascontiguousarray(sliding_window_view(z[::-1], L - 1)[L - lo:L - hi:-1])
 
 
 def _gram_diag_deviation(v: np.ndarray, fingers: int, combined: bool) -> float:
     """Sup deviation between a lag-pattern Gram diagonal and suffix sums.
 
     The lag pattern is the banded lag matrix of the tap amplitudes over
-    sqrt(L), zeroed past the last finger when combined.
+    sqrt(L), zeroed past the last finger when combined, built _GRAM_ROW_BLOCK
+    rows at a time: each row sum is the same pairwise sum over the same
+    contiguous row as with the whole matrix, so it keeps its bits.
     """
     L = v.size
     source = np.where(np.arange(L) < fingers, v, 0.0) if combined else v
-    M = _lag_matrix(np.sqrt(source)) / math.sqrt(L)
-    diag = np.sum(M * M, axis=1)
+    amplitudes, diag = np.sqrt(source) / math.sqrt(L), np.empty(L)
+    for lo in range(0, L, _GRAM_ROW_BLOCK):
+        M = _lag_matrix(amplitudes, lo, lo + _GRAM_ROW_BLOCK)
+        diag[lo:lo + len(M)] = np.sum(np.square(M, out=M), axis=1)
     cs = np.cumsum(source)
     ref = (cs[-1] - cs) / L
-    scale = float(ref.max())
-    return float(np.max(np.abs(diag - ref))) / scale
+    return float(np.max(np.abs(diag - ref))) / float(ref.max())
 
 
 def _u2(path_count: int, fingers: int) -> np.ndarray:
@@ -430,28 +427,30 @@ def _theta_factorization_deviation(v: np.ndarray, fingers: int, rho: float) -> f
     l + d = m alone). The folded counts are 1 or 4, and scaling by them is
     exact, so both sides keep the bits of the pairwise products. Each
     tap's row runs over the offsets d = m - l = L - i of strided windows
-    built once, so each lag is a column. A lag's deviation is scaled by its
-    largest factorized weight; both per-lag maxima are kept across blocks
-    and divided at the end.
+    built once, so each lag is a column; each block goes into two buffers
+    allocated once. A lag's deviation is scaled by its largest factorized
+    weight, that of tap 1: down a column c[m] (4, then 1, then 0) and the
+    power law do not grow, and rounding is monotone.
     """
     L = v.size
     u1, u2 = (np.arange(2 * L) < L).astype(np.int8), np.zeros(2 * L, dtype=np.int8)
     u2[1:L] = _u2(L, fingers)
     w_rows = sliding_window_view(
         np.concatenate([v * (1 + (np.arange(L) < fingers)) ** 2, np.zeros(L)]), L - 1)
-    c_rows = sliding_window_view((u1 + u2 + 2 * u1 * u2).astype(float), L - 1)
+    c_rows = sliding_window_view(u1 + u2 + 2 * u1 * u2, L - 1)
     # power law of the pair (l, m): pw[l + m - 2] (1-based)
-    pw_rows = sliding_window_view(rho ** (-(np.arange(3 * L)) / (L - 1)), L - 1)
-    dev, scale = np.zeros(L - 1), np.zeros(L - 1)
+    pw_rows = sliding_window_view(rho ** (np.arange(0.0, -3 * L, -1.0) / (L - 1)), L - 1)
+    dev, scale = np.zeros(L - 1), c_rows[1] * pw_rows[1]
+    direct, fact = np.empty((2, min(_TAP_BLOCK, fingers), L - 1))
     for lo in range(0, fingers, _TAP_BLOCK):
         hi = min(lo + _TAP_BLOCK, fingers)
         w = L - 1 - lo  # offsets of the block's first tap
-        direct = v[lo:hi, None] * w_rows[lo + 1:hi + 1, :w]
-        fact = c_rows[lo + 1:hi + 1, :w] * pw_rows[2 * lo + 1:2 * hi + 1:2, :w]
-        np.maximum(scale[:w], fact.max(axis=0), out=scale[:w])
-        direct -= fact
-        np.maximum(dev[:w], np.abs(direct, out=direct).max(axis=0), out=dev[:w])
-    return float(np.max(dev / np.maximum(scale, 1e-300)))
+        d, f = direct[:hi - lo, :w], fact[:hi - lo, :w]
+        np.multiply(v[lo:hi, None], w_rows[lo + 1:hi + 1, :w], out=d)
+        np.multiply(c_rows[lo + 1:hi + 1, :w], pw_rows[2 * lo + 1:2 * hi + 1:2, :w], out=f)
+        np.abs(np.subtract(d, f, out=d), out=d)
+        np.maximum(dev[:w], d.max(axis=0), out=dev[:w])
+    return float(np.max(dev / scale))
 
 
 def _overlap_table_deviation(path_count: int, finger_count: int) -> float:
@@ -467,11 +466,12 @@ def _overlap_table_deviation(path_count: int, finger_count: int) -> float:
     run past l = i, pairs taps that do not exist: a mismatch of its weight.
     """
     L, P = path_count, finger_count
-    i = np.arange(1, L)
-    c = np.concatenate(([0], np.cumsum(np.arange(L) < P)))
+    i = np.arange(1, L, dtype=np.int32)
+    c = np.concatenate(([0], np.cumsum(np.arange(L) < P)), dtype=np.int32)
     p1, p2 = c[i], c[L] - c[L - i]
     blocks = np.array(_overlap_blocks(L, P), dtype=float).reshape(-1, 6)
-    i_lo, i_hi, weight, m_end, n_lo, n_hi = blocks.T[:, :, None]
+    weight = blocks[:, 2, None]  # floats, so that a non-integer weight shows
+    i_lo, i_hi, _, m_end, n_lo, n_hi = blocks.T.astype(np.int32)[:, :, None]
     # each block's run of l at every lag, empty (1..0) off its lags
     on = (i_lo <= i) & (i <= i_hi)
     starts = np.where(on, np.maximum(1, n_lo - L + i + 1), 1)
@@ -481,8 +481,10 @@ def _overlap_table_deviation(path_count: int, finger_count: int) -> float:
     worst = float(np.max(np.abs(weight) * stray, initial=0.0))
     for edge in (np.ones_like(i), *starts, *(ends + 1), p1 + 1, p2 + 1):
         l = np.clip(edge, 1, i)
-        u1, u2 = (l <= p1).astype(int), (l <= p2).astype(int)
-        table = (weight * ((starts <= l) & (l <= ends))).sum(axis=0)
+        u1, u2 = (l <= p1).view(np.int8), (l <= p2).view(np.int8)
+        table = np.zeros(L - 1)
+        for w, start, end in zip(weight[:, 0], starts, ends):
+            table += w * ((start <= l) & (l <= end))
         worst = max(worst, float(np.max(np.abs(table - (u1 + u2 + 2 * u1 * u2)))))
     return worst
 
@@ -495,26 +497,24 @@ _REGION_POINTS = {1: (0.3, 0.2), 2: (0.3, 0.5), 3: (0.7, 0.5),
 def oracle_audit(params: LsaParams, *, mc_trials: int, master_seed: int) -> list[AuditRow]:
     """Certify the closed forms at one operating point, in derivation order.
 
-    params is the operating point; the finite sums run over its path count
-    at its chips per frame. The rows come in two parts. First the coefficients:
-    convergence of mu, of nu in each of its five regions and at the
-    operating point, and the flat-profile / full-combining limit subcases,
-    whose finite sums admit exact rational or moment-identity references
-    checked at 1e-10. Then every intermediate step on the way to the mu,
-    nu and loss closed forms: densities and lag masses as finite profile
-    sums against their limits, structural identities (Gram diagonals,
+    The finite sums run over the path count of params at its chips per
+    frame. First come the coefficients: convergence of mu, of nu in each of
+    its five regions and at the operating point, and the flat-profile /
+    full-combining limit subcases, whose finite sums admit exact rational
+    or moment-identity references checked at 1e-10. Then every intermediate
+    step on the way to the mu, nu and loss closed forms: densities and lag
+    masses against their limits, structural identities (Gram diagonals,
     overlap factorizations, case tables, collision-weight cases)
-    elementwise, the per-region self-interference masses against their
-    closed forms, and the equilibrium-power and loss factorizations
-    against the prediction module. Each finite sum on the decaying
-    profile is evaluated once and read by every row that needs it. The
-    self-lag rows' (fingers, chips) points are listed up front and grouped
-    by finger count; each group takes both routes' lag sums once, one dot
-    product per chip count gives its masses, and its arrays are dropped
-    before the next group. The value rows raise if the two routes
-    split, and the decomposition rows report them. A point the audit
-    cannot certify (fewer than 3 paths or 2 Monte Carlo trials, no finite
-    nu, an infeasible point) raises ValueError before any finite sum.
+    elementwise, the per-region self-lag masses against their closed forms,
+    and the equilibrium-power and loss factorizations against the
+    prediction module. Each finite sum on the decaying profile is evaluated
+    once. The self-lag (fingers, chips) points are grouped by finger count;
+    each group takes both routes' lag sums once, one dot product per chip
+    count gives its masses, and its arrays are dropped before the next. The
+    value rows raise if the two routes split, and the decomposition rows
+    report them. A point the audit cannot certify (fewer than 3 paths or 2
+    Monte Carlo trials, no finite nu, an infeasible point) raises
+    ValueError before any finite sum.
     """
     L, rho, beta, load = params.path_count, params.rho, params.beta, params.load
     chips = params.spreading.chips_per_frame
@@ -565,7 +565,7 @@ def oracle_audit(params: LsaParams, *, mc_trials: int, master_seed: int) -> list
     rows.append(_row("cross_coefficient_flat", "limit",
                      mu_flat_fin, mu(1.0, beta), _LIMIT_TOL))
     rows.append(_row("cross_coefficient_flat_exact", "identity",
-                     mu_flat_fin, float(flat_mu_exact(L, fingers)), _EXACT_TOL,
+                     mu_flat_fin, operator.truediv(*_flat_ratio(L, fingers)), _EXACT_TOL,
                      note="flat finite sum equals (L - 1) / fingers exactly"))
     rows.append(_row("cross_coefficient_full", "limit", mu_full_fin, 1.0, _LIMIT_TOL))
     rows.append(_row("cross_coefficient_full_exact", "identity",
@@ -575,13 +575,13 @@ def oracle_audit(params: LsaParams, *, mc_trials: int, master_seed: int) -> list
     rows.append(_row("self_coefficient_flat", "limit",
                      nu_flat_fin, nu(1.0, beta, load), _LIMIT_TOL))
     rows.append(_row("self_coefficient_flat_exact", "identity",
-                     nu_flat_fin, float(flat_nu_exact(L, fingers, chips)), _EXACT_TOL,
+                     nu_flat_fin, operator.truediv(*_flat_ratio(L, fingers, chips)), _EXACT_TOL,
                      note="flat finite sum is rational; reference evaluated exactly"))
     rows.append(_row("self_coefficient_full", "limit",
                      self_mass(L, chips) / total_f ** 2, nu(rho, 1.0, load), _LIMIT_TOL))
     rows.append(_row("self_coefficient_flat_full_exact", "identity",
                      finite_nu(L, chips, 1.0, 1.0) if fingers < L else nu_flat_fin,
-                     float(flat_nu_exact(L, L, chips)), _EXACT_TOL,
+                     operator.truediv(*_flat_ratio(L, L, chips)), _EXACT_TOL,
                      note="flat full-combining finite sum vs exact rational"))
 
     # -- cross-gain chain -------------------------------------------------

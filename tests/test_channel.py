@@ -339,5 +339,5 @@ def test_the_count_rule_is_written_once():
     assert sorted(where) == [
         ("channel", "_count", "operator.index(value)"),
         ("game", "UtilityParams.__post_init__", "operator.index(self.data_bits)"),
-        ("oracle", "flat_nu_exact", "map(operator.index, (path_count, finger_count))"),
+        ("oracle", "_flat_ratio", "map(operator.index, (path_count, finger_count))"),
     ]
