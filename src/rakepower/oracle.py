@@ -56,7 +56,7 @@ if TYPE_CHECKING:  # fractions imports decimal: loaded where the exact forms run
 # path counts up to which the self-lag routes correlate the taps without
 # an FFT (see _direct_lags for why)
 _DIRECT_LAG_MAX_L = 32
-# taps per block of the factorization check (256 KB of buffers at L = 8000);
+# taps per block of the factorization check (512 KB of buffers at L = 8000);
 # 8 took 13.1 against 13.8 ms there but 0.45 MB more peak RSS in validate
 _TAP_BLOCK = 4
 # path counts of the lag-pattern Gram checks and of the Monte Carlo row
@@ -89,6 +89,7 @@ def _cross_lag_masses(v: np.ndarray, fingers: int) -> tuple[float, float]:
     """The two (1/L^2) lag-mass sums entering the cross-gain limit.
 
     First: pairs l < m with m combined. Second: l combined, any later m.
+    Both dots, like _mass's, go by einsum: BLAS threads would move the bits.
     """
     L = v.size
     cs_p = np.cumsum(v[:fingers])
@@ -96,8 +97,8 @@ def _cross_lag_masses(v: np.ndarray, fingers: int) -> tuple[float, float]:
     suffix_p[:fingers] = cs_p[-1] - cs_p
     cs = np.cumsum(v)
     suffix = cs[-1] - cs
-    num1 = float(v @ suffix_p) / L ** 2
-    num2 = float(v[:fingers] @ suffix[:fingers]) / L ** 2
+    num1 = float(np.einsum("i,i", v, suffix_p)) / L ** 2
+    num2 = float(np.einsum("i,i", v[:fingers], suffix[:fingers])) / L ** 2
     return num1, num2
 
 
@@ -205,7 +206,7 @@ def _table_lags(v: np.ndarray, fingers: int) -> np.ndarray:
 
 def _mass(lags: np.ndarray, phi_sq: np.ndarray) -> float:
     """The (1/L^2) self-lag mass of lag sums s[d] at phi_sq (indexed by i = L - d)."""
-    return float(phi_sq[::-1] @ lags) / (lags.size + 1) ** 2
+    return float(np.einsum("i,i", phi_sq[::-1], lags)) / (lags.size + 1) ** 2
 
 
 def _self_lag_masses(v: np.ndarray, fingers: int,
@@ -240,11 +241,9 @@ def _flat_ratio(path_count: int, finger_count: int,
                 chips_per_frame: int | None = None) -> tuple[int, int]:
     """The flat-profile finite mu, or finite nu at chips_per_frame, as an
     exact (numerator, denominator) of Python integers; the audit divides
-    them, which rounds correctly, as float() of their Fraction does.
-
-    With equal tap powers every overlap weight of nu is an integer count, so
-    its double sum reduces to counting masked lags, weighted by the rational
-    collision coefficients.
+    them, which rounds correctly, as float() of their Fraction does. With
+    equal tap powers every overlap weight of nu is an integer count, so its
+    double sum counts masked lags, weighted by the collision coefficients.
     """
     # Python integers, so that 4 L^3 below cannot wrap (TypeError if not one)
     L, P = map(operator.index, (path_count, finger_count))
@@ -383,7 +382,7 @@ def _lag_matrix(x: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray
     L = x.size
     hi = L if hi is None else min(hi, L)
     z = np.concatenate([x, np.zeros(L)])
-    return np.ascontiguousarray(sliding_window_view(z[::-1], L - 1)[L - lo:L - hi:-1])
+    return sliding_window_view(z[::-1], L - 1)[L - lo:L - hi:-1].copy()
 
 
 def _gram_diag_deviation(v: np.ndarray, fingers: int, combined: bool) -> float:

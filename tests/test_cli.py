@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import math
+import os
 import platform
 import subprocess
 import sys
@@ -396,6 +397,38 @@ def test_cli_import_loads_no_scipy_and_the_numpy_submodules():
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:3] == ["[]", "True True", "False False"]
+
+
+def test_validate_loads_neither_fractions_nor_decimal(tmp_path):
+    # the audit divides the flat references' integer counts itself, so a
+    # study away from flat decay never imports the exact-rational modules
+    code = textwrap.dedent(f"""
+        import sys
+        from rakepower.cli import main
+        assert main(["validate", "--paths", "1600", "--out", {str(tmp_path / "v.csv")!r}]) == 0
+        print("fractions" in sys.modules, "decimal" in sys.modules)
+    """)
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
+
+
+def test_validate_rows_do_not_depend_on_the_blas_thread_count():
+    # numpy hands a long enough 1-D float @ to BLAS, whose partial sums
+    # follow its thread count: with @ in the audit's dots,
+    # cross_coefficient_full read 0.9998042266934799 with one thread and
+    # 0.99980422669348 with two here (OpenBLAS 0.3.31, 2 cores)
+    rows = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "rakepower", "validate",
+                               "--paths", "12000", "--rho-db", "20"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        rows.append(proc.stdout.splitlines()[1:])
+    assert len(rows[0]) == 41 and rows[0] == rows[1]
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",

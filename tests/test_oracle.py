@@ -1,5 +1,6 @@
 """Finite-size oracle: dual paths, exact subcases, MC cross-checks, audit."""
 
+import operator
 import tracemalloc
 from fractions import Fraction
 
@@ -286,13 +287,15 @@ def test_fft_table_route_matches_direct_route():
 
 
 def test_elementwise_checks_match_lag_loops():
-    # the factorization row sweeps taps 1..P in blocks of _TAP_BLOCK = 8:
+    # the factorization row sweeps taps 1..P in blocks of _TAP_BLOCK = 4:
     # P = 7, 8, 9, 15, 16, 17, 32 and 33 end the sweep in a partial, a full
-    # or a single-tap block (also for blocks of 16), and P = L - 1 and L
-    # sweep all taps but the last or all of them; 1e60 is the largest decay
-    # ratio the CLI accepts
+    # or a single-tap block (also for blocks of 8 and 16), and P = L - 1 and
+    # L sweep all taps but the last or all of them; 1e60 is the largest decay
+    # ratio the CLI accepts. At 1 + 2.3e-13 the power law steps by less than
+    # an ulp, where scaling each lag by its first tap leans on monotone
+    # rounding
     for L in (2, 3, 40, 41, 401, 1000):
-        for rho in (1.0, 10.0, 1e4, 1e60):
+        for rho in (1.0, 1 + 2.3e-13, 10.0, 1e4, 1e60):
             for beta in (0.01, 0.3, 0.5, 0.7, 1.0):
                 v, P = _profile(L, rho, beta)
                 assert _theta_factorization_deviation(v, P, rho) == _theta_loop(v, P, rho)
@@ -335,9 +338,11 @@ def test_factorization_row_catches_a_perturbed_tap():
 
 
 def test_factorization_row_memory_stays_blockwise():
-    # a block of taps at a time keeps the temporaries at a few MB; all of
-    # the 6.1 M swept pairs at once (beta 0.1) would trace about 50 MB per
-    # float array, and all 32 M at beta 1 (every tap swept) about 256 MB
+    # a block of taps at a time into two buffers traces 1.03 MiB at beta 0.1
+    # and 1.15 MiB at beta 1; blocks of 8 taps traced 1.52 and 1.64 MiB, and
+    # fresh temporaries and a per-block maximum sweep 2.05 MiB (numpy 2.4).
+    # All of the 6.1 M swept pairs at once (beta 0.1) would trace about 50 MB
+    # per float array, and all 32 M at beta 1 (every tap swept) about 256 MB
     for beta in (0.1, 1.0):
         v, P = _profile(8000, 10.0, beta)
         tracemalloc.start()
@@ -346,7 +351,7 @@ def test_factorization_row_memory_stays_blockwise():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 2 ** 20, beta
+        assert peak <= 1.4 * 2 ** 20, beta
 
 
 def test_lag_matrix_structure():
@@ -371,6 +376,30 @@ def test_lag_matrix_structure():
             for i in range(1, L):
                 want = xs[L + l - i - 1] if l <= i else 0.0
                 assert entries[l - 1][i - 1] == want, (L, l, i)
+
+
+def test_gram_rows_keep_the_bits_of_the_whole_lag_matrix(monkeypatch):
+    # the Gram deviation squares and sums the lag matrix a block of rows at a
+    # time; each row's pairwise sum, and so the row's deviation, keeps the
+    # bits of the whole matrix, for blocks that split the rows unevenly too
+    def whole(v, fingers, combined):
+        L = v.size
+        source = np.where(np.arange(L) < fingers, v, 0.0) if combined else v
+        M = oracle._lag_matrix(np.sqrt(source)) / np.sqrt(L)
+        cs = np.cumsum(source)
+        ref = (cs[-1] - cs) / L
+        return float(np.max(np.abs(np.sum(M * M, axis=1) - ref))) / float(ref.max())
+
+    for L in (2, 3, 31, 33, 400, 401):
+        for rho in (1.0, 10.0, 1e4):
+            v, P = _profile(L, rho, 0.3)
+            # one finger leaves no combined tap past tap 1: every reference is 0
+            for combined in (False, True) if P > 1 else (False,):
+                want = whole(v, P, combined)
+                for rows in (1, 7, oracle._GRAM_ROW_BLOCK, 2 * L):
+                    monkeypatch.setattr(oracle, "_GRAM_ROW_BLOCK", rows)
+                    got = oracle._gram_diag_deviation(v, P, combined)
+                    assert got == want, (L, rho, combined, rows)
 
 
 def _block_mutations(blocks):
@@ -434,6 +463,25 @@ def test_flat_nu_exact_matches_fraction_loop():
     for chips in (0, -3):
         with pytest.raises(ValueError, match="chips_per_frame must be >= 1"):
             flat_nu_exact(10, 5, chips)
+
+
+def test_audit_flat_references_round_as_their_fractions():
+    # the audit divides the integer counts of each flat reference, which is
+    # what float() of the Fraction does: the same double, bit for bit
+    for L in (2, 3, 5, 40, 41, 400, 1601, 8000):
+        for P in sorted({1, 2, L // 3, L // 2, L - 1, L} & set(range(1, L + 1))):
+            assert operator.truediv(*oracle._flat_ratio(L, P)) == float(flat_mu_exact(L, P))
+            for Nc in sorted({1, max(1, L // 4), L - 1, L, L + 1, 3 * L} - {0}):
+                assert operator.truediv(*oracle._flat_ratio(L, P, Nc)) == \
+                    float(flat_nu_exact(L, P, Nc)), (L, P, Nc)
+    for beta, load in ((0.1, 0.25), (0.7, 1.25), (1.0, 0.25)):
+        rows = {r.name: r for r in _audit(400, mc_trials=50, beta=beta, load=load)}
+        P, chips = RakeSelector(beta).finger_count(400), round(load * 400)
+        assert rows["cross_coefficient_flat_exact"].reference == float(flat_mu_exact(400, P))
+        assert rows["self_coefficient_flat_exact"].reference == \
+            float(flat_nu_exact(400, P, chips))
+        assert rows["self_coefficient_flat_full_exact"].reference == \
+            float(flat_nu_exact(400, 400, chips))
 
 
 # -- Monte Carlo cross-checks ------------------------------------------------
@@ -608,14 +656,15 @@ def test_audit_refuses_before_any_finite_sum(monkeypatch, params, mc_trials, mes
 
 
 def test_audit_keeps_no_self_lag_correlations_across_groups():
-    # one audit at 8000 paths traces a 2.51 MiB peak; keeping every finger
-    # count's lag sums to the end of the audit (a cache over them) traced
-    # 3.61 MiB, and a complex lag matrix in the Gram rows 3.73 MiB, so the
-    # bound sits between (numpy 2.4)
+    # one audit at 8000 paths traces a 1.11 MiB peak. The whole 400-path lag
+    # matrix of a Gram row, squared in place, traced 1.31 MiB, and with its
+    # square beside it 2.51 MiB; keeping every finger count's lag sums to the
+    # end of the audit (a cache over them) traced 3.61 MiB. So the bound sits
+    # between (numpy 2.4)
     tracemalloc.start()
     try:
         _audit(8000, mc_trials=50)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.0 * 2 ** 20
+    assert peak <= 1.25 * 2 ** 20
