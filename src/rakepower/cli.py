@@ -513,11 +513,11 @@ def cli():
     """Power-control experiments for partial-combining impulse-radio uplinks."""
 
 
-def _simple_command(name: str, runner, reads: Sequence[str]):
+def _simple_command(name: str, runner, reads: Sequence[str], resolve=lambda config: config):
     @cli.command(name, help=runner.__doc__)
     @_options(reads)
     def _cmd(**flags):
-        config, _ = _configure(name, reads, flags)
+        config = resolve(_configure(name, reads, flags)[0])
         fields, rows = runner(config)
         where = write_csv(config.out, config, fields, rows, reads)
         click.echo(f"wrote {where} ({len(rows)} rows)", err=True)
@@ -528,7 +528,9 @@ _simple_command("gamma-curve", run_gamma_curve, ())
 _simple_command("apdp", run_apdp, ("paths", "rho_db"))
 _simple_command("mu-nu", run_mu_nu_curves, ("betas",))
 _simple_command("po-frames", run_po_vs_frames,
-                ("users", "paths", "chips", "frames", "betas", "trials", "seed", "sigma_sq"))
+                ("users", "paths", "chips", "frames", "betas", "trials", "seed", "sigma_sq"),
+                # the comment line records the one fraction po-frames runs at
+                resolve=lambda c: dataclasses.replace(c, betas=(_one_beta(c, "po-frames"),)))
 _simple_command("utility-gain", run_utility_vs_gain, _EVERY_FIELD)
 _simple_command("loss-beta", run_loss_vs_beta, ("users", "paths", "frames", "betas"))
 

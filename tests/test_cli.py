@@ -273,6 +273,19 @@ def test_validate_comment_line_records_the_audited_config(tmp_path):
     assert " betas=0.1 trials=500 " in comment
 
 
+def test_po_frames_comment_line_records_the_fraction_it_runs_at(tmp_path):
+    # without --beta po-frames runs at 0.1, and its comment line says so:
+    # the whole file is the one written with --beta 0.1
+    small = ["po-frames", "--users", "3", "--paths", "40", "--chips", "10", "--trials", "3"]
+    files = []
+    for extra in ([], ["--beta", "0.1"]):
+        out = tmp_path / f"po{len(extra)}.csv"
+        assert main(small + extra + ["--out", str(out)]) == 0
+        files.append(out.read_text())
+    assert " betas=0.1 trials=3 " in files[0].splitlines()[0]
+    assert files[0] == files[1]
+
+
 def test_comment_line_records_the_fields_the_command_reads(tmp_path):
     # gamma-curve reads no config field; utility-gain reads all, sigma_sq too
     cfg = tmp_path / "run.cfg"
