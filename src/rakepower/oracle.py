@@ -284,8 +284,8 @@ class McEstimate:
     se: float
 
 
-# taps per Monte Carlo draw block: 64 KiB of complex normals; against 2^14
-# taps, 500 trials at L = 400 draw 0.76 MB less peak RSS for about 0.3 ms
+# taps per Monte Carlo draw block: 64 KiB of complex normals; 2^14 taps saved
+# 0.3 ms of 8.7 at 500 trials but cost validate 0.2 MB more peak RSS
 _MC_BLOCK_TAPS = 1 << 12
 
 
