@@ -80,6 +80,22 @@ def _count(value, name: str, least: int = 1) -> int:
     return operator.index(value)
 
 
+# the real-valued rules, each comparing as _count does, so that NaN fails
+def _fraction(value, name: str) -> None:
+    if not 0 < value <= 1:
+        raise ValueError(f"{name} must be in (0, 1]")
+
+
+def _decay_ratio(value, name: str) -> None:
+    if not value >= 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
+def _positive(value, name: str) -> None:
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class ApdpProfile:
     """Exponentially decaying average power delay profile.
@@ -95,8 +111,7 @@ class ApdpProfile:
 
     def __post_init__(self):
         _count(self.path_count, "path_count")
-        if not self.decay_ratio >= 1:
-            raise ValueError("decay_ratio must be >= 1")
+        _decay_ratio(self.decay_ratio, "decay_ratio")
 
     def tap_variances(self, user_variance) -> np.ndarray:
         """Per-tap variances, (..., L) for user variances of shape (...)."""

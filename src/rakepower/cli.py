@@ -31,7 +31,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .channel import ApdpProfile, _count, _trial_blocks
+from .channel import ApdpProfile, _count, _fraction, _positive, _trial_blocks
 from .gains import LinkGains, RakeSelector, SpreadingConfig, link_gains
 from .game import _outage, gamma_star, solve_equilibrium
 from .lsa import _UTILITY, LsaParams, loss_db, min_frames, mu, nu, predict_utility
@@ -84,11 +84,9 @@ class ExperimentConfig:
         if not 0 <= self.rho_db <= _RHO_DB_MAX:
             raise ValueError(f"rho_db must lie in [0, {_RHO_DB_MAX:g}] (a non-increasing "
                              "profile whose closed forms stay inside the double range)")
-        if not (math.isfinite(self.sigma_sq) and self.sigma_sq > 0):
-            raise ValueError("sigma_sq must be finite and positive")
-        for b in self.betas:
-            if not 0 < b <= 1:
-                raise ValueError("beta values must lie in (0, 1]")
+        _positive(self.sigma_sq, "sigma_sq")
+        for beta in self.betas:
+            _fraction(beta, "beta")
 
     @property
     def rho(self) -> float:

@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 from numpy.fft import fft, rfft
 
-from .channel import _count
+from .channel import _count, _fraction, _positive
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,7 @@ class RakeSelector:
     finger_fraction: float
 
     def __post_init__(self):
-        if not 0 < self.finger_fraction <= 1:
-            raise ValueError("finger_fraction must be in (0, 1]")
+        _fraction(self.finger_fraction, "finger_fraction")
 
     def finger_count(self, path_count: int) -> int:
         """Number of combined fingers for a channel with path_count paths.
@@ -103,12 +102,12 @@ class LinkGains:
 
     h_sp[k] scales user k's own power in the SINR numerator, h_si[k] its
     self-interference, and h_mai[k, j] the interference user k receives
-    from user j (diagonal identically zero). sigma_sq is the noise power
-    at the rake output. A stack of banks carries leading axes: h_sp and
-    h_si of shape (..., K), h_mai of shape (..., K, K), whose leading axes
-    broadcast together (a bank's h_sp shared by every frame count of a
-    stack, say); a field given fewer leading axes holds a read-only
-    broadcast view of the common shape.
+    from user j (diagonal identically zero). sigma_sq, the noise power at
+    the rake output, is positive and finite. A stack of banks carries
+    leading axes: h_sp and h_si of shape (..., K), h_mai of shape
+    (..., K, K), whose leading axes broadcast together (a bank's h_sp
+    shared by every frame count of a stack, say); a field given fewer
+    leading axes holds a read-only broadcast view of the common shape.
     """
 
     h_sp: np.ndarray
@@ -128,13 +127,13 @@ class LinkGains:
             shape = lead + tail
             object.__setattr__(self, name, x if x.shape == shape else np.broadcast_to(x, shape))
         if not np.all(h_sp > 0):
-            raise ValueError("h_sp must be positive")
+            raise ValueError(f"h_sp must be positive; it is not at (..., user) "
+                             f"{np.argwhere(~(h_sp > 0)).tolist()}")
         if not (np.all(h_si >= 0) and np.all(h_mai >= 0)):
             raise ValueError("interference gains must be non-negative")
         if np.any(np.diagonal(h_mai, axis1=-2, axis2=-1) != 0):
             raise ValueError("h_mai diagonal must be zero")
-        if not self.sigma_sq >= 0:
-            raise ValueError("sigma_sq must be non-negative")
+        _positive(self.sigma_sq, "sigma_sq")
 
     @property
     def user_count(self) -> int:
@@ -275,21 +274,16 @@ def link_gains(alphas: np.ndarray,
         # the maximal-ratio weights: the path gains on the first P fingers
         fingers = A[..., :P]
         h_sp[s] = np.einsum("...l,...l->...", fingers.conj(), fingers).real
-        bad = np.argwhere(~(h_sp[s] > 0))
-        if bad.size:
-            axes = "(selector, ..., user)" if several else "(..., user)"
-            if several:
-                bad = np.insert(bad, 0, s, axis=1)
-            raise ValueError(f"no positive combining gain at {axes} {bad.tolist()}")
         if method == "dense":
-            si, cross = _dense_numerators(A, fingers, phi_sq)
+            h_si[s], h_mai[s] = _dense_numerators(A, fingers, phi_sq)
         else:
-            si, cross = _spectral_numerators(fa, pa_t, None if P == L else fingers, lag_weight)
-        scale = N * h_sp[s]
-        h_si[s] = si / scale
-        h_mai[s] = cross / scale[..., None]
-    users = np.arange(K)
-    h_mai[..., users, users] = 0.0
+            h_si[s], h_mai[s] = _spectral_numerators(fa, pa_t, None if P == L else fingers,
+                                                     lag_weight)
+    with np.errstate(divide="ignore", invalid="ignore"):  # LinkGains refuses an h_sp of 0
+        scale = N * h_sp
+        h_si /= scale
+        h_mai /= scale[..., None]
+    h_mai[..., range(K), range(K)] = 0.0
 
     if not several:
         h_sp, h_si, h_mai = h_sp[0], h_si[0], h_mai[0]

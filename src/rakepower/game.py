@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _count
+from .channel import _count, _positive
 from .gains import LinkGains, _user_powers
 
 # relative fixed-point residual a solve must certify (roundoff is ~1e-15)
@@ -41,11 +40,9 @@ class UtilityParams:
         _count(self.packet_bits, "packet_bits", 2)
         if not 0 < self.data_bits <= self.packet_bits:
             raise ValueError("data_bits must be in 1..packet_bits")
-        operator.index(self.data_bits)  # a non-integer count raises TypeError
-        if not self.rate_bps > 0:
-            raise ValueError("rate_bps must be positive")
-        if not self.max_power > 0:
-            raise ValueError("max_power must be positive")
+        _count(self.data_bits, "data_bits")  # a non-integer count raises TypeError
+        _positive(self.rate_bps, "rate_bps")
+        _positive(self.max_power, "max_power")
 
     @property
     def throughput_scale(self) -> float:

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .channel import _count
+from .channel import _count, _decay_ratio, _fraction, _positive
 from .game import UtilityParams, efficiency, gamma_star
 from .gains import SpreadingConfig
 
@@ -40,15 +40,6 @@ _NEAR_FLAT_MIN = 1e-12
 _NEAR_FLAT_DIGITS = 60
 # the utility of every prediction, and of every study's equilibrium solve
 _UTILITY = UtilityParams()
-
-
-def _check(rho: float, beta: float, load: float = 1.0):
-    if not rho >= 1:
-        raise ValueError("decay ratio must be >= 1")
-    if not 0 < beta <= 1:
-        raise ValueError("finger fraction must be in (0, 1]")
-    if not load > 0:
-        raise ValueError("load must be positive")
 
 
 def _finite(value: float, what: str) -> float:
@@ -64,7 +55,8 @@ def mu(rho: float, beta: float) -> float:
     removable limit mu -> 1/beta as rho -> 1 and exactly 1 at beta = 1.
     Scales the per-interferer cross gain: h_mai -> mu / N.
     """
-    _check(rho, beta)
+    _decay_ratio(rho, "rho")
+    _fraction(beta, "beta")
     if beta == 1.0:
         return 1.0
     try:
@@ -100,7 +92,9 @@ def nu(rho: float, beta: float, load: float) -> float:
     rho there that the flat form does not cover, and a value past the
     double range, raise ValueError.
     """
-    _check(rho, beta, load)
+    _decay_ratio(rho, "rho")
+    _fraction(beta, "beta")
+    _positive(load, "load")
     region = _region(beta, load)
     lr = math.log(rho)
     flat = max(1.0, load) * lr < _NEAR_FLAT_MIN
@@ -190,10 +184,11 @@ class LsaParams:
     path_count: int
 
     def __post_init__(self):
-        _check(self.rho, self.beta, self.load)
+        _decay_ratio(self.rho, "rho")
+        _fraction(self.beta, "beta")
+        _count(self.path_count, "path_count")
         _count(self.users, "users")
-        if not self.sigma_sq > 0:
-            raise ValueError("sigma_sq must be positive")
+        _positive(self.sigma_sq, "sigma_sq")
 
     # the constructor under the keyword name perfbench/checks.py calls
     from_spreading = classmethod(lambda cls, **fields: cls(**fields))

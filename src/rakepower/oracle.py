@@ -297,10 +297,12 @@ def mc_gain_ratio(path_count: int, rho: float, beta: float,
     the (t, 0) substream, through channel._trial_normals a block of trials
     at a time), forms ||alpha||^2 over the energy captured by the combined
     fingers, and averages; the mean approaches mu(rho, beta) as L grows.
+    Fewer than 3 combined fingers (an infinite variance) raise ValueError.
     """
     _count(trials, "trials", 2)
     profile = ApdpProfile(path_count=path_count, decay_ratio=rho)
-    fingers = RakeSelector(beta).finger_count(path_count)
+    fingers = _count(RakeSelector(beta).finger_count(path_count),
+                     f"combined fingers at {path_count} paths", 3)
     block = max(1, _MC_BLOCK_TAPS // path_count)
     ratios = np.empty(trials)
     for ts, normals in _trial_normals(master_seed, range(trials), 1, path_count, block):
@@ -511,15 +513,13 @@ def oracle_audit(params: LsaParams, *, mc_trials: int, master_seed: int) -> list
     each group takes both routes' lag sums once, one dot product per chip
     count gives its masses, and its arrays are dropped before the next. The
     value rows raise if the two routes split, and the decomposition rows
-    report them. A point the audit cannot certify (fewer than 3 paths or 2
-    Monte Carlo trials, no finite nu, an infeasible point) raises
-    ValueError before any finite sum.
+    report them. A point the audit cannot certify (fewer than 3 paths, 2
+    Monte Carlo trials or 3 fingers at their 400 paths, no finite nu, an
+    infeasible point) raises ValueError before any finite sum.
     """
     L, rho, beta, load = params.path_count, params.rho, params.beta, params.load
     chips = params.spreading.chips_per_frame
-    if L < 3:
-        raise ValueError("path_count must be >= 3, so that every region point "
-                         "has a chip per frame")
+    _count(L, "path_count", 3)  # so that every region point has a chip per frame
     # raises where nu has no finite value or either fraction is infeasible
     loss = loss_db(params, asymptotic_target=False)
     est = mc_gain_ratio(_MC_PATH_COUNT, rho, beta, trials=mc_trials, master_seed=master_seed)

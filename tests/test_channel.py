@@ -1,6 +1,7 @@
 """Channel model: decay profile, pathloss, tap statistics, substreams."""
 
 import ast
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -338,6 +339,25 @@ def test_the_count_rule_is_written_once():
                 where.append((path.stem, ".".join(scope), ast.unparse(parent[node])))
     assert sorted(where) == [
         ("channel", "_count", "operator.index(value)"),
-        ("game", "UtilityParams.__post_init__", "operator.index(self.data_bits)"),
         ("oracle", "_flat_ratio", "map(operator.index, (path_count, finger_count))"),
     ]
+
+
+def test_each_real_valued_rule_is_written_once():
+    # the fraction, decay-ratio and positive-and-finite comparisons appear
+    # only in their channel helpers, and the combining-gain check only in
+    # LinkGains; every entry point calls these
+    rules = {"fraction": r"0 < \S+ <= 1(\.0)?", "decay ratio": r"\S+ >= 1(\.0)?",
+             "positive": r"0 < \S+ < (np|math)\.inf", "combining gain": r"\S*h_sp\S* > 0"}
+    where = {rule: set() for rule in rules}
+    for path in sorted(Path(channel.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for scope in tree.body:  # the module's functions and classes
+            for node in ast.walk(scope):
+                for rule, pattern in rules.items():
+                    if isinstance(node, ast.Compare) and re.fullmatch(pattern, ast.unparse(node)):
+                        where[rule].add((path.stem, getattr(scope, "name", None)))
+    assert where == {"fraction": {("channel", "_fraction")},
+                     "decay ratio": {("channel", "_decay_ratio")},
+                     "positive": {("channel", "_positive")},
+                     "combining gain": {("gains", "LinkGains")}}

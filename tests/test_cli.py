@@ -588,6 +588,23 @@ def test_validate_rejects_infeasible_operating_point(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("beta", ["0.004", "0.005"])
+def test_validate_refuses_fewer_than_three_monte_carlo_fingers(tmp_path, capsys, beta):
+    # the mc row runs at 400 paths: 1 and 2 fingers there give a ratio with
+    # no finite variance (and with 1, all-zero Gram references)
+    out = tmp_path / "v.csv"
+    assert main(["validate", "--paths", "4000", "--beta", beta, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("Error:")] == [err.strip()]
+    assert err.startswith(f"Error: cannot audit paths=4000 chips=1000 users=8 frames=20 "
+                          f"rho_db=10.0 beta={beta}: combined fingers at 400 paths must be >= 3")
+    assert "Traceback" not in err
+    assert not out.exists()
+    # 3 fingers run the audit, whatever its verdict
+    assert main(["validate", "--paths", "4000", "--beta", "0.0075", "--out", str(out)]) in (0, 2)
+    assert len(_read_csv(out)[1]) == 40
+
+
 _SMALL = ["--users", "2", "--paths", "20", "--chips", "5", "--trials", "2"]
 
 

@@ -180,14 +180,14 @@ def test_spectral_edge_shapes(K, L, beta, chips):
 
 def test_arake_combining_gain_is_channel_energy():
     bank = _bank(2, 40, seed=9)
-    out = link_gains(bank, RakeSelector(1.0), SpreadingConfig(10, 25), 0.0)
+    out = link_gains(bank, RakeSelector(1.0), SpreadingConfig(10, 25), 1e-9)
     for k, ch in enumerate(bank):
         assert out.h_sp[k] == pytest.approx(np.sum(np.abs(ch) ** 2), rel=1e-12)
 
 
 def test_prake_combining_gain_is_captured_energy():
     bank = _bank(2, 40, seed=9)
-    out = link_gains(bank, RakeSelector(0.25), SpreadingConfig(10, 25), 0.0)
+    out = link_gains(bank, RakeSelector(0.25), SpreadingConfig(10, 25), 1e-9)
     for k, ch in enumerate(bank):
         captured = float(np.sum(np.abs(ch[:10]) ** 2))
         assert out.h_sp[k] == pytest.approx(captured, rel=1e-12)
@@ -220,8 +220,8 @@ def test_gain_scaling_in_processing_gain():
     # h_si and h_mai scale as 1/N at fixed chips per frame; h_sp is unchanged
     bank = _bank(3, 24, seed=13)
     selector = RakeSelector(0.5)
-    g1 = link_gains(bank, selector, SpreadingConfig(1, 8), 0.0)
-    g4 = link_gains(bank, selector, SpreadingConfig(4, 8), 0.0)
+    g1 = link_gains(bank, selector, SpreadingConfig(1, 8), 1e-9)
+    g4 = link_gains(bank, selector, SpreadingConfig(4, 8), 1e-9)
     assert np.allclose(g4.h_sp, g1.h_sp, rtol=1e-14, atol=0)
     assert np.allclose(g4.h_si, g1.h_si / 4.0, rtol=1e-14, atol=0)
     assert np.allclose(g4.h_mai, g1.h_mai / 4.0, rtol=1e-14, atol=0)
@@ -260,7 +260,7 @@ def _si_ratio_violations(path_count, chips, trials, seed, block=50):
         stack = np.array([sample_channel_bank(
             prof, sample_topology(1, 3.0, 20.0, substream(seed, t)), seed, t)
             for t in ts])
-        g = link_gains(stack, selector, spreading, 0.0)
+        g = link_gains(stack, selector, spreading, 1e-9)
         bad += [ts[i] for i in np.flatnonzero(g.si_ratio[:, 0] < 1.0)]
     return bad
 
@@ -475,8 +475,9 @@ def test_trial_block_guards_fire_on_one_bad_bank():
     silent[2, 1, :8] = 0.0            # user 1 of trial 2 has nothing on its fingers
     with pytest.raises(ValueError, match=r"\(\.\.\., user\) \[\[2, 1\]\]"):
         link_gains(silent, selector, spreading, 1e-9)
-    # all-rake still sees its later taps; the second selector is the bad one
-    with pytest.raises(ValueError, match=r"\(selector, \.\.\., user\) \[\[1, 2, 1\]\]"):
+    # all-rake still sees its later taps; the second selector is the bad one,
+    # and LinkGains names the position with the selector axis in front
+    with pytest.raises(ValueError, match=r"\(\.\.\., user\) \[\[1, 2, 1\]\]"):
         link_gains(silent, both, spreading, 1e-9)
     # a non-finite path gain is refused before the transforms, whose
     # products would otherwise warn

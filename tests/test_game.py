@@ -14,7 +14,7 @@ from scipy.optimize import minimize_scalar
 from rakepower import (ApdpProfile, LinkGains, LsaParams, RakeSelector,
                        SpreadingConfig, UtilityParams, best_response,
                        closed_form_equilibrium_power, efficiency, feasibility,
-                       gamma_star, link_gains, sample_channel_bank,
+                       gamma_star, link_gains, mu, nu, sample_channel_bank,
                        sample_topology, sinr, solve_equilibrium, substream,
                        utilities)
 import rakepower.game as game
@@ -182,7 +182,7 @@ _LSA_POINT = LsaParams(rho=10.0, beta=0.1, users=4, sigma_sq=1e-9,
     (lambda: _with_nan("h_sp"), "h_sp must be positive"),
     (lambda: _with_nan("h_si"), "interference gains must be non-negative"),
     (lambda: _with_nan("h_mai"), "interference gains must be non-negative"),
-    (lambda: _with_nan("sigma_sq"), "sigma_sq must be non-negative"),
+    (lambda: _with_nan("sigma_sq"), "sigma_sq must be positive and finite"),
     (lambda: dataclasses.replace(_LSA_POINT, path_count=math.nan), "path_count must be >= 1"),
     (lambda: dataclasses.replace(_LSA_POINT, sigma_sq=math.nan), "sigma_sq must be positive"),
     (lambda: dataclasses.replace(_LSA_POINT, users=math.nan), "users must be >= 1"),
@@ -213,6 +213,63 @@ def test_public_inputs_reject_nan(build, message):
     # each check is the negated accepting comparison, which a NaN fails
     with pytest.raises(ValueError, match=message):
         build()
+
+
+_GAINS = dict(h_sp=np.array([1.0, 2.0]), h_si=np.array([0.1, 0.2]),
+              h_mai=np.array([[0.0, 0.5], [0.3, 0.0]]), sigma_sq=1e-9)
+# each real-valued rule: its message, the values it refuses, the bounds it
+# accepts, and its entry points as (entry, field, build from a value); every
+# entry point goes through the rule's one helper, so all of them refuse the
+# same values with the same message
+_REAL_RULES = {
+    "must be in (0, 1]": ((math.nan, 0.0, -0.5, 1.0 + 1e-12, 2.0, math.inf), (1.0,), [
+        ("RakeSelector", "finger_fraction", lambda x: RakeSelector(x)),
+        ("mu", "beta", lambda x: mu(10.0, x)),
+        ("nu", "beta", lambda x: nu(10.0, x, 0.5)),
+        ("LsaParams", "beta", lambda x: dataclasses.replace(_LSA_POINT, beta=x)),
+        ("ExperimentConfig", "beta", lambda x: ExperimentConfig(betas=(0.5, x))),
+    ]),
+    "must be >= 1": ((math.nan, 1.0 - 1e-12, 0.0, -math.inf), (1.0,), [
+        ("ApdpProfile", "decay_ratio", lambda x: ApdpProfile(8, x)),
+        ("mu", "rho", lambda x: mu(x, 0.5)),
+        ("nu", "rho", lambda x: nu(x, 0.5, 0.5)),
+        ("LsaParams", "rho", lambda x: dataclasses.replace(_LSA_POINT, rho=x)),
+    ]),
+    "must be positive and finite": ((math.nan, 0.0, -1e-9, math.inf), (), [
+        ("LinkGains", "sigma_sq", lambda x: LinkGains(**{**_GAINS, "sigma_sq": x})),
+        ("LsaParams", "sigma_sq", lambda x: dataclasses.replace(_LSA_POINT, sigma_sq=x)),
+        ("ExperimentConfig", "sigma_sq", lambda x: ExperimentConfig(sigma_sq=x)),
+        ("UtilityParams", "rate_bps", lambda x: UtilityParams(rate_bps=x)),
+        ("UtilityParams", "max_power", lambda x: UtilityParams(max_power=x)),
+        ("nu", "load", lambda x: nu(10.0, 0.5, x)),
+    ]),
+}
+
+
+@pytest.mark.parametrize("rule, field, build", [
+    pytest.param(rule, field, build, id=f"{entry}-{field}")
+    for rule, (*_, entries) in _REAL_RULES.items() for entry, field, build in entries])
+def test_each_real_valued_rule_has_one_message(rule, field, build):
+    refused, accepted, _ = _REAL_RULES[rule]
+    for value in refused:
+        with pytest.raises(ValueError) as exc:
+            build(value)
+        assert str(exc.value) == f"{field} {rule}", value
+    for value in accepted:
+        build(value)
+
+
+def test_a_noiseless_bank_never_reaches_the_solve():
+    # at sigma_sq = 0 the best response drives every power to 0 and there
+    # is no equilibrium; the bank is refused wherever it is built
+    bank = link_gains(np.ones((2, 16), dtype=complex), RakeSelector(0.5),
+                      SpreadingConfig(2, 8), 1e-9)
+    for build in (lambda: link_gains(np.ones((2, 16), dtype=complex), RakeSelector(0.5),
+                                     SpreadingConfig(2, 8), 0.0),
+                  lambda: dataclasses.replace(bank, sigma_sq=0.0),
+                  lambda: LinkGains(bank.h_sp, bank.h_si, bank.h_mai, 0.0)):
+        with pytest.raises(ValueError, match="sigma_sq must be positive and finite"):
+            solve_equilibrium(build(), UtilityParams())
 
 
 @pytest.mark.parametrize("build, count", [
