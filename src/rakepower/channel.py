@@ -92,7 +92,13 @@ def _decay_ratio(value, name: str) -> None:
 
 
 def _positive(value, name: str) -> None:
-    if not 0 < value < np.inf:
+    # an array entry by entry, naming the failing positions; a scalar by one comparison
+    if isinstance(value, np.ndarray) and value.ndim:
+        ok = (0 < value) & (value < np.inf)
+        if not ok.all():
+            raise ValueError(f"{name} must be positive and finite; it is not at "
+                             f"{np.argwhere(~ok).tolist()}")
+    elif not 0 < value < np.inf:
         raise ValueError(f"{name} must be positive and finite")
 
 
@@ -114,9 +120,11 @@ class ApdpProfile:
         _decay_ratio(self.decay_ratio, "decay_ratio")
 
     def tap_variances(self, user_variance) -> np.ndarray:
-        """Per-tap variances, (..., L) for user variances of shape (...)."""
+        """Per-tap variances, (..., L), of positive, finite user variances (...)."""
+        v = np.asarray(user_variance, dtype=float)
+        _positive(v, "user_variances")
         exponents = -np.arange(self.path_count, dtype=float) / max(self.path_count - 1, 1)
-        return np.multiply.outer(user_variance, self.decay_ratio ** exponents)
+        return np.multiply.outer(v, self.decay_ratio ** exponents)
 
     def path_gains(self, user_variances, normals: np.ndarray) -> np.ndarray:
         """Circular complex Gaussian path gains from _trial_normals draws.
@@ -207,11 +215,14 @@ def _trial_normals(master_seed: int, trials: range, users: int, paths: int,
 
 def sample_topology(K: int, d_min: float, d_max: float,
                     rng: Generator) -> np.ndarray:
-    """Total channel variances of K users, (K,), at distances d drawn i.i.d.
-    uniform on [d_min, d_max], by the pathloss law 0.3 * d^(-2)."""
+    """K users' total channel variances, (K,): the pathloss 0.3 * d^(-2), positive
+    and finite at d_min and d_max, of distances d i.i.d. uniform on [d_min, d_max]."""
     _count(K, "K")
-    if not 0 < d_min <= d_max:
-        raise ValueError("need 0 < d_min <= d_max")
+    for name, d in (("d_min", d_min), ("d_max", d_max)):
+        _positive(d, name)
+        _positive(0.3 / d / d, f"the pathloss at {name}")
+    if not d_min <= d_max:
+        raise ValueError("need d_min <= d_max")
     return 0.3 * rng.uniform(d_min, d_max, size=K) ** -2.0
 
 
@@ -234,9 +245,8 @@ def sample_channel_bank(profile: ApdpProfile, user_variances: np.ndarray,
     (sample_topology draws them), from per-(trial, user) substreams. The
     trial is a key word, as in substream: an integer in [0, 2^32)."""
     v = np.asarray(user_variances, dtype=float)
-    if v.ndim != 1 or v.size < 1 or not np.all((v > 0) & np.isfinite(v)):
-        raise ValueError("user_variances must be a non-empty 1-D array of "
-                         "positive, finite variances")
+    if v.ndim != 1 or v.size < 1:
+        raise ValueError("user_variances must be a non-empty 1-D array")
     (_, normals), = _trial_normals(master_seed, range(trial, trial + 1), v.size,
                                    profile.path_count, 1)
     return profile.path_gains(v, normals[0])

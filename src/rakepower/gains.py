@@ -102,9 +102,9 @@ class LinkGains:
 
     h_sp[k] scales user k's own power in the SINR numerator, h_si[k] its
     self-interference, and h_mai[k, j] the interference user k receives
-    from user j (diagonal identically zero). sigma_sq, the noise power at
-    the rake output, is positive and finite. A stack of banks carries
-    leading axes: h_sp and h_si of shape (..., K), h_mai of shape
+    from user j (diagonal identically zero). h_sp and sigma_sq, the noise
+    power at the rake output, are positive and finite. A stack of banks
+    carries leading axes: h_sp and h_si of shape (..., K), h_mai of shape
     (..., K, K), whose leading axes broadcast together (a bank's h_sp
     shared by every frame count of a stack, say); a field given fewer
     leading axes holds a read-only broadcast view of the common shape.
@@ -126,9 +126,7 @@ class LinkGains:
         for name, x, tail in (("h_sp", h_sp, K), ("h_si", h_si, K), ("h_mai", h_mai, K + K)):
             shape = lead + tail
             object.__setattr__(self, name, x if x.shape == shape else np.broadcast_to(x, shape))
-        if not np.all(h_sp > 0):
-            raise ValueError(f"h_sp must be positive; it is not at (..., user) "
-                             f"{np.argwhere(~(h_sp > 0)).tolist()}")
+        _positive(h_sp, "h_sp")
         if not (np.all(h_si >= 0) and np.all(h_mai >= 0)):
             raise ValueError("interference gains must be non-negative")
         if np.any(np.diagonal(h_mai, axis1=-2, axis2=-1) != 0):

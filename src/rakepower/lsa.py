@@ -235,6 +235,7 @@ def predict_power(params: LsaParams, h_sp) -> float | np.ndarray:
     """Predicted equilibrium transmit power for combined gain h_sp."""
     gam = params.target_sinr
     h = np.asarray(h_sp, dtype=float)
+    _positive(h, "h_sp")
     out = params.gain * params.sigma_sq * gam / (h * _interference_budget(params, gam))
     return float(out) if out.ndim == 0 else out
 
@@ -242,8 +243,9 @@ def predict_power(params: LsaParams, h_sp) -> float | np.ndarray:
 def predict_utility(params: LsaParams, h_sp) -> float | np.ndarray:
     """Predicted equilibrium utility for combined gain h_sp."""
     gam = params.target_sinr
-    budget = _interference_budget(params, gam)
     h = np.asarray(h_sp, dtype=float)
+    _positive(h, "h_sp")
+    budget = _interference_budget(params, gam)
     scale = _UTILITY.throughput_scale * efficiency(gam, _UTILITY.packet_bits)
     out = scale * h * budget / (params.gain * params.sigma_sq * gam)
     return float(out) if out.ndim == 0 else out

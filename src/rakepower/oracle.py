@@ -219,7 +219,7 @@ def _self_lag_masses(v: np.ndarray, fingers: int,
 def _checked_mass(direct: float, table: float) -> float:
     """The direct self-lag mass, if the table route agrees to 1e-12 relative."""
     if abs(direct - table) > _IDENTITY_TOL * max(abs(direct), abs(table)):
-        raise ValueError(
+        raise RuntimeError(
             f"self-interference evaluation orders disagree: {direct} vs {table}")
     return direct
 

@@ -309,7 +309,12 @@ def test_variance_scale_covariance():
                                        [np.nan], [1e-3, np.nan], [], [[1e-3]],
                                        np.float64(1e-3)])
 def test_sample_channel_bank_rejects_bad_variances(variances):
-    with pytest.raises(ValueError, match="positive, finite"):
+    # a bank takes a non-empty 1-D array, whose entries then take the
+    # positive rule in ApdpProfile.tap_variances, by position
+    v = np.asarray(variances)
+    shaped = v.ndim == 1 and v.size
+    rule = "positive and finite; it is not at" if shaped else "a non-empty 1-D array"
+    with pytest.raises(ValueError, match=f"^user_variances must be {rule}"):
         sample_channel_bank(ApdpProfile(4, 10.0), variances, 0, 0)
 
 
@@ -318,6 +323,21 @@ def test_invalid_inputs():
         sample_topology(0, 3.0, 20.0, substream(0))
     with pytest.raises(ValueError):
         sample_topology(2, 20.0, 3.0, substream(0))
+
+
+def test_sample_topology_refuses_distances_with_no_variance():
+    # an infinite d_max has no uniform draw (numpy raises OverflowError),
+    # 0.3 d^-2 underflows to 0 at 1e308 (all-zero variances) and overflows
+    # to inf at 1e-160; each is a ValueError naming the field
+    for d_min, d_max, message in (
+            (3.0, np.inf, "d_max must be positive and finite"),
+            (3.0, 1e308, "the pathloss at d_max must be positive and finite"),
+            (1e-160, 1.0, "the pathloss at d_min must be positive and finite"),
+            (20.0, 3.0, "need d_min <= d_max")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sample_topology(3, d_min, d_max, substream(1, 0))
+    v = sample_topology(1000, 1e-150, 1e150, substream(1, 0))
+    assert np.all((v > 0) & np.isfinite(v))
 
 
 def test_the_count_rule_is_written_once():
@@ -345,19 +365,35 @@ def test_the_count_rule_is_written_once():
 
 def test_each_real_valued_rule_is_written_once():
     # the fraction, decay-ratio and positive-and-finite comparisons appear
-    # only in their channel helpers, and the combining-gain check only in
-    # LinkGains; every entry point calls these
+    # only in their channel helpers, the last in scalar and array form, and
+    # every entry point calls these. The other comparisons with 0 from
+    # above are a two-sided count range, varsigma's own rule (it may be
+    # inf) and masks on results; isfinite tests path gains and closed-form
+    # values, neither a positive rule
     rules = {"fraction": r"0 < \S+ <= 1(\.0)?", "decay ratio": r"\S+ >= 1(\.0)?",
-             "positive": r"0 < \S+ < (np|math)\.inf", "combining gain": r"\S*h_sp\S* > 0"}
-    where = {rule: set() for rule in rules}
+             "positive": r"0(\.0)? < .+|.+ > 0(\.0)?|.+ < (np|math)\.inf"}
+    where = {rule: set() for rule in (*rules, "isfinite")}
     for path in sorted(Path(channel.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         for scope in tree.body:  # the module's functions and classes
             for node in ast.walk(scope):
+                text, site = ast.unparse(node), (path.stem, getattr(scope, "name", None))
                 for rule, pattern in rules.items():
-                    if isinstance(node, ast.Compare) and re.fullmatch(pattern, ast.unparse(node)):
-                        where[rule].add((path.stem, getattr(scope, "name", None)))
-    assert where == {"fraction": {("channel", "_fraction")},
-                     "decay ratio": {("channel", "_decay_ratio")},
-                     "positive": {("channel", "_positive")},
-                     "combining gain": {("gains", "LinkGains")}}
+                    if isinstance(node, ast.Compare) and re.fullmatch(pattern, text):
+                        where[rule].add((*site, text))
+                if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("isfinite"):
+                    where["isfinite"].add((*site, text))
+    assert where == {
+        "fraction": {("channel", "_fraction", "0 < value <= 1")},
+        "decay ratio": {("channel", "_decay_ratio", "value >= 1")},
+        "positive": {("channel", "_fraction", "0 < value <= 1"),
+                     ("channel", "_positive", "0 < value < np.inf"),
+                     ("channel", "_positive", "0 < value"),
+                     ("channel", "_positive", "value < np.inf"),
+                     ("game", "UtilityParams", "0 < self.data_bits <= self.packet_bits"),
+                     ("game", "_targets", "vs > 0"),
+                     ("game", "utilities", "p > 0"),
+                     ("game", "_outage", "p > 0"),
+                     ("cli", "run_utility_vs_gain", "np.asarray(chunk) > 0")},
+        "isfinite": {("gains", "link_gains", "np.isfinite(A)"),
+                     ("lsa", "_finite", "math.isfinite(value)")}}

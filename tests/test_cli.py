@@ -16,6 +16,7 @@ import pytest
 import rakepower.channel as channel
 import rakepower.cli as cli
 import rakepower.game as game
+import rakepower.oracle as oracle
 from rakepower import (ApdpProfile, LsaParams, RakeSelector, SpreadingConfig,
                        UtilityParams, __version__, gamma_star, link_gains, loss_db,
                        mu, nu, predict_utility, sample_channel_bank, sample_topology,
@@ -585,6 +586,19 @@ def test_validate_rejects_infeasible_operating_point(tmp_path, capsys):
     assert "cannot audit paths=41 chips=10 users=8" in err
     assert "infeasible operating point" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_validate_fails_split_routes_as_a_certificate(tmp_path, capsys, monkeypatch):
+    # two self-lag routes that disagree fail the audit as an uncertified
+    # equilibrium fails a study: an error, never a usage error naming the point
+    table_lags = oracle._table_lags
+    monkeypatch.setattr(oracle, "_table_lags",
+                        lambda v, fingers: table_lags(v, fingers) * (1.0 + 1e-9))
+    out = tmp_path / "v.csv"
+    with pytest.raises(RuntimeError, match="self-interference evaluation orders disagree"):
+        main(["validate", "--paths", "400", "--out", str(out)])
+    assert "cannot audit" not in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -14,9 +14,9 @@ from scipy.optimize import minimize_scalar
 from rakepower import (ApdpProfile, LinkGains, LsaParams, RakeSelector,
                        SpreadingConfig, UtilityParams, best_response,
                        closed_form_equilibrium_power, efficiency, feasibility,
-                       gamma_star, link_gains, mu, nu, sample_channel_bank,
-                       sample_topology, sinr, solve_equilibrium, substream,
-                       utilities)
+                       gamma_star, link_gains, mu, nu, predict_power,
+                       predict_utility, sample_channel_bank, sample_topology, sinr,
+                       solve_equilibrium, substream, utilities)
 import rakepower.game as game
 from rakepower.cli import ExperimentConfig
 from rakepower.game import _outage, _response_map, _sinrs, _targets
@@ -179,7 +179,7 @@ _LSA_POINT = LsaParams(rho=10.0, beta=0.1, users=4, sigma_sq=1e-9,
 @pytest.mark.parametrize("build, message", [
     (lambda: UtilityParams(max_power=math.nan), "max_power must be positive"),
     (lambda: UtilityParams(rate_bps=math.nan), "rate_bps must be positive"),
-    (lambda: _with_nan("h_sp"), "h_sp must be positive"),
+    (lambda: _with_nan("h_sp"), r"h_sp must be positive and finite; it is not at \[\[1\]\]"),
     (lambda: _with_nan("h_si"), "interference gains must be non-negative"),
     (lambda: _with_nan("h_mai"), "interference gains must be non-negative"),
     (lambda: _with_nan("sigma_sq"), "sigma_sq must be positive and finite"),
@@ -215,6 +215,8 @@ def test_public_inputs_reject_nan(build, message):
         build()
 
 
+# an operating point whose interference budget is open, for the predictions
+_FEASIBLE = dataclasses.replace(_LSA_POINT, spreading=SpreadingConfig(20, 100))
 _GAINS = dict(h_sp=np.array([1.0, 2.0]), h_si=np.array([0.1, 0.2]),
               h_mai=np.array([[0.0, 0.5], [0.3, 0.0]]), sigma_sq=1e-9)
 # each real-valued rule: its message, the values it refuses, the bounds it
@@ -242,6 +244,14 @@ _REAL_RULES = {
         ("UtilityParams", "rate_bps", lambda x: UtilityParams(rate_bps=x)),
         ("UtilityParams", "max_power", lambda x: UtilityParams(max_power=x)),
         ("nu", "load", lambda x: nu(10.0, 0.5, x)),
+        # the array entries of _POSITIVE_ARRAYS, given a scalar
+        ("tap_variances", "user_variances", lambda x: ApdpProfile(4, 10.0).tap_variances(x)),
+        ("path_gains", "user_variances",
+         lambda x: ApdpProfile(4, 10.0).path_gains(x, np.ones(4, dtype=complex))),
+        ("predict_power", "h_sp", lambda x: predict_power(_FEASIBLE, x)),
+        ("predict_utility", "h_sp", lambda x: predict_utility(_FEASIBLE, x)),
+        ("sample_topology", "d_min", lambda x: sample_topology(3, x, 20.0, substream(1, 0))),
+        ("sample_topology", "d_max", lambda x: sample_topology(3, 3.0, x, substream(1, 0))),
     ]),
 }
 
@@ -257,6 +267,52 @@ def test_each_real_valued_rule_has_one_message(rule, field, build):
         assert str(exc.value) == f"{field} {rule}", value
     for value in accepted:
         build(value)
+
+
+# every entry that takes an array of positive, finite gains or variances,
+# as (entry, field, build from an array, the array's shape); each checks
+# it entry by entry in channel._positive, whose error names the failing
+# positions (_REAL_RULES gives these entries scalars)
+_POSITIVE_ARRAYS = [
+    ("LinkGains", "h_sp", lambda x: LinkGains(
+        x, np.zeros_like(x), np.zeros(x.shape + x.shape[-1:]), 1e-9), (2, 3)),
+    ("tap_variances", "user_variances", lambda x: ApdpProfile(4, 10.0).tap_variances(x), (2, 3)),
+    ("path_gains", "user_variances", lambda x: ApdpProfile(4, 10.0).path_gains(
+        x, np.ones(x.shape + (4,), dtype=complex)), (2, 3)),
+    ("sample_channel_bank", "user_variances",
+     lambda x: sample_channel_bank(ApdpProfile(4, 10.0), x, 0, 0), (3,)),
+    ("predict_power", "h_sp", lambda x: predict_power(_FEASIBLE, x), (2, 3)),
+    ("predict_utility", "h_sp", lambda x: predict_utility(_FEASIBLE, x), (2, 3)),
+]
+
+
+@pytest.mark.parametrize("field, build, shape", [
+    pytest.param(field, build, shape, id=f"{entry}-{field}")
+    for entry, field, build, shape in _POSITIVE_ARRAYS])
+def test_each_positive_array_is_checked_entry_by_entry(field, build, shape):
+    # the bad entry sits last, at a position naming every axis
+    where = tuple(n - 1 for n in shape)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        value = np.ones(shape)
+        value[where] = bad
+        with pytest.raises(ValueError) as exc:
+            build(value)
+        assert str(exc.value) == (f"{field} must be positive and finite; "
+                                  f"it is not at {[list(where)]}"), bad
+    build(np.ones(shape))
+
+
+def test_an_infinite_combining_gain_never_reaches_the_solve():
+    # at h_sp = inf the best response is power 0, which the solve would
+    # certify as a converged equilibrium with utility 0; the bank is refused
+    bank = link_gains(np.ones((2, 16), dtype=complex), RakeSelector(0.5),
+                      SpreadingConfig(2, 8), 1e-9)
+    h_sp = np.array([bank.h_sp[0], math.inf])
+    for build in (lambda: dataclasses.replace(bank, h_sp=h_sp),
+                  lambda: LinkGains(h_sp, bank.h_si, bank.h_mai, bank.sigma_sq)):
+        with pytest.raises(ValueError, match=r"^h_sp must be positive and finite; "
+                           r"it is not at \[\[1\]\]$"):
+            solve_equilibrium(build(), UtilityParams())
 
 
 def test_a_noiseless_bank_never_reaches_the_solve():

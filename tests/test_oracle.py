@@ -81,7 +81,8 @@ def test_finite_nu_refuses_routes_that_split(monkeypatch):
     table_lags = oracle._table_lags
     monkeypatch.setattr(oracle, "_table_lags",
                         lambda v, fingers: table_lags(v, fingers) * (1.0 + 1e-9))
-    with pytest.raises(ValueError, match="self-interference evaluation orders disagree"):
+    # a failed certificate, as an uncertified equilibrium is: no refused input
+    with pytest.raises(RuntimeError, match="self-interference evaluation orders disagree"):
         finite_nu(40, 10, 10.0, 0.3)
 
 
