@@ -91,15 +91,23 @@ def _decay_ratio(value, name: str) -> None:
         raise ValueError(f"{name} must be >= 1")
 
 
+def _entrywise(ok: np.ndarray, name: str, rule: str) -> None:
+    # an array rule's one report: the positions where it fails
+    if not ok.all():
+        raise ValueError(f"{name} must be {rule}; it is not at {np.argwhere(~ok).tolist()}")
+
+
 def _positive(value, name: str) -> None:
-    # an array entry by entry, naming the failing positions; a scalar by one comparison
+    # an array entry by entry; a scalar by one comparison
     if isinstance(value, np.ndarray) and value.ndim:
-        ok = (0 < value) & (value < np.inf)
-        if not ok.all():
-            raise ValueError(f"{name} must be positive and finite; it is not at "
-                             f"{np.argwhere(~ok).tolist()}")
+        _entrywise((0 < value) & (value < np.inf), name, "positive and finite")
     elif not 0 < value < np.inf:
         raise ValueError(f"{name} must be positive and finite")
+
+
+def _nonnegative(value: np.ndarray, name: str) -> None:
+    # an array of powers or interference gains, entry by entry; 0 passes
+    _entrywise((0 <= value) & (value < np.inf), name, "non-negative and finite")
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,8 @@ from .lsa import _UTILITY, LsaParams, loss_db, min_frames, mu, nu, predict_utili
 from .oracle import oracle_audit
 
 _RHO_DB_GRID = (0.0, 10.0, 20.0)
+# the combining fractions mu-nu and loss-beta sweep without --beta
+_BETA_GRID = tuple(np.round(np.arange(0.02, 1.0 + 1e-9, 0.02), 6))
 _LOAD_GRID = (0.25, 1.0, 4.0)
 _BETA_BANKS = (1.0, 0.5, 0.3, 0.1)
 _LOSS_RHO_DB = (0.0, 10.0)
@@ -92,11 +94,10 @@ class ExperimentConfig:
     def rho(self) -> float:
         return 10.0 ** (self.rho_db / 10.0)
 
-    def lsa_params(self, beta: float, rho: float | None = None,
-                   chips: int | None = None) -> LsaParams:
-        spreading = SpreadingConfig(self.frames, self.chips if chips is None else chips)
-        return LsaParams(rho=self.rho if rho is None else rho, beta=beta, users=self.users,
-                         sigma_sq=self.sigma_sq, spreading=spreading, path_count=self.paths)
+    def lsa_params(self, beta: float) -> LsaParams:
+        return LsaParams(rho=self.rho, beta=beta, users=self.users, sigma_sq=self.sigma_sq,
+                         spreading=SpreadingConfig(self.frames, self.chips),
+                         path_count=self.paths)
 
 
 def _floats(val: str) -> tuple[float, ...]:
@@ -163,10 +164,6 @@ def build_config(config_file: str | None = None, **flags) -> tuple[ExperimentCon
 # ---------------------------------------------------------------------------
 # runners
 
-def _default_beta_grid() -> np.ndarray:
-    return np.round(np.arange(0.02, 1.0 + 1e-9, 0.02), 6)
-
-
 def run_gamma_curve(config: ExperimentConfig):
     """Target SINR against the self-interference headroom ratio."""
     fields = ["varsigma", "target_sinr"]
@@ -189,11 +186,11 @@ def run_apdp(config: ExperimentConfig):
 
 def run_mu_nu_curves(config: ExperimentConfig):
     """Interference coefficient surfaces over decay, fraction, and load."""
-    betas = config.betas or tuple(_default_beta_grid())
+    betas = config.betas or _BETA_GRID
     fields = ["rho_db", "load", "beta", "mu", "nu"]
     rows = []
     for rho_db in _RHO_DB_GRID:
-        rho = 10.0 ** (rho_db / 10.0)
+        rho = dataclasses.replace(config, rho_db=rho_db).rho
         for load in _LOAD_GRID:
             for beta in betas:
                 rows.append({"rho_db": rho_db, "load": load, "beta": beta,
@@ -246,9 +243,9 @@ def run_po_vs_frames(config: ExperimentConfig):
     selector = RakeSelector(beta)
     spreading_unit = SpreadingConfig(frames=1, chips_per_frame=config.chips)
     frame_counts = np.arange(1, frames_max + 1)
-    rhos = [10.0 ** (rho_db / 10.0) for rho_db in _RHO_DB_GRID]
-    profiles = [ApdpProfile(config.paths, rho) for rho in rhos]
-    outages = np.zeros((len(rhos), frames_max), dtype=np.int64)
+    points = [dataclasses.replace(config, rho_db=rho_db) for rho_db in _RHO_DB_GRID]
+    profiles = [ApdpProfile(config.paths, point.rho) for point in points]
+    outages = np.zeros((len(points), frames_max), dtype=np.int64)
     for trials, variances, normals in _trial_blocks(
             config.seed, range(config.trials), config.users, config.paths, _TRIAL_BLOCK):
         units = [link_gains(p.path_gains(variances, normals), selector, spreading_unit,
@@ -264,9 +261,9 @@ def run_po_vs_frames(config: ExperimentConfig):
         outages += outage.sum(axis=1)
     fields = ["rho_db", "frames", "outage_fraction", "min_frames"]
     rows = []
-    for rho_db, rho, counts in zip(_RHO_DB_GRID, rhos, outages):
-        analytic = _or_nan(min_frames, config.lsa_params(beta, rho=rho))
-        rows += [{"rho_db": rho_db, "frames": nf, "min_frames": analytic,
+    for point, counts in zip(points, outages):
+        analytic = _or_nan(min_frames, point.lsa_params(beta))
+        rows += [{"rho_db": point.rho_db, "frames": nf, "min_frames": analytic,
                   "outage_fraction": counts[nf - 1] / config.trials}
                  for nf in range(1, frames_max + 1)]
     return fields, rows
@@ -311,7 +308,6 @@ def run_utility_vs_gain(config: ExperimentConfig):
     betas = config.betas or _BETA_BANKS
     selectors = [RakeSelector(beta) for beta in betas]
     profile = ApdpProfile(config.paths, config.rho)
-    spreading = SpreadingConfig(frames=config.frames, chips_per_frame=config.chips)
     params_full = config.lsa_params(1.0)
     penalties = 10.0 ** (np.array([_or_nan(loss_db, config.lsa_params(beta))
                                    for beta in betas]) / 10.0)
@@ -320,7 +316,7 @@ def run_utility_vs_gain(config: ExperimentConfig):
     every_trial = range(config.trials + 1)
     for first in range(0, len(every_trial), _SOLVE_TRIALS):
         chunk = every_trial[first:first + _SOLVE_TRIALS]
-        energy, stack = _chunk_gains(config, chunk, profile, selectors, spreading)
+        energy, stack = _chunk_gains(config, chunk, profile, selectors, params_full.spreading)
         pred_full = _or_nan(predict_utility, params_full, energy)
         outcome = solve_equilibrium(stack, _UTILITY)
         _certify(outcome.converged, chunk)
@@ -369,16 +365,14 @@ def run_loss_vs_beta(config: ExperimentConfig):
     operating points whose interference budget closes (no feasible target)
     yield nan rather than a row omission, keeping the grid rectangular.
     """
-    betas = config.betas or tuple(_default_beta_grid())
+    betas = config.betas or _BETA_GRID
     fields = ["rho_db", "chips", "beta", "loss_db"]
     rows = []
     for rho_db in _LOSS_RHO_DB:
-        rho = 10.0 ** (rho_db / 10.0)
         for chips in _LOSS_CHIPS:
-            for beta in betas:
-                rows.append({"rho_db": rho_db, "chips": chips, "beta": beta,
-                             "loss_db": _or_nan(loss_db, config.lsa_params(
-                                 beta, rho=rho, chips=chips))})
+            point = dataclasses.replace(config, rho_db=rho_db, chips=chips)
+            rows += [{"rho_db": rho_db, "chips": chips, "beta": beta,
+                      "loss_db": _or_nan(loss_db, point.lsa_params(beta))} for beta in betas]
     return fields, rows
 
 

@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 from numpy.fft import fft, rfft
 
-from .channel import _count, _fraction, _positive
+from .channel import _count, _fraction, _nonnegative, _positive
 
 
 @dataclass(frozen=True)
@@ -103,11 +103,12 @@ class LinkGains:
     h_sp[k] scales user k's own power in the SINR numerator, h_si[k] its
     self-interference, and h_mai[k, j] the interference user k receives
     from user j (diagonal identically zero). h_sp and sigma_sq, the noise
-    power at the rake output, are positive and finite. A stack of banks
-    carries leading axes: h_sp and h_si of shape (..., K), h_mai of shape
-    (..., K, K), whose leading axes broadcast together (a bank's h_sp
-    shared by every frame count of a stack, say); a field given fewer
-    leading axes holds a read-only broadcast view of the common shape.
+    power at the rake output, are positive and finite; h_si and h_mai are
+    non-negative and finite. A stack of banks carries leading axes: h_sp
+    and h_si of shape (..., K), h_mai of shape (..., K, K), whose leading
+    axes broadcast together (a bank's h_sp shared by every frame count of
+    a stack, say); a field given fewer leading axes holds a read-only
+    broadcast view of the common shape.
     """
 
     h_sp: np.ndarray
@@ -127,8 +128,8 @@ class LinkGains:
             shape = lead + tail
             object.__setattr__(self, name, x if x.shape == shape else np.broadcast_to(x, shape))
         _positive(h_sp, "h_sp")
-        if not (np.all(h_si >= 0) and np.all(h_mai >= 0)):
-            raise ValueError("interference gains must be non-negative")
+        _nonnegative(h_si, "h_si")
+        _nonnegative(h_mai, "h_mai")
         if np.any(np.diagonal(h_mai, axis1=-2, axis2=-1) != 0):
             raise ValueError("h_mai diagonal must be zero")
         _positive(self.sigma_sq, "sigma_sq")
@@ -293,6 +294,7 @@ def _user_powers(gains: LinkGains, powers: np.ndarray, k: int) -> np.ndarray:
     p = np.asarray(powers, dtype=float)
     if p.shape != (gains.user_count,):
         raise ValueError("powers must have one entry per user")
+    _nonnegative(p, "powers")
     if not 0 <= k < gains.user_count:
         raise IndexError(f"user index {k} outside 0..{gains.user_count - 1}")
     return p

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _count, _positive
+from .channel import _count, _nonnegative, _positive
 from .gains import LinkGains, _user_powers
 
 # relative fixed-point residual a solve must certify (roundoff is ~1e-15)
@@ -53,7 +53,7 @@ def efficiency(gamma, packet_bits: int = UtilityParams.packet_bits):
     """Packet success rate (1 - e^(-gamma/2))^M; accepts scalars or arrays."""
     g = np.asarray(gamma, dtype=float)
     out = (-np.expm1(-g / 2.0)) ** _count(packet_bits, "packet_bits", 2)
-    return float(out) if np.isscalar(gamma) or g.ndim == 0 else out
+    return float(out) if g.ndim == 0 else out
 
 
 def _newton_root(x: np.ndarray, inv: np.ndarray | float, M: int) -> np.ndarray:
@@ -104,8 +104,10 @@ def _sinrs(gains: LinkGains, powers: np.ndarray) -> np.ndarray:
 
 def utilities(gains: LinkGains, powers: np.ndarray,
               params: UtilityParams) -> np.ndarray:
-    """Per-user utility at a power vector; zero utility at zero power."""
+    """Per-user utility at a power vector, or at a stack of them, each
+    non-negative and finite; zero utility at zero power."""
     p = np.asarray(powers, dtype=float)
+    _nonnegative(p, "powers")
     with np.errstate(divide="ignore", invalid="ignore"):
         u = params.throughput_scale * efficiency(_sinrs(gains, p), params.packet_bits) / p
     return np.where(p > 0, u, 0.0)

@@ -364,14 +364,15 @@ def test_the_count_rule_is_written_once():
 
 
 def test_each_real_valued_rule_is_written_once():
-    # the fraction, decay-ratio and positive-and-finite comparisons appear
-    # only in their channel helpers, the last in scalar and array form, and
-    # every entry point calls these. The other comparisons with 0 from
-    # above are a two-sided count range, varsigma's own rule (it may be
-    # inf) and masks on results; isfinite tests path gains and closed-form
-    # values, neither a positive rule
+    # the fraction, decay-ratio, positive-and-finite and non-negative
+    # comparisons appear only in their channel helpers, the positive one in
+    # scalar and array form, and every entry point calls these. The other
+    # comparisons with 0 from above are a two-sided count range, varsigma's
+    # own rule (it may be inf) and masks on results; isfinite tests path
+    # gains and closed-form values, neither a positive rule
     rules = {"fraction": r"0 < \S+ <= 1(\.0)?", "decay ratio": r"\S+ >= 1(\.0)?",
-             "positive": r"0(\.0)? < .+|.+ > 0(\.0)?|.+ < (np|math)\.inf"}
+             "positive": r"0(\.0)? < .+|.+ > 0(\.0)?|.+ < (np|math)\.inf",
+             "non-negative": r"0(\.0)? <= \S+|.+ >= 0(\.0)?"}
     where = {rule: set() for rule in (*rules, "isfinite")}
     for path in sorted(Path(channel.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -390,10 +391,12 @@ def test_each_real_valued_rule_is_written_once():
                      ("channel", "_positive", "0 < value < np.inf"),
                      ("channel", "_positive", "0 < value"),
                      ("channel", "_positive", "value < np.inf"),
+                     ("channel", "_nonnegative", "value < np.inf"),
                      ("game", "UtilityParams", "0 < self.data_bits <= self.packet_bits"),
                      ("game", "_targets", "vs > 0"),
                      ("game", "utilities", "p > 0"),
                      ("game", "_outage", "p > 0"),
                      ("cli", "run_utility_vs_gain", "np.asarray(chunk) > 0")},
+        "non-negative": {("channel", "_nonnegative", "0 <= value")},
         "isfinite": {("gains", "link_gains", "np.isfinite(A)"),
                      ("lsa", "_finite", "math.isfinite(value)")}}

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +83,48 @@ def test_loss_beta_csv(tmp_path):
     ref = [r for r in rows if r["rho_db"] == "10.0" and r["chips"] == "50"
            and float(r["beta"]) == 0.1]
     assert float(ref[0]["loss_db"]) == pytest.approx(8.3958, abs=2e-3)
+
+
+def _by_hand(config, rho_db, beta, chips):
+    """The operating point of a grid cell, its decay ratio converted here."""
+    return LsaParams(rho=10.0 ** (rho_db / 10.0), beta=beta, users=config.users,
+                     sigma_sq=config.sigma_sq, spreading=SpreadingConfig(config.frames, chips),
+                     path_count=config.paths)
+
+
+def test_every_grid_cell_is_the_config_at_its_point(monkeypatch):
+    # each closed form records its arguments: mu-nu's ratios, loss-beta's
+    # (rho, chips) cells and po-frames' ratios each equal the hand-built point
+    seen = []
+    for name in ("mu", "nu", "loss_db", "min_frames"):
+        form = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, form=form: seen.append(args) or form(*args))
+    config = ExperimentConfig(users=2, paths=20, chips=5, frames=3, trials=2,
+                              sigma_sq=1e-12, betas=(0.3, 1.0))
+    _, rows = cli.run_mu_nu_curves(config)
+    assert seen == [args for r in rows for args in (
+        (10.0 ** (r["rho_db"] / 10.0), r["beta"]),
+        (10.0 ** (r["rho_db"] / 10.0), r["beta"], r["load"]))]
+    seen.clear()
+    _, rows = cli.run_loss_vs_beta(config)
+    assert len(rows) == 2 * 2 * 2
+    assert seen == [(_by_hand(config, r["rho_db"], r["beta"], r["chips"]),) for r in rows]
+    seen.clear()
+    _, rows = run_po_vs_frames(dataclasses.replace(config, betas=(0.3,)))
+    assert seen == [(_by_hand(config, rho_db, 0.3, config.chips),)
+                    for rho_db in cli._RHO_DB_GRID]
+    assert [r["rho_db"] for r in rows[::25]] == list(cli._RHO_DB_GRID)
+
+
+def test_lsa_params_takes_only_the_fraction():
+    # the decay ratio and chip count come from the config's own fields, and
+    # cli turns rho_db into a ratio only in ExperimentConfig.rho
+    for keyword in ("rho", "chips"):
+        with pytest.raises(TypeError, match=keyword):
+            ExperimentConfig().lsa_params(0.1, **{keyword: 1})
+    assert ExperimentConfig(rho_db=20.0).lsa_params(0.5) == _by_hand(
+        ExperimentConfig(), 20.0, 0.5, ExperimentConfig.chips)
+    assert Path(cli.__file__).read_text().count("rho_db / 10") == 1
 
 
 def test_po_frames_outage_monotone(tmp_path):

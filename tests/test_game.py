@@ -180,8 +180,9 @@ _LSA_POINT = LsaParams(rho=10.0, beta=0.1, users=4, sigma_sq=1e-9,
     (lambda: UtilityParams(max_power=math.nan), "max_power must be positive"),
     (lambda: UtilityParams(rate_bps=math.nan), "rate_bps must be positive"),
     (lambda: _with_nan("h_sp"), r"h_sp must be positive and finite; it is not at \[\[1\]\]"),
-    (lambda: _with_nan("h_si"), "interference gains must be non-negative"),
-    (lambda: _with_nan("h_mai"), "interference gains must be non-negative"),
+    (lambda: _with_nan("h_si"), r"h_si must be non-negative and finite; it is not at \[\[1\]\]"),
+    (lambda: _with_nan("h_mai"),
+     r"h_mai must be non-negative and finite; it is not at \[\[0, 1\]\]"),
     (lambda: _with_nan("sigma_sq"), "sigma_sq must be positive and finite"),
     (lambda: dataclasses.replace(_LSA_POINT, path_count=math.nan), "path_count must be >= 1"),
     (lambda: dataclasses.replace(_LSA_POINT, sigma_sq=math.nan), "sigma_sq must be positive"),
@@ -312,6 +313,64 @@ def test_an_infinite_combining_gain_never_reaches_the_solve():
                   lambda: LinkGains(h_sp, bank.h_si, bank.h_mai, bank.sigma_sq)):
         with pytest.raises(ValueError, match=r"^h_sp must be positive and finite; "
                            r"it is not at \[\[1\]\]$"):
+            solve_equilibrium(build(), UtilityParams())
+
+
+# the bank whose power vectors and interference gains the non-negative
+# rule checks
+_BANK = dict(h_sp=np.array([1.0, 1.0]), h_si=np.array([0.01, 0.01]),
+             h_mai=np.array([[0.0, 0.1], [0.1, 0.0]]), sigma_sq=1e-9)
+# every entry that takes powers or interference gains, as (entry, field,
+# build from an array, a valid array); each checks it entry by entry in
+# channel._nonnegative
+_POWERS = np.full(2, 1e-7)
+_NONNEGATIVE_ARRAYS = [
+    ("sinr", "powers", lambda x: sinr(LinkGains(**_BANK), x, 1), _POWERS),
+    ("best_response", "powers",
+     lambda x: best_response(LinkGains(**_BANK), x, 1, UtilityParams()), _POWERS),
+    ("utilities", "powers", lambda x: utilities(LinkGains(**_BANK), x, UtilityParams()), _POWERS),
+    ("utilities-stack", "powers", lambda x: utilities(LinkGains(**_BANK), x, UtilityParams()),
+     np.stack([_POWERS, _POWERS])),
+    ("LinkGains", "h_si", lambda x: LinkGains(**{**_BANK, "h_si": x}), _BANK["h_si"]),
+    ("LinkGains", "h_mai", lambda x: LinkGains(**{**_BANK, "h_mai": x}), _BANK["h_mai"]),
+]
+
+
+@pytest.mark.parametrize("field, build, valid", [
+    pytest.param(field, build, valid, id=f"{entry}-{field}")
+    for entry, field, build, valid in _NONNEGATIVE_ARRAYS])
+def test_each_nonnegative_array_is_checked_entry_by_entry(field, build, valid):
+    # a negative, NaN or infinite entry gave a negative power, a SINR of
+    # -12.5, a utility of 2e283 or a hidden NaN; each is now refused by
+    # position (user 1, or user 0 of the second bank or row, off h_mai's
+    # zero diagonal)
+    where = (1, 0)[:valid.ndim]
+    for bad in (-1e-7, math.nan, math.inf):
+        value = valid.copy()
+        value[where] = bad
+        with pytest.raises(ValueError) as exc:
+            build(value)
+        assert str(exc.value) == (f"{field} must be non-negative and finite; "
+                                  f"it is not at {[list(where)]}"), bad
+    build(valid)
+
+
+def test_zero_power_keeps_zero_utility():
+    bank = LinkGains(**_BANK)
+    u = utilities(bank, np.array([0.0, 1e-7]), UtilityParams())
+    assert u[0] == 0.0 and u[1] > 0.0
+    assert sinr(bank, np.zeros(2), 0) == 0.0
+    assert np.array_equal(utilities(bank, np.zeros((2, 2)), UtilityParams()), np.zeros((2, 2)))
+
+
+def test_an_infinite_cross_gain_never_reaches_the_solve():
+    # at h_mai = inf the solve returned converged=True with both users
+    # clamped at utility 0; the bank is refused wherever it is built
+    h_mai = np.array([[0.0, math.inf], [0.1, 0.0]])
+    for build in (lambda: dataclasses.replace(LinkGains(**_BANK), h_mai=h_mai),
+                  lambda: LinkGains(**{**_BANK, "h_mai": h_mai})):
+        with pytest.raises(ValueError, match=r"^h_mai must be non-negative and finite; "
+                           r"it is not at \[\[0, 1\]\]$"):
             solve_equilibrium(build(), UtilityParams())
 
 

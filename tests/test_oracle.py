@@ -11,7 +11,6 @@ from rakepower import (LsaParams, SpreadingConfig, finite_mu, finite_nu, flat_mu
                        flat_nu_exact, mc_gain_ratio, mu, nu, oracle_audit)
 import rakepower.channel as channel
 import rakepower.oracle as oracle
-from rakepower.cli import ExperimentConfig
 from rakepower.gains import RakeSelector, _phi_squared
 from rakepower.oracle import (_captured_density, _direct_lags, _mass,
                               _overlap_table_deviation, _profile, _table_lags,
@@ -543,7 +542,8 @@ def test_mc_gain_ratio_error_shrinks_with_path_count():
 
 def _point(L, rho=10.0, beta=0.1, load=0.25):
     """The audit operating point at L paths, the rest of the reference system."""
-    return ExperimentConfig(paths=L, chips=round(load * L)).lsa_params(beta, rho=rho)
+    return LsaParams(rho=rho, beta=beta, users=8, sigma_sq=5e-16,
+                     spreading=SpreadingConfig(20, round(load * L)), path_count=L)
 
 
 def _audit(L, mc_trials=500, **point):
