@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .channel import ApdpProfile, _count, _fraction, _positive, _trial_blocks
 from .gains import LinkGains, RakeSelector, SpreadingConfig, link_gains
-from .game import _outage, gamma_star, solve_equilibrium
+from .game import _outage, _targets, solve_equilibrium
 from .lsa import _UTILITY, LsaParams, loss_db, min_frames, mu, nu, predict_utility
 from .oracle import oracle_audit
 
@@ -166,12 +166,10 @@ def build_config(config_file: str | None = None, **flags) -> tuple[ExperimentCon
 
 def run_gamma_curve(config: ExperimentConfig):
     """Target SINR against the self-interference headroom ratio."""
-    fields = ["varsigma", "target_sinr"]
-    rows = []
-    for vs in np.logspace(0.0, 12.0, 121):
-        rows.append({"varsigma": vs,
-                     "target_sinr": gamma_star(vs, _UTILITY.packet_bits)})
-    return fields, rows
+    varsigma = np.logspace(0.0, 12.0, 121)
+    targets = _targets(varsigma, _UTILITY.packet_bits)
+    rows = [{"varsigma": vs, "target_sinr": g} for vs, g in zip(varsigma, targets)]
+    return ["varsigma", "target_sinr"], rows
 
 
 def run_apdp(config: ExperimentConfig):

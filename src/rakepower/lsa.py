@@ -223,32 +223,32 @@ def _interference_mass(params: LsaParams, gam: float) -> float:
     return gam * ((params.users - 1) * params.mu + params.nu)
 
 
-def _interference_budget(params: LsaParams, gam: float) -> float:
-    """N minus the SINR-weighted interference mass; raises unless positive."""
+def _power(params: LsaParams, h_sp, gam: float) -> float | np.ndarray:
+    """Equilibrium power N sigma^2 gamma / (h (N - gamma ((K - 1) mu + nu)))
+    for combined gain h_sp at target gam; raises unless the budget is positive."""
+    h = np.asarray(h_sp, dtype=float)
+    _positive(h, "h_sp")
     budget = params.gain - _interference_mass(params, gam)
     if budget <= 0:
         raise ValueError("infeasible operating point: interference mass exceeds gain")
-    return budget
+    out = params.gain * params.sigma_sq * gam / (h * budget)
+    return float(out) if out.ndim == 0 else out
+
+
+def _utility(params: LsaParams, h_sp, gam: float) -> float | np.ndarray:
+    """Equilibrium utility T f(gamma) / power for combined gain h_sp at target gam."""
+    return _UTILITY.throughput_scale * efficiency(gam, _UTILITY.packet_bits) \
+        / _power(params, h_sp, gam)
 
 
 def predict_power(params: LsaParams, h_sp) -> float | np.ndarray:
     """Predicted equilibrium transmit power for combined gain h_sp."""
-    gam = params.target_sinr
-    h = np.asarray(h_sp, dtype=float)
-    _positive(h, "h_sp")
-    out = params.gain * params.sigma_sq * gam / (h * _interference_budget(params, gam))
-    return float(out) if out.ndim == 0 else out
+    return _power(params, h_sp, params.target_sinr)
 
 
 def predict_utility(params: LsaParams, h_sp) -> float | np.ndarray:
     """Predicted equilibrium utility for combined gain h_sp."""
-    gam = params.target_sinr
-    h = np.asarray(h_sp, dtype=float)
-    _positive(h, "h_sp")
-    budget = _interference_budget(params, gam)
-    scale = _UTILITY.throughput_scale * efficiency(gam, _UTILITY.packet_bits)
-    out = scale * h * budget / (params.gain * params.sigma_sq * gam)
-    return float(out) if out.ndim == 0 else out
+    return _utility(params, h_sp, params.target_sinr)
 
 
 def min_frames(params: LsaParams) -> int:
@@ -256,16 +256,14 @@ def min_frames(params: LsaParams) -> int:
 
     Feasibility requires the processing gain to exceed the interference
     mass gamma ((K - 1) mu + nu) at the interference-free target, which
-    the frame count controls linearly; the rule is the ceiling of that
-    ratio over chips per frame. Counts below 5 are allowed but flagged,
-    since the limiting coefficients are least accurate for very short
-    spreading.
+    the frame count controls linearly; the rule is the first frame count
+    past that ratio over chips per frame. Counts below 5 are allowed but
+    flagged, since the limiting coefficients are least accurate for very
+    short spreading.
     """
     gam = gamma_star(math.inf, _UTILITY.packet_bits)
     raw = _interference_mass(params, gam) / params.spreading.chips_per_frame
-    frames = max(1, math.ceil(raw))
-    if frames == raw:
-        frames += 1
+    frames = math.floor(raw) + 1
     if frames < 5:
         import logging
         logging.getLogger(__name__).warning(
@@ -277,22 +275,19 @@ def min_frames(params: LsaParams) -> int:
 def loss_db(params: LsaParams, asymptotic_target: bool = True) -> float:
     """Utility penalty of partial combining relative to full, in dB.
 
-    The ratio of full-combining to partial-combining equilibrium utility
-    for the same total channel energy is
+    The penalty is the ratio of the full- to the partial-combining
+    predicted equilibrium utility at equal total channel energy: full
+    combining captures all of it (h = 1), partial combining the share
+    1/mu. The ratio equals the four-factor product
     mu (f(g_A)/f(g_P)) (g_P/g_A) (N - g_A[(K-1) + nu_A]) / (N - g_P[(K-1) mu + nu]).
-    With asymptotic_target=True both targets are evaluated in the
-    infinite-gain limit, where the efficiency and SINR ratios drop out;
-    otherwise each receiver uses its own finite-gain target. Full
-    combining gives exactly 0 dB either way.
+    With asymptotic_target=True both targets are the infinite-gain one,
+    where the efficiency and SINR ratios drop out; otherwise each receiver
+    uses its own finite-gain target. Full combining gives exactly 0 dB
+    either way.
     """
     full = dataclasses.replace(params, beta=1.0)
-    M = _UTILITY.packet_bits
     if asymptotic_target:
-        g_p = g_a = gamma_star(math.inf, M)
+        g_p = g_a = gamma_star(math.inf, _UTILITY.packet_bits)
     else:
         g_p, g_a = params.target_sinr, full.target_sinr
-    # the budgets first: an infeasible point raises before its efficiency,
-    # which can underflow to 0 there, is divided by
-    budget_a, budget_p = _interference_budget(full, g_a), _interference_budget(params, g_p)
-    eff_ratio = 1.0 if asymptotic_target else efficiency(g_a, M) / efficiency(g_p, M)
-    return 10.0 * math.log10(params.mu * eff_ratio * (g_p / g_a) * budget_a / budget_p)
+    return 10.0 * math.log10(_utility(full, 1.0, g_a) / _utility(params, 1.0 / params.mu, g_p))

@@ -1,6 +1,7 @@
 """Limiting interference coefficients and the predictions built on them."""
 
 import decimal
+import itertools
 import logging
 import math
 from decimal import Decimal
@@ -24,6 +25,12 @@ def _params(beta, rho=10.0, frames=20, chips=50, paths=200, users=8):
     """The reference system: load 50 / 200 = 0.25, gain 20 * 50 = 1000."""
     return LsaParams(rho=rho, beta=beta, users=users, sigma_sq=5e-16,
                      spreading=SpreadingConfig(frames, chips), path_count=paths)
+
+
+# (rho, beta, chips, users): loads 50, 200 and 800 chips over 200 paths
+_GRID = [(10.0 ** (rho_db / 10.0), beta, chips, users)
+         for rho_db in (0.0, 10.0, 20.0) for beta in (0.1, 0.3, 0.7, 1.0)
+         for chips in (50, 200, 800) for users in (1, 8)]
 
 
 # -- cross coefficient -------------------------------------------------------
@@ -411,6 +418,17 @@ def test_min_frames_reference_points():
         assert min_frames(p) == want
 
 
+def test_min_frames_is_the_first_count_past_the_mass():
+    mass_factor = gamma_star(math.inf)
+    for rho, beta, chips, users in _GRID:
+        p = _params(beta, rho=rho, chips=chips, users=users)
+        mass = mass_factor * ((users - 1) * p.mu + p.nu)
+        frames = 1
+        while frames * chips <= mass:
+            frames += 1
+        assert min_frames(p) == frames, (rho, beta, chips, users)
+
+
 def test_min_frames_clamps_to_one():
     # one user sending one frame of 50 chips needs no second frame
     p = _params(0.5, users=1, frames=1)
@@ -441,8 +459,45 @@ def test_loss_reference_points():
 
 
 def test_loss_full_combining_is_zero():
-    assert loss_db(_params(1.0)) == pytest.approx(0.0, abs=1e-12)
-    assert loss_db(_params(1.0), asymptotic_target=False) == pytest.approx(0.0, abs=1e-12)
+    assert loss_db(_params(1.0)) == 0.0
+    assert loss_db(_params(1.0), asymptotic_target=False) == 0.0
+
+
+def _four_factor_loss(p, asymptotic):
+    """The docstring's product
+    mu (f(g_A)/f(g_P)) (g_P/g_A) (N - g_A[(K-1) + nu_A]) / (N - g_P[(K-1) mu + nu])
+    in dB; raises ValueError where either budget is not positive."""
+    N, K = p.gain, p.users
+    nu_a = nu(p.rho, 1.0, p.load)
+    if asymptotic:
+        g_a = g_p = gamma_star(math.inf)
+    else:
+        g_a, g_p = gamma_star(N / nu_a), p.target_sinr
+    budget_a = N - g_a * ((K - 1) + nu_a)
+    budget_p = N - g_p * ((K - 1) * p.mu + p.nu)
+    if budget_a <= 0 or budget_p <= 0:
+        raise ValueError("infeasible")
+    ratio = p.mu * (efficiency(g_a) / efficiency(g_p)) * (g_p / g_a) * budget_a / budget_p
+    return 10.0 * math.log10(ratio)
+
+
+@pytest.mark.parametrize("asymptotic", [True, False])
+def test_loss_is_the_four_factor_product(asymptotic):
+    # at 4 frames some points close a budget, for either target choice
+    feasible = infeasible = 0
+    for (rho, beta, chips, users), frames in itertools.product(_GRID, (20, 4)):
+        p = _params(beta, rho=rho, frames=frames, chips=chips, users=users)
+        try:
+            want = _four_factor_loss(p, asymptotic)
+        except ValueError:
+            infeasible += 1
+            with pytest.raises(ValueError, match="infeasible"):
+                loss_db(p, asymptotic_target=asymptotic)
+            continue
+        feasible += 1
+        assert loss_db(p, asymptotic_target=asymptotic) == pytest.approx(
+            want, rel=1e-12, abs=1e-13), (rho, beta, chips, users, frames)
+    assert feasible and infeasible
 
 
 def test_loss_finite_target_variant():
