@@ -1,4 +1,4 @@
-"""Network topologies and frequency-selective channel realizations.
+"""Decay profiles, streams and draws of topologies and frequency-selective channels.
 
 Each user sees a tapped-delay-line channel with L resolvable paths. Path
 amplitudes are independent circular complex Gaussians whose per-tap
@@ -30,13 +30,14 @@ bit, and memory stays flat in the trial count.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence, default_rng
 from numpy.random.bit_generator import ISeedSequence
+
+from ._rules import _count, _decay_ratio, _positive
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of 4
 # uint32 words; each entropy word is hashed (xor a hash constant, times
@@ -68,46 +69,6 @@ def _hash_constants(const: int, mult: int, n: int) -> list[int]:
 
 # the output words: word i is hashed from pool word i mod 4
 _OUTPUT_CONSTS = np.array(_hash_constants(_INIT_B, _MULT_B, 2 * _POOL_WORDS), dtype=np.uint32)
-
-
-def _count(value, name: str, least: int = 1) -> int:
-    """The count value as an int. NaN or a value below least raises
-    ValueError naming the field, since the accepting comparison runs first;
-    a non-integer (a fraction or a whole float) raises TypeError, and numpy
-    integers pass."""
-    if not value >= least:
-        raise ValueError(f"{name} must be >= {least}")
-    return operator.index(value)
-
-
-# the real-valued rules, each comparing as _count does, so that NaN fails
-def _fraction(value, name: str) -> None:
-    if not 0 < value <= 1:
-        raise ValueError(f"{name} must be in (0, 1]")
-
-
-def _decay_ratio(value, name: str) -> None:
-    if not value >= 1:
-        raise ValueError(f"{name} must be >= 1")
-
-
-def _entrywise(ok: np.ndarray, name: str, rule: str) -> None:
-    # an array rule's one report: the positions where it fails
-    if not ok.all():
-        raise ValueError(f"{name} must be {rule}; it is not at {np.argwhere(~ok).tolist()}")
-
-
-def _positive(value, name: str) -> None:
-    # an array entry by entry; a scalar by one comparison
-    if isinstance(value, np.ndarray) and value.ndim:
-        _entrywise((0 < value) & (value < np.inf), name, "positive and finite")
-    elif not 0 < value < np.inf:
-        raise ValueError(f"{name} must be positive and finite")
-
-
-def _nonnegative(value: np.ndarray, name: str) -> None:
-    # an array of powers or interference gains, entry by entry; 0 passes
-    _entrywise((0 <= value) & (value < np.inf), name, "non-negative and finite")
 
 
 @dataclass(frozen=True)

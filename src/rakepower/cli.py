@@ -31,7 +31,8 @@ import click
 import numpy as np
 
 from . import __version__
-from .channel import ApdpProfile, _count, _fraction, _positive, _trial_blocks
+from ._rules import _count, _fraction, _positive
+from .channel import ApdpProfile, _trial_blocks
 from .gains import LinkGains, RakeSelector, SpreadingConfig, link_gains
 from .game import _outage, _targets, solve_equilibrium
 from .lsa import _UTILITY, LsaParams, loss_db, min_frames, mu, nu, predict_utility
@@ -390,14 +391,15 @@ def run_validate(config: ExperimentConfig):
 
     config is the resolved audit point, one combining fraction included.
     A point the audit refuses (fewer than 3 paths, fewer than 2 Monte
-    Carlo trials, no finite nu, or an infeasible point, where the
-    interference mass exceeds the processing gain) is a usage error
-    naming the point and the audit's reason. A steep decay puts the
-    energy on few taps, so the limit rows need more paths to reach their
-    closed forms: the default 4000 paths pass up to 150 dB (7 limit rows
-    fail at 200 dB), 8000 up to 300 dB (7 fail at 600 dB) and 16000 up to
-    600 dB, while 400 paths fail 19 at 600 dB. The identity and mc rows
-    pass in all of these.
+    Carlo trials or 3 fingers at their 400 paths, no finite nu, an
+    infeasible point, where the interference mass exceeds the processing
+    gain, or a target whose packet success rate underflows to 0) is a
+    usage error naming the point and the audit's reason. A steep decay
+    puts the energy on few taps, so the limit rows need more paths to
+    reach their closed forms: the default 4000 paths pass up to 150 dB (7
+    limit rows fail at 200 dB), 8000 up to 300 dB (7 fail at 600 dB) and
+    16000 up to 600 dB, while 400 paths fail 19 at 600 dB. The identity
+    and mc rows pass in all of these.
     """
     (beta,) = config.betas
     point = (f"paths={config.paths} chips={config.chips} users={config.users} "

@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 from numpy.fft import fft, rfft
 
-from .channel import _count, _fraction, _nonnegative, _positive
+from ._rules import _count, _fraction, _nonnegative, _positive
 
 
 @dataclass(frozen=True)
@@ -291,6 +291,8 @@ def link_gains(alphas: np.ndarray,
 
 def _user_powers(gains: LinkGains, powers: np.ndarray, k: int) -> np.ndarray:
     """The power vector as floats, checked against the bank with user k."""
+    if gains.h_sp.ndim != 1:
+        raise ValueError(f"gains must be one (K,) bank, not a stack of shape {gains.h_sp.shape}")
     p = np.asarray(powers, dtype=float)
     if p.shape != (gains.user_count,):
         raise ValueError("powers must have one entry per user")

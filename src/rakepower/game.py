@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _count, _nonnegative, _positive
+from ._rules import _count, _nonnegative, _positive
 from .gains import LinkGains, _user_powers
 
 # relative fixed-point residual a solve must certify (roundoff is ~1e-15)

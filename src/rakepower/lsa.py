@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .channel import _count, _decay_ratio, _fraction, _positive
+from ._rules import _count, _decay_ratio, _fraction, _positive
 from .game import UtilityParams, efficiency, gamma_star
 from .gains import SpreadingConfig
 
@@ -237,8 +237,10 @@ def _power(params: LsaParams, h_sp, gam: float) -> float | np.ndarray:
 
 def _utility(params: LsaParams, h_sp, gam: float) -> float | np.ndarray:
     """Equilibrium utility T f(gamma) / power for combined gain h_sp at target gam."""
-    return _UTILITY.throughput_scale * efficiency(gam, _UTILITY.packet_bits) \
-        / _power(params, h_sp, gam)
+    power, f = _power(params, h_sp, gam), efficiency(gam, _UTILITY.packet_bits)
+    if f == 0:
+        raise ValueError(f"the packet success rate underflows to 0 at target SINR {gam:.3g}")
+    return _UTILITY.throughput_scale * f / power
 
 
 def predict_power(params: LsaParams, h_sp) -> float | np.ndarray:

@@ -45,7 +45,8 @@ import numpy as np
 from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import ApdpProfile, _count, _trial_normals
+from ._rules import _count
+from .channel import ApdpProfile, _trial_normals
 from .gains import RakeSelector, _fast_len, _phi_squared
 from .game import efficiency
 from .lsa import _UTILITY, LsaParams, loss_db, mu, nu, predict_power
@@ -515,7 +516,8 @@ def oracle_audit(params: LsaParams, *, mc_trials: int, master_seed: int) -> list
     value rows raise if the two routes split, and the decomposition rows
     report them. A point the audit cannot certify (fewer than 3 paths, 2
     Monte Carlo trials or 3 fingers at their 400 paths, no finite nu, an
-    infeasible point) raises ValueError before any finite sum.
+    infeasible point, a target whose packet success rate underflows to 0)
+    raises ValueError before any finite sum.
     """
     L, rho, beta, load = params.path_count, params.rho, params.beta, params.load
     chips = params.spreading.chips_per_frame

@@ -1,9 +1,6 @@
 """Channel model: decay profile, pathloss, tap statistics, substreams."""
 
-import ast
-import re
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +8,9 @@ from scipy import stats
 
 import rakepower.channel as channel
 from rakepower import ApdpProfile, sample_channel_bank, sample_topology, substream
+# a bank's variances are checked against the table in test_rules.py
+from test_rules import (
+    check_channel_bank_variances as test_sample_channel_bank_rejects_bad_variances)
 
 
 def _variances(*distances):
@@ -46,13 +46,6 @@ def test_apdp_flat_profile():
 
 def test_apdp_single_path():
     assert ApdpProfile(1, 1.0).tap_variances(2.0) == pytest.approx([2.0])
-
-
-def test_apdp_rejects_increasing_profile():
-    with pytest.raises(ValueError):
-        ApdpProfile(10, 0.5)
-    with pytest.raises(ValueError):
-        ApdpProfile(10, float("nan"))
 
 
 @pytest.mark.parametrize("K, d_min, d_max, seed, trial",
@@ -303,100 +296,3 @@ def test_variance_scale_covariance():
     g1 = prof.path_gains(v, normals)
     g2 = prof.path_gains(2.0 * v, normals)
     assert np.allclose(g2, np.sqrt(2.0) * g1, rtol=1e-12)
-
-
-@pytest.mark.parametrize("variances", [[-1.0], [0.0], [1e-3, -1e-3], [np.inf],
-                                       [np.nan], [1e-3, np.nan], [], [[1e-3]],
-                                       np.float64(1e-3)])
-def test_sample_channel_bank_rejects_bad_variances(variances):
-    # a bank takes a non-empty 1-D array, whose entries then take the
-    # positive rule in ApdpProfile.tap_variances, by position
-    v = np.asarray(variances)
-    shaped = v.ndim == 1 and v.size
-    rule = "positive and finite; it is not at" if shaped else "a non-empty 1-D array"
-    with pytest.raises(ValueError, match=f"^user_variances must be {rule}"):
-        sample_channel_bank(ApdpProfile(4, 10.0), variances, 0, 0)
-
-
-def test_invalid_inputs():
-    with pytest.raises(ValueError):
-        sample_topology(0, 3.0, 20.0, substream(0))
-    with pytest.raises(ValueError):
-        sample_topology(2, 20.0, 3.0, substream(0))
-
-
-def test_sample_topology_refuses_distances_with_no_variance():
-    # an infinite d_max has no uniform draw (numpy raises OverflowError),
-    # 0.3 d^-2 underflows to 0 at 1e308 (all-zero variances) and overflows
-    # to inf at 1e-160; each is a ValueError naming the field
-    for d_min, d_max, message in (
-            (3.0, np.inf, "d_max must be positive and finite"),
-            (3.0, 1e308, "the pathloss at d_max must be positive and finite"),
-            (1e-160, 1.0, "the pathloss at d_min must be positive and finite"),
-            (20.0, 3.0, "need d_min <= d_max")):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            sample_topology(3, d_min, d_max, substream(1, 0))
-    v = sample_topology(1000, 1e-150, 1e150, substream(1, 0))
-    assert np.all((v > 0) & np.isfinite(v))
-
-
-def test_the_count_rule_is_written_once():
-    # channel._count is the one check that a count is an integer; the only
-    # other operator.index calls are on counts whose range is two-sided
-    where = []
-    for path in sorted(Path(channel.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "operator":
-                where.append((path.stem, "from operator import ..."))
-            if isinstance(node, ast.Attribute) and ast.unparse(node) == "operator.index":
-                scope, up = [], node
-                while up in parent:
-                    up = parent[up]
-                    if isinstance(up, (ast.FunctionDef, ast.ClassDef)):
-                        scope.insert(0, up.name)
-                where.append((path.stem, ".".join(scope), ast.unparse(parent[node])))
-    assert sorted(where) == [
-        ("channel", "_count", "operator.index(value)"),
-        ("oracle", "_flat_ratio", "map(operator.index, (path_count, finger_count))"),
-    ]
-
-
-def test_each_real_valued_rule_is_written_once():
-    # the fraction, decay-ratio, positive-and-finite and non-negative
-    # comparisons appear only in their channel helpers, the positive one in
-    # scalar and array form, and every entry point calls these. The other
-    # comparisons with 0 from above are a two-sided count range, varsigma's
-    # own rule (it may be inf) and masks on results; isfinite tests path
-    # gains and closed-form values, neither a positive rule
-    rules = {"fraction": r"0 < \S+ <= 1(\.0)?", "decay ratio": r"\S+ >= 1(\.0)?",
-             "positive": r"0(\.0)? < .+|.+ > 0(\.0)?|.+ < (np|math)\.inf",
-             "non-negative": r"0(\.0)? <= \S+|.+ >= 0(\.0)?"}
-    where = {rule: set() for rule in (*rules, "isfinite")}
-    for path in sorted(Path(channel.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for scope in tree.body:  # the module's functions and classes
-            for node in ast.walk(scope):
-                text, site = ast.unparse(node), (path.stem, getattr(scope, "name", None))
-                for rule, pattern in rules.items():
-                    if isinstance(node, ast.Compare) and re.fullmatch(pattern, text):
-                        where[rule].add((*site, text))
-                if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("isfinite"):
-                    where["isfinite"].add((*site, text))
-    assert where == {
-        "fraction": {("channel", "_fraction", "0 < value <= 1")},
-        "decay ratio": {("channel", "_decay_ratio", "value >= 1")},
-        "positive": {("channel", "_fraction", "0 < value <= 1"),
-                     ("channel", "_positive", "0 < value < np.inf"),
-                     ("channel", "_positive", "0 < value"),
-                     ("channel", "_positive", "value < np.inf"),
-                     ("channel", "_nonnegative", "value < np.inf"),
-                     ("game", "UtilityParams", "0 < self.data_bits <= self.packet_bits"),
-                     ("game", "_targets", "vs > 0"),
-                     ("game", "utilities", "p > 0"),
-                     ("game", "_outage", "p > 0"),
-                     ("cli", "run_utility_vs_gain", "np.asarray(chunk) > 0")},
-        "non-negative": {("channel", "_nonnegative", "0 <= value")},
-        "isfinite": {("gains", "link_gains", "np.isfinite(A)"),
-                     ("lsa", "_finite", "math.isfinite(value)")}}

@@ -411,17 +411,6 @@ def test_flags_override_config(tmp_path):
     assert "trials" in explicit
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(users=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(betas=(1.5,))
-    with pytest.raises(ValueError):
-        ExperimentConfig(rho_db=-3.0)
-    with pytest.raises(ValueError):
-        build_config(None, bogus=1)
-
-
 def test_runner_functions_return_fields_and_rows():
     config = ExperimentConfig(users=2, paths=40, chips=10, trials=2,
                               betas=(0.5,))
@@ -706,15 +695,21 @@ def test_usage_error_exits_one_without_a_traceback():
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert f"trials must be >= 1 and <= {2**32 - 1}" in proc.stderr
-    # and a validate point the audit refuses, with the point named
-    proc = subprocess.run([sys.executable, "-W", "error", "-m", "rakepower", "validate",
-                           "--paths", "41"], capture_output=True, text=True)
-    assert proc.returncode == 1, proc.stderr
-    assert "Traceback" not in proc.stderr
-    errors = [line for line in proc.stderr.splitlines() if line.startswith("Error:")]
-    assert errors == [proc.stderr.strip()]
-    assert "cannot audit paths=41 chips=10" in errors[0]
-    assert "infeasible operating point" in errors[0]
+    # and validate points the audit refuses, with the point named: an
+    # infeasible one, and one whose target's packet success rate underflows
+    for args, point, reason in (
+            (["--paths", "41"], "paths=41 chips=10", "infeasible operating point"),
+            (["--paths", "4", "--chips", "1", "--frames", "1", "--users", "1", "--rho-db", "0",
+              "--beta", "0.001"], "paths=4 chips=1 users=1 frames=1 rho_db=0.0 beta=0.001",
+             "the packet success rate underflows to 0 at target SINR 0.00113")):
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "rakepower", "validate",
+                               *args], capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("Error:")]
+        assert errors == [proc.stderr.strip()]
+        assert f"cannot audit {point}" in errors[0]
+        assert reason in errors[0]
 
 
 def test_help_exits_zero_in_process(capsys):

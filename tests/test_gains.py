@@ -279,24 +279,6 @@ def test_si_headroom_at_least_one():
             assert bad == [], f"si_ratio < 1 at trials {bad}"
 
 
-def test_validation_errors():
-    bank = _bank(2, 16, seed=1)
-    with pytest.raises(ValueError):
-        link_gains(bank, RakeSelector(0.5), SpreadingConfig(2, 8), 1e-9, method="sparse")
-    with pytest.raises(ValueError):
-        link_gains([], RakeSelector(0.5), SpreadingConfig(2, 8), 1e-9)
-    with pytest.raises(ValueError):
-        link_gains([bank[0], bank[1][:8]], RakeSelector(0.5),
-                   SpreadingConfig(2, 8), 1e-9)
-    with pytest.raises(ValueError):
-        LinkGains(h_sp=np.array([1.0]), h_si=np.array([0.1]),
-                  h_mai=np.array([[0.5]]), sigma_sq=1e-9)
-    with pytest.raises(ValueError):
-        RakeSelector(0.0)
-    with pytest.raises(ValueError):
-        RakeSelector(1.5)
-
-
 def test_link_gains_stack_keeps_checks():
     # a (F, K) / (F, K, K) stack of banks: per-slice ratios, same guards
     bank = _bank(3, 24, seed=13)

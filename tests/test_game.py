@@ -11,16 +11,20 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from rakepower import (ApdpProfile, LinkGains, LsaParams, RakeSelector,
-                       SpreadingConfig, UtilityParams, best_response,
-                       closed_form_equilibrium_power, efficiency, feasibility,
-                       gamma_star, link_gains, mu, nu, predict_power,
-                       predict_utility, sample_channel_bank, sample_topology, sinr,
-                       solve_equilibrium, substream, utilities)
+from rakepower import (ApdpProfile, LinkGains, RakeSelector, SpreadingConfig,
+                       UtilityParams, best_response, closed_form_equilibrium_power,
+                       efficiency, feasibility, gamma_star, link_gains,
+                       sample_channel_bank, sample_topology, sinr, solve_equilibrium,
+                       substream, utilities)
 import rakepower.game as game
-from rakepower.cli import ExperimentConfig
 from rakepower.game import _outage, _response_map, _sinrs, _targets
-from rakepower.oracle import finite_mu, finite_nu, flat_nu_exact, mc_gain_ratio
+# the count, real-valued and array rules' checks, one per entry point,
+# walk the table in test_rules.py
+from test_rules import (check_counts as test_counts_refuse_non_integers,
+                        check_nonnegative_arrays as
+                        test_each_nonnegative_array_is_checked_entry_by_entry,
+                        check_positive_arrays as test_each_positive_array_is_checked_entry_by_entry,
+                        check_real_rules as test_each_real_valued_rule_has_one_message)
 
 GAMMA_INF = 12.949200759178689  # solves (M/2) g = e^(g/2) - 1 at M = 100
 
@@ -115,13 +119,6 @@ def test_efficiency_packet_length():
     assert efficiency(10.0, packet_bits=1000) < efficiency(10.0, packet_bits=100)
 
 
-def test_efficiency_refuses_packets_under_two_bits():
-    # a packet is at least two bits, as in UtilityParams and gamma_star
-    for bits in (1, 0, -3):
-        with pytest.raises(ValueError, match="packet_bits must be >= 2"):
-            efficiency(10.0, bits)
-
-
 def test_gamma_star_interference_free_limit():
     assert gamma_star(math.inf) == pytest.approx(GAMMA_INF, abs=1e-10)
     assert gamma_star(1e12) == pytest.approx(GAMMA_INF, rel=1e-9)
@@ -141,168 +138,6 @@ def test_gamma_star_monotone_and_bounded():
         assert g < GAMMA_INF
 
 
-def test_gamma_star_rejects_bad_input():
-    with pytest.raises(ValueError):
-        gamma_star(0.0)
-    with pytest.raises(ValueError):
-        gamma_star(-2.0)
-    with pytest.raises(ValueError):
-        gamma_star(math.nan)
-    with pytest.raises(ValueError):
-        gamma_star(5.0, packet_bits=1)
-    with pytest.raises(ValueError):
-        _targets(np.array([5.0, 0.0, math.inf]), 100)
-
-
-def _with_nan(field):
-    """A valid two-user LinkGains with one NaN entry in field."""
-    gains = dict(h_sp=np.array([1.0, 2.0]), h_si=np.array([0.1, 0.2]),
-                 h_mai=np.array([[0.0, 0.5], [0.3, 0.0]]), sigma_sq=1e-9)
-    if field == "sigma_sq":
-        gains[field] = math.nan
-    else:
-        gains[field].flat[1] = math.nan
-    return LinkGains(**gains)
-
-
-def _bank_with_nan(path, selectors=RakeSelector(0.5)):
-    """link_gains on a two-user bank of ones with one NaN path gain."""
-    bank = np.ones((2, 16), dtype=complex)
-    bank[1, path] = math.nan
-    return link_gains(bank, selectors, SpreadingConfig(2, 8), 1e-9)
-
-
-_LSA_POINT = LsaParams(rho=10.0, beta=0.1, users=4, sigma_sq=1e-9,
-                       spreading=SpreadingConfig(1, 100), path_count=400)
-
-
-@pytest.mark.parametrize("build, message", [
-    (lambda: UtilityParams(max_power=math.nan), "max_power must be positive"),
-    (lambda: UtilityParams(rate_bps=math.nan), "rate_bps must be positive"),
-    (lambda: _with_nan("h_sp"), r"h_sp must be positive and finite; it is not at \[\[1\]\]"),
-    (lambda: _with_nan("h_si"), r"h_si must be non-negative and finite; it is not at \[\[1\]\]"),
-    (lambda: _with_nan("h_mai"),
-     r"h_mai must be non-negative and finite; it is not at \[\[0, 1\]\]"),
-    (lambda: _with_nan("sigma_sq"), "sigma_sq must be positive and finite"),
-    (lambda: dataclasses.replace(_LSA_POINT, path_count=math.nan), "path_count must be >= 1"),
-    (lambda: dataclasses.replace(_LSA_POINT, sigma_sq=math.nan), "sigma_sq must be positive"),
-    (lambda: dataclasses.replace(_LSA_POINT, users=math.nan), "users must be >= 1"),
-    (lambda: SpreadingConfig(math.nan, 8), "frames must be >= 1"),
-    (lambda: SpreadingConfig(2, math.nan), "chips_per_frame must be >= 1"),
-    (lambda: ApdpProfile(math.nan, 10.0), "path_count must be >= 1"),
-    # link_gains names a NaN path gain's position before any transform, on
-    # a finger or past the fingers, for one selector or several
-    (lambda: _bank_with_nan(0), r"non-finite path gain at \(\.\.\., user, path\) \[\[1, 0\]\]"),
-    (lambda: _bank_with_nan(0, [RakeSelector(1.0), RakeSelector(0.5)]),
-     r"non-finite path gain at \(\.\.\., user, path\) \[\[1, 0\]\]"),
-    (lambda: _bank_with_nan(15), r"non-finite path gain at \(\.\.\., user, path\) \[\[1, 15\]\]"),
-    (lambda: UtilityParams(packet_bits=math.nan), "packet_bits must be >= 2"),
-    (lambda: UtilityParams(data_bits=math.nan), r"data_bits must be in 1\.\.packet_bits"),
-    (lambda: SpreadingConfig(20, 50).load_factor(math.nan), "path_count must be >= 1"),
-    (lambda: RakeSelector(0.5).finger_count(math.nan), "path_count must be >= 1"),
-    *((lambda field=field: ExperimentConfig(**{field: math.nan}), f"{field} must be >= ")
-      for field in ("users", "paths", "chips", "frames", "trials", "seed")),
-    (lambda: mc_gain_ratio(40, 10.0, 0.5, trials=math.nan), "trials must be >= 2"),
-    (lambda: sample_topology(math.nan, 3.0, 20.0, substream(1, 0)), "K must be >= 1"),
-], ids=["max_power", "rate_bps", "h_sp", "h_si", "h_mai", "gains_sigma_sq",
-        "lsa_path_count", "lsa_sigma_sq", "lsa_users", "frames", "chips_per_frame",
-        "apdp_path_count", "finger_path", "finger_path_selectors", "later_path",
-        "packet_bits", "data_bits", "load_factor", "finger_count", "config_users", "config_paths",
-        "config_chips", "config_frames", "config_trials", "config_seed", "mc_trials",
-        "topology_users"])
-def test_public_inputs_reject_nan(build, message):
-    # each check is the negated accepting comparison, which a NaN fails
-    with pytest.raises(ValueError, match=message):
-        build()
-
-
-# an operating point whose interference budget is open, for the predictions
-_FEASIBLE = dataclasses.replace(_LSA_POINT, spreading=SpreadingConfig(20, 100))
-_GAINS = dict(h_sp=np.array([1.0, 2.0]), h_si=np.array([0.1, 0.2]),
-              h_mai=np.array([[0.0, 0.5], [0.3, 0.0]]), sigma_sq=1e-9)
-# each real-valued rule: its message, the values it refuses, the bounds it
-# accepts, and its entry points as (entry, field, build from a value); every
-# entry point goes through the rule's one helper, so all of them refuse the
-# same values with the same message
-_REAL_RULES = {
-    "must be in (0, 1]": ((math.nan, 0.0, -0.5, 1.0 + 1e-12, 2.0, math.inf), (1.0,), [
-        ("RakeSelector", "finger_fraction", lambda x: RakeSelector(x)),
-        ("mu", "beta", lambda x: mu(10.0, x)),
-        ("nu", "beta", lambda x: nu(10.0, x, 0.5)),
-        ("LsaParams", "beta", lambda x: dataclasses.replace(_LSA_POINT, beta=x)),
-        ("ExperimentConfig", "beta", lambda x: ExperimentConfig(betas=(0.5, x))),
-    ]),
-    "must be >= 1": ((math.nan, 1.0 - 1e-12, 0.0, -math.inf), (1.0,), [
-        ("ApdpProfile", "decay_ratio", lambda x: ApdpProfile(8, x)),
-        ("mu", "rho", lambda x: mu(x, 0.5)),
-        ("nu", "rho", lambda x: nu(x, 0.5, 0.5)),
-        ("LsaParams", "rho", lambda x: dataclasses.replace(_LSA_POINT, rho=x)),
-    ]),
-    "must be positive and finite": ((math.nan, 0.0, -1e-9, math.inf), (), [
-        ("LinkGains", "sigma_sq", lambda x: LinkGains(**{**_GAINS, "sigma_sq": x})),
-        ("LsaParams", "sigma_sq", lambda x: dataclasses.replace(_LSA_POINT, sigma_sq=x)),
-        ("ExperimentConfig", "sigma_sq", lambda x: ExperimentConfig(sigma_sq=x)),
-        ("UtilityParams", "rate_bps", lambda x: UtilityParams(rate_bps=x)),
-        ("UtilityParams", "max_power", lambda x: UtilityParams(max_power=x)),
-        ("nu", "load", lambda x: nu(10.0, 0.5, x)),
-        # the array entries of _POSITIVE_ARRAYS, given a scalar
-        ("tap_variances", "user_variances", lambda x: ApdpProfile(4, 10.0).tap_variances(x)),
-        ("path_gains", "user_variances",
-         lambda x: ApdpProfile(4, 10.0).path_gains(x, np.ones(4, dtype=complex))),
-        ("predict_power", "h_sp", lambda x: predict_power(_FEASIBLE, x)),
-        ("predict_utility", "h_sp", lambda x: predict_utility(_FEASIBLE, x)),
-        ("sample_topology", "d_min", lambda x: sample_topology(3, x, 20.0, substream(1, 0))),
-        ("sample_topology", "d_max", lambda x: sample_topology(3, 3.0, x, substream(1, 0))),
-    ]),
-}
-
-
-@pytest.mark.parametrize("rule, field, build", [
-    pytest.param(rule, field, build, id=f"{entry}-{field}")
-    for rule, (*_, entries) in _REAL_RULES.items() for entry, field, build in entries])
-def test_each_real_valued_rule_has_one_message(rule, field, build):
-    refused, accepted, _ = _REAL_RULES[rule]
-    for value in refused:
-        with pytest.raises(ValueError) as exc:
-            build(value)
-        assert str(exc.value) == f"{field} {rule}", value
-    for value in accepted:
-        build(value)
-
-
-# every entry that takes an array of positive, finite gains or variances,
-# as (entry, field, build from an array, the array's shape); each checks
-# it entry by entry in channel._positive, whose error names the failing
-# positions (_REAL_RULES gives these entries scalars)
-_POSITIVE_ARRAYS = [
-    ("LinkGains", "h_sp", lambda x: LinkGains(
-        x, np.zeros_like(x), np.zeros(x.shape + x.shape[-1:]), 1e-9), (2, 3)),
-    ("tap_variances", "user_variances", lambda x: ApdpProfile(4, 10.0).tap_variances(x), (2, 3)),
-    ("path_gains", "user_variances", lambda x: ApdpProfile(4, 10.0).path_gains(
-        x, np.ones(x.shape + (4,), dtype=complex)), (2, 3)),
-    ("sample_channel_bank", "user_variances",
-     lambda x: sample_channel_bank(ApdpProfile(4, 10.0), x, 0, 0), (3,)),
-    ("predict_power", "h_sp", lambda x: predict_power(_FEASIBLE, x), (2, 3)),
-    ("predict_utility", "h_sp", lambda x: predict_utility(_FEASIBLE, x), (2, 3)),
-]
-
-
-@pytest.mark.parametrize("field, build, shape", [
-    pytest.param(field, build, shape, id=f"{entry}-{field}")
-    for entry, field, build, shape in _POSITIVE_ARRAYS])
-def test_each_positive_array_is_checked_entry_by_entry(field, build, shape):
-    # the bad entry sits last, at a position naming every axis
-    where = tuple(n - 1 for n in shape)
-    for bad in (0.0, -1.0, math.nan, math.inf):
-        value = np.ones(shape)
-        value[where] = bad
-        with pytest.raises(ValueError) as exc:
-            build(value)
-        assert str(exc.value) == (f"{field} must be positive and finite; "
-                                  f"it is not at {[list(where)]}"), bad
-    build(np.ones(shape))
-
-
 def test_an_infinite_combining_gain_never_reaches_the_solve():
     # at h_sp = inf the best response is power 0, which the solve would
     # certify as a converged equilibrium with utility 0; the bank is refused
@@ -316,43 +151,9 @@ def test_an_infinite_combining_gain_never_reaches_the_solve():
             solve_equilibrium(build(), UtilityParams())
 
 
-# the bank whose power vectors and interference gains the non-negative
-# rule checks
+# a two-user bank with interference
 _BANK = dict(h_sp=np.array([1.0, 1.0]), h_si=np.array([0.01, 0.01]),
              h_mai=np.array([[0.0, 0.1], [0.1, 0.0]]), sigma_sq=1e-9)
-# every entry that takes powers or interference gains, as (entry, field,
-# build from an array, a valid array); each checks it entry by entry in
-# channel._nonnegative
-_POWERS = np.full(2, 1e-7)
-_NONNEGATIVE_ARRAYS = [
-    ("sinr", "powers", lambda x: sinr(LinkGains(**_BANK), x, 1), _POWERS),
-    ("best_response", "powers",
-     lambda x: best_response(LinkGains(**_BANK), x, 1, UtilityParams()), _POWERS),
-    ("utilities", "powers", lambda x: utilities(LinkGains(**_BANK), x, UtilityParams()), _POWERS),
-    ("utilities-stack", "powers", lambda x: utilities(LinkGains(**_BANK), x, UtilityParams()),
-     np.stack([_POWERS, _POWERS])),
-    ("LinkGains", "h_si", lambda x: LinkGains(**{**_BANK, "h_si": x}), _BANK["h_si"]),
-    ("LinkGains", "h_mai", lambda x: LinkGains(**{**_BANK, "h_mai": x}), _BANK["h_mai"]),
-]
-
-
-@pytest.mark.parametrize("field, build, valid", [
-    pytest.param(field, build, valid, id=f"{entry}-{field}")
-    for entry, field, build, valid in _NONNEGATIVE_ARRAYS])
-def test_each_nonnegative_array_is_checked_entry_by_entry(field, build, valid):
-    # a negative, NaN or infinite entry gave a negative power, a SINR of
-    # -12.5, a utility of 2e283 or a hidden NaN; each is now refused by
-    # position (user 1, or user 0 of the second bank or row, off h_mai's
-    # zero diagonal)
-    where = (1, 0)[:valid.ndim]
-    for bad in (-1e-7, math.nan, math.inf):
-        value = valid.copy()
-        value[where] = bad
-        with pytest.raises(ValueError) as exc:
-            build(value)
-        assert str(exc.value) == (f"{field} must be non-negative and finite; "
-                                  f"it is not at {[list(where)]}"), bad
-    build(valid)
 
 
 def test_zero_power_keeps_zero_utility():
@@ -385,43 +186,6 @@ def test_a_noiseless_bank_never_reaches_the_solve():
                   lambda: LinkGains(bank.h_sp, bank.h_si, bank.h_mai, 0.0)):
         with pytest.raises(ValueError, match="sigma_sq must be positive and finite"):
             solve_equilibrium(build(), UtilityParams())
-
-
-@pytest.mark.parametrize("build, count", [
-    (lambda n: ApdpProfile(n, 10.0).tap_variances(1.0), 200),
-    (lambda n: SpreadingConfig(n, 50), 2),
-    (lambda n: SpreadingConfig(2, n), 50),
-    (lambda n: SpreadingConfig(20, 50).load_factor(n), 200),
-    (lambda n: RakeSelector(0.5).finger_count(n), 200),
-    (lambda n: UtilityParams(packet_bits=n), 100),
-    (lambda n: UtilityParams(data_bits=n), 50),
-    (lambda n: gamma_star(10.0, n), 100),
-    (lambda n: dataclasses.replace(_LSA_POINT, users=n), 4),
-    (lambda n: dataclasses.replace(_LSA_POINT, path_count=n), 400),
-    (lambda n: finite_nu(n, 50, 10.0, 0.5), 200),
-    (lambda n: finite_nu(200, n, 10.0, 0.5), 50),
-    (lambda n: flat_nu_exact(n, 50, 10), 200),
-    (lambda n: efficiency(10.0, n), 100),
-    *((lambda n, field=field: ExperimentConfig(**{field: n}), count)
-      for field, count in (("users", 8), ("paths", 200), ("chips", 50), ("frames", 20),
-                           ("trials", 1000), ("seed", 12345))),
-    (lambda n: sample_topology(n, 3.0, 20.0, substream(1, 0)), 8),
-    (lambda n: finite_mu(n, 10.0, 0.5), 200),
-    (lambda n: mc_gain_ratio(40, 10.0, 0.5, trials=n), 10),
-], ids=["apdp_path_count", "frames", "chips_per_frame", "load_factor", "finger_count",
-        "packet_bits", "data_bits", "gamma_star", "lsa_users", "lsa_path_count",
-        "finite_nu", "finite_nu_chips", "flat_nu_exact", "efficiency", "config_users",
-        "config_paths", "config_chips", "config_frames", "config_trials", "config_seed",
-        "topology_users", "finite_mu", "mc_trials"])
-def test_counts_refuse_non_integers(build, count):
-    # a count is an integer, numpy's included; a fraction of one, and a
-    # whole float, raise TypeError rather than being floored, rounded up or
-    # carried into a power
-    build(count)
-    build(np.int64(count))
-    for bad in (count + 0.5, float(count), np.float64(count)):
-        with pytest.raises(TypeError):
-            build(bad)
 
 
 def test_array_targets_against_bisection():

@@ -348,19 +348,6 @@ def test_nu_not_monotone_in_beta_at_strong_decay():
     assert vals[k] < vals[0]
 
 
-def test_invalid_coefficients_arguments():
-    with pytest.raises(ValueError):
-        mu(0.5, 0.3)
-    with pytest.raises(ValueError):
-        mu(10.0, 0.0)
-    with pytest.raises(ValueError):
-        mu(10.0, 1.2)
-    with pytest.raises(ValueError):
-        nu(10.0, 0.3, 0.0)
-    with pytest.raises(ValueError):
-        nu(10.0, 1.0, -1.0)
-
-
 # -- predictions -------------------------------------------------------------
 
 def test_target_sinr_property():
@@ -515,19 +502,6 @@ def test_loss_monotone_in_beta():
     vals = [loss_db(_params(b)) for b in betas]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert all(v >= 0 for v in vals)
-
-
-def test_lsa_params_validation():
-    point = dict(rho=10.0, beta=0.5, users=2, sigma_sq=1e-12,
-                 spreading=SpreadingConfig(2, 50), path_count=200)
-    with pytest.raises(ValueError):
-        LsaParams(**{**point, "rho": 0.5})
-    with pytest.raises(ValueError):
-        LsaParams(**{**point, "beta": 0.0})
-    with pytest.raises(ValueError, match="path_count must be >= 1"):
-        LsaParams(**{**point, "path_count": 0})
-    with pytest.raises(ValueError):
-        LsaParams(**{**point, "sigma_sq": 0.0})
 
 
 def test_lsa_params_derive_load_and_gain_from_the_spreading():

@@ -60,22 +60,6 @@ _AT_TWO_PATHS = LsaParams(rho=10.0, beta=0.5, users=2, sigma_sq=1e-9,
                           spreading=SpreadingConfig(1, 1), path_count=2)
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda: _profile(1, 10.0, 0.5), "path_count must be >= 2"),
-    (lambda: finite_nu(40, 0, 10.0, 0.5), "chips_per_frame must be >= 1"),
-    (lambda: flat_mu_exact(10, 0), r"finger_count must be in 1\.\.path_count"),
-    (lambda: flat_mu_exact(10, 11), r"finger_count must be in 1\.\.path_count"),
-    (lambda: flat_nu_exact(10, 0, 5), r"finger_count must be in 1\.\.path_count"),
-    (lambda: flat_nu_exact(10, 11, 5), r"finger_count must be in 1\.\.path_count"),
-    (lambda: mc_gain_ratio(40, 10.0, 0.5, trials=1), "trials must be >= 2"),
-    (lambda: oracle_audit(_AT_TWO_PATHS, mc_trials=10, master_seed=1), "path_count must be >= 3"),
-], ids=["profile_paths", "finite_nu_chips", "flat_mu_no_finger", "flat_mu_fingers",
-        "flat_nu_no_finger", "flat_nu_fingers", "mc_trials", "audit_paths"])
-def test_oracle_refusals(call, message):
-    with pytest.raises(ValueError, match=message):
-        call()
-
-
 def test_finite_nu_refuses_routes_that_split(monkeypatch):
     table_lags = oracle._table_lags
     monkeypatch.setattr(oracle, "_table_lags",
